@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 from .aggregate import (Boxplot, Histogram, StudyAggregate, boxplot_stats,
                         summarize, trim_central)
 from .domain import (EligibilityRule, ExcludedPanel, ExclusionReason,
-                     Observation, ParseResult, RowIssue, SkuPanel,
+                     Observation, ObservationTable, ObservationView,
+                     ParseResult, RowIssue, SkuPanel,
                      build_panels, filter_eligible, parse_csv, serialize_csv)
 from .ols import (DesignMatrix, FitResult, FitStatus, fit_ols, predict,
                   t_critical, t_pvalue)
@@ -26,8 +27,9 @@ __all__ = [
     "Boxplot", "Histogram", "StudyAggregate", "boxplot_stats", "summarize",
     "trim_central",
     "EligibilityRule", "ExcludedPanel", "ExclusionReason", "Observation",
-    "ParseResult", "RowIssue", "SkuPanel", "build_panels", "filter_eligible",
-    "parse_csv", "serialize_csv",
+    "ObservationTable", "ObservationView", "ParseResult", "RowIssue",
+    "SkuPanel", "build_panels", "filter_eligible", "parse_csv",
+    "serialize_csv",
     "DesignMatrix", "FitResult", "FitStatus", "fit_ols", "predict",
     "t_critical", "t_pvalue",
     "CycleConfig", "CycleTrace", "DgpConfig", "cycle_summary",

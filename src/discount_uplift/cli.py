@@ -28,11 +28,16 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .aggregate import StudyAggregate, summarize
-from .domain import (EligibilityRule, build_panels, parse_csv, serialize_csv)
+from .aggregate import AggregateError, StudyAggregate, summarize
+from .domain import (EligibilityRule, ObservationTable, RowIssue, build_panels,
+                     parse_csv, serialize_csv)
 from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
                     generate_study, simulate_cycle)
 from .two_step import ReportStatus, Sidedness, SkuUpliftReport, run_study
+
+
+# Warnings printed per field before the rest are only counted.
+WARNINGS_SHOWN = 10
 
 
 class UserError(Exception):
@@ -84,6 +89,20 @@ def _resolve_threads(flag: int | None) -> int:
             raise UserError("UPLIFT_THREADS must be at least 1")
         return value
     return os.cpu_count() or 1
+
+
+def _print_warnings(warnings: Sequence[RowIssue]) -> None:
+    """The first WARNINGS_SHOWN warnings of each field, then one count line
+    per field for the rest."""
+    seen: dict[str, int] = {}
+    for warning in warnings:
+        seen[warning.field] = seen.get(warning.field, 0) + 1
+        if seen[warning.field] <= WARNINGS_SHOWN:
+            print(f"warning: {warning}", file=sys.stderr)
+    for field, count in seen.items():
+        if count > WARNINGS_SHOWN:
+            print(f"warning: … and {count - WARNINGS_SHOWN} more {field} "
+                  "warnings", file=sys.stderr)
 
 
 def _reports_csv(reports: Sequence[SkuUpliftReport], with_store: bool) -> str:
@@ -142,9 +161,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if not input_path.is_file():
         raise UserError(f"input file not found: {input_path}")
     raw = input_path.read_bytes()
-    parsed = parse_csv(raw)
-    for warning in parsed.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    try:
+        parsed = parse_csv(raw)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise UserError(f"{input_path} is not a readable UTF-8 CSV file: "
+                        f"{exc}") from exc
+    _print_warnings(parsed.warnings)
     if parsed.errors:
         for error in parsed.errors:
             print(error, file=sys.stderr)
@@ -165,7 +187,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise UserError("--hist-bins must be at least 1")
     threads = _resolve_threads(args.threads)
 
-    panels = build_panels(parsed.observations, group_by=args.group_by)
+    panels = build_panels(parsed.table, group_by=args.group_by)
     reports = run_study(panels, rule=rule, alpha=args.alpha,
                         sidedness=sidedness, threads=threads)
     if not reports:
@@ -173,8 +195,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     n_failed = sum(1 for r in reports if r.status is ReportStatus.ESTIMATION_FAILED)
     if n_failed == len(reports):
         raise UserError("estimation failed for every eligible SKU")
-    aggregate = summarize(reports, trim_mass=args.trim, hist_range=hist_range,
-                          hist_bins=args.hist_bins)
+    try:
+        aggregate = summarize(reports, trim_mass=args.trim,
+                              hist_range=hist_range, hist_bins=args.hist_bins)
+    except AggregateError as exc:
+        raise UserError(str(exc)) from exc
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,6 +226,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.skus < 0:
         raise UserError("--skus must be non-negative")
+    try:
+        start_date = dt.date.fromisoformat(args.start_date)
+    except ValueError as exc:
+        raise UserError(f"--start-date must be an ISO date, got "
+                        f"{args.start_date!r}") from exc
     config = DgpConfig(
         seed=args.seed, n_days=args.days,
         weekday_effects=tuple(args.weekday_effects),
@@ -208,15 +238,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         discount_probability=args.discount_prob,
         discount_intensity=args.intensity, gamma_true=args.gamma,
         demand_noise=args.demand_noise, demand_noise_sd=args.demand_noise_sd,
-        start_date=dt.date.fromisoformat(args.start_date))
+        start_date=start_date)
     try:
         config.validate()
     except InvalidConfig as exc:
         raise UserError(str(exc)) from exc
 
     panels = generate_study(config, args.skus)
-    observations = [obs for panel in panels for obs in panel.observations]
-    text = serialize_csv(observations)
+    n_rows = sum(panel.n_obs for panel in panels)
+    text = serialize_csv(ObservationTable.concat(p.table for p in panels))
     out_path = Path(args.out)
     _write(out_path, text)
     config_dict = dataclasses.asdict(config)
@@ -225,7 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(out_path.with_name(out_path.name + ".manifest.json"),
                 _manifest("simulate", config_dict,
                           _sha256(text.encode("utf-8"))))
-    print(f"wrote {len(observations)} observations for {args.skus} SKUs "
+    print(f"wrote {n_rows} observations for {args.skus} SKUs "
           f"to {out_path}")
     return 0
 
@@ -330,9 +360,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

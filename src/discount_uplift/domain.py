@@ -1,19 +1,26 @@
 """Core data types, CSV ingestion and SKU-panel construction.
 
-A dataset is a flat collection of store/SKU/day records. Panels group the
-records of one SKU (optionally one store-SKU pair), split the days into
-discount-free days and days with at least one discounted sale, and are the
-unit of work for the two-step estimation.
+A dataset is a flat collection of store/SKU/day records, held as one
+:class:`ObservationTable`: a numpy array per field. Panels are contiguous
+slices of the table sorted by SKU; each splits its days into discount-free
+days and days with at least one discounted sale, and is the unit of work
+for the two-step estimation. :class:`Observation` is the per-record view of
+a table row; it is built only when a caller asks for an element.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
 import io
+import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday",
                  "Saturday", "Sunday")
@@ -21,6 +28,11 @@ _WEEKDAY_BY_NAME = {name.lower(): i + 1 for i, name in enumerate(WEEKDAY_NAMES)}
 
 CSV_COLUMNS = ("store", "sku", "date", "weekday", "stock", "forecast",
                "sales", "discounted_sales")
+
+# Rows converted per block, in ingestion, serialisation and row views.
+_CHUNK_ROWS = 16384
+_EPOCH = dt.date(1970, 1, 1)
+_INT64 = np.iinfo(np.int64)
 
 
 class DomainError(ValueError):
@@ -46,6 +58,134 @@ class Observation:
     forecast: float
     sales: int
     discounted_sales: int
+
+
+_FIELDS = tuple(f.name for f in fields(Observation))
+_DTYPES = {name: np.int64 for name in _FIELDS}
+_DTYPES.update(date=np.dtype("datetime64[D]"), forecast=np.float64)
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """Observations as columns: one 1-D array per :class:`Observation`
+    field, in the same order. ``date`` is ``datetime64[D]``, ``forecast``
+    float64 and every other column int64.
+
+    Indexing with a slice or an index array gives another table (a slice
+    shares memory with this one); :meth:`observation` builds one row as an
+    :class:`Observation`. Tables compare equal when every column does.
+    """
+
+    store_id: np.ndarray
+    sku_id: np.ndarray
+    date: np.ndarray
+    weekday: np.ndarray
+    stock: np.ndarray
+    forecast: np.ndarray
+    sales: np.ndarray
+    discounted_sales: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in _FIELDS:
+            column = np.asarray(getattr(self, name), dtype=_DTYPES[name])
+            if column.ndim != 1 or column.shape != (len(self.store_id),):
+                raise DomainError("table columns must be 1-D and equally long")
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def empty(cls) -> ObservationTable:
+        return cls(*(np.empty(0, dtype=_DTYPES[name]) for name in _FIELDS))
+
+    @classmethod
+    def concat(cls, tables: Iterable[ObservationTable]) -> ObservationTable:
+        tables = list(tables)
+        if not tables:
+            return cls.empty()
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in _FIELDS))
+
+    @classmethod
+    def from_observations(cls, observations: Iterable[Observation]
+                          ) -> ObservationTable:
+        """Convert records to columns, a block of rows at a time."""
+        getter = attrgetter(*_FIELDS)
+        records = iter(observations)
+        parts = []
+        while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+            columns = dict(zip(_FIELDS, zip(*map(getter, chunk))))
+            days = [(d - _EPOCH).days for d in columns["date"]]
+            columns["date"] = np.array(days, dtype=np.int64).view(
+                _DTYPES["date"])
+            parts.append(cls(**columns))
+        return cls.concat(parts)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _FIELDS)
+
+    def __len__(self) -> int:
+        return len(self.store_id)
+
+    def __getitem__(self, key) -> ObservationTable:
+        return ObservationTable(*(column[key] for column in self.columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ObservationTable):
+            return NotImplemented
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self.columns(), other.columns()))
+
+    def observation(self, index: int) -> Observation:
+        return Observation(*(column[index].item() for column in self.columns()))
+
+
+class ObservationView(Sequence):
+    """Read-only ``Sequence[Observation]`` over a table.
+
+    ``len`` is O(1). An element is built as an :class:`Observation` when it
+    is accessed and is not cached, so iterating a view costs no memory that
+    outlives the iteration. Views compare equal to views and tuples with
+    equal elements.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: ObservationTable) -> None:
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return ObservationView(self.table[key])
+        index = range(len(self.table))[key]  # IndexError, negatives
+        return self.table.observation(index)
+
+    def __iter__(self) -> Iterator[Observation]:
+        for start in range(0, len(self.table), _CHUNK_ROWS):
+            block = self.table[start:start + _CHUNK_ROWS]
+            yield from itertools.starmap(
+                Observation, zip(*(column.tolist()
+                                   for column in block.columns())))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ObservationView):
+            return self.table == other.table
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _as_table(observations: Iterable[Observation] | ObservationTable
+              ) -> ObservationTable:
+    if isinstance(observations, ObservationTable):
+        return observations
+    if isinstance(observations, ObservationView):
+        return observations.table
+    return ObservationTable.from_observations(observations)
 
 
 def observation_violations(obs: Observation) -> list[tuple[str, str]]:
@@ -74,6 +214,16 @@ def observation_violations(obs: Observation) -> list[tuple[str, str]]:
     return problems
 
 
+def _violated(table: ObservationTable) -> np.ndarray:
+    """Rows breaking an :func:`observation_violations` invariant."""
+    ok = ((table.weekday >= 1) & (table.weekday <= 7) & (table.stock >= 0)
+          & np.isfinite(table.forecast) & (table.forecast >= 0)
+          & (table.sales >= 0) & (table.discounted_sales >= 0)
+          & (table.discounted_sales <= table.sales)
+          & (table.sales <= table.stock))
+    return ~ok
+
+
 @dataclass(frozen=True, slots=True)
 class RowIssue:
     """A line-numbered problem found during ingestion."""
@@ -86,11 +236,31 @@ class RowIssue:
         return f"line:{self.line} field:{self.field} {self.message}"
 
 
+def _duplicate_issue(line: int, obs: Observation) -> RowIssue:
+    return RowIssue(line, "row",
+                    f"duplicate entry for store {obs.store_id} "
+                    f"sku {obs.sku_id} date {obs.date.isoformat()}")
+
+
+def _weekday_issue(line: int, obs: Observation) -> RowIssue:
+    return RowIssue(
+        line, "weekday",
+        f"weekday column says {WEEKDAY_NAMES[obs.weekday - 1]} but "
+        f"{obs.date.isoformat()} is a "
+        f"{WEEKDAY_NAMES[obs.date.isoweekday() - 1]}; using the column")
+
+
 @dataclass(frozen=True, slots=True)
 class ParseResult:
-    observations: tuple[Observation, ...]
+    """Accepted rows as a table plus line-ordered errors and warnings."""
+
+    table: ObservationTable
     errors: tuple[RowIssue, ...]
     warnings: tuple[RowIssue, ...]
+
+    @property
+    def observations(self) -> ObservationView:
+        return ObservationView(self.table)
 
     @property
     def ok(self) -> bool:
@@ -107,6 +277,166 @@ def _parse_weekday(raw: str) -> int:
     return value
 
 
+def _parse_day(raw: str) -> int:
+    """Days since 1970-01-01 of an ISO date."""
+    return (dt.date.fromisoformat(raw.strip()) - _EPOCH).days
+
+
+def _parse_int64(raw: str) -> int:
+    value = int(raw)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{value} is outside the 64-bit integer range")
+    return value
+
+
+class _Distinct(dict):
+    """Memo of a conversion over distinct strings; a failed conversion is
+    not stored and raises again."""
+
+    def __init__(self, convert: Callable) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+class _Columns:
+    """Converts blocks of CSV rows into column arrays (in Observation field
+    order, the date as days since 1970-01-01)."""
+
+    def __init__(self, position: Mapping[str, int], n_fields: int) -> None:
+        self.position = position
+        self.n_fields = n_fields
+        self.shortest = max(position.values()) + 1
+        self.days = _Distinct(_parse_day)
+        self.weekdays = _Distinct(_parse_weekday)
+
+    def fast(self, rows: list[list[str]]) -> list[np.ndarray] | None:
+        """All rows at once, or None when any row needs the per-row path
+        (too short, blank, or a cell that does not convert)."""
+        if min(map(len, rows)) < self.shortest:
+            return None
+        n = len(rows)
+        pos = self.position
+
+        def column(name: str, convert, dtype) -> np.ndarray:
+            cells = map(itemgetter(pos[name]), rows)
+            return np.fromiter(map(convert, cells), dtype=dtype, count=n)
+
+        try:
+            return [column("store", int, np.int64),
+                    column("sku", int, np.int64),
+                    column("date", self.days.__getitem__, np.int64),
+                    column("weekday", self.weekdays.__getitem__, np.int64),
+                    column("stock", int, np.int64),
+                    column("forecast", float, np.float64),
+                    column("sales", int, np.int64),
+                    column("discounted_sales", int, np.int64)]
+        except (ValueError, OverflowError):
+            return None
+
+    def per_row(self, rows: list[list[str]], lines: np.ndarray,
+                errors: list[RowIssue]) -> tuple[list[np.ndarray], np.ndarray]:
+        """Row by row, recording each bad row's line-numbered errors; returns
+        the converted rows' columns and line numbers."""
+        kept: list[tuple] = []
+        kept_lines: list[int] = []
+        for row, line in zip(rows, lines.tolist()):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < self.shortest:
+                errors.append(RowIssue(line, "row", f"expected {self.n_fields} "
+                                       f"fields, got {len(row)}"))
+                continue
+
+            def cell(name: str) -> str:
+                return row[self.position[name]].strip()
+
+            try:
+                store_id = _parse_int64(cell("store"))
+                sku_id = _parse_int64(cell("sku"))
+            except ValueError as exc:
+                errors.append(RowIssue(line, "store/sku", f"malformed id: {exc}"))
+                continue
+            try:
+                day = _parse_day(cell("date"))
+            except ValueError as exc:
+                errors.append(RowIssue(line, "date", f"malformed date: {exc}"))
+                continue
+            try:
+                weekday = _parse_weekday(cell("weekday"))
+            except ValueError as exc:
+                errors.append(RowIssue(line, "weekday",
+                                       f"malformed weekday: {exc}"))
+                continue
+            numbers: dict[str, int | float] = {}
+            bad = False
+            for name in ("stock", "sales", "discounted_sales"):
+                try:
+                    numbers[name] = _parse_int64(cell(name))
+                except ValueError as exc:
+                    errors.append(RowIssue(line, name,
+                                           f"malformed integer: {exc}"))
+                    bad = True
+            try:
+                numbers["forecast"] = float(cell("forecast"))
+            except ValueError as exc:
+                errors.append(RowIssue(line, "forecast",
+                                       f"malformed number: {exc}"))
+                bad = True
+            if bad:
+                continue
+            kept.append((store_id, sku_id, day, weekday, numbers["stock"],
+                         numbers["forecast"], numbers["sales"],
+                         numbers["discounted_sales"]))
+            kept_lines.append(line)
+        by_field = list(zip(*kept)) or [()] * len(_FIELDS)
+        columns = [np.array(values, dtype=np.float64 if name == "forecast"
+                            else np.int64)
+                   for name, values in zip(_FIELDS, by_field)]
+        return columns, np.array(kept_lines, dtype=np.int64)
+
+
+def _text_stream(source: str | bytes | io.TextIOBase) -> io.TextIOBase:
+    if isinstance(source, bytes):
+        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
+                                newline="\n")
+    if isinstance(source, str):
+        return io.StringIO(source)
+    return source
+
+
+def _repeated_keys(store: np.ndarray, sku: np.ndarray,
+                   date: np.ndarray) -> np.ndarray:
+    """Mask of rows repeating an earlier row's (store, sku, date) key."""
+    order = np.lexsort((date, sku, store))  # stable: earlier rows first
+    s, k, d = store[order], sku[order], date[order]
+    repeat = (s[1:] == s[:-1]) & (k[1:] == k[:-1]) & (d[1:] == d[:-1])
+    mask = np.zeros(len(store), dtype=bool)
+    mask[order[1:][repeat]] = True
+    return mask
+
+
+def _merge(blocks: list[list[np.ndarray]], line_blocks: list[np.ndarray]
+           ) -> tuple[ObservationTable, np.ndarray]:
+    """One table (and its line numbers) from the converted blocks, which
+    are emptied on the way to bound the peak memory."""
+    if not blocks:
+        return ObservationTable.empty(), np.empty(0, dtype=np.int64)
+    columns = []
+    for i in range(len(_FIELDS)):
+        columns.append(np.concatenate([block[i] for block in blocks]))
+        for block in blocks:
+            block[i] = None
+    columns[2] = columns[2].view(_DTYPES["date"])
+    lines = np.concatenate(line_blocks)
+    blocks.clear()
+    line_blocks.clear()
+    return ObservationTable(*columns), lines
+
+
 def parse_csv(source: str | bytes | io.TextIOBase,
               schema: Mapping[str, str] | None = None) -> ParseResult:
     """Parse a CSV of observations, collecting errors instead of failing fast.
@@ -114,17 +444,16 @@ def parse_csv(source: str | bytes | io.TextIOBase,
     ``schema`` maps the canonical column names (:data:`CSV_COLUMNS`) to the
     actual header names; omitted entries default to the canonical name.
     Header matching is case-insensitive. Every row independently yields an
-    :class:`Observation` or a line-numbered :class:`RowIssue`; a weekday
-    column that disagrees with the calendar date is reported as a warning
-    only, because the weekday column is authoritative.
-    """
-    if isinstance(source, bytes):
-        text: io.TextIOBase = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        text = io.StringIO(source)
-    else:
-        text = source
+    observation or line-numbered :class:`RowIssue` errors, reported in line
+    order; a weekday column that disagrees with the calendar date is
+    reported as a warning only, because the weekday column is authoritative.
 
+    Rows are read in blocks and converted column by column. A block with a
+    blank, short, multi-line or unconvertible row is converted row by row
+    instead, which words the errors; invariants, duplicate keys and weekday
+    mismatches are found on whole columns and worded per offending row.
+    """
+    text = _text_stream(source)
     colmap = {name: name for name in CSV_COLUMNS}
     if schema:
         unknown = set(schema) - set(CSV_COLUMNS)
@@ -136,103 +465,80 @@ def parse_csv(source: str | bytes | io.TextIOBase,
     try:
         header = next(reader)
     except StopIteration:
-        return ParseResult((), (RowIssue(1, "header", "empty file"),), ())
+        return ParseResult(ObservationTable.empty(),
+                           (RowIssue(1, "header", "empty file"),), ())
 
     position: dict[str, int] = {}
     lowered = [h.strip().lower() for h in header]
     errors: list[RowIssue] = []
-    for field, column in colmap.items():
+    for name, column in colmap.items():
         try:
-            position[field] = lowered.index(column.lower())
+            position[name] = lowered.index(column.lower())
         except ValueError:
             errors.append(RowIssue(1, column, "missing column"))
     if errors:
-        return ParseResult((), tuple(errors), ())
+        return ParseResult(ObservationTable.empty(), tuple(errors), ())
 
-    observations: list[Observation] = []
-    warnings: list[RowIssue] = []
-    seen: set[tuple[int, int, dt.date]] = set()
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= max(position.values()):
-            errors.append(RowIssue(line, "row",
-                                   f"expected {len(header)} fields, got {len(row)}"))
-            continue
+    converter = _Columns(position, len(header))
+    blocks: list[list[np.ndarray]] = []
+    line_blocks: list[np.ndarray] = []
+    while True:
+        first = reader.line_num + 1
+        rows = list(itertools.islice(reader, _CHUNK_ROWS))
+        if not rows:
+            break
+        columns = None
+        if reader.line_num - first + 1 == len(rows):
+            lines = np.arange(first, reader.line_num + 1)
+            columns = converter.fast(rows)
+        else:  # a record spans lines: each of its newlines is in a cell
+            spans = [1 + sum(cell.count("\n") for cell in row) for row in rows]
+            lines = first - 1 + np.cumsum(spans)
+        if columns is None:
+            columns, lines = converter.per_row(rows, lines, errors)
+        blocks.append(columns)
+        line_blocks.append(lines)
 
-        def cell(field: str) -> str:
-            return row[position[field]].strip()
+    table, lines = _merge(blocks, line_blocks)
 
-        try:
-            store_id = int(cell("store"))
-            sku_id = int(cell("sku"))
-        except ValueError as exc:
-            errors.append(RowIssue(line, "store/sku", f"malformed id: {exc}"))
-            continue
-        try:
-            date = dt.date.fromisoformat(cell("date"))
-        except ValueError as exc:
-            errors.append(RowIssue(line, "date", f"malformed date: {exc}"))
-            continue
-        try:
-            weekday = _parse_weekday(cell("weekday"))
-        except ValueError as exc:
-            errors.append(RowIssue(line, "weekday", f"malformed weekday: {exc}"))
-            continue
-        numbers: dict[str, int | float] = {}
-        bad = False
-        for field in ("stock", "sales", "discounted_sales"):
-            try:
-                numbers[field] = int(cell(field))
-            except ValueError as exc:
-                errors.append(RowIssue(line, field, f"malformed integer: {exc}"))
-                bad = True
-        try:
-            numbers["forecast"] = float(cell("forecast"))
-        except ValueError as exc:
-            errors.append(RowIssue(line, "forecast", f"malformed number: {exc}"))
-            bad = True
-        if bad:
-            continue
+    violated = _violated(table)
+    for i in np.flatnonzero(violated).tolist():
+        for name, message in observation_violations(table.observation(i)):
+            errors.append(RowIssue(int(lines[i]), name, message))
+    valid = ~violated
+    duplicate = np.zeros(len(table), dtype=bool)
+    duplicate[valid] = _repeated_keys(table.store_id[valid],
+                                      table.sku_id[valid], table.date[valid])
+    for i in np.flatnonzero(duplicate).tolist():
+        errors.append(_duplicate_issue(int(lines[i]), table.observation(i)))
+    keep = valid & ~duplicate
 
-        obs = Observation(store_id=store_id, sku_id=sku_id, date=date,
-                          weekday=weekday, stock=int(numbers["stock"]),
-                          forecast=float(numbers["forecast"]),
-                          sales=int(numbers["sales"]),
-                          discounted_sales=int(numbers["discounted_sales"]))
-        problems = observation_violations(obs)
-        if problems:
-            for field, message in problems:
-                errors.append(RowIssue(line, field, message))
-            continue
-        key = (store_id, sku_id, date)
-        if key in seen:
-            errors.append(RowIssue(line, "row",
-                                   f"duplicate entry for store {store_id} "
-                                   f"sku {sku_id} date {date.isoformat()}"))
-            continue
-        seen.add(key)
-        if obs.weekday != date.isoweekday():
-            warnings.append(RowIssue(
-                line, "weekday",
-                f"weekday column says {WEEKDAY_NAMES[obs.weekday - 1]} but "
-                f"{date.isoformat()} is a "
-                f"{WEEKDAY_NAMES[date.isoweekday() - 1]}; using the column"))
-        observations.append(obs)
-
-    return ParseResult(tuple(observations), tuple(errors), tuple(warnings))
+    days = table.date.view(np.int64)
+    mismatch = keep & (table.weekday != (days + 3) % 7 + 1)  # 1970-01-01: Thu
+    warnings = [_weekday_issue(int(lines[i]), table.observation(i))
+                for i in np.flatnonzero(mismatch).tolist()]
+    errors.sort(key=attrgetter("line"))  # stable: a line's errors keep order
+    if not keep.all():
+        table = table[keep]
+    return ParseResult(table, tuple(errors), tuple(warnings))
 
 
-def serialize_csv(observations: Iterable[Observation]) -> str:
+def serialize_csv(observations: Iterable[Observation] | ObservationTable
+                  ) -> str:
     """Render observations in the canonical CSV schema (round-trip safe)."""
+    table = _as_table(observations)
+    iso = _Distinct(lambda day: (_EPOCH + dt.timedelta(days=day)).isoformat())
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for obs in observations:
-        writer.writerow([obs.store_id, obs.sku_id, obs.date.isoformat(),
-                         WEEKDAY_NAMES[obs.weekday - 1], obs.stock,
-                         repr(obs.forecast), obs.sales, obs.discounted_sales])
+    for start in range(0, len(table), _CHUNK_ROWS):
+        block = table[start:start + _CHUNK_ROWS]
+        writer.writerows(zip(
+            block.store_id.tolist(), block.sku_id.tolist(),
+            map(iso.__getitem__, block.date.view(np.int64).tolist()),
+            [WEEKDAY_NAMES[w - 1] for w in block.weekday.tolist()],
+            block.stock.tolist(), map(repr, block.forecast.tolist()),
+            block.sales.tolist(), block.discounted_sales.tolist()))
     return out.getvalue()
 
 
@@ -240,28 +546,54 @@ def serialize_csv(observations: Iterable[Observation]) -> str:
 class SkuPanel:
     """All observations of one SKU, partitioned by discount activity.
 
-    ``t_plain`` and ``t_disc`` index into ``observations``: a day belongs to
-    ``t_disc`` iff it has at least one discounted sale. ``store_id`` is set
-    only when panels were grouped per store-SKU pair.
+    ``table`` holds the panel's rows in order. ``plain_index`` and
+    ``disc_index`` are int64 row positions into it: a day belongs to
+    ``disc_index`` iff it has at least one discounted sale.
+    ``observations``, ``t_plain`` and ``t_disc`` give the same as a
+    sequence of :class:`Observation` and tuples of ints. ``store_id`` is set
+    only when panels were grouped per store-SKU pair. Every weekday must lie
+    in 1..7, since it picks the row's weekday dummy.
     """
 
     sku_id: int
-    observations: tuple[Observation, ...]
-    t_plain: tuple[int, ...]
-    t_disc: tuple[int, ...]
+    table: ObservationTable
     store_id: int | None = None
+    plain_index: np.ndarray = field(init=False, repr=False, compare=False)
+    disc_index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        weekday = self.table.weekday
+        outside = weekday[(weekday < 1) | (weekday > 7)]
+        if outside.size:
+            raise DomainError(f"sku {self.sku_id}: weekday {outside[0]} "
+                              "outside 1..7")
+        ds = self.table.discounted_sales
+        object.__setattr__(self, "plain_index", np.flatnonzero(ds == 0))
+        object.__setattr__(self, "disc_index", np.flatnonzero(ds >= 1))
+
+    @property
+    def observations(self) -> ObservationView:
+        return ObservationView(self.table)
+
+    @property
+    def t_plain(self) -> tuple[int, ...]:
+        return tuple(self.plain_index.tolist())
+
+    @property
+    def t_disc(self) -> tuple[int, ...]:
+        return tuple(self.disc_index.tolist())
 
     @property
     def n_obs(self) -> int:
-        return len(self.observations)
+        return len(self.table)
 
     @property
     def n_plain(self) -> int:
-        return len(self.t_plain)
+        return len(self.plain_index)
 
     @property
     def n_disc(self) -> int:
-        return len(self.t_disc)
+        return len(self.disc_index)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -269,36 +601,43 @@ class SkuPanel:
 
 
 def panel_from_observations(sku_id: int,
-                            observations: Sequence[Observation],
+                            observations: Iterable[Observation] | ObservationTable,
                             store_id: int | None = None) -> SkuPanel:
     """Build one panel from already-grouped observations (kept in order)."""
-    obs = tuple(observations)
-    t_plain = tuple(i for i, o in enumerate(obs) if o.discounted_sales == 0)
-    t_disc = tuple(i for i, o in enumerate(obs) if o.discounted_sales >= 1)
-    return SkuPanel(sku_id=sku_id, observations=obs, t_plain=t_plain,
-                    t_disc=t_disc, store_id=store_id)
+    return SkuPanel(sku_id=sku_id, table=_as_table(observations),
+                    store_id=store_id)
 
 
-def build_panels(observations: Iterable[Observation],
+def build_panels(observations: Iterable[Observation] | ObservationTable,
                  group_by: str = "sku") -> tuple[SkuPanel, ...]:
     """Group observations into per-SKU (or per store-SKU) panels.
 
     Observations within a panel are ordered by (date, store); panels are
     ordered by SKU id (then store id). Store-day rows of the same SKU are
-    kept as separate observations when pooling stores.
+    kept as separate observations when pooling stores. Rows with equal sort
+    keys keep their input order. Each panel's table is a slice of one
+    sorted copy of the input.
     """
     if group_by not in ("sku", "store-sku"):
         raise DomainError(f"group_by must be 'sku' or 'store-sku', got {group_by!r}")
-    groups: dict[tuple[int, int], list[Observation]] = {}
-    for obs in observations:
-        key = (obs.sku_id, obs.store_id if group_by == "store-sku" else -1)
-        groups.setdefault(key, []).append(obs)
-    panels = []
-    for (sku_id, store), rows in sorted(groups.items()):
-        rows.sort(key=lambda o: (o.date, o.store_id))
-        panels.append(panel_from_observations(
-            sku_id, rows, store_id=None if store == -1 else store))
-    return tuple(panels)
+    table = _as_table(observations)
+    if not len(table):
+        return ()
+    per_store = group_by == "store-sku"
+    keys = ((table.date, table.store_id, table.sku_id) if per_store
+            else (table.store_id, table.date, table.sku_id))
+    order = np.lexsort(keys)
+    if not np.array_equal(order, np.arange(len(table))):
+        table = table[order]
+    sku, store = table.sku_id, table.store_id
+    change = sku[1:] != sku[:-1]
+    if per_store:
+        change |= store[1:] != store[:-1]
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(table)]
+    return tuple(
+        SkuPanel(sku_id=int(sku[a]), table=table[a:b],
+                 store_id=int(store[a]) if per_store else None)
+        for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Observation, SkuPanel, panel_from_observations
+from .domain import ObservationTable, SkuPanel
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,6 +87,11 @@ class DgpConfig:
             raise InvalidConfig(f"unknown demand_noise {self.demand_noise!r}")
         if self.demand_noise_sd < 0:
             raise InvalidConfig("demand_noise_sd must be non-negative")
+        try:
+            self.start_date + dt.timedelta(days=max(self.n_days - 1, 0))
+        except OverflowError:
+            raise InvalidConfig("start_date plus n_days runs past the last "
+                                "representable date") from None
 
 
 def _stream(key_words: Sequence[int]) -> np.random.Generator:
@@ -106,8 +111,8 @@ def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
     n = config.n_days
     s_level = config.order_up_to
 
-    dates = [config.start_date + dt.timedelta(days=d) for d in range(n)]
-    weekdays = np.array([date.isoweekday() for date in dates], dtype=np.int64)
+    dates = np.datetime64(config.start_date, "D") + np.arange(n)
+    weekdays = (dates.view(np.int64) + 3) % 7 + 1  # 1970-01-01 was a Thursday
     lam = np.asarray(config.weekday_effects, dtype=np.float64)[weekdays - 1]
 
     forecast_noise = rng.normal(0.0, config.forecast_noise_sd, size=n)
@@ -122,19 +127,23 @@ def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
     round_u = rng.random(n)
 
     forecasts = np.maximum(lam + forecast_noise, 0.0)
-    observations = []
+    stock, sales, discounted = [], [], []
     prev_sales = 0
-    for d in range(n):
-        stock = s_level if d == 0 else s_level - prev_sales
-        ds = min(int(ds_raw[d]), stock)
-        uplift = _stochastic_round(config.gamma_true * ds, float(round_u[d]))
-        sales = min(stock, max(0, int(regular[d]) + uplift))
-        observations.append(Observation(
-            store_id=1, sku_id=sku_id, date=dates[d], weekday=int(weekdays[d]),
-            stock=stock, forecast=float(forecasts[d]), sales=sales,
-            discounted_sales=min(ds, sales)))
-        prev_sales = sales
-    return panel_from_observations(sku_id, observations)
+    for raw, demand, u in zip(ds_raw.tolist(), regular.tolist(),
+                              round_u.tolist()):
+        opening = s_level - prev_sales
+        ds = min(raw, opening)
+        uplift = _stochastic_round(config.gamma_true * ds, u)
+        sold = min(opening, max(0, demand + uplift))
+        stock.append(opening)
+        sales.append(sold)
+        discounted.append(min(ds, sold))
+        prev_sales = sold
+    table = ObservationTable(
+        store_id=np.ones(n, dtype=np.int64), sku_id=np.full(n, sku_id),
+        date=dates, weekday=weekdays, stock=stock, forecast=forecasts,
+        sales=sales, discounted_sales=discounted)
+    return SkuPanel(sku_id=sku_id, table=table)
 
 
 def generate_study(config: DgpConfig, n_skus: int,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -82,25 +82,26 @@ class SkuUpliftReport:
         return self.status is ReportStatus.OK
 
 
-def _design(panel: SkuPanel, indices: Sequence[int],
+_WEEKDAY_ONE_HOT = np.eye(7)
+
+
+def _design(panel: SkuPanel, indices: np.ndarray,
             include_ds: bool) -> DesignMatrix:
+    """Weekday dummies, forecast, stock (and the discounted-sales count) of
+    the panel rows at ``indices``. The panel guarantees weekdays in 1..7."""
     labels = UPLIFT_LABELS if include_ds else BASELINE_LABELS
-    rows = np.zeros((len(indices), len(labels)))
-    for r, i in enumerate(indices):
-        obs = panel.observations[i]
-        rows[r, obs.weekday - 1] = 1.0
-        rows[r, 7] = obs.forecast
-        rows[r, 8] = obs.stock
-        if include_ds:
-            rows[r, 9] = obs.discounted_sales
-    matrix = DesignMatrix(rows, labels)
-    matrix.validate_pipeline_shape()
-    return matrix
+    table = panel.table
+    rows = np.empty((len(indices), len(labels)))
+    rows[:, :7] = _WEEKDAY_ONE_HOT[table.weekday[indices] - 1]
+    rows[:, 7] = table.forecast[indices]
+    rows[:, 8] = table.stock[indices]
+    if include_ds:
+        rows[:, 9] = table.discounted_sales[indices]
+    return DesignMatrix(rows, labels)
 
 
-def _sales(panel: SkuPanel, indices: Sequence[int]) -> np.ndarray:
-    return np.array([panel.observations[i].sales for i in indices],
-                    dtype=np.float64)
+def _sales(panel: SkuPanel, indices: np.ndarray) -> np.ndarray:
+    return panel.table.sales[indices].astype(np.float64)
 
 
 def fit_baseline(panel: SkuPanel) -> FitResult:
@@ -113,16 +114,16 @@ def fit_baseline(panel: SkuPanel) -> FitResult:
     """
     if panel.n_plain == 0:
         raise EmptyTrainingSet(f"sku {panel.sku_id}: no discount-free days")
-    X = _design(panel, panel.t_plain, include_ds=False)
-    return fit_ols(X, _sales(panel, panel.t_plain))
+    X = _design(panel, panel.plain_index, include_ds=False)
+    return fit_ols(X, _sales(panel, panel.plain_index))
 
 
 def residual_lift(panel: SkuPanel, baseline: FitResult) -> np.ndarray:
-    """Actual minus predicted sales on each discount day (in t_disc order)."""
+    """Actual minus predicted sales on each discount day (in disc_index order)."""
     if panel.n_disc == 0:
         raise TooFewDiscountDays(f"sku {panel.sku_id}: no discount days")
-    X = _design(panel, panel.t_disc, include_ds=False)
-    return _sales(panel, panel.t_disc) - predict(baseline, X)
+    X = _design(panel, panel.disc_index, include_ds=False)
+    return _sales(panel, panel.disc_index) - predict(baseline, X)
 
 
 def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
@@ -154,7 +155,7 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
     if not 0.0 < alpha < 1.0:
         raise TwoStepError(f"alpha must be in (0, 1), got {alpha}")
 
-    X = _design(panel, panel.t_disc, include_ds=True)
+    X = _design(panel, panel.disc_index, include_ds=True)
     stage2 = fit_ols(X, residuals)
     if stage2.status is FitStatus.RANK_DEFICIENT:
         return SkuUpliftReport(

@@ -156,3 +156,115 @@ def exact_two_step(days: Iterable[tuple[int, float, int, int, int]]
     dof = len(X2) - len(beta2)
     return (sum(residuals) / len(residuals), beta2[-1],
             rss / dof * inv_last)
+
+
+_ORACLE_WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday",
+                    "Saturday", "Sunday")
+_ORACLE_COLUMNS = ("store", "sku", "date", "weekday", "stock", "forecast",
+                   "sales", "discounted_sales")
+
+
+def parse_csv_rows(text: str) -> tuple[list[tuple], list[str], list[str]]:
+    """Row-by-row CSV ingestion with the canonical header, one record at a
+    time: ``(records, errors, warnings)``.
+
+    Each record is ``(store, sku, date, weekday, stock, forecast, sales,
+    discounted_sales)`` with a ``datetime.date``; errors and warnings are
+    the ``line:<n> field:<name> <message>`` strings in line order. A record
+    must convert field by field, then satisfy ``0 <= discounted_sales <=
+    sales <= stock`` with a finite non-negative forecast, and must not
+    repeat an accepted record's (store, sku, date) key.
+    """
+    import csv
+    import datetime as dt
+    import io
+
+    by_name = {name.lower(): i + 1 for i, name in enumerate(_ORACLE_WEEKDAYS)}
+
+    def weekday_of(raw: str) -> int:
+        raw = raw.strip()
+        if raw.lower() in by_name:
+            return by_name[raw.lower()]
+        value = int(raw)
+        if not 1 <= value <= 7:
+            raise ValueError(f"weekday {value} outside 1..7")
+        return value
+
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip().lower() for h in next(reader)]
+    where = {name: header.index(name) for name in _ORACLE_COLUMNS}
+    records: list[tuple] = []
+    errors: list[str] = []
+    warnings: list[str] = []
+    seen: set = set()
+    for row in reader:
+        line = reader.line_num
+
+        def fail(field: str, message: str) -> None:
+            errors.append(f"line:{line} field:{field} {message}")
+
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) <= max(where.values()):
+            fail("row", f"expected {len(header)} fields, got {len(row)}")
+            continue
+        cell = {name: row[i].strip() for name, i in where.items()}
+        try:
+            store, sku = int(cell["store"]), int(cell["sku"])
+        except ValueError as exc:
+            fail("store/sku", f"malformed id: {exc}")
+            continue
+        try:
+            date = dt.date.fromisoformat(cell["date"])
+        except ValueError as exc:
+            fail("date", f"malformed date: {exc}")
+            continue
+        try:
+            weekday = weekday_of(cell["weekday"])
+        except ValueError as exc:
+            fail("weekday", f"malformed weekday: {exc}")
+            continue
+        values = {}
+        for name in ("stock", "sales", "discounted_sales"):
+            try:
+                values[name] = int(cell[name])
+            except ValueError as exc:
+                fail(name, f"malformed integer: {exc}")
+        try:
+            values["forecast"] = float(cell["forecast"])
+        except ValueError as exc:
+            fail("forecast", f"malformed number: {exc}")
+        if len(values) < 4:
+            continue
+        stock, sales = values["stock"], values["sales"]
+        ds, forecast = values["discounted_sales"], values["forecast"]
+        before = len(errors)
+        if stock < 0:
+            fail("stock", "stock must be non-negative")
+        if not math.isfinite(forecast):
+            fail("forecast", "forecast must be finite")
+        elif forecast < 0:
+            fail("forecast", "forecast must be non-negative")
+        if sales < 0:
+            fail("sales", "sales must be non-negative")
+        if ds < 0:
+            fail("discounted_sales", "discounted sales must be non-negative")
+        if ds > sales:
+            fail("discounted_sales",
+                 f"discounted sales {ds} exceed sales {sales}")
+        if sales > stock:
+            fail("sales", f"sales {sales} exceed opening stock {stock}")
+        if len(errors) > before:
+            continue
+        if (store, sku, date) in seen:
+            fail("row", f"duplicate entry for store {store} sku {sku} "
+                 f"date {date.isoformat()}")
+            continue
+        seen.add((store, sku, date))
+        if weekday != date.isoweekday():
+            warnings.append(
+                f"line:{line} field:weekday weekday column says "
+                f"{_ORACLE_WEEKDAYS[weekday - 1]} but {date.isoformat()} is a "
+                f"{_ORACLE_WEEKDAYS[date.isoweekday() - 1]}; using the column")
+        records.append((store, sku, date, weekday, stock, forecast, sales, ds))
+    return records, errors, warnings

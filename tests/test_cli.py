@@ -61,6 +61,62 @@ def test_simulate_rejects_invalid_config(tmp_path):
     assert main(["simulate", "--skus", "-2", "--out", str(out)]) == 2
 
 
+def test_simulate_malformed_start_date_exits_2(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    assert main(["simulate", "--start-date", "2024-13-01",
+                 "--out", str(out)]) == 2
+    assert "--start-date" in capsys.readouterr().err
+    assert main(["simulate", "--start-date", "9999-12-01", "--days", "60",
+                 "--out", str(out)]) == 2
+
+
+def test_internal_value_error_exits_1(tmp_path, monkeypatch, capsys):
+    import discount_uplift.cli as cli
+
+    def broken_study(*args, **kwargs):
+        raise ValueError("bug inside the study")
+
+    monkeypatch.setattr(cli, "run_study", broken_study)
+    assert main(["fit", "--input", str(DATA / "golden_input.csv"),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert "bug inside the study" in capsys.readouterr().err
+
+
+def test_fit_user_input_value_errors_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes((DATA / "golden_input.csv").read_bytes()
+                       + "1,1,2024-01-01,Monday,5,0.5,1,0 café\n"
+                       .encode("latin-1"))
+    assert main(["fit", "--input", str(latin1),
+                 "--out-dir", str(tmp_path / "a")]) == 2
+    assert "not a readable UTF-8 CSV" in capsys.readouterr().err
+    assert main(["fit", "--input", str(DATA / "golden_input.csv"),
+                 "--trim", "0.01", "--out-dir", str(tmp_path / "b")]) == 2
+    assert "central trimming" in capsys.readouterr().err
+
+
+def test_fit_prints_bounded_weekday_warnings(tmp_path, capsys):
+    # 1,000 rows whose weekday column names the next day: every row warns.
+    src = tmp_path / "shifted.csv"
+    assert main(["simulate", "--seed", "2", "--skus", "2", "--days", "500",
+                 "--out", str(src)]) == 0
+    lines = src.read_text().splitlines()
+    shifted = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[3] = WEEKDAY_NAMES[(WEEKDAY_NAMES.index(cells[3]) + 1) % 7]
+        shifted.append(",".join(cells))
+    src.write_text("\n".join(shifted) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--input", str(src), "--trim", "1.0",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: ")]
+    assert len(warnings) == 11
+    assert all(" field:weekday " in line for line in warnings[:10])
+    assert warnings[10] == "warning: … and 990 more weekday warnings"
+
+
 def test_fit_matches_golden_reports(tmp_path):
     out_dir = tmp_path / "out"
     code = main(["fit", "--input", str(DATA / "golden_input.csv"),

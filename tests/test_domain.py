@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discount_uplift.domain import (CSV_COLUMNS, DomainError, EligibilityRule,
-                                    ExclusionReason, Observation, build_panels,
-                                    filter_eligible, parse_csv, serialize_csv)
+from discount_uplift import domain
+from discount_uplift.domain import (CSV_COLUMNS, WEEKDAY_NAMES, DomainError,
+                                    EligibilityRule, ExclusionReason,
+                                    Observation, ObservationTable,
+                                    build_panels, filter_eligible,
+                                    panel_from_observations, parse_csv,
+                                    serialize_csv)
+from oracles import parse_csv_rows
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -223,3 +230,180 @@ def test_filtering_monotone(observations, low, high):
     strict = {p.key for p in filter_eligible(panels, EligibilityRule(hi, 1))[0]}
     loose = {p.key for p in filter_eligible(panels, EligibilityRule(lo, 1))[0]}
     assert strict <= loose
+
+
+# --- columnar ingestion against the row-by-row oracle -----------------------
+
+_DAY0 = dt.date(2024, 1, 1)
+
+
+@st.composite
+def faulty_csv_documents(draw):
+    """A canonical CSV whose rows carry injected faults: blank and short
+    rows, quoted cells with embedded newlines, CRLF endings, padded cells,
+    ``1_000``, non-finite forecasts, broken invariants, repeated keys
+    (the key space is small), weekday mismatches and case variants."""
+    lines = [",".join(CSV_COLUMNS)]
+    for _ in range(draw(st.integers(0, 25))):
+        date = _DAY0 + dt.timedelta(days=draw(st.integers(0, 9)))
+        weekday = date.isoweekday() if draw(st.booleans()) \
+            else draw(st.integers(1, 7))
+        name = WEEKDAY_NAMES[weekday - 1]
+        stock = draw(st.integers(0, 12))
+        sales = draw(st.integers(0, stock))
+        ds = draw(st.integers(0, sales))
+        cells = [str(draw(st.integers(1, 2))), str(draw(st.integers(1, 2))),
+                 date.isoformat(),
+                 draw(st.sampled_from([str(weekday), name, name.lower(),
+                                       name.upper()])),
+                 str(stock), repr(draw(st.floats(0.0, 50.0))), str(sales),
+                 str(ds)]
+        for fault in draw(st.lists(st.sampled_from(
+                ["blank", "spaces", "short", "newline", "pad", "underscore",
+                 "nonfinite", "ds>sales", "sales>stock", "negative", "junk",
+                 "bad-date", "bad-weekday", "extra"]), max_size=2)):
+            i = draw(st.integers(0, max(len(cells) - 1, 0)))
+            if fault == "blank":
+                cells = []
+            elif fault == "spaces":
+                cells = [" "] * len(cells)
+            elif fault == "short":
+                cells = cells[:i]
+            elif fault == "newline" and cells:
+                cut = draw(st.integers(0, len(cells[i])))
+                cells[i] = '"' + cells[i][:cut] + "\n" + cells[i][cut:] + '"'
+            elif fault == "pad" and cells:
+                cells[i] = " " + cells[i] + "  "
+            elif fault == "underscore" and len(cells) > 4:
+                cells[4] = "1_000"
+            elif fault == "nonfinite" and len(cells) > 5:
+                cells[5] = draw(st.sampled_from(["nan", "inf", "-inf", "-0.5"]))
+            elif fault == "ds>sales" and len(cells) > 7:
+                cells[7] = str(sales + 1)
+            elif fault == "sales>stock" and len(cells) > 6:
+                cells[6] = str(stock + 1)
+            elif fault == "negative" and len(cells) > 7:
+                cells[draw(st.sampled_from([4, 6, 7]))] = "-1"
+            elif fault == "junk" and cells:
+                cells[i] = draw(st.sampled_from(["x", "", "1.5", "٣"]))
+            elif fault == "bad-date" and len(cells) > 2:
+                cells[2] = draw(st.sampled_from(["2024-02-30", "2024/01/01"]))
+            elif fault == "bad-weekday" and len(cells) > 3:
+                cells[3] = draw(st.sampled_from(["0", "8", "Noday"]))
+            elif fault == "extra":
+                cells.append("surplus")
+        lines.append(",".join(cells))
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_csv_documents(), st.sampled_from([1, 2, 3, 7, 16384]))
+def test_parse_matches_row_by_row_oracle(text, chunk_rows):
+    records, errors, warnings = parse_csv_rows(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(domain, "_CHUNK_ROWS", chunk_rows)
+        for source in (text, text.encode("utf-8")):
+            result = parse_csv(source)
+            assert [dataclasses.astuple(o) for o in result.observations] \
+                == records
+            assert [str(e) for e in result.errors] == errors
+            assert [str(w) for w in result.warnings] == warnings
+
+
+def test_parse_rejects_integers_outside_int64():
+    result = parse_csv(HEADER + "\n1,10,2024-09-23,Monday,"
+                       "99999999999999999999,0.5,1,0\n")
+    assert not result.observations
+    (error,) = result.errors
+    assert (error.line, error.field) == (2, "stock")
+    assert "outside the 64-bit integer range" in error.message
+
+
+# --- columnar representation -------------------------------------------------
+
+def _grouped_by_dict(observations, per_store):
+    """Panels as (sku, store or -1, rows) by dict grouping and sorting."""
+    groups = {}
+    for obs in observations:
+        key = (obs.sku_id, obs.store_id if per_store else -1)
+        groups.setdefault(key, []).append(obs)
+    return [(sku, store, sorted(rows, key=lambda o: (o.date, o.store_id)))
+            for (sku, store), rows in sorted(groups.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(observation_lists(), st.sampled_from(["sku", "store-sku"]))
+def test_build_panels_table_equals_observation_list(observations, group_by):
+    from_list = build_panels(observations, group_by=group_by)
+    table = ObservationTable.from_observations(observations)
+    from_table = build_panels(table, group_by=group_by)
+    assert from_table == from_list
+    for a, b in zip(from_table, from_list):
+        assert a.t_plain == b.t_plain and a.t_disc == b.t_disc
+    assert [(p.sku_id, -1 if p.store_id is None else p.store_id,
+             list(p.observations)) for p in from_table] \
+        == _grouped_by_dict(observations, group_by == "store-sku")
+
+
+def _design_by_rows(panel, indices, include_ds):
+    rows = np.zeros((len(indices), 10 if include_ds else 9))
+    for r, i in enumerate(indices):
+        obs = panel.observations[i]
+        rows[r, obs.weekday - 1] = 1.0
+        rows[r, 7] = obs.forecast
+        rows[r, 8] = obs.stock
+        if include_ds:
+            rows[r, 9] = obs.discounted_sales
+    return rows
+
+
+def test_design_bytes_equal_per_row_reference():
+    from discount_uplift.synth import DgpConfig, generate_panel
+    from discount_uplift.two_step import _design, _sales
+
+    panel = generate_panel(DgpConfig(seed=5, n_days=120), sku_id=3)
+    for indices in (panel.plain_index, panel.disc_index):
+        for include_ds in (False, True):
+            X = _design(panel, indices, include_ds)
+            expected = _design_by_rows(panel, indices.tolist(), include_ds)
+            assert X.values.dtype == expected.dtype
+            assert X.values.shape == expected.shape
+            assert X.values.tobytes() == expected.tobytes()
+        sales = np.array([panel.observations[i].sales for i in indices],
+                         dtype=np.float64)
+        assert _sales(panel, indices).tobytes() == sales.tobytes()
+
+
+def test_views_construct_no_observation(monkeypatch):
+    text = HEADER + "\n" \
+        "1,10,2024-09-23,Monday,5,0.5,1,0\n" \
+        "1,10,2024-09-24,Tuesday,5,0.5,2,2\n" \
+        "2,11,2024-09-24,Tuesday,5,0.5,2,0\n"
+    result = parse_csv(text)
+    built = []
+    original = Observation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Observation, "__init__", counting_init)
+    assert len(result.observations) == 3
+    panels = build_panels(result.observations)
+    assert [p.n_obs for p in panels] == [2, 1]
+    assert built == []
+    assert result.observations[-1].store_id == 2
+    assert built == [1]
+
+
+@pytest.mark.parametrize("weekday", [0, 8])
+def test_panel_rejects_weekday_outside_range(weekday):
+    obs = Observation(store_id=1, sku_id=1, date=dt.date(2024, 1, 7),
+                      weekday=weekday, stock=5, forecast=1.0, sales=1,
+                      discounted_sales=0)
+    with pytest.raises(DomainError, match="outside 1..7"):
+        panel_from_observations(1, [obs])
+    with pytest.raises(DomainError, match="outside 1..7"):
+        build_panels([obs])
