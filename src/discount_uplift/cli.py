@@ -36,8 +36,8 @@ from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
 from .two_step import ReportStatus, Sidedness, SkuUpliftReport, run_study
 
 
-# Warnings printed per field before the rest are only counted.
-WARNINGS_SHOWN = 10
+# Row errors and warnings printed per field before the rest are only counted.
+ISSUES_SHOWN = 10
 
 
 class UserError(Exception):
@@ -91,18 +91,18 @@ def _resolve_threads(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _print_warnings(warnings: Sequence[RowIssue]) -> None:
-    """The first WARNINGS_SHOWN warnings of each field, then one count line
-    per field for the rest."""
+def _print_issues(issues: Sequence[RowIssue], prefix: str, noun: str) -> None:
+    """The first ISSUES_SHOWN issues of each field, then one count line per
+    field for the rest."""
     seen: dict[str, int] = {}
-    for warning in warnings:
-        seen[warning.field] = seen.get(warning.field, 0) + 1
-        if seen[warning.field] <= WARNINGS_SHOWN:
-            print(f"warning: {warning}", file=sys.stderr)
+    for issue in issues:
+        seen[issue.field] = seen.get(issue.field, 0) + 1
+        if seen[issue.field] <= ISSUES_SHOWN:
+            print(f"{prefix}{issue}", file=sys.stderr)
     for field, count in seen.items():
-        if count > WARNINGS_SHOWN:
-            print(f"warning: … and {count - WARNINGS_SHOWN} more {field} "
-                  "warnings", file=sys.stderr)
+        if count > ISSUES_SHOWN:
+            print(f"{prefix}… and {count - ISSUES_SHOWN} more {field} {noun}",
+                  file=sys.stderr)
 
 
 def _reports_csv(reports: Sequence[SkuUpliftReport], with_store: bool) -> str:
@@ -166,10 +166,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except (UnicodeDecodeError, csv.Error) as exc:
         raise UserError(f"{input_path} is not a readable UTF-8 CSV file: "
                         f"{exc}") from exc
-    _print_warnings(parsed.warnings)
+    _print_issues(parsed.warnings, "warning: ", "warnings")
     if parsed.errors:
-        for error in parsed.errors:
-            print(error, file=sys.stderr)
+        _print_issues(parsed.errors, "", "errors")
         raise UserError(f"{len(parsed.errors)} invalid rows in {input_path}")
 
     try:

@@ -6,6 +6,11 @@ linear-algebra or stats library. numpy is used only as the array container:
 every product is elementwise and every sum a numpy reduction in a fixed
 order, never a BLAS call, so the bytes of a result do not depend on which
 BLAS kernel the machine would pick.
+
+There is one kernel: ``fit_ols_batch`` fits many designs at once on
+zero-padded (fits, rows, columns) arrays, and ``fit_ols`` is a batch of one.
+Padding changes no bit of a fit, so a fit's bytes do not depend on the batch
+it was part of.
 """
 from __future__ import annotations
 
@@ -64,16 +69,6 @@ class DesignMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def validate_pipeline_shape(self) -> None:
-        """Check the regression-pipeline invariants: 9 or 10 columns whose
-        leading block is a one-hot weekday encoding."""
-        if self.column_labels not in (BASELINE_LABELS, UPLIFT_LABELS):
-            raise OlsError(f"unexpected column labels {self.column_labels}")
-        block = self.values[:, :7]
-        if not (np.all((block == 0.0) | (block == 1.0))
-                and np.all(block.sum(axis=1) == 1.0)):
-            raise OlsError("weekday block must have exactly one 1 per row")
-
 
 class FitStatus(Enum):
     OK = "ok"
@@ -125,96 +120,108 @@ def _labels(X: DesignMatrix | np.ndarray,
 
 
 def _householder_qr(A: np.ndarray, y: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, list[int], int]:
-    """Pivoted QR of ``A`` applied to ``y``; returns (R, Q'y, pivots, rank).
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pivoted QR of a batch of designs ``A`` (fits, rows, columns) applied
+    to ``y`` (fits, rows); returns per fit (R, Q'y, pivots, rank).
 
     ``y`` rides along as an extra column of the working matrix, so each
     step reduces a block of at least two columns over its rows. numpy adds
     the rows of such a block one after another (a single contiguous column
     would be summed pairwise instead), which fixes the rounding independently
     of the BLAS kernel and leaves it unchanged by trailing all-zero rows.
+    Each fit picks its own pivots and sets its tolerance from its own first
+    pivot. A fit whose pivot falls to the tolerance stops there and leaves
+    the batch: the later steps neither read nor write it, and its R and Q'y
+    are the partial factorisation at the step where it stopped.
     """
-    n, p = A.shape
-    M = np.empty((n, p + 1))
-    M[:, :p] = A
-    M[:, p] = y
-    piv = list(range(p))
+    count, n, p = A.shape
+    M = np.empty((count, n, p + 1))
+    M[:, :, :p] = A
+    M[:, :, p] = y
+    R = np.empty((count, min(n, p), p))
+    qty = np.empty((count, n))
+    piv = np.tile(np.arange(p), (count, 1))
+    rank = np.zeros(count, dtype=np.intp)
+    live = np.arange(count)  # the fits still in M, in batch positions
     tol = None
-    rank = 0
     for k in range(min(n, p)):
-        norms = np.sqrt(np.add.reduce(M[k:, k:] ** 2, axis=0)[:p - k])
-        j_rel = int(np.argmax(norms))
-        pivot_norm = float(norms[j_rel])
+        norms = np.sqrt(np.add.reduce(M[:, k:, k:] ** 2, axis=1)[:, :p - k])
+        j_rel = np.argmax(norms, axis=1)
+        pivot_norm = norms[np.arange(live.size), j_rel]
         if tol is None:
             tol = RANK_RTOL * pivot_norm
-        if pivot_norm <= tol:
-            break
-        j = k + j_rel
-        if j != k:
-            M[:, [k, j]] = M[:, [j, k]]
-            piv[k], piv[j] = piv[j], piv[k]
-        x0 = M[k, k]
-        alpha = -math.copysign(pivot_norm, x0) if x0 != 0.0 else -pivot_norm
-        v = M[k:, k].copy()
-        v[0] -= alpha
+        go = pivot_norm > tol[live]
+        if not go.all():
+            stop = ~go
+            R[live[stop]] = M[stop, :p, :p]
+            qty[live[stop]] = M[stop, :, p]
+            M, live = M[go], live[go]
+            j_rel, pivot_norm = j_rel[go], pivot_norm[go]
+            if live.size == 0:
+                break
+        swap = np.flatnonzero(j_rel)
+        if swap.size:
+            j = k + j_rel[swap]
+            column = M[swap, :, k]
+            M[swap, :, k] = M[swap, :, j]
+            M[swap, :, j] = column
+            fits = live[swap]
+            piv[fits, k], piv[fits, j] = piv[fits, j], piv[fits, k]
+        x0 = M[:, k, k]
+        alpha = np.where(x0 != 0.0, -np.copysign(pivot_norm, x0), -pivot_norm)
+        v = M[:, k:, k].copy()
+        v[:, 0] -= alpha
         # w = v'[x, A, y]; v'v = v'x - alpha * v[0] since v = x - alpha e1.
-        w = np.add.reduce(v[:, None] * M[k:, k:], axis=0)
-        vtv = float(w[0]) - alpha * float(v[0])
-        if vtv > 0.0:
-            M[k:, k + 1:] -= (2.0 / vtv * v)[:, None] * w[1:]
-        M[k, k] = alpha
-        M[k + 1:, k] = 0.0
-        rank += 1
-    return M[:p, :p], M[:, p], piv, rank
+        w = np.add.reduce(v[:, :, None] * M[:, k:, k:], axis=1)
+        vtv = w[:, 0] - alpha * v[:, 0]
+        update = vtv > 0.0
+        if update.all():
+            M[:, k:, k + 1:] -= (2.0 / vtv[:, None] * v)[:, :, None] \
+                * w[:, None, 1:]
+        else:
+            u = np.flatnonzero(update)
+            M[u, k:, k + 1:] -= (2.0 / vtv[u, None] * v[u])[:, :, None] \
+                * w[u, None, 1:]
+        M[:, k, k] = alpha
+        M[:, k + 1:, k] = 0.0
+        rank[live] += 1
+    R[live] = M[:, :p, :p]
+    qty[live] = M[:, :, p]
+    return R, qty, piv, rank
 
 
-def _linear_combination(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """``X b`` with each row's products summed by numpy, not by BLAS."""
-    return np.add.reduce(X * coefficients, axis=1)
+def linear_combination(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``X b`` with each row's products summed by numpy, not by BLAS; on a
+    batch ``X`` (fits, rows, columns) pass ``coefficients`` as
+    (fits, 1, columns)."""
+    return np.add.reduce(X * coefficients, axis=-1)
 
 
 def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``R X = B`` for upper-triangular ``R``, one row of ``X`` at a
-    time with elementwise updates only."""
+    """Solve ``R X = B`` for a batch of upper-triangular ``R``, one row of
+    ``X`` at a time with elementwise updates only."""
     X = B.copy()
-    for i in range(R.shape[0] - 1, -1, -1):
-        X[i] /= R[i, i]
-        X[:i] -= R[:i, i, None] * X[i]
+    for i in range(R.shape[1] - 1, -1, -1):
+        X[:, i] /= R[:, i, i, None]
+        X[:, :i] -= R[:, :i, i, None] * X[:, i, None]
     return X
 
 
-def fit_ols(X: DesignMatrix | np.ndarray, y: Sequence[float] | np.ndarray,
-            labels: Sequence[str] | None = None) -> FitResult:
-    """Least-squares fit of ``y`` on the columns of ``X``.
+def _fit_result(names: tuple[str, ...], n: int, rank: int, piv: np.ndarray,
+                beta: np.ndarray | None, residuals: np.ndarray | None,
+                rss: float, row_sq: np.ndarray | None) -> FitResult:
+    """One fit of a batch as a ``FitResult`` with its Student-t inference.
 
-    Uses column-pivoted Householder QR. If the numerical rank is below the
-    column count the fit is reported as rank deficient (no coefficients; the
-    unpivoted columns are listed) rather than re-parameterised. With full
-    rank, ``sigma2 = ||r||^2 / (n - p)``, standard errors come from the
-    diagonal of ``sigma2 * (X'X)^-1`` and p-values are two-sided Student-t
-    with ``n - p`` degrees of freedom.
+    ``beta`` and ``residuals`` are this fit's own (unpadded) arrays, ``rss``
+    its residual sum of squares and ``row_sq`` the squared row norms of
+    R^-1 in pivoted order.
     """
-    values, names = _labels(X, labels)
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    n, p = values.shape
-    if yv.shape[0] != n:
-        raise DimensionMismatch(f"X has {n} rows but y has {yv.shape[0]}")
-    if p == 0:
-        raise DimensionMismatch("design matrix has no columns")
-
-    R, qty, piv, rank = _householder_qr(values, yv)
+    p = len(names)
     dof = n - p
     if rank < p:
         missing = tuple(names[j] for j in sorted(piv[rank:]))
         return FitResult(status=FitStatus.RANK_DEFICIENT, column_labels=names,
                          n_obs=n, rank=rank, dof=dof, missing_columns=missing)
-
-    # One solve gives the pivoted coefficients (column 0) and R^-1.
-    solved = _back_substitute(R, np.column_stack((qty[:p], np.eye(p))))
-    beta = np.empty(p)
-    beta[piv] = solved[:, 0]
-    residuals = yv - _linear_combination(values, beta)
-
     if dof == 0:
         nan = np.full(p, math.nan)
         return FitResult(status=FitStatus.OK, column_labels=names, n_obs=n,
@@ -222,13 +229,10 @@ def fit_ols(X: DesignMatrix | np.ndarray, y: Sequence[float] | np.ndarray,
                          t_stats=nan.copy(), p_values=nan.copy(),
                          sigma2=math.nan, residuals=residuals)
 
-    # A running total adds the residuals in row order; a 1-D reduce would
-    # sum them pairwise, whose rounding changes with trailing zero rows.
-    sigma2 = float(np.add.accumulate(residuals * residuals)[-1]) / dof
+    sigma2 = float(rss) / dof
     # diag((X'X)^-1) in pivoted order: squared row norms of R^-1.
-    r_inv = solved[:, 1:]
     variances = np.empty(p)
-    variances[piv] = sigma2 * np.add.reduce(r_inv * r_inv, axis=1)
+    variances[piv] = sigma2 * row_sq
     std_errors = np.sqrt(np.maximum(variances, 0.0))
 
     t_stats = np.empty(p)
@@ -250,6 +254,74 @@ def fit_ols(X: DesignMatrix | np.ndarray, y: Sequence[float] | np.ndarray,
                      p_values=p_values, sigma2=sigma2, residuals=residuals)
 
 
+def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
+                  labels: Sequence[str]) -> list[FitResult]:
+    """Least-squares fits of a batch of designs in one pass of the kernel.
+
+    ``X`` is (fits, rows, columns) and ``y`` (fits, rows); fit ``b`` uses
+    its first ``n_obs[b]`` rows, and its remaining rows must be zero in both.
+    Every sum over rows adds them in order and every other reduction runs
+    within one fit, so each result is bit-identical to ``fit_ols`` on that
+    fit's rows alone, whatever else shares the batch.
+    """
+    names = tuple(labels)
+    count, n, p = X.shape
+    if y.shape != (count, n) or len(n_obs) != count:
+        raise DimensionMismatch("batch shapes of X, y and n_obs disagree")
+    if p != len(names) or p == 0:
+        raise DimensionMismatch("design columns do not match the labels")
+
+    R, qty, piv, rank = _householder_qr(X, y)
+    results = [_fit_result(names, n_obs[b], int(rank[b]), piv[b], None, None,
+                           math.nan, None) if rank[b] < p else None
+               for b in range(count)]
+    full = np.flatnonzero(rank == p)
+    if full.size == 0:
+        return results
+    if full.size < count:
+        X, y = X[full], y[full]
+    # One solve gives the pivoted coefficients (column 0) and R^-1.
+    rhs = np.empty((full.size, p, p + 1))
+    rhs[:, :, 0] = qty[full, :p]
+    rhs[:, :, 1:] = np.eye(p)
+    solved = _back_substitute(R[full], rhs)
+    beta = np.empty((full.size, p))
+    np.put_along_axis(beta, piv[full], solved[:, :, 0], axis=1)
+    residuals = y - linear_combination(X, beta[:, None, :])
+    # A running total adds the residuals in row order; a 1-D reduce would
+    # sum them pairwise, whose rounding changes with trailing zero rows.
+    rss = np.add.accumulate(residuals * residuals, axis=1)[:, -1]
+    r_inv = solved[:, :, 1:]
+    row_sq = np.add.reduce(r_inv * r_inv, axis=2)
+    for i, b in enumerate(full):
+        # Copies, so that no result keeps the whole batch alive.
+        results[b] = _fit_result(names, n_obs[b], p, piv[b], beta[i].copy(),
+                                 residuals[i, :n_obs[b]].copy(), rss[i],
+                                 row_sq[i])
+    return results
+
+
+def fit_ols(X: DesignMatrix | np.ndarray, y: Sequence[float] | np.ndarray,
+            labels: Sequence[str] | None = None) -> FitResult:
+    """Least-squares fit of ``y`` on the columns of ``X``: a batch of one.
+
+    Uses column-pivoted Householder QR. If the numerical rank is below the
+    column count the fit is reported as rank deficient (no coefficients; the
+    unpivoted columns are listed) rather than re-parameterised. With full
+    rank, ``sigma2 = ||r||^2 / (n - p)``, standard errors come from the
+    diagonal of ``sigma2 * (X'X)^-1`` and p-values are two-sided Student-t
+    with ``n - p`` degrees of freedom.
+    """
+    values, names = _labels(X, labels)
+    yv = np.asarray(y, dtype=np.float64).ravel()
+    n, p = values.shape
+    if yv.shape[0] != n:
+        raise DimensionMismatch(f"X has {n} rows but y has {yv.shape[0]}")
+    if p == 0:
+        raise DimensionMismatch("design matrix has no columns")
+    return fit_ols_batch(values[None], yv[None], (n,), names)[0]
+
+
 def predict(fit: FitResult, X_new: DesignMatrix | np.ndarray) -> np.ndarray:
     """Evaluate the fitted linear model on new rows."""
     if not fit.ok or fit.coefficients is None:
@@ -264,7 +336,7 @@ def predict(fit: FitResult, X_new: DesignMatrix | np.ndarray) -> np.ndarray:
         values = np.asarray(X_new, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(fit.column_labels):
         raise DimensionMismatch("prediction rows do not match fit dimension")
-    return _linear_combination(values, fit.coefficients)
+    return linear_combination(values, fit.coefficients)
 
 
 # --- Student-t distribution ------------------------------------------------

@@ -10,17 +10,26 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .aggregate import trim_central
 from .domain import EligibilityRule, SkuPanel, filter_eligible
 from .ols import (BASELINE_LABELS, UPLIFT_LABELS, DesignMatrix, FitResult,
-                  FitStatus, OlsError, fit_ols, predict, t_pvalue)
+                  FitStatus, fit_ols, fit_ols_batch, linear_combination,
+                  predict)
 
 # Stage 2 estimates 10 parameters; one extra day gives a nonzero dof.
 MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
+
+# run_study cuts the SKUs into batches of at most this many padded rows
+# (SKUs times the longest stage among them). Large enough to spread numpy's
+# per-call overhead over dozens of short panels. Small enough that a batch's
+# working arrays (design, factorisation, one temporary) stay near 1 MB: at
+# 2**14 rows, a study of 2,000 SKUs x 180 days peaked 6 MB (8 %) higher in
+# resident memory than fitting one SKU at a time, for no further speed.
+BATCH_ROWS = 1 << 12
 
 
 class TwoStepError(ValueError):
@@ -85,23 +94,63 @@ class SkuUpliftReport:
 _WEEKDAY_ONE_HOT = np.eye(7)
 
 
+def _fill_design(out: np.ndarray, panel: SkuPanel,
+                 indices: np.ndarray) -> None:
+    """Write weekday dummies, forecast, stock (and, when ``out`` has a tenth
+    column, the discounted-sales count) of the panel rows at ``indices``
+    into the leading rows of ``out``. The panel guarantees weekdays in 1..7."""
+    table = panel.table
+    m = len(indices)
+    out[:m, :7] = _WEEKDAY_ONE_HOT[table.weekday[indices] - 1]
+    out[:m, 7] = table.forecast[indices]
+    out[:m, 8] = table.stock[indices]
+    if out.shape[1] == len(UPLIFT_LABELS):
+        out[:m, 9] = table.discounted_sales[indices]
+
+
 def _design(panel: SkuPanel, indices: np.ndarray,
             include_ds: bool) -> DesignMatrix:
-    """Weekday dummies, forecast, stock (and the discounted-sales count) of
-    the panel rows at ``indices``. The panel guarantees weekdays in 1..7."""
+    """The design rows of ``indices`` as a labelled matrix."""
     labels = UPLIFT_LABELS if include_ds else BASELINE_LABELS
-    table = panel.table
     rows = np.empty((len(indices), len(labels)))
-    rows[:, :7] = _WEEKDAY_ONE_HOT[table.weekday[indices] - 1]
-    rows[:, 7] = table.forecast[indices]
-    rows[:, 8] = table.stock[indices]
-    if include_ds:
-        rows[:, 9] = table.discounted_sales[indices]
+    _fill_design(rows, panel, indices)
     return DesignMatrix(rows, labels)
 
 
 def _sales(panel: SkuPanel, indices: np.ndarray) -> np.ndarray:
     return panel.table.sales[indices].astype(np.float64)
+
+
+def _stack(panels: Sequence[SkuPanel], indices: Sequence[np.ndarray],
+           labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Designs and sales of many panels, zero-padded to a common row count:
+    (panels, rows, columns) and (panels, rows)."""
+    rows = max(len(i) for i in indices)
+    X = np.zeros((len(panels), rows, len(labels)))
+    y = np.zeros((len(panels), rows))
+    for b, (panel, index) in enumerate(zip(panels, indices)):
+        _fill_design(X[b], panel, index)
+        y[b, :len(index)] = panel.table.sales[index]
+    return X, y
+
+
+def _check_training_days(panel: SkuPanel) -> None:
+    if panel.n_plain == 0:
+        raise EmptyTrainingSet(f"sku {panel.sku_id}: no discount-free days")
+
+
+def _check_discount_days(panel: SkuPanel) -> None:
+    if panel.n_disc == 0:
+        raise TooFewDiscountDays(f"sku {panel.sku_id}: no discount days")
+
+
+def _check_inference(panel: SkuPanel, alpha: float) -> None:
+    if panel.n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE:
+        raise TooFewDiscountDays(
+            f"sku {panel.sku_id}: {panel.n_disc} discount days, need at least "
+            f"{MIN_DISCOUNT_DAYS_FOR_INFERENCE} for stage-2 inference")
+    if not 0.0 < alpha < 1.0:
+        raise TwoStepError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def fit_baseline(panel: SkuPanel) -> FitResult:
@@ -112,16 +161,14 @@ def fit_baseline(panel: SkuPanel) -> FitResult:
     the discount-free days (its dummy column is all zeros), in which case
     the SKU cannot be estimated.
     """
-    if panel.n_plain == 0:
-        raise EmptyTrainingSet(f"sku {panel.sku_id}: no discount-free days")
+    _check_training_days(panel)
     X = _design(panel, panel.plain_index, include_ds=False)
     return fit_ols(X, _sales(panel, panel.plain_index))
 
 
 def residual_lift(panel: SkuPanel, baseline: FitResult) -> np.ndarray:
     """Actual minus predicted sales on each discount day (in disc_index order)."""
-    if panel.n_disc == 0:
-        raise TooFewDiscountDays(f"sku {panel.sku_id}: no discount days")
+    _check_discount_days(panel)
     X = _design(panel, panel.disc_index, include_ds=False)
     return _sales(panel, panel.disc_index) - predict(baseline, X)
 
@@ -148,15 +195,17 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
         raise TwoStepError(
             f"sku {panel.sku_id}: {residuals.shape[0]} residuals for "
             f"{panel.n_disc} discount days")
-    if panel.n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE:
-        raise TooFewDiscountDays(
-            f"sku {panel.sku_id}: {panel.n_disc} discount days, need at least "
-            f"{MIN_DISCOUNT_DAYS_FOR_INFERENCE} for stage-2 inference")
-    if not 0.0 < alpha < 1.0:
-        raise TwoStepError(f"alpha must be in (0, 1), got {alpha}")
-
+    _check_inference(panel, alpha)
     X = _design(panel, panel.disc_index, include_ds=True)
-    stage2 = fit_ols(X, residuals)
+    return _uplift_report(panel, residuals, stage1, fit_ols(X, residuals),
+                          alpha, sidedness, delta_trim)
+
+
+def _uplift_report(panel: SkuPanel, residuals: np.ndarray,
+                   stage1: FitResult | None, stage2: FitResult, alpha: float,
+                   sidedness: Sidedness,
+                   delta_trim: float | None) -> SkuUpliftReport:
+    """The report of a SKU whose stage 2 has been fitted to ``residuals``."""
     if stage2.status is FitStatus.RANK_DEFICIENT:
         return SkuUpliftReport(
             sku_id=panel.sku_id, store_id=panel.store_id,
@@ -176,6 +225,8 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
     else:
         gamma10_p = two_sided_p
 
+    # np.mean of the SKU's own residuals, as a single-SKU fit takes it: a
+    # sum over the padded batch in row order would round differently.
     if delta_trim is not None:
         mean_residual = float(np.mean(trim_central(residuals, delta_trim)))
     else:
@@ -198,23 +249,86 @@ def _failed(panel: SkuPanel, reason: str,
                            stage1=stage1, failure_reason=reason)
 
 
+def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
+                    sidedness: Sidedness,
+                    delta_trim: float | None) -> list[SkuUpliftReport]:
+    """Both stages for a batch of panels, with one kernel call per stage.
+
+    Stage 1 runs for every panel with discount-free days, then stage 2 for
+    every panel whose stage 1 succeeded and whose discount days allow
+    inference; each other panel gets the failed report a lone estimate
+    would give it. Reports come back in the order of ``panels``.
+    """
+    reports: list[SkuUpliftReport | None] = [None] * len(panels)
+    first = []
+    for i, panel in enumerate(panels):
+        try:
+            _check_training_days(panel)
+        except EmptyTrainingSet as exc:
+            reports[i] = _failed(panel, str(exc))
+        else:
+            first.append(i)
+    if not first:
+        return reports
+
+    X, y = _stack([panels[i] for i in first],
+                  [panels[i].plain_index for i in first], BASELINE_LABELS)
+    stage1 = dict(zip(first, fit_ols_batch(
+        X, y, [panels[i].n_plain for i in first], BASELINE_LABELS)))
+    second = []
+    for i in first:
+        panel, fit = panels[i], stage1[i]
+        if fit.status is FitStatus.RANK_DEFICIENT:
+            reports[i] = _failed(panel, "stage 1 rank deficient; dependent "
+                                 "columns: " + ", ".join(fit.missing_columns),
+                                 stage1=fit)
+            continue
+        try:
+            _check_discount_days(panel)
+            _check_inference(panel, alpha)
+        except TwoStepError as exc:
+            reports[i] = _failed(panel, str(exc), stage1=fit)
+        else:
+            second.append(i)
+    if not second:
+        return reports
+
+    X, sales = _stack([panels[i] for i in second],
+                      [panels[i].disc_index for i in second], UPLIFT_LABELS)
+    coefficients = np.stack([stage1[i].coefficients for i in second])
+    # The reduction predict uses; padded rows come out +0.0.
+    lift = sales - linear_combination(X[:, :, :len(BASELINE_LABELS)],
+                                      coefficients[:, None, :])
+    n_disc = [panels[i].n_disc for i in second]
+    stage2 = fit_ols_batch(X, lift, n_disc, UPLIFT_LABELS)
+    for row, i in enumerate(second):
+        reports[i] = _uplift_report(panels[i], lift[row, :n_disc[row]],
+                                    stage1[i], stage2[row], alpha, sidedness,
+                                    delta_trim)
+    return reports
+
+
 def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
                  sidedness: Sidedness = Sidedness.TWO_SIDED,
                  delta_trim: float | None = None) -> SkuUpliftReport:
     """Run both stages for one panel, turning failures into a failed report."""
-    try:
-        stage1 = fit_baseline(panel)
-    except EmptyTrainingSet as exc:
-        return _failed(panel, str(exc))
-    if stage1.status is FitStatus.RANK_DEFICIENT:
-        return _failed(panel, "stage 1 rank deficient; dependent columns: "
-                       + ", ".join(stage1.missing_columns), stage1=stage1)
-    try:
-        residuals = residual_lift(panel, stage1)
-        return fit_uplift(panel, residuals, alpha=alpha, sidedness=sidedness,
-                          stage1=stage1, delta_trim=delta_trim)
-    except (TwoStepError, OlsError) as exc:
-        return _failed(panel, str(exc), stage1=stage1)
+    return _estimate_batch([panel], alpha, sidedness, delta_trim)[0]
+
+
+def _batches(panels: Sequence[SkuPanel]) -> Iterator[list[SkuPanel]]:
+    """Consecutive runs of ``panels`` of at most BATCH_ROWS padded rows; a
+    panel longer than that on its own forms a batch of one."""
+    batch: list[SkuPanel] = []
+    widest = 0
+    for panel in panels:
+        rows = max(panel.n_plain, panel.n_disc)
+        if batch and (len(batch) + 1) * max(widest, rows) > BATCH_ROWS:
+            yield batch
+            batch, widest = [], 0
+        batch.append(panel)
+        widest = max(widest, rows)
+    if batch:
+        yield batch
 
 
 def run_study(panels: Iterable[SkuPanel],
@@ -225,23 +339,27 @@ def run_study(panels: Iterable[SkuPanel],
               threads: int | None = None) -> tuple[SkuUpliftReport, ...]:
     """Estimate every eligible panel; per-SKU failures never abort the study.
 
-    Reports are returned in ascending (sku, store) order regardless of the
-    execution schedule; estimation is pure per SKU, so any thread count
-    produces identical results.
+    The eligible panels, in ascending (sku, store) order, are cut into
+    consecutive batches of at most BATCH_ROWS padded rows, and ``threads``
+    workers estimate whole batches. A fit's bytes do not depend on its
+    batch, so any thread count gives identical reports, returned in that
+    order. An unexpected exception while estimating a batch marks each SKU
+    of that batch, and only of that batch, ``internal error: ...``.
     """
     eligible, _ = filter_eligible(panels, rule)
     ordered = sorted(eligible, key=lambda p: p.key)
 
-    def one(panel: SkuPanel) -> SkuUpliftReport:
+    def one(batch: list[SkuPanel]) -> list[SkuUpliftReport]:
         try:
-            return estimate_sku(panel, alpha=alpha, sidedness=sidedness,
-                                delta_trim=delta_trim)
+            return _estimate_batch(batch, alpha, sidedness, delta_trim)
         except Exception as exc:  # records, never aborts the study
-            return _failed(panel, f"internal error: {exc}")
+            return [_failed(panel, f"internal error: {exc}")
+                    for panel in batch]
 
-    if threads is not None and threads > 1 and len(ordered) > 1:
+    batches = list(_batches(ordered))
+    if threads is not None and threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, ordered))
+            done = list(pool.map(one, batches))
     else:
-        reports = [one(panel) for panel in ordered]
-    return tuple(reports)
+        done = [one(batch) for batch in batches]
+    return tuple(report for batch in done for report in batch)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import hashlib
 import json
 import os
@@ -228,6 +229,26 @@ def test_fit_malformed_rows_reported_with_line_numbers(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "line:2 field:discounted_sales" in err
+
+
+def test_fit_prints_bounded_row_errors(tmp_path, capsys):
+    # 40 rows with discounted_sales > sales: one systematic fault.
+    bad = tmp_path / "bad.csv"
+    start = dt.date(2024, 1, 1)
+    rows = [f"1,10,{start + dt.timedelta(days=d)},"
+            f"{WEEKDAY_NAMES[(start + dt.timedelta(days=d)).weekday()]},"
+            "9,1.5,2,3" for d in range(40)]
+    bad.write_text("store,sku,date,weekday,stock,forecast,sales,"
+                   "discounted_sales\n" + "\n".join(rows) + "\n")
+    assert main(["fit", "--input", str(bad),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 12
+    assert [line.split()[0] for line in err[:10]] == \
+           [f"line:{n}" for n in range(2, 12)]
+    assert all(" field:discounted_sales " in line for line in err[:10])
+    assert err[10] == "… and 30 more discounted_sales errors"
+    assert err[11] == f"error: 40 invalid rows in {bad}"
 
 
 def test_fit_flag_validation(tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discount_uplift.ols import (DesignMatrix, DimensionMismatch, FitResult,
-                                 FitStatus, InvalidDof, OlsError,
-                                 PredictOnFailedFit, fit_ols, predict,
+                                 FitStatus, InvalidDof,
+                                 PredictOnFailedFit, fit_ols, fit_ols_batch,
+                                 predict,
                                  regularized_incomplete_beta, t_critical,
                                  t_pvalue)
 from oracles import (matrix_with_condition, normal_equations_fit,
@@ -102,17 +103,6 @@ def test_predict_refuses_failed_or_mismatched():
         predict(good, DesignMatrix(np.ones((1, 1)), ("other",)))
 
 
-def test_design_matrix_pipeline_validation():
-    labels = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun",
-              "Forecast", "Stock")
-    bad = np.zeros((1, 9))  # no weekday set
-    with pytest.raises(OlsError):
-        DesignMatrix(bad, labels).validate_pipeline_shape()
-    ok = np.zeros((1, 9))
-    ok[0, 2] = 1.0
-    DesignMatrix(ok, labels).validate_pipeline_shape()
-
-
 # --- Student-t ---------------------------------------------------------------
 
 def test_t_pvalue_symmetry_point():
@@ -192,6 +182,52 @@ def test_trailing_zero_rows_leave_fit_bit_identical(seed, pad):
     assert padded.coefficients.tobytes() == base.coefficients.tobytes()
     assert padded.residuals[:n].tobytes() == base.residuals.tobytes()
     assert not padded.residuals[n:].any()
+
+
+def _fit_bytes(fit: FitResult) -> tuple:
+    """Every field of a fit, arrays and floats as bytes."""
+    arrays = tuple(None if a is None else a.tobytes() for a in (
+        fit.coefficients, fit.std_errors, fit.t_stats, fit.p_values,
+        fit.residuals))
+    return (fit.status, fit.column_labels, fit.n_obs, fit.rank, fit.dof,
+            fit.missing_columns, np.float64(fit.sigma2).tobytes()) + arrays
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_rows_equal_lone_fits(seed):
+    # One kernel call on zero-padded designs of different lengths gives each
+    # fit the bytes of fit_ols on its own rows; a rank-deficient fit in the
+    # batch stops early without touching its neighbours. Scales 1e12 apart
+    # need each fit's own rank tolerance.
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 11))
+    lengths = [int(rng.integers(p, 60)) for _ in range(6)]
+    deficient = int(rng.integers(2, len(lengths)))
+    exponents = rng.integers(-3, 4, size=len(lengths))
+    exponents[:2] = (-6, 6)
+    designs = []
+    for b, n in enumerate(lengths):
+        X = rng.normal(size=(n, p)) * 10.0 ** exponents[b]
+        if b == deficient:
+            X[:, -1] = 2.0 * X[:, 0]
+        designs.append((X, rng.normal(size=n)))
+    rows = max(lengths) + 3
+    X = np.zeros((len(designs), rows, p))
+    y = np.zeros((len(designs), rows))
+    for b, (Xb, yb) in enumerate(designs):
+        X[b, :len(yb)] = Xb
+        y[b, :len(yb)] = yb
+    labels = tuple(f"x{j}" for j in range(p))
+    batch = fit_ols_batch(X, y, lengths, labels)
+    assert batch[deficient].status is FitStatus.RANK_DEFICIENT
+    assert sum(fit.ok for fit in batch) == len(designs) - 1
+    for fit, (Xb, yb) in zip(batch, designs):
+        assert _fit_bytes(fit) == _fit_bytes(fit_ols(Xb, yb, labels))
+    keep = [b for b in range(len(designs)) if b != deficient]
+    without = fit_ols_batch(X[keep], y[keep], [lengths[b] for b in keep],
+                            labels)
+    assert [_fit_bytes(f) for f in without] == \
+           [_fit_bytes(batch[b]) for b in keep]
 
 
 @settings(max_examples=100, deadline=None)

@@ -247,3 +247,97 @@ def test_shifting_sales_leaves_uplift_t_statistic_invariant():
     # Weekday dummies span the constant, so the shift is absorbed upstream.
     assert moved.gamma10 == pytest.approx(base.gamma10, rel=1e-6, abs=1e-8)
     assert moved.gamma10_t == pytest.approx(base.gamma10_t, rel=1e-6)
+
+
+def _fit_arrays(fit):
+    if fit is None:
+        return None
+    return (fit.status, fit.missing_columns,
+            np.float64(fit.sigma2).tobytes()) + tuple(
+        None if a is None else a.tobytes()
+        for a in (fit.coefficients, fit.std_errors, fit.p_values,
+                  fit.residuals))
+
+
+def _report_bytes(report):
+    return (_report_fields(report), report.store_id, report.failure_reason,
+            _fit_arrays(report.stage1), _fit_arrays(report.stage2))
+
+
+def _mixed_panels():
+    """Panels that take every route through a batch: different numbers of
+    discount-free days, a rank-deficient stage 1, too few discount days for
+    inference, a saturated stage 1 (9 discount-free days for 9 columns), no
+    discount-free days at all, and one panel longer than a whole batch."""
+    panels = [generate_panel(DgpConfig(seed=81, n_days=days,
+                                       discount_probability=0.35), sku_id=sku)
+              for sku, days in ((1, 120), (2, 300), (3, 200), (4, 150),
+                                (5, 700), (6, 260))]
+    panels.append(weekend_discount_panel(n_days=140, sku_id=7))
+    panels.append(build_panel([3 + d % 4 for d in range(60)],
+                              [1 if d % 12 == 0 else 0 for d in range(60)],
+                              sku_id=8))
+    panels.append(build_panel([3] * 24, [0] * 9 + [1 + d % 3 for d in range(15)],
+                              sku_id=9))
+    panels.append(build_panel([4] * 30, [1 + d % 2 for d in range(30)],
+                              sku_id=10))
+    return panels
+
+
+LOW_RULE = EligibilityRule(min_entries=10, min_discount_days=1)
+
+
+def test_batched_study_equals_lone_estimates(monkeypatch):
+    import discount_uplift.two_step as two_step
+
+    panels = _mixed_panels()
+    lone = {p.sku_id: _report_bytes(estimate_sku(p)) for p in panels}
+    reasons = {p.sku_id: estimate_sku(p).failure_reason for p in panels}
+    assert "Sat" in reasons[7] and "need at least" in reasons[8]
+    assert "no discount-free days" in reasons[10]
+    saturated = estimate_sku(panels[8])
+    assert saturated.ok and saturated.stage1.dof == 0
+    assert np.isnan(saturated.stage1.std_errors).all()
+
+    monkeypatch.setattr(two_step, "BATCH_ROWS", 400)
+    ordered = sorted(panels, key=lambda p: p.key)
+    assert len(list(two_step._batches(ordered))) >= 4
+    for threads in (1, 2, 3):
+        for order in (panels, panels[::-1]):
+            reports = run_study(order, rule=LOW_RULE, threads=threads)
+            assert [r.sku_id for r in reports] == sorted(lone)
+            for r in reports:
+                assert _report_bytes(r) == lone[r.sku_id], (threads, r.sku_id)
+
+
+def test_kernel_fault_marks_only_its_batch(monkeypatch):
+    import discount_uplift.ols as ols
+    import discount_uplift.two_step as two_step
+
+    panels = _mixed_panels()
+    lone = {p.sku_id: _report_bytes(estimate_sku(p)) for p in panels}
+    kernel = ols._householder_qr
+
+    def faulty(A, y):
+        if (A[:, :, 8] == 9999.0).any():
+            raise RuntimeError("injected fault")
+        return kernel(A, y)
+
+    marked = build_panel([3 + d % 5 for d in range(150)],
+                         [1 if d % 3 == 0 else 0 for d in range(150)],
+                         stock=[9999] * 150, sku_id=3)
+    panels[2] = marked
+    monkeypatch.setattr(ols, "_householder_qr", faulty)
+    monkeypatch.setattr(two_step, "BATCH_ROWS", 400)
+    batches = list(two_step._batches(sorted(panels, key=lambda p: p.key)))
+    hit = next(b for b in batches if marked in b)
+    assert 1 < len(hit) < len(panels)
+    hit_ids = {p.sku_id for p in hit}
+    for threads in (1, 2):
+        reports = run_study(panels, rule=LOW_RULE, threads=threads)
+        for r in reports:
+            if r.sku_id in hit_ids:
+                assert r.failure_reason == "internal error: injected fault"
+                assert r.stage1 is None and r.gamma10 is None
+            else:
+                assert _report_bytes(r) == lone[r.sku_id]
