@@ -245,15 +245,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     panels = generate_study(config, args.skus)
     n_rows = sum(panel.n_obs for panel in panels)
-    text = serialize_csv(ObservationTable.concat(p.table for p in panels))
+    data = serialize_csv(
+        ObservationTable.concat(p.table for p in panels)).encode("utf-8")
     out_path = Path(args.out)
-    _write(out_path, text)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_bytes(data)
     config_dict = dataclasses.asdict(config)
     config_dict["start_date"] = config.start_date.isoformat()
     config_dict["skus"] = args.skus
     _write_json(out_path.with_name(out_path.name + ".manifest.json"),
                 _manifest("simulate", config_dict,
-                          _sha256(text.encode("utf-8"))))
+                          _sha256(data)))
     print(f"wrote {n_rows} observations for {args.skus} SKUs "
           f"to {out_path}")
     return 0
@@ -283,13 +285,14 @@ def cmd_cycle(args: argparse.Namespace) -> int:
                          day.stickered, day.sales, day.discounted_sales,
                          day.spoilage, day.order_placed])
     _write(out_dir / "trace.csv", out.getvalue())
-    _write_json(out_dir / "summary.json", cycle_summary(trace))
+    summary = cycle_summary(trace)
+    _write_json(out_dir / "summary.json", summary)
     _write_json(out_dir / "manifest.json",
                 _manifest("cycle", dataclasses.asdict(config), None))
-    summary = cycle_summary(trace)["last_half"]
+    last_half = summary["last_half"]
     print(f"simulated {len(trace.days)} days; last-half mean stock "
-          f"{summary['mean_stock']:.2f}, mean spoilage "
-          f"{summary['mean_spoilage']:.2f}; trace in {out_dir}")
+          f"{last_half['mean_stock']:.2f}, mean spoilage "
+          f"{last_half['mean_spoilage']:.2f}; trace in {out_dir}")
     return 0
 
 

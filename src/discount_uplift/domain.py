@@ -523,22 +523,39 @@ def parse_csv(source: str | bytes | io.TextIOBase,
     return ParseResult(table, tuple(errors), tuple(warnings))
 
 
+def _strings(column: np.ndarray, convert: Callable = str) -> list[str]:
+    """``convert`` of every element, called once per distinct value."""
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return np.array([convert(value) for value in distinct.tolist()],
+                    dtype=object)[inverse].tolist()
+
+
+def _iso_day(day: int) -> str:
+    return (_EPOCH + dt.timedelta(days=day)).isoformat()
+
+
 def serialize_csv(observations: Iterable[Observation] | ObservationTable
                   ) -> str:
-    """Render observations in the canonical CSV schema (round-trip safe)."""
+    """Render observations in the canonical CSV schema (round-trip safe).
+
+    The text is what ``csv.writer`` writes with newline line endings: no
+    integer, ISO date, weekday name or float ``repr`` needs quoting. Each
+    block of rows is rendered column by column, integers and dates through
+    their distinct values and forecasts with ``repr``.
+    """
     table = _as_table(observations)
-    iso = _Distinct(lambda day: (_EPOCH + dt.timedelta(days=day)).isoformat())
+    names = np.array(WEEKDAY_NAMES, dtype=object)
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    out.write(",".join(CSV_COLUMNS) + "\n")
     for start in range(0, len(table), _CHUNK_ROWS):
         block = table[start:start + _CHUNK_ROWS]
-        writer.writerows(zip(
-            block.store_id.tolist(), block.sku_id.tolist(),
-            map(iso.__getitem__, block.date.view(np.int64).tolist()),
-            [WEEKDAY_NAMES[w - 1] for w in block.weekday.tolist()],
-            block.stock.tolist(), map(repr, block.forecast.tolist()),
-            block.sales.tolist(), block.discounted_sales.tolist()))
+        columns = (_strings(block.store_id), _strings(block.sku_id),
+                   _strings(block.date.view(np.int64), _iso_day),
+                   names[block.weekday - 1].tolist(), _strings(block.stock),
+                   list(map(repr, block.forecast.tolist())),
+                   _strings(block.sales), _strings(block.discounted_sales))
+        out.write("\n".join(map(",".join, zip(*columns))))
+        out.write("\n")
     return out.getvalue()
 
 

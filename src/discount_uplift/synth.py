@@ -20,7 +20,9 @@ are exactly linear in the discounted-sales count and the two-step estimator
 is correctly specified. Replenishment is order-up-to with a one-day delay:
 the day's opening stock is the order-up-to level minus the previous day's
 sales. (An instantaneous daily top-up would pin stock to a constant, which
-the weekday dummies already span.)
+the weekday dummies already span.) Days where stock does not bind are
+computed together, as arrays; the sequential recursion runs only from a day
+where stock binds until sales are unconstrained again.
 """
 from __future__ import annotations
 
@@ -34,6 +36,9 @@ import numpy as np
 from .domain import ObservationTable, SkuPanel
 
 _MASK64 = (1 << 64) - 1
+# Magnitudes below which the vectorised stock recursion is exact in int64.
+_EXACT = 1 << 52
+_CLIP = float(1 << 60)
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -104,12 +109,72 @@ def _stochastic_round(x: float, u: float) -> int:
     return base + (1 if u < x - base else 0)
 
 
+def _sell(s_level: int, gamma: float, ds_raw: np.ndarray,
+          demand: np.ndarray, round_u: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Opening stock, sales and discounted sales of each day.
+
+    A day's sales are ``min(opening, max(0, demand + round(gamma * ds)))``
+    with ``ds = min(ds_raw, opening)`` and ``opening = s_level - yesterday's
+    sales``. Where stock does not bind (``ds_raw`` and the unconstrained
+    "free" sales both within the opening stock), sales equal the free sales,
+    which depend on the day's draws alone; those are computed for all days
+    at once. The sequential recursion runs only from a binding day until a
+    day whose sales equal its free sales, after which the vectorised
+    opening stock is exact again.
+    """
+    n = len(ds_raw)
+    exact = (n and s_level < _EXACT and -_EXACT < demand.min()
+             and demand.max() < _EXACT)
+    if exact:
+        x = gamma * ds_raw.astype(np.float64)
+        base = np.floor(x)
+        # Beyond +-2**60 the uplift decides nothing: with demand and stock
+        # below 2**52 in magnitude, sales are the opening stock or 0 anyway.
+        uplift = (np.clip(base, -_CLIP, _CLIP).astype(np.int64)
+                  + (round_u < x - base))
+        free = np.maximum(demand + uplift, 0)
+        opening = np.empty(n, dtype=np.int64)
+        opening[0] = s_level
+        opening[1:] = s_level - free[:-1]
+        binding = np.flatnonzero((ds_raw > opening) | (free > opening))
+        stock, sales = opening, free
+        discounted = np.minimum(ds_raw, free)
+    else:  # the whole horizon in Python integers
+        free = np.full(n, -1, dtype=np.int64)
+        stock, sales, discounted = (np.zeros(n, dtype=np.int64)
+                                    for _ in range(3))
+        binding = np.arange(min(n, 1))
+    if not len(binding):
+        return stock, sales, discounted
+
+    free_l = free.tolist()  # sales may share free's memory
+    raw_l, demand_l, u_l = ds_raw.tolist(), demand.tolist(), round_u.tolist()
+    end = 0
+    for day in binding.tolist():
+        if day < end:
+            continue
+        prev_sales = int(sales[day - 1]) if day else 0
+        while day < n:
+            opening = s_level - prev_sales
+            ds = min(raw_l[day], opening)
+            uplift = _stochastic_round(gamma * ds, u_l[day])
+            sold = min(opening, max(0, demand_l[day] + uplift))
+            stock[day], sales[day] = opening, sold
+            discounted[day] = min(ds, sold)
+            prev_sales = sold
+            day += 1
+            if sold == free_l[day - 1]:
+                break
+        end = day
+    return stock, sales, discounted
+
+
 def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
     """Generate one SKU's panel; a pure function of (seed, config, sku_id)."""
     config.validate()
     rng = _stream([config.seed ^ (sku_id & _MASK64), 0])
     n = config.n_days
-    s_level = config.order_up_to
 
     dates = np.datetime64(config.start_date, "D") + np.arange(n)
     weekdays = (dates.view(np.int64) + 3) % 7 + 1  # 1970-01-01 was a Thursday
@@ -127,18 +192,8 @@ def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
     round_u = rng.random(n)
 
     forecasts = np.maximum(lam + forecast_noise, 0.0)
-    stock, sales, discounted = [], [], []
-    prev_sales = 0
-    for raw, demand, u in zip(ds_raw.tolist(), regular.tolist(),
-                              round_u.tolist()):
-        opening = s_level - prev_sales
-        ds = min(raw, opening)
-        uplift = _stochastic_round(config.gamma_true * ds, u)
-        sold = min(opening, max(0, demand + uplift))
-        stock.append(opening)
-        sales.append(sold)
-        discounted.append(min(ds, sold))
-        prev_sales = sold
+    stock, sales, discounted = _sell(config.order_up_to, config.gamma_true,
+                                     ds_raw, regular, round_u)
     table = ObservationTable(
         store_id=np.ones(n, dtype=np.int64), sku_id=np.full(n, sku_id),
         date=dates, weekday=weekdays, stock=stock, forecast=forecasts,

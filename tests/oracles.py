@@ -268,3 +268,69 @@ def parse_csv_rows(text: str) -> tuple[list[tuple], list[str], list[str]]:
                 f"{_ORACLE_WEEKDAYS[date.isoweekday() - 1]}; using the column")
         records.append((store, sku, date, weekday, stock, forecast, sales, ds))
     return records, errors, warnings
+
+
+def generate_panel_rows(config, sku_id: int) -> list[tuple]:
+    """One SKU's synthetic panel, one day at a time: a list of ``(store,
+    sku, date, weekday, stock, forecast, sales, discounted_sales)`` tuples.
+
+    The draws are the generator's (same Philox stream and block order); the
+    stock recursion walks every day in Python integers: opening stock is
+    ``order_up_to`` minus the previous day's sales, discounted sales are
+    capped by it, and the uplift ``gamma * ds`` is rounded stochastically.
+    """
+    import datetime as dt
+
+    mask = (1 << 64) - 1
+    key = np.array([(config.seed ^ (sku_id & mask)) & mask, 0],
+                   dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    n = config.n_days
+    days = [config.start_date + dt.timedelta(days=i) for i in range(n)]
+    lam = np.array([config.weekday_effects[d.isoweekday() - 1]
+                    for d in days], dtype=np.float64)
+
+    forecast_noise = rng.normal(0.0, config.forecast_noise_sd, size=n)
+    active = rng.random(n) < config.discount_probability
+    ds_raw = np.where(active, rng.poisson(config.discount_intensity, size=n), 0)
+    if config.demand_noise == "gaussian":
+        regular = np.maximum(
+            np.rint(rng.normal(lam, config.demand_noise_sd)), 0.0
+        ).astype(np.int64)
+    else:
+        regular = rng.poisson(lam)
+    round_u = rng.random(n)
+    forecasts = np.maximum(lam + forecast_noise, 0.0)
+
+    rows = []
+    prev_sales = 0
+    for day, forecast, raw, demand, u in zip(
+            days, forecasts.tolist(), ds_raw.tolist(), regular.tolist(),
+            round_u.tolist()):
+        opening = config.order_up_to - prev_sales
+        ds = min(raw, opening)
+        x = config.gamma_true * ds
+        uplift = math.floor(x) + (1 if u < x - math.floor(x) else 0)
+        sold = min(opening, max(0, demand + uplift))
+        rows.append((1, sku_id, day, day.isoweekday(), opening, forecast,
+                     sold, min(ds, sold)))
+        prev_sales = sold
+    return rows
+
+
+def csv_writer_text(rows: Iterable[tuple]) -> str:
+    """The canonical CSV of ``(store, sku, date, weekday, stock, forecast,
+    sales, discounted_sales)`` records, written by ``csv.writer`` one row at
+    a time: ISO dates, weekday names, ``repr`` forecasts, ``"\\n"`` line
+    ends."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_ORACLE_COLUMNS)
+    for store, sku, date, weekday, stock, forecast, sales, ds in rows:
+        writer.writerow((store, sku, date.isoformat(),
+                         _ORACLE_WEEKDAYS[weekday - 1], stock, repr(forecast),
+                         sales, ds))
+    return out.getvalue()

@@ -41,6 +41,7 @@ def test_simulate_digest_is_stable(tmp_path):
     manifest = json.loads((tmp_path / "synth.csv.manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["config"]["seed"] == 7
+    assert manifest["input_digest"] == GOLDEN_INPUT_SHA256
 
 
 def test_simulate_zero_skus_writes_header_only(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from discount_uplift.domain import (CSV_COLUMNS, WEEKDAY_NAMES, DomainError,
                                     build_panels, filter_eligible,
                                     panel_from_observations, parse_csv,
                                     serialize_csv)
-from oracles import parse_csv_rows
+from oracles import csv_writer_text, parse_csv_rows
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -407,3 +408,51 @@ def test_panel_rejects_weekday_outside_range(weekday):
         panel_from_observations(1, [obs])
     with pytest.raises(DomainError, match="outside 1..7"):
         build_panels([obs])
+
+
+_INT64_EDGES = [-2**63, -2**63 + 1, -1, 0, 1, 9, 10, 2**31, 2**63 - 1]
+
+
+@st.composite
+def writer_tables(draw):
+    n = draw(st.integers(0, 40))
+    ints = st.lists(st.one_of(st.sampled_from(_INT64_EDGES),
+                              st.integers(-2**63, 2**63 - 1),
+                              st.integers(0, 12)), min_size=n, max_size=n)
+    forecasts = st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16,
+                         1.7976931348623157e308, float("nan"), float("inf"),
+                         float("-inf")]),
+        st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=n, max_size=n)
+    dates = st.lists(st.one_of(
+        st.sampled_from([dt.date(1, 1, 1), dt.date(9999, 12, 31)]),
+        st.dates()), min_size=n, max_size=n)
+    weekdays = st.lists(st.integers(1, 7), min_size=n, max_size=n)
+    return list(zip(draw(ints), draw(ints), draw(dates), draw(weekdays),
+                    draw(ints), draw(forecasts), draw(ints), draw(ints)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_tables(), st.sampled_from([1, 3, 7, 16384]),
+       st.sampled_from(["table", "list", "generator"]))
+def test_serialize_matches_csv_writer(rows, chunk_rows, form):
+    observations = [Observation(*row) for row in rows]
+    source = {"table": lambda: ObservationTable.from_observations(observations),
+              "list": lambda: observations,
+              "generator": lambda: (o for o in observations)}[form]()
+    with mock.patch.object(domain, "_CHUNK_ROWS", chunk_rows):
+        text = serialize_csv(source)
+    assert isinstance(text, str)
+    assert text == csv_writer_text(rows)
+
+
+def test_serialize_writes_every_weekday_and_the_empty_table():
+    rows = [(1, 2, dt.date(2024, 1, 1) + dt.timedelta(days=i), i % 7 + 1, 3,
+             0.5, 2, 1) for i in range(7)]
+    text = serialize_csv(Observation(*row) for row in rows)
+    assert text == csv_writer_text(rows)
+    assert [line.split(",")[3] for line in text.splitlines()[1:]] == \
+        list(WEEKDAY_NAMES)
+    assert serialize_csv(ObservationTable.empty()) == HEADER + "\n"
+    assert serialize_csv(iter(())) == HEADER + "\n"

@@ -14,6 +14,8 @@ from discount_uplift.synth import (CycleConfig, DgpConfig, InvalidConfig,
                                    generate_study, simulate_cycle)
 from discount_uplift.two_step import estimate_sku
 
+from oracles import generate_panel_rows
+
 
 def test_no_discounts_when_probability_zero():
     panel = generate_panel(DgpConfig(seed=1, n_days=200, gamma_true=0.0,
@@ -123,6 +125,60 @@ def test_dgp_invariants_hold_for_random_configs(seed, n_days, prob, intensity,
     assert panel.n_obs == n_days
     for obs in panel.observations:
         assert 0 <= obs.discounted_sales <= obs.sales <= obs.stock
+
+
+def _assert_table_equals_rows(table, rows):
+    expected = list(zip(*rows)) if rows else [()] * 8
+    for name, column in zip(("store_id", "sku_id", "date", "weekday",
+                             "stock", "forecast", "sales",
+                             "discounted_sales"), expected):
+        actual = getattr(table, name)
+        if name == "forecast":
+            assert actual.tobytes() == np.array(column, np.float64).tobytes()
+        elif name == "date":
+            assert actual.tolist() == list(column)
+        else:
+            assert actual.dtype == np.int64
+            assert actual.tolist() == list(column), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 50), st.integers(0, 120),
+       st.integers(0, 20),
+       st.one_of(st.floats(-3.0, 3.0),
+                 st.sampled_from([1e20, -1e20, 1e300, -1e300])),
+       st.sampled_from(["gaussian", "poisson"]), st.floats(0.0, 1.0),
+       st.floats(0.0, 12.0), st.sampled_from([1.0, 0.2, 0.0]))
+def test_panel_equals_day_by_day_oracle(seed, sku_id, n_days, order_up_to,
+                                        gamma, noise, prob, intensity,
+                                        demand_scale):
+    config = DgpConfig(seed=seed, n_days=n_days, order_up_to=order_up_to,
+                       gamma_true=gamma, demand_noise=noise,
+                       discount_probability=prob,
+                       discount_intensity=intensity,
+                       weekday_effects=tuple(
+                           demand_scale * v
+                           for v in DgpConfig.weekday_effects))
+    _assert_table_equals_rows(generate_panel(config, sku_id).table,
+                              generate_panel_rows(config, sku_id))
+
+
+@pytest.mark.parametrize("changes", [
+    {"order_up_to": 12, "gamma_true": 1.0, "discount_intensity": 6.0},
+    {"order_up_to": 3},
+    {"order_up_to": 14, "gamma_true": -0.5, "discount_intensity": 12.0,
+     "demand_noise": "poisson"},
+    {"order_up_to": 15, "gamma_true": 1e20},
+    {"order_up_to": 2**53, "gamma_true": 1e300},
+    {"order_up_to": 9, "weekday_effects": (2.0**53,) * 7},
+    {"order_up_to": 0},
+])
+def test_panel_equals_oracle_where_stock_binds(changes):
+    config = dataclasses.replace(
+        DgpConfig(seed=11, n_days=400, discount_probability=0.5), **changes)
+    table = generate_panel(config, sku_id=4).table
+    _assert_table_equals_rows(table, generate_panel_rows(config, 4))
+    assert (table.sales == table.stock).any()
 
 
 # --- cycle simulator ---------------------------------------------------------
