@@ -9,8 +9,11 @@ BLAS kernel the machine would pick.
 
 There is one kernel: ``fit_ols_batch`` fits many designs at once on
 zero-padded (fits, rows, columns) arrays, and ``fit_ols`` is a batch of one.
-Padding changes no bit of a fit, so a fit's bytes do not depend on the batch
-it was part of.
+The kernel works on a rows-major (rows, fits, columns) copy, so each sum over
+rows is one reduce over the outer axis that adds the rows in order. Padding
+changes no bit of a fit, so a fit's bytes do not depend on the batch it was
+part of. The p-value's continued fraction runs on Python floats, which give
+the bits of numpy's float64 scalars at native speed.
 """
 from __future__ import annotations
 
@@ -124,20 +127,23 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
     """Pivoted QR of a batch of designs ``A`` (fits, rows, columns) applied
     to ``y`` (fits, rows); returns per fit (R, Q'y, pivots, rank).
 
-    ``y`` rides along as an extra column of the working matrix, so each
-    step reduces a block of at least two columns over its rows. numpy adds
-    the rows of such a block one after another (a single contiguous column
-    would be summed pairwise instead), which fixes the rounding independently
-    of the BLAS kernel and leaves it unchanged by trailing all-zero rows.
+    The working matrix ``M`` is rows-major, (rows, fits, columns + 1), with
+    ``y`` as its last column; the copy that builds it also transposes the
+    batch. Every sum over rows is then a reduce over axis 0, whose inner
+    loop runs along all the fits' columns at once, and numpy adds those rows
+    one after another. (It would sum a lone column pairwise; ``y`` keeps at
+    least two columns in every reduce, even for a batch of one.) That fixes
+    the rounding independently of the BLAS kernel and leaves it unchanged
+    by trailing all-zero rows.
     Each fit picks its own pivots and sets its tolerance from its own first
     pivot. A fit whose pivot falls to the tolerance stops there and leaves
     the batch: the later steps neither read nor write it, and its R and Q'y
     are the partial factorisation at the step where it stopped.
     """
     count, n, p = A.shape
-    M = np.empty((count, n, p + 1))
-    M[:, :, :p] = A
-    M[:, :, p] = y
+    M = np.empty((n, count, p + 1))
+    M[:, :, :p] = A.transpose(1, 0, 2)
+    M[:, :, p] = y.T
     R = np.empty((count, min(n, p), p))
     qty = np.empty((count, n))
     piv = np.tile(np.arange(p), (count, 1))
@@ -145,7 +151,7 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
     live = np.arange(count)  # the fits still in M, in batch positions
     tol = None
     for k in range(min(n, p)):
-        norms = np.sqrt(np.add.reduce(M[:, k:, k:] ** 2, axis=1)[:, :p - k])
+        norms = np.sqrt(np.add.reduce(M[k:, :, k:] ** 2, axis=0)[:, :p - k])
         j_rel = np.argmax(norms, axis=1)
         pivot_norm = norms[np.arange(live.size), j_rel]
         if tol is None:
@@ -153,40 +159,39 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
         go = pivot_norm > tol[live]
         if not go.all():
             stop = ~go
-            R[live[stop]] = M[stop, :p, :p]
-            qty[live[stop]] = M[stop, :, p]
-            M, live = M[go], live[go]
+            R[live[stop]] = M[:p, stop, :p].transpose(1, 0, 2)
+            qty[live[stop]] = M[:, stop, p].T
+            M, live = M[:, go], live[go]
             j_rel, pivot_norm = j_rel[go], pivot_norm[go]
             if live.size == 0:
                 break
         swap = np.flatnonzero(j_rel)
         if swap.size:
             j = k + j_rel[swap]
-            column = M[swap, :, k]
-            M[swap, :, k] = M[swap, :, j]
-            M[swap, :, j] = column
+            column = M[:, swap, k]
+            M[:, swap, k] = M[:, swap, j]
+            M[:, swap, j] = column
             fits = live[swap]
             piv[fits, k], piv[fits, j] = piv[fits, j], piv[fits, k]
-        x0 = M[:, k, k]
+        x0 = M[k, :, k]
         alpha = np.where(x0 != 0.0, -np.copysign(pivot_norm, x0), -pivot_norm)
-        v = M[:, k:, k].copy()
-        v[:, 0] -= alpha
+        v = M[k:, :, k].copy()
+        v[0] -= alpha
         # w = v'[x, A, y]; v'v = v'x - alpha * v[0] since v = x - alpha e1.
-        w = np.add.reduce(v[:, :, None] * M[:, k:, k:], axis=1)
-        vtv = w[:, 0] - alpha * v[:, 0]
+        w = np.add.reduce(v[:, :, None] * M[k:, :, k:], axis=0)
+        vtv = w[:, 0] - alpha * v[0]
         update = vtv > 0.0
         if update.all():
-            M[:, k:, k + 1:] -= (2.0 / vtv[:, None] * v)[:, :, None] \
-                * w[:, None, 1:]
+            M[k:, :, k + 1:] -= (2.0 / vtv * v)[:, :, None] * w[:, 1:]
         else:
             u = np.flatnonzero(update)
-            M[u, k:, k + 1:] -= (2.0 / vtv[u, None] * v[u])[:, :, None] \
-                * w[u, None, 1:]
-        M[:, k, k] = alpha
-        M[:, k + 1:, k] = 0.0
+            M[k:, u, k + 1:] -= (2.0 / vtv[u] * v[:, u])[:, :, None] \
+                * w[u, 1:]
+        M[k, :, k] = alpha
+        M[k + 1:, :, k] = 0.0
         rank[live] += 1
-    R[live] = M[:, :p, :p]
-    qty[live] = M[:, :, p]
+    R[live] = M[:p, :, :p].transpose(1, 0, 2)
+    qty[live] = M[:, :, p].T
     return R, qty, piv, rank
 
 
@@ -392,6 +397,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    # Python floats: the continued fraction's scalar arithmetic then runs
+    # natively rather than as numpy-scalar operations, with the same bits.
+    a, b, x = float(a), float(b), float(x)
     if a <= 0.0 or b <= 0.0:
         raise OlsError("incomplete beta requires positive parameters")
     if x <= 0.0:

@@ -76,6 +76,12 @@ class DgpConfig:
             raise InvalidConfig("n_days must be non-negative")
         if len(self.weekday_effects) != 7:
             raise InvalidConfig("weekday_effects needs one value per weekday")
+        if not all(math.isfinite(v) for v in self.weekday_effects):
+            raise InvalidConfig("weekday_effects must be finite")
+        for name in ("forecast_noise_sd", "discount_probability",
+                     "discount_intensity", "gamma_true", "demand_noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite")
         if any(v < 0 for v in self.weekday_effects):
             raise InvalidConfig("weekday_effects must be non-negative")
         if self.forecast_noise_sd < 0:
@@ -86,8 +92,6 @@ class DgpConfig:
             raise InvalidConfig("discount_probability must be in [0, 1]")
         if self.discount_intensity < 0:
             raise InvalidConfig("discount_intensity must be non-negative")
-        if not math.isfinite(self.gamma_true):
-            raise InvalidConfig("gamma_true must be finite")
         if self.demand_noise not in (GAUSSIAN, POISSON):
             raise InvalidConfig(f"unknown demand_noise {self.demand_noise!r}")
         if self.demand_noise_sd < 0:

@@ -4,7 +4,9 @@ Everything here deliberately takes a different route than the package:
 least squares goes through the normal equations with hand-rolled Gaussian
 elimination, p-values through adaptive quadrature of the density, quantiles
 through the direct order-statistic formula, and the two-step estimates
-through the normal equations in exact rational arithmetic.
+through the normal equations in exact rational arithmetic. To pin the
+kernel's bits, one more least-squares reference repeats its Householder
+steps in Python floats with explicit loops instead of array operations.
 """
 from __future__ import annotations
 
@@ -156,6 +158,113 @@ def exact_two_step(days: Iterable[tuple[int, float, int, int, int]]
     dof = len(X2) - len(beta2)
     return (sum(residuals) / len(residuals), beta2[-1],
             rss / dof * inv_last)
+
+
+def _rows_sum(values: Iterable[float]) -> float:
+    """Sum over rows as ``ols`` takes it: one value after another."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _short_row_sum(values: list[float]) -> float:
+    """Sum of one short contiguous row (under 128 entries) in numpy's order:
+    straight through below eight entries, otherwise eight interleaved
+    partial sums added pairwise, then the tail."""
+    n = len(values)
+    if n >= 128:
+        raise ValueError("numpy splits rows of 128 or more into blocks")
+    if n < 8:
+        return _rows_sum(values)
+    lanes = values[:8]
+    i = 8
+    while i < n - n % 8:
+        lanes = [lane + value for lane, value in zip(lanes, values[i:i + 8])]
+        i += 8
+    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+    for value in values[i:]:
+        total += value
+    return total
+
+
+def householder_fit(X, y, rtol: float = 1e-10
+                    ) -> tuple[int, list[float] | None, list[float] | None,
+                               list[float] | None]:
+    """One least-squares fit by pivoted Householder QR in Python floats:
+    ``(rank, coefficients, std_errors, residuals)``, the last three None
+    when the rank is below the column count.
+
+    A reference for ``ols``' batched kernel that shares none of its array
+    code. Every sum over rows adds them one at a time in row order, and
+    each rounding step is the kernel's: the pivot is the first column of
+    largest norm, ``v = x - alpha e1`` with ``alpha = -sign(x0) ||x||``,
+    ``v'v = v'x - alpha v0``, the update subtracts ``(2 / v'v * v_i) * w_j``,
+    and ``[Q'y | I]`` is back-substituted column by column. The two sums
+    over a row of at most ten columns (the fitted values and the squared
+    row norms of R^-1) follow numpy's order for a short contiguous row.
+    """
+    M = [[float(v) for v in row] + [float(t)] for row, t in zip(X, y)]
+    n, p = len(M), len(M[0]) - 1
+    piv = list(range(p))
+    tol = None
+    rank = 0
+    for k in range(min(n, p)):
+        norms = [math.sqrt(_rows_sum(M[i][j] * M[i][j] for i in range(k, n)))
+                 for j in range(k, p)]
+        pivot_norm = max(norms)
+        j = k + norms.index(pivot_norm)
+        if tol is None:
+            tol = rtol * pivot_norm
+        if not pivot_norm > tol:
+            break
+        if j != k:
+            for row in M:
+                row[k], row[j] = row[j], row[k]
+            piv[k], piv[j] = piv[j], piv[k]
+        x0 = M[k][k]
+        alpha = -math.copysign(pivot_norm, x0) if x0 != 0.0 else -pivot_norm
+        v = [M[i][k] for i in range(k, n)]
+        v[0] -= alpha
+        w = [_rows_sum(v[i - k] * M[i][j] for i in range(k, n))
+             for j in range(k, p + 1)]
+        vtv = w[0] - alpha * v[0]
+        if vtv > 0.0:
+            scale = 2.0 / vtv
+            for i in range(k, n):
+                c = scale * v[i - k]
+                for j in range(k + 1, p + 1):
+                    M[i][j] -= c * w[j - k]
+        M[k][k] = alpha
+        for i in range(k + 1, n):
+            M[i][k] = 0.0
+        rank += 1
+    if rank < p:
+        return rank, None, None, None
+
+    # Solve R [b | R^-1] = [Q'y | I]: divide row i by R_ii, then remove its
+    # multiple from every row above it.
+    S = [[M[i][p]] + [float(c == i) for c in range(p)] for i in range(p)]
+    for i in range(p - 1, -1, -1):
+        S[i] = [value / M[i][i] for value in S[i]]
+        for r in range(i):
+            S[r] = [a - M[r][i] * b for a, b in zip(S[r], S[i])]
+    beta = [0.0] * p
+    for i in range(p):
+        beta[piv[i]] = S[i][0]
+    residuals = [float(t) - _short_row_sum([float(x) * b
+                                            for x, b in zip(row, beta)])
+                 for row, t in zip(X, y)]
+    dof = n - p
+    if dof == 0:
+        return rank, beta, [math.nan] * p, residuals
+    sigma2 = _rows_sum(r * r for r in residuals) / dof
+    std_errors = [0.0] * p
+    for i in range(p):
+        variance = sigma2 * _short_row_sum([c * c for c in S[i][1:]])
+        std_errors[piv[i]] = math.sqrt(max(variance, 0.0))
+    return rank, beta, std_errors, residuals
 
 
 _ORACLE_WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday",

@@ -63,6 +63,13 @@ def test_simulate_rejects_invalid_config(tmp_path):
     assert main(["simulate", "--skus", "-2", "--out", str(out)]) == 2
 
 
+def test_simulate_rejects_non_finite_setting(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    assert main(["simulate", "--intensity", "nan", "--out", str(out)]) == 2
+    assert "discount_intensity must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_malformed_start_date_exits_2(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     assert main(["simulate", "--start-date", "2024-13-01",

@@ -13,8 +13,8 @@ from discount_uplift.ols import (DesignMatrix, DimensionMismatch, FitResult,
                                  predict,
                                  regularized_incomplete_beta, t_critical,
                                  t_pvalue)
-from oracles import (matrix_with_condition, normal_equations_fit,
-                     t_pvalue_quadrature)
+from oracles import (householder_fit, matrix_with_condition,
+                     normal_equations_fit, t_pvalue_quadrature)
 
 
 def test_mean_fit():
@@ -141,6 +141,22 @@ def test_t_critical_inverts_pvalue():
         for dof in (1, 3, 30, 400):
             t = t_critical(alpha, dof)
             assert t_pvalue(t, dof) == pytest.approx(alpha, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-40, 40, allow_nan=False), st.integers(1, 400))
+def test_numpy_scalars_give_python_float_bits(t, dof):
+    # The continued fraction runs on Python floats whatever the caller
+    # passes; numpy scalars are the same IEEE doubles, so no bit changes.
+    expected = t_pvalue(float(t), dof)
+    for got in (t_pvalue(np.float64(t), dof),
+                t_pvalue(np.float64(t), np.int64(dof))):
+        assert type(got) is float and got.hex() == expected.hex()
+    a, x = dof / 2.0, dof / (dof + t * t)
+    expected = regularized_incomplete_beta(a, 0.5, x)
+    got = regularized_incomplete_beta(np.float64(a), np.float64(0.5),
+                                      np.float64(x))
+    assert type(got) is float and got.hex() == expected.hex()
 
 
 def test_incomplete_beta_cauchy_closed_form():
@@ -278,3 +294,39 @@ def test_qr_matches_oracle_on_conditioned_instances(seed):
     oracle = normal_equations_fit(X, y)
     scale = max(1.0, float(np.abs(oracle).max()))
     assert np.abs(fit.coefficients - oracle).max() / scale <= 1e-8
+
+
+def _oracle_bytes(rank, beta, std_errors, residuals) -> tuple:
+    return (rank,) + tuple(np.array(a).tobytes()
+                           for a in (beta, std_errors, residuals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kernel_equals_householder_oracle(seed):
+    # Every sum over rows adds them in order, so coefficients, standard
+    # errors and residuals equal a Python-float Householder reference bit
+    # for bit, alone, zero-padded in a batch, and at scales 1e-6 to 1e6.
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 11))
+    lengths = [int(rng.integers(p + 1, 70)) for _ in range(4)]
+    designs = []
+    for n in lengths:
+        scales = 10.0 ** (rng.integers(-6, 7) + rng.integers(-2, 3, size=p))
+        designs.append((rng.normal(size=(n, p)) * scales,
+                        rng.normal(size=n) * 10.0 ** rng.integers(-6, 7)))
+    rows = max(lengths) + int(rng.integers(0, 9))
+    X = np.zeros((len(designs), rows, p))
+    y = np.zeros((len(designs), rows))
+    for b, (Xb, yb) in enumerate(designs):
+        X[b, :len(yb)] = Xb
+        y[b, :len(yb)] = yb
+    labels = tuple(f"x{j}" for j in range(p))
+    batch = fit_ols_batch(X, y, lengths, labels)
+    for fit, (Xb, yb) in zip(batch, designs):
+        oracle = householder_fit(Xb.tolist(), yb.tolist())
+        assert oracle[0] == p
+        lone = fit_ols(Xb, yb, labels)
+        for got in (fit, lone):
+            assert _oracle_bytes(got.rank, got.coefficients, got.std_errors,
+                                 got.residuals) == _oracle_bytes(*oracle)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ def test_generate_study_cycles_gammas():
     {"demand_noise": "uniform"},
     {"demand_noise_sd": -1.0},
     {"order_up_to": -5},
+    {"weekday_effects": (math.nan,) + (1.0,) * 6},
+    {"weekday_effects": (1.0,) * 6 + (math.inf,)},
+    {"forecast_noise_sd": math.nan},
+    {"forecast_noise_sd": math.inf},
+    {"discount_probability": math.nan},
+    {"discount_intensity": math.nan},
+    {"discount_intensity": math.inf},
+    {"gamma_true": math.nan},
+    {"gamma_true": -math.inf},
+    {"demand_noise_sd": math.nan},
+    {"demand_noise_sd": math.inf},
 ])
 def test_dgp_config_validation(bad):
     with pytest.raises(InvalidConfig):
