@@ -137,8 +137,9 @@ def summarize(reports: Iterable,  # SkuUpliftReport; duck-typed to avoid a cycle
     lo, hi = float(hist_range[0]), float(hist_range[1])
     if hist_bins < 1:
         raise AggregateError(f"hist_bins must be >= 1, got {hist_bins}")
-    if not lo < hi:
-        raise AggregateError(f"histogram range is empty: ({lo}, {hi})")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise AggregateError(f"histogram range must be non-empty and of "
+                             f"finite width: ({lo}, {hi})")
 
     reports = list(reports)
     ok = [r for r in reports if r.ok]

@@ -19,6 +19,7 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -151,8 +152,9 @@ def _parse_hist_range(text: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise UserError(f"--hist-range must be LO:HI, got {text!r}") from exc
-    if not lo < hi:
-        raise UserError(f"--hist-range must satisfy LO < HI, got {text!r}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise UserError("--hist-range must satisfy LO < HI with HI - LO "
+                        f"finite, got {text!r}")
     return lo, hi
 
 

@@ -13,7 +13,6 @@ import csv
 import datetime as dt
 import io
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -188,40 +187,38 @@ def _as_table(observations: Iterable[Observation] | ObservationTable
     return ObservationTable.from_observations(observations)
 
 
+# The record invariants, in the order a row's breaches are reported: (field,
+# breach test, message). A test reads its record's fields by name, so it
+# gives a bool for an Observation and a row mask for an ObservationTable; a
+# message is formatted with the Observation as ``r``.
+_INVARIANTS = (
+    ("weekday", lambda r: (r.weekday < 1) | (r.weekday > 7),
+     "weekday {r.weekday} outside 1..7"),
+    ("stock", lambda r: r.stock < 0, "stock must be non-negative"),
+    ("forecast", lambda r: ~np.isfinite(r.forecast),
+     "forecast must be finite"),
+    ("forecast", lambda r: (r.forecast < 0) & np.isfinite(r.forecast),
+     "forecast must be non-negative"),
+    ("sales", lambda r: r.sales < 0, "sales must be non-negative"),
+    ("discounted_sales", lambda r: r.discounted_sales < 0,
+     "discounted sales must be non-negative"),
+    ("discounted_sales", lambda r: r.discounted_sales > r.sales,
+     "discounted sales {r.discounted_sales} exceed sales {r.sales}"),
+    ("sales", lambda r: r.sales > r.stock,
+     "sales {r.sales} exceed opening stock {r.stock}"),
+)
+
+
 def observation_violations(obs: Observation) -> list[tuple[str, str]]:
     """Return (field, message) pairs for every violated record invariant."""
-    problems: list[tuple[str, str]] = []
-    if not 1 <= obs.weekday <= 7:
-        problems.append(("weekday", f"weekday {obs.weekday} outside 1..7"))
-    if obs.stock < 0:
-        problems.append(("stock", "stock must be non-negative"))
-    if not math.isfinite(obs.forecast):
-        problems.append(("forecast", "forecast must be finite"))
-    elif obs.forecast < 0:
-        problems.append(("forecast", "forecast must be non-negative"))
-    if obs.sales < 0:
-        problems.append(("sales", "sales must be non-negative"))
-    if obs.discounted_sales < 0:
-        problems.append(("discounted_sales",
-                         "discounted sales must be non-negative"))
-    if obs.discounted_sales > obs.sales:
-        problems.append(("discounted_sales",
-                         f"discounted sales {obs.discounted_sales} exceed "
-                         f"sales {obs.sales}"))
-    if obs.sales > obs.stock:
-        problems.append(("sales",
-                         f"sales {obs.sales} exceed opening stock {obs.stock}"))
-    return problems
+    return [(name, message.format(r=obs))
+            for name, breach, message in _INVARIANTS if breach(obs)]
 
 
 def _violated(table: ObservationTable) -> np.ndarray:
     """Rows breaking an :func:`observation_violations` invariant."""
-    ok = ((table.weekday >= 1) & (table.weekday <= 7) & (table.stock >= 0)
-          & np.isfinite(table.forecast) & (table.forecast >= 0)
-          & (table.sales >= 0) & (table.discounted_sales >= 0)
-          & (table.discounted_sales <= table.sales)
-          & (table.sales <= table.stock))
-    return ~ok
+    return np.logical_or.reduce([breach(table)
+                                 for _, breach, _ in _INVARIANTS])
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,101 +299,89 @@ class _Distinct(dict):
         return value
 
 
+# How a cell that does not convert is reported, in the order a row's errors
+# are listed: (field, reported field, words, stops the row). A bad id, date
+# or weekday is the row's only error; each bad number is reported.
+_MALFORMED = (
+    ("store_id", "store/sku", "malformed id", True),
+    ("sku_id", "store/sku", "malformed id", True),
+    ("date", "date", "malformed date", True),
+    ("weekday", "weekday", "malformed weekday", True),
+    ("stock", "stock", "malformed integer", False),
+    ("sales", "sales", "malformed integer", False),
+    ("discounted_sales", "discounted_sales", "malformed integer", False),
+    ("forecast", "forecast", "malformed number", False),
+)
+
+
 class _Columns:
     """Converts blocks of CSV rows into column arrays (in Observation field
     order, the date as days since 1970-01-01)."""
 
     def __init__(self, position: Mapping[str, int], n_fields: int) -> None:
-        self.position = position
         self.n_fields = n_fields
         self.shortest = max(position.values()) + 1
-        self.days = _Distinct(_parse_day)
-        self.weekdays = _Distinct(_parse_weekday)
+        days = _Distinct(_parse_day).__getitem__
+        weekdays = _Distinct(_parse_weekday).__getitem__
+        # Per field: cell position, then the converter run at native speed
+        # and the strict one that words a failing column's bad cells.
+        converters = ((int, _parse_int64), (int, _parse_int64), (days, days),
+                      (weekdays, weekdays), (int, _parse_int64),
+                      (float, float), (int, _parse_int64),
+                      (int, _parse_int64))
+        self.fields = [(name, position[column], *pair) for name, column, pair
+                       in zip(_FIELDS, CSV_COLUMNS, converters)]
 
-    def fast(self, rows: list[list[str]]) -> list[np.ndarray] | None:
-        """All rows at once, or None when any row needs the per-row path
-        (too short, blank, or a cell that does not convert)."""
-        if min(map(len, rows)) < self.shortest:
-            return None
-        n = len(rows)
-        pos = self.position
-
-        def column(name: str, convert, dtype) -> np.ndarray:
-            cells = map(itemgetter(pos[name]), rows)
-            return np.fromiter(map(convert, cells), dtype=dtype, count=n)
-
-        try:
-            return [column("store", int, np.int64),
-                    column("sku", int, np.int64),
-                    column("date", self.days.__getitem__, np.int64),
-                    column("weekday", self.weekdays.__getitem__, np.int64),
-                    column("stock", int, np.int64),
-                    column("forecast", float, np.float64),
-                    column("sales", int, np.int64),
-                    column("discounted_sales", int, np.int64)]
-        except (ValueError, OverflowError):
-            return None
-
-    def per_row(self, rows: list[list[str]], lines: np.ndarray,
+    def convert(self, rows: list[list[str]], lines: np.ndarray,
                 errors: list[RowIssue]) -> tuple[list[np.ndarray], np.ndarray]:
-        """Row by row, recording each bad row's line-numbered errors; returns
-        the converted rows' columns and line numbers."""
-        kept: list[tuple] = []
-        kept_lines: list[int] = []
-        for row, line in zip(rows, lines.tolist()):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < self.shortest:
-                errors.append(RowIssue(line, "row", f"expected {self.n_fields} "
-                                       f"fields, got {len(row)}"))
-                continue
+        """The columns and line numbers of the rows that convert; each other
+        row, unless blank, gets its line-numbered errors in ``errors``.
 
-            def cell(name: str) -> str:
-                return row[self.position[name]].strip()
-
+        Short rows are set aside first. Each column is then converted at
+        once; only a column that fails is converted again cell by cell, to
+        find and word its bad cells."""
+        if min(map(len, rows)) < self.shortest:
+            full = np.fromiter(map(len, rows), np.int64) >= self.shortest
+            for i in np.flatnonzero(~full).tolist():
+                if any(map(str.strip, rows[i])):  # else a blank row
+                    errors.append(RowIssue(int(lines[i]), "row", f"expected "
+                                           f"{self.n_fields} fields, got "
+                                           f"{len(rows[i])}"))
+            rows = list(itertools.compress(rows, full))
+            lines = lines[full]
+        n = len(rows)
+        failed: dict[tuple[int, str], ValueError] = {}
+        columns = []
+        for name, at, native, strict in self.fields:
+            dtype = np.float64 if name == "forecast" else np.int64
             try:
-                store_id = _parse_int64(cell("store"))
-                sku_id = _parse_int64(cell("sku"))
-            except ValueError as exc:
-                errors.append(RowIssue(line, "store/sku", f"malformed id: {exc}"))
-                continue
-            try:
-                day = _parse_day(cell("date"))
-            except ValueError as exc:
-                errors.append(RowIssue(line, "date", f"malformed date: {exc}"))
-                continue
-            try:
-                weekday = _parse_weekday(cell("weekday"))
-            except ValueError as exc:
-                errors.append(RowIssue(line, "weekday",
-                                       f"malformed weekday: {exc}"))
-                continue
-            numbers: dict[str, int | float] = {}
-            bad = False
-            for name in ("stock", "sales", "discounted_sales"):
-                try:
-                    numbers[name] = _parse_int64(cell(name))
-                except ValueError as exc:
-                    errors.append(RowIssue(line, name,
-                                           f"malformed integer: {exc}"))
-                    bad = True
-            try:
-                numbers["forecast"] = float(cell("forecast"))
-            except ValueError as exc:
-                errors.append(RowIssue(line, "forecast",
-                                       f"malformed number: {exc}"))
-                bad = True
-            if bad:
-                continue
-            kept.append((store_id, sku_id, day, weekday, numbers["stock"],
-                         numbers["forecast"], numbers["sales"],
-                         numbers["discounted_sales"]))
-            kept_lines.append(line)
-        by_field = list(zip(*kept)) or [()] * len(_FIELDS)
-        columns = [np.array(values, dtype=np.float64 if name == "forecast"
-                            else np.int64)
-                   for name, values in zip(_FIELDS, by_field)]
-        return columns, np.array(kept_lines, dtype=np.int64)
+                column = np.fromiter(map(native, map(itemgetter(at), rows)),
+                                     dtype=dtype, count=n)
+            except (ValueError, OverflowError):
+                values = []
+                for i, row in enumerate(rows):
+                    try:
+                        values.append(strict(row[at].strip()))
+                    except ValueError as exc:
+                        failed[i, name] = exc
+                        values.append(0)
+                column = np.array(values, dtype=dtype)
+            columns.append(column)
+        if not failed:
+            return columns, lines
+        bad = sorted({i for i, _ in failed})
+        for i in bad:
+            if not any(map(str.strip, rows[i])):
+                continue  # a blank row
+            for name, reported, words, stops in _MALFORMED:
+                if (i, name) in failed:
+                    errors.append(RowIssue(int(lines[i]), reported,
+                                           f"{words}: {failed[i, name]}"))
+                    if stops:
+                        break
+        keep = np.ones(n, dtype=bool)
+        keep[bad] = False
+        return [column[keep] for column in columns], lines[keep]
 
 
 def _text_stream(source: str | bytes | io.TextIOBase) -> io.TextIOBase:
@@ -448,9 +433,10 @@ def parse_csv(source: str | bytes | io.TextIOBase,
     order; a weekday column that disagrees with the calendar date is
     reported as a warning only, because the weekday column is authoritative.
 
-    Rows are read in blocks and converted column by column. A block with a
-    blank, short, multi-line or unconvertible row is converted row by row
-    instead, which words the errors; invariants, duplicate keys and weekday
+    Rows are read in blocks, and one converter turns each block into
+    columns: blank rows are dropped, short rows worded, and every column is
+    converted at once. Only a column that fails is converted again cell by
+    cell, which words its bad cells. Invariants, duplicate keys and weekday
     mismatches are found on whole columns and worded per offending row.
     """
     text = _text_stream(source)
@@ -487,15 +473,13 @@ def parse_csv(source: str | bytes | io.TextIOBase,
         rows = list(itertools.islice(reader, _CHUNK_ROWS))
         if not rows:
             break
-        columns = None
         if reader.line_num - first + 1 == len(rows):
             lines = np.arange(first, reader.line_num + 1)
-            columns = converter.fast(rows)
         else:  # a record spans lines: each of its newlines is in a cell
             spans = [1 + sum(cell.count("\n") for cell in row) for row in rows]
-            lines = first - 1 + np.cumsum(spans)
-        if columns is None:
-            columns, lines = converter.per_row(rows, lines, errors)
+            # A quote left open at the end swallows the file's last newline.
+            lines = np.minimum(first - 1 + np.cumsum(spans), reader.line_num)
+        columns, lines = converter.convert(rows, lines, errors)
         blocks.append(columns)
         line_blocks.append(lines)
 

@@ -64,14 +64,6 @@ class DesignMatrix:
                 f"{values.shape[1]} columns but {len(self.column_labels)} labels")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
 
 class FitStatus(Enum):
     OK = "ok"

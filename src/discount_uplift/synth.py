@@ -39,6 +39,9 @@ _MASK64 = (1 << 64) - 1
 # Magnitudes below which the vectorised stock recursion is exact in int64.
 _EXACT = 1 << 52
 _CLIP = float(1 << 60)
+# Largest demand scale a config may set: far below where int64 demand or
+# numpy's Poisson draw overflows.
+_LARGEST = 1 << 53
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -82,6 +85,10 @@ class DgpConfig:
                      "discount_intensity", "gamma_true", "demand_noise_sd"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite")
+        for name in ("weekday_effects", "demand_noise_sd",
+                     "discount_intensity"):
+            if np.max(getattr(self, name)) > _LARGEST:
+                raise InvalidConfig(f"{name} must be at most 2**53")
         if any(v < 0 for v in self.weekday_effects):
             raise InvalidConfig("weekday_effects must be non-negative")
         if self.forecast_noise_sd < 0:
@@ -206,22 +213,21 @@ def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
 
 
 def generate_study(config: DgpConfig, n_skus: int,
-                   gammas: Sequence[float] | None = None,
-                   first_sku: int = 1) -> tuple[SkuPanel, ...]:
+                   gammas: Sequence[float] | None = None
+                   ) -> tuple[SkuPanel, ...]:
     """Generate a batch of SKU panels, optionally with per-SKU uplifts.
 
     ``gammas`` is cycled over the SKUs; None keeps ``config.gamma_true``
-    everywhere. SKU ids run from ``first_sku`` upward and fix each SKU's
-    random stream together with the seed.
+    everywhere. SKU ids run from 1 upward and fix each SKU's random stream
+    together with the seed.
     """
     if n_skus < 0:
         raise InvalidConfig("n_skus must be non-negative")
     panels = []
     for i in range(n_skus):
-        sku_id = first_sku + i
         cfg = config if gammas is None else replace(
             config, gamma_true=float(gammas[i % len(gammas)]))
-        panels.append(generate_panel(cfg, sku_id))
+        panels.append(generate_panel(cfg, sku_id=i + 1))
     return tuple(panels)
 
 

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregate import trim_central
 from .domain import EligibilityRule, SkuPanel, filter_eligible
 from .ols import (BASELINE_LABELS, UPLIFT_LABELS, DesignMatrix, FitResult,
                   FitStatus, fit_ols, fit_ols_batch, linear_combination,
@@ -180,15 +179,12 @@ def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
 def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
                alpha: float = 0.05,
                sidedness: Sidedness = Sidedness.TWO_SIDED,
-               stage1: FitResult | None = None,
-               delta_trim: float | None = None) -> SkuUpliftReport:
+               stage1: FitResult | None = None) -> SkuUpliftReport:
     """Regress baseline residuals on covariates plus the discounted-sales
     count and report the uplift coefficient with its significance verdict.
 
-    ``delta_trim`` optionally trims the per-day residuals to their central
-    mass before averaging into ``mean_residual`` (the regression itself
-    always uses all residuals). Stage-2 rank deficiency yields an
-    ``ESTIMATION_FAILED`` report rather than an exception.
+    Stage-2 rank deficiency yields an ``ESTIMATION_FAILED`` report rather
+    than an exception.
     """
     residuals = np.asarray(residuals, dtype=np.float64).ravel()
     if residuals.shape[0] != panel.n_disc:
@@ -198,13 +194,12 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
     _check_inference(panel, alpha)
     X = _design(panel, panel.disc_index, include_ds=True)
     return _uplift_report(panel, residuals, stage1, fit_ols(X, residuals),
-                          alpha, sidedness, delta_trim)
+                          alpha, sidedness)
 
 
 def _uplift_report(panel: SkuPanel, residuals: np.ndarray,
                    stage1: FitResult | None, stage2: FitResult, alpha: float,
-                   sidedness: Sidedness,
-                   delta_trim: float | None) -> SkuUpliftReport:
+                   sidedness: Sidedness) -> SkuUpliftReport:
     """The report of a SKU whose stage 2 has been fitted to ``residuals``."""
     if stage2.status is FitStatus.RANK_DEFICIENT:
         return SkuUpliftReport(
@@ -227,10 +222,7 @@ def _uplift_report(panel: SkuPanel, residuals: np.ndarray,
 
     # np.mean of the SKU's own residuals, as a single-SKU fit takes it: a
     # sum over the padded batch in row order would round differently.
-    if delta_trim is not None:
-        mean_residual = float(np.mean(trim_central(residuals, delta_trim)))
-    else:
-        mean_residual = float(np.mean(residuals))
+    mean_residual = float(np.mean(residuals))
 
     return SkuUpliftReport(
         sku_id=panel.sku_id, store_id=panel.store_id, status=ReportStatus.OK,
@@ -250,8 +242,7 @@ def _failed(panel: SkuPanel, reason: str,
 
 
 def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
-                    sidedness: Sidedness,
-                    delta_trim: float | None) -> list[SkuUpliftReport]:
+                    sidedness: Sidedness) -> list[SkuUpliftReport]:
     """Both stages for a batch of panels, with one kernel call per stage.
 
     Stage 1 runs for every panel with discount-free days, then stage 2 for
@@ -303,16 +294,14 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     stage2 = fit_ols_batch(X, lift, n_disc, UPLIFT_LABELS)
     for row, i in enumerate(second):
         reports[i] = _uplift_report(panels[i], lift[row, :n_disc[row]],
-                                    stage1[i], stage2[row], alpha, sidedness,
-                                    delta_trim)
+                                    stage1[i], stage2[row], alpha, sidedness)
     return reports
 
 
 def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
-                 sidedness: Sidedness = Sidedness.TWO_SIDED,
-                 delta_trim: float | None = None) -> SkuUpliftReport:
+                 sidedness: Sidedness = Sidedness.TWO_SIDED) -> SkuUpliftReport:
     """Run both stages for one panel, turning failures into a failed report."""
-    return _estimate_batch([panel], alpha, sidedness, delta_trim)[0]
+    return _estimate_batch([panel], alpha, sidedness)[0]
 
 
 def _batches(panels: Sequence[SkuPanel]) -> Iterator[list[SkuPanel]]:
@@ -335,7 +324,6 @@ def run_study(panels: Iterable[SkuPanel],
               rule: EligibilityRule = EligibilityRule(),
               alpha: float = 0.05,
               sidedness: Sidedness = Sidedness.TWO_SIDED,
-              delta_trim: float | None = None,
               threads: int | None = None) -> tuple[SkuUpliftReport, ...]:
     """Estimate every eligible panel; per-SKU failures never abort the study.
 
@@ -351,7 +339,7 @@ def run_study(panels: Iterable[SkuPanel],
 
     def one(batch: list[SkuPanel]) -> list[SkuUpliftReport]:
         try:
-            return _estimate_batch(batch, alpha, sidedness, delta_trim)
+            return _estimate_batch(batch, alpha, sidedness)
         except Exception as exc:  # records, never aborts the study
             return [_failed(panel, f"internal error: {exc}")
                     for panel in batch]

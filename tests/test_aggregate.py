@@ -85,8 +85,10 @@ def test_summarize_requires_a_success():
         summarize([make_report(1, failed=True)])
     with pytest.raises(AggregateError):
         summarize([make_report(1, 0.1, 0.1, True)], hist_bins=0)
-    with pytest.raises(AggregateError):
-        summarize([make_report(1, 0.1, 0.1, True)], hist_range=(2.0, 1.0))
+    for hist_range in ((2.0, 1.0), (0.0, math.inf), (-1e308, 1e308),
+                       (math.nan, 1.0)):
+        with pytest.raises(AggregateError):
+            summarize([make_report(1, 0.1, 0.1, True)], hist_range=hist_range)
 
 
 def test_summarize_dgp_mode_bin_contains_planted_uplift():

@@ -67,6 +67,15 @@ def test_simulate_rejects_non_finite_setting(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     assert main(["simulate", "--intensity", "nan", "--out", str(out)]) == 2
     assert "discount_intensity must be finite" in capsys.readouterr().err
+    for flags, message in (
+            (["--weekday-effects", "1e19", "1", "1", "1", "1", "1", "1"],
+             "weekday_effects must be at most 2**53"),
+            (["--demand-noise-sd", "1e300"],
+             "demand_noise_sd must be at most 2**53"),
+            (["--intensity", "1e19"],
+             "discount_intensity must be at most 2**53")):
+        assert main(["simulate", *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -264,12 +273,14 @@ def test_fit_flag_validation(tmp_path):
     out = str(tmp_path / "o")
     assert main(["fit", "--input", str(src), "--out-dir", out,
                  "--alpha", "2.0"]) == 2
-    assert main(["fit", "--input", str(src), "--out-dir", out,
-                 "--hist-range", "oops"]) == 2
+    for hist_range in ("oops", "0:inf", "-1e308:1e308"):
+        assert main(["fit", "--input", str(src), "--out-dir", out,
+                     f"--hist-range={hist_range}"]) == 2
     assert main(["fit", "--input", str(src), "--out-dir", out,
                  "--min-entries", "10", "--min-discount-days", "20"]) == 2
     assert main(["fit", "--input", str(src), "--out-dir", out,
                  "--threads", "0"]) == 2
+    assert not Path(out).exists()
 
 
 def test_fit_group_by_store_adds_store_column(tmp_path):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discount_uplift import domain
@@ -301,6 +301,9 @@ def faulty_csv_documents(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(faulty_csv_documents(), st.sampled_from([1, 2, 3, 7, 16384]))
+# A quote left open to the end of a file that ends in a newline: the record
+# ends on the file's last line, not one past it.
+@example(HEADER + "\n1,10,2024-01-01,Monday,5,0.5,1,0\n\"1\n2\n", 16384)
 def test_parse_matches_row_by_row_oracle(text, chunk_rows):
     records, errors, warnings = parse_csv_rows(text)
     with pytest.MonkeyPatch.context() as patch:

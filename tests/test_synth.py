@@ -113,6 +113,10 @@ def test_generate_study_cycles_gammas():
     {"gamma_true": -math.inf},
     {"demand_noise_sd": math.nan},
     {"demand_noise_sd": math.inf},
+    {"weekday_effects": (1e19,) + (1.0,) * 6},
+    {"weekday_effects": (1.0,) * 6 + (2.0**53 + 2,)},
+    {"demand_noise_sd": 1e300},
+    {"discount_intensity": 1e19},
 ])
 def test_dgp_config_validation(bad):
     with pytest.raises(InvalidConfig):
