@@ -171,6 +171,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _print_issues(parsed.warnings, "warning: ", "warnings")
     if parsed.errors:
         _print_issues(parsed.errors, "", "errors")
+        if parsed.errors[0].line == 1:  # the header's; no row was read
+            raise UserError(f"invalid header in {input_path}")
         raise UserError(f"{len(parsed.errors)} invalid rows in {input_path}")
 
     try:
@@ -316,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=Sidedness.TWO_SIDED.value)
     fit.add_argument("--trim", type=float, default=0.95,
                      help="central mass kept of the per-SKU mean residuals")
-    fit.add_argument("--hist-range", default="0:1.5")
+    fit.add_argument("--hist-range", default="0:1.5",
+                     help="LO:HI of the histogram bins; write a negative LO "
+                          "as --hist-range=-0.5:1.5")
     fit.add_argument("--hist-bins", type=int, default=30)
     fit.add_argument("--group-by", choices=["sku", "store-sku"], default="sku")
     fit.add_argument("--threads", type=int, default=None,

@@ -28,8 +28,10 @@ _WEEKDAY_BY_NAME = {name.lower(): i + 1 for i, name in enumerate(WEEKDAY_NAMES)}
 CSV_COLUMNS = ("store", "sku", "date", "weekday", "stock", "forecast",
                "sales", "discounted_sales")
 
-# Rows converted per block, in ingestion, serialisation and row views.
+# Rows converted per block in serialisation and row views.
 _CHUNK_ROWS = 16384
+# Lines tokenized and converted per block in ingestion.
+_PARSE_LINES = 4096
 _EPOCH = dt.date(1970, 1, 1)
 _INT64 = np.iinfo(np.int64)
 
@@ -315,31 +317,44 @@ _MALFORMED = (
 
 
 class _Columns:
-    """Converts blocks of CSV rows into column arrays (in Observation field
-    order, the date as days since 1970-01-01)."""
+    """Fills preallocated column arrays (in Observation field order, the date
+    as days since 1970-01-01) with converted blocks of CSV cells, plus the
+    line number of each row."""
 
-    def __init__(self, position: Mapping[str, int], n_fields: int) -> None:
+    def __init__(self, position: Mapping[str, int], n_fields: int,
+                 rows: int) -> None:
         self.n_fields = n_fields
         self.shortest = max(position.values()) + 1
         days = _Distinct(_parse_day).__getitem__
         weekdays = _Distinct(_parse_weekday).__getitem__
         # Per field: cell position, then the converter run at native speed
-        # and the strict one that words a failing column's bad cells.
-        converters = ((int, _parse_int64), (int, _parse_int64), (days, days),
-                      (weekdays, weekdays), (int, _parse_int64),
-                      (float, float), (int, _parse_int64),
-                      (int, _parse_int64))
+        # and the strict one that words a failing column's bad cells. Ids and
+        # counts take few distinct values and are memoised like dates;
+        # forecasts are all distinct.
+        converters = [(_Distinct(int).__getitem__, _parse_int64)
+                      for _ in _FIELDS]
+        converters[2:4] = (days, days), (weekdays, weekdays)
+        converters[5] = (float, float)
         self.fields = [(name, position[column], *pair) for name, column, pair
                        in zip(_FIELDS, CSV_COLUMNS, converters)]
+        self.columns = [np.empty(rows, dtype=np.float64 if name == "forecast"
+                                 else np.int64) for name in _FIELDS]
+        self.lines = np.empty(rows, dtype=np.int64)
+        self.filled = 0
 
-    def convert(self, rows: list[list[str]], lines: np.ndarray,
-                errors: list[RowIssue]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The columns and line numbers of the rows that convert; each other
-        row, unless blank, gets its line-numbered errors in ``errors``.
+    def split(self, block: str, first: int, errors: list[RowIssue]) -> None:
+        """Adds the lines of ``block``, numbered from ``first``: each has
+        exactly ``n_fields`` cells, no quote and no carriage return."""
+        flat = block.replace("\n", ",").split(",")
+        n = self.n_fields
+        self.convert([flat[at::n] for _, at, _, _ in self.fields],
+                     np.arange(first, first + len(flat) // n), errors,
+                     lambda i: flat[i * n:(i + 1) * n])
 
-        Short rows are set aside first. Each column is then converted at
-        once; only a column that fails is converted again cell by cell, to
-        find and word its bad cells."""
+    def records(self, rows: list[list[str]], lines: np.ndarray,
+                errors: list[RowIssue]) -> None:
+        """Adds records read by ``csv.reader``: a short row is worded, unless
+        blank, and dropped."""
         if min(map(len, rows)) < self.shortest:
             full = np.fromiter(map(len, rows), np.int64) >= self.shortest
             for i in np.flatnonzero(~full).tolist():
@@ -349,48 +364,69 @@ class _Columns:
                                            f"{len(rows[i])}"))
             rows = list(itertools.compress(rows, full))
             lines = lines[full]
-        n = len(rows)
+        self.convert([list(map(itemgetter(at), rows))
+                      for _, at, _, _ in self.fields],
+                     lines, errors, rows.__getitem__)
+
+    def convert(self, cells: list[list[str]], lines: np.ndarray,
+                errors: list[RowIssue],
+                row: Callable[[int], Sequence[str]]) -> None:
+        """Appends the rows that convert; each other row, unless blank, gets
+        its line-numbered errors in ``errors``. ``cells`` holds each field's
+        cells and ``row(i)`` every cell of row ``i``.
+
+        Each column is converted at once; only a column that fails is
+        converted again cell by cell, to find and word its bad cells."""
+        start, n = self.filled, len(lines)
+        end = start + n
         failed: dict[tuple[int, str], ValueError] = {}
-        columns = []
-        for name, at, native, strict in self.fields:
-            dtype = np.float64 if name == "forecast" else np.int64
+        for (name, _, native, strict), column, out in zip(
+                self.fields, cells, self.columns):
             try:
-                column = np.fromiter(map(native, map(itemgetter(at), rows)),
-                                     dtype=dtype, count=n)
+                out[start:end] = np.fromiter(map(native, column),
+                                             dtype=out.dtype, count=n)
             except (ValueError, OverflowError):
-                values = []
-                for i, row in enumerate(rows):
+                for i, cell in enumerate(column):
                     try:
-                        values.append(strict(row[at].strip()))
+                        out[start + i] = strict(cell.strip())
                     except ValueError as exc:
                         failed[i, name] = exc
-                        values.append(0)
-                column = np.array(values, dtype=dtype)
-            columns.append(column)
-        if not failed:
-            return columns, lines
-        bad = sorted({i for i, _ in failed})
-        for i in bad:
-            if not any(map(str.strip, rows[i])):
-                continue  # a blank row
-            for name, reported, words, stops in _MALFORMED:
-                if (i, name) in failed:
-                    errors.append(RowIssue(int(lines[i]), reported,
-                                           f"{words}: {failed[i, name]}"))
-                    if stops:
-                        break
-        keep = np.ones(n, dtype=bool)
-        keep[bad] = False
-        return [column[keep] for column in columns], lines[keep]
+        self.lines[start:end] = lines
+        if failed:
+            bad = sorted({i for i, _ in failed})
+            for i in bad:
+                if not any(map(str.strip, row(i))):
+                    continue  # a blank row
+                for name, reported, words, stops in _MALFORMED:
+                    if (i, name) in failed:
+                        errors.append(RowIssue(int(lines[i]), reported,
+                                               f"{words}: {failed[i, name]}"))
+                        if stops:
+                            break
+            keep = np.ones(n, dtype=bool)
+            keep[bad] = False
+            end -= len(bad)
+            for out in (*self.columns, self.lines):
+                out[start:end] = out[start:start + n][keep]
+        self.filled = end
+
+    def table(self) -> tuple[ObservationTable, np.ndarray]:
+        """The filled rows as a table of views, and their line numbers."""
+        columns = [column[:self.filled] for column in self.columns]
+        columns[2] = columns[2].view(_DTYPES["date"])
+        return ObservationTable(*columns), self.lines[:self.filled]
 
 
-def _text_stream(source: str | bytes | io.TextIOBase) -> io.TextIOBase:
+def _text_lines(source: str | bytes | io.TextIOBase
+                ) -> tuple[Iterator[str], int]:
+    """The lines of ``source``, each ending in its newline, and a bound on
+    their number."""
+    if isinstance(source, io.TextIOBase):
+        source = source.read()
     if isinstance(source, bytes):
-        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
-                                newline="\n")
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source
+        return (io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
+                                 newline="\n"), source.count(b"\n") + 1)
+    return io.StringIO(source), source.count("\n") + 1
 
 
 def _repeated_keys(store: np.ndarray, sku: np.ndarray,
@@ -404,24 +440,6 @@ def _repeated_keys(store: np.ndarray, sku: np.ndarray,
     return mask
 
 
-def _merge(blocks: list[list[np.ndarray]], line_blocks: list[np.ndarray]
-           ) -> tuple[ObservationTable, np.ndarray]:
-    """One table (and its line numbers) from the converted blocks, which
-    are emptied on the way to bound the peak memory."""
-    if not blocks:
-        return ObservationTable.empty(), np.empty(0, dtype=np.int64)
-    columns = []
-    for i in range(len(_FIELDS)):
-        columns.append(np.concatenate([block[i] for block in blocks]))
-        for block in blocks:
-            block[i] = None
-    columns[2] = columns[2].view(_DTYPES["date"])
-    lines = np.concatenate(line_blocks)
-    blocks.clear()
-    line_blocks.clear()
-    return ObservationTable(*columns), lines
-
-
 def parse_csv(source: str | bytes | io.TextIOBase,
               schema: Mapping[str, str] | None = None) -> ParseResult:
     """Parse a CSV of observations, collecting errors instead of failing fast.
@@ -433,13 +451,20 @@ def parse_csv(source: str | bytes | io.TextIOBase,
     order; a weekday column that disagrees with the calendar date is
     reported as a warning only, because the weekday column is authoritative.
 
-    Rows are read in blocks, and one converter turns each block into
-    columns: blank rows are dropped, short rows worded, and every column is
-    converted at once. Only a column that fails is converted again cell by
-    cell, which words its bad cells. Invariants, duplicate keys and weekday
-    mismatches are found on whole columns and worded per offending row.
+    The body is read in blocks of lines, and two tokenizers feed one
+    converter. A block in which every line has exactly one cell per header
+    field, with no quote, carriage return or NUL and no line longer than
+    ``csv.field_size_limit()``, is split on commas; any other block goes to
+    ``csv.reader``, which reads a quoted record whole even when it runs into
+    the following lines. The converter words short rows, drops blank ones
+    and converts every column at once; only a column that fails is converted
+    again cell by cell, which words its bad cells. The rows are written into
+    columns preallocated for the line count, and the table is a view of the
+    filled part. Invariants, duplicate keys and weekday mismatches are found
+    on whole columns and worded per offending row. A byte-order mark before
+    the header is ignored.
     """
-    text = _text_stream(source)
+    text, bound = _text_lines(source)
     colmap = {name: name for name in CSV_COLUMNS}
     if schema:
         unknown = set(schema) - set(CSV_COLUMNS)
@@ -447,7 +472,8 @@ def parse_csv(source: str | bytes | io.TextIOBase,
             raise DomainError(f"unknown schema keys: {sorted(unknown)}")
         colmap.update(schema)
 
-    reader = csv.reader(text)
+    first = next(text, "").removeprefix("\ufeff")  # a byte-order mark
+    reader = csv.reader(itertools.chain([first] if first else [], text))
     try:
         header = next(reader)
     except StopIteration:
@@ -465,25 +491,30 @@ def parse_csv(source: str | bytes | io.TextIOBase,
     if errors:
         return ParseResult(ObservationTable.empty(), tuple(errors), ())
 
-    converter = _Columns(position, len(header))
-    blocks: list[list[np.ndarray]] = []
-    line_blocks: list[np.ndarray] = []
-    while True:
-        first = reader.line_num + 1
-        rows = list(itertools.islice(reader, _CHUNK_ROWS))
-        if not rows:
-            break
-        if reader.line_num - first + 1 == len(rows):
-            lines = np.arange(first, reader.line_num + 1)
-        else:  # a record spans lines: each of its newlines is in a cell
-            spans = [1 + sum(cell.count("\n") for cell in row) for row in rows]
-            # A quote left open at the end swallows the file's last newline.
-            lines = np.minimum(first - 1 + np.cumsum(spans), reader.line_num)
-        columns, lines = converter.convert(rows, lines, errors)
-        blocks.append(columns)
-        line_blocks.append(lines)
+    columns = _Columns(position, len(header), bound)
+    line = reader.line_num  # the last line read
+    commas = len(header) - 1
+    limit = csv.field_size_limit()
+    while chunk := list(itertools.islice(text, _PARSE_LINES)):
+        block = "".join(chunk)
+        counts = list(map(str.count, chunk, itertools.repeat(",")))
+        if (min(counts) == max(counts) == commas and '"' not in block
+                and "\r" not in block and "\0" not in block
+                and max(map(len, chunk)) <= limit):
+            columns.split(block.removesuffix("\n"), line + 1, errors)
+            line += len(chunk)
+            continue
+        reader = csv.reader(itertools.chain(chunk, text))
+        rows, ends = [], []
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
+            if reader.line_num >= len(chunk):
+                break
+        columns.records(rows, line + np.array(ends, dtype=np.int64), errors)
+        line += reader.line_num
 
-    table, lines = _merge(blocks, line_blocks)
+    table, lines = columns.table()
 
     violated = _violated(table)
     for i in np.flatnonzero(violated).tolist():

@@ -16,7 +16,7 @@ import pytest
 
 import discount_uplift
 from discount_uplift.cli import main
-from discount_uplift.domain import WEEKDAY_NAMES
+from discount_uplift.domain import WEEKDAY_NAMES, parse_csv
 from oracles import exact_sqrt, exact_two_step
 
 DATA = Path(__file__).parent / "data"
@@ -111,6 +111,43 @@ def test_fit_user_input_value_errors_exit_2(tmp_path, capsys):
     assert main(["fit", "--input", str(DATA / "golden_input.csv"),
                  "--trim", "0.01", "--out-dir", str(tmp_path / "b")]) == 2
     assert "central trimming" in capsys.readouterr().err
+
+
+def test_fit_rejects_a_cell_over_the_field_size_limit(tmp_path, capsys):
+    # Both documents are comma-simple; only csv.reader knows the field limit.
+    limit = csv.field_size_limit()
+    header = "store,sku,date,weekday,stock,forecast,sales,discounted_sales\n"
+    long_cell = "0." + "5" * limit
+    too_long = header + f"1,10,2024-01-01,Monday,5,{long_cell},1,0\n"
+    with pytest.raises(csv.Error):
+        parse_csv(too_long.encode("utf-8"))
+    src = tmp_path / "long.csv"
+    src.write_text(too_long)
+    assert main(["fit", "--input", str(src),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "not a readable UTF-8 CSV file" in capsys.readouterr().err
+    # A line over the limit whose every cell is within it still parses.
+    padded = " " * (limit // 2 + 1) + "5"
+    result = parse_csv(header + f"1,10,2024-01-01,Monday,{padded},{padded},"
+                       "1,0\n")
+    assert not result.errors
+    assert result.table.stock.tolist() == [5]
+    assert result.table.forecast.tolist() == [5.0]
+
+
+def test_fit_reads_a_byte_order_mark(tmp_path):
+    plain = (DATA / "golden_input.csv").read_bytes()
+    marked = b"\xef\xbb\xbf" + plain
+    assert parse_csv(marked).table == parse_csv(plain).table
+    assert parse_csv(marked.decode("utf-8")).table == parse_csv(plain).table
+    quoted = b"\xef\xbb\xbf\"store\"" + plain.removeprefix(b"store")
+    assert parse_csv(quoted).table == parse_csv(plain).table
+    src = tmp_path / "bom.csv"
+    src.write_bytes(marked)
+    assert main(["fit", "--input", str(src),
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "reports.csv").read_bytes() == \
+        (DATA / "golden_reports.csv").read_bytes()
 
 
 def test_fit_prints_bounded_weekday_warnings(tmp_path, capsys):
@@ -246,6 +283,13 @@ def test_fit_malformed_rows_reported_with_line_numbers(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "line:2 field:discounted_sales" in err
+    bad.write_text("stor,sku,date,weekday,stock,forecast,sales,"
+                   "discounted_sales\n1,10,2024-01-01,Monday,5,0.5,2,1\n")
+    assert main(["fit", "--input", str(bad),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "line:1 field:store missing column",
+        f"error: invalid header in {bad}"]
 
 
 def test_fit_prints_bounded_row_errors(tmp_path, capsys):
@@ -281,6 +325,15 @@ def test_fit_flag_validation(tmp_path):
     assert main(["fit", "--input", str(src), "--out-dir", out,
                  "--threads", "0"]) == 2
     assert not Path(out).exists()
+
+
+def test_fit_negative_hist_range_as_one_word(tmp_path):
+    # argparse takes "-0.5:1.5" after a space for an option; "=" binds it.
+    out_dir = tmp_path / "o"
+    assert main(["fit", "--input", str(DATA / "golden_input.csv"),
+                 "--out-dir", str(out_dir), "--hist-range=-0.5:1.5"]) == 0
+    rows = (out_dir / "histogram.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == "-0.5"
 
 
 def test_fit_group_by_store_adds_store_column(tmp_path):

@@ -294,7 +294,10 @@ def faulty_csv_documents(draw):
             elif fault == "extra":
                 cells.append("surplus")
         lines.append(",".join(cells))
-    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):  # blocks free of "\r" take the split path
+        endings = ["\n"] * len(lines)
+    else:
+        endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, endings))
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
@@ -304,10 +307,20 @@ def faulty_csv_documents(draw):
 # A quote left open to the end of a file that ends in a newline: the record
 # ends on the file's last line, not one past it.
 @example(HEADER + "\n1,10,2024-01-01,Monday,5,0.5,1,0\n\"1\n2\n", 16384)
+# A 9-field row next to a 7-field row: 16 cells in 2 lines, one row short.
+@example(HEADER + "\n1,10,2024-01-01,Monday,5,0.5,1,0,9\n"
+         "1,10,2024-01-02,Tuesday,5,0.5,1\n", 16384)
+# Eight empty cells in an otherwise simple block: a blank row, dropped.
+@example(HEADER + "\n1,10,2024-01-01,Monday,5,0.5,1,0\n,,,,,,,\n"
+         "1,10,2024-01-02,Tuesday,5,0.5,1,0\n", 16384)
+# A quoted cell opening on a block's last line and closing in the next.
+@example(HEADER + "\n1,10,2024-01-01,Monday,5,0.5,1,0\n"
+         "1,10,2024-01-02,Tuesday,5,\"0.5\n\",1,0\n"
+         "1,10,2024-01-03,Wednesday,5,0.5,1,0\n", 2)
 def test_parse_matches_row_by_row_oracle(text, chunk_rows):
     records, errors, warnings = parse_csv_rows(text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(domain, "_CHUNK_ROWS", chunk_rows)
+        patch.setattr(domain, "_PARSE_LINES", chunk_rows)
         for source in (text, text.encode("utf-8")):
             result = parse_csv(source)
             assert [dataclasses.astuple(o) for o in result.observations] \
