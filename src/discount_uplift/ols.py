@@ -9,11 +9,12 @@ BLAS kernel the machine would pick.
 
 There is one kernel: ``fit_ols_batch`` fits many designs at once on
 zero-padded (fits, rows, columns) arrays, and ``fit_ols`` is a batch of one.
-The kernel works on a rows-major (rows, fits, columns) copy, so each sum over
-rows is one reduce over the outer axis that adds the rows in order. Padding
-changes no bit of a fit, so a fit's bytes do not depend on the batch it was
-part of. The p-value's continued fraction runs on Python floats, which give
-the bits of numpy's float64 scalars at native speed.
+The kernel works on a (rows, columns, fits) copy: the fits lie on the
+innermost, contiguous axis, so each sum over rows is one reduce over the
+outer axis that adds the rows in order while its inner loop runs along every
+fit at once. Padding changes no bit of a fit, so a fit's bytes do not depend
+on the batch it was part of. The p-value's continued fraction runs on Python
+floats, which give the bits of numpy's float64 scalars at native speed.
 """
 from __future__ import annotations
 
@@ -119,23 +120,28 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
     """Pivoted QR of a batch of designs ``A`` (fits, rows, columns) applied
     to ``y`` (fits, rows); returns per fit (R, Q'y, pivots, rank).
 
-    The working matrix ``M`` is rows-major, (rows, fits, columns + 1), with
-    ``y`` as its last column; the copy that builds it also transposes the
-    batch. Every sum over rows is then a reduce over axis 0, whose inner
-    loop runs along all the fits' columns at once, and numpy adds those rows
-    one after another. (It would sum a lone column pairwise; ``y`` keeps at
-    least two columns in every reduce, even for a batch of one.) That fixes
-    the rounding independently of the BLAS kernel and leaves it unchanged
-    by trailing all-zero rows.
+    The working matrix ``M`` is (rows, columns + 1, fits), with ``y`` as
+    its last column and the fits on the innermost, contiguous axis; the copy
+    that builds it also transposes the batch. Every sum over rows is then a
+    reduce over axis 0 of a trailing block ``M[k:, k:]``, whose inner loop
+    runs along all its columns of all the fits at once, and numpy adds the
+    rows one after another. That fixes the rounding independently of the
+    BLAS kernel and leaves it unchanged by trailing all-zero rows. Two rules
+    keep it so, because numpy sums an innermost reduced axis pairwise. The
+    column norms are reduced with ``y`` included and sliced off afterwards:
+    a lone fit at its last step would otherwise reduce a single column. And
+    every reduce runs on a fresh C-contiguous temporary with the rows
+    outermost, never on an ``out=`` view into a scratch buffer, whose
+    strides could put the rows innermost.
     Each fit picks its own pivots and sets its tolerance from its own first
     pivot. A fit whose pivot falls to the tolerance stops there and leaves
     the batch: the later steps neither read nor write it, and its R and Q'y
     are the partial factorisation at the step where it stopped.
     """
     count, n, p = A.shape
-    M = np.empty((n, count, p + 1))
-    M[:, :, :p] = A.transpose(1, 0, 2)
-    M[:, :, p] = y.T
+    M = np.empty((n, p + 1, count))
+    M[:, :p] = A.transpose(1, 2, 0)
+    M[:, p] = y.T
     R = np.empty((count, min(n, p), p))
     qty = np.empty((count, n))
     piv = np.tile(np.arange(p), (count, 1))
@@ -143,47 +149,46 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
     live = np.arange(count)  # the fits still in M, in batch positions
     tol = None
     for k in range(min(n, p)):
-        norms = np.sqrt(np.add.reduce(M[k:, :, k:] ** 2, axis=0)[:, :p - k])
-        j_rel = np.argmax(norms, axis=1)
-        pivot_norm = norms[np.arange(live.size), j_rel]
+        norms = np.sqrt(np.add.reduce(M[k:, k:] ** 2, axis=0)[:p - k])
+        j_rel = np.argmax(norms, axis=0)
+        pivot_norm = norms[j_rel, np.arange(live.size)]
         if tol is None:
             tol = RANK_RTOL * pivot_norm
         go = pivot_norm > tol[live]
         if not go.all():
             stop = ~go
-            R[live[stop]] = M[:p, stop, :p].transpose(1, 0, 2)
-            qty[live[stop]] = M[:, stop, p].T
-            M, live = M[:, go], live[go]
+            R[live[stop]] = M[:p, :p, stop].transpose(2, 0, 1)
+            qty[live[stop]] = M[:, p, stop].T
+            M, live = M[:, :, go], live[go]
             j_rel, pivot_norm = j_rel[go], pivot_norm[go]
             if live.size == 0:
                 break
         swap = np.flatnonzero(j_rel)
         if swap.size:
             j = k + j_rel[swap]
-            column = M[:, swap, k]
-            M[:, swap, k] = M[:, swap, j]
-            M[:, swap, j] = column
+            column = M[:, k, swap]
+            M[:, k, swap] = M[:, j, swap]
+            M[:, j, swap] = column
             fits = live[swap]
             piv[fits, k], piv[fits, j] = piv[fits, j], piv[fits, k]
-        x0 = M[k, :, k]
+        x0 = M[k, k]
         alpha = np.where(x0 != 0.0, -np.copysign(pivot_norm, x0), -pivot_norm)
-        v = M[k:, :, k].copy()
+        v = M[k:, k].copy()
         v[0] -= alpha
         # w = v'[x, A, y]; v'v = v'x - alpha * v[0] since v = x - alpha e1.
-        w = np.add.reduce(v[:, :, None] * M[k:, :, k:], axis=0)
-        vtv = w[:, 0] - alpha * v[0]
+        w = np.add.reduce(v[:, None] * M[k:, k:], axis=0)
+        vtv = w[0] - alpha * v[0]
         update = vtv > 0.0
         if update.all():
-            M[k:, :, k + 1:] -= (2.0 / vtv * v)[:, :, None] * w[:, 1:]
+            M[k:, k + 1:] -= (2.0 / vtv * v)[:, None] * w[1:]
         else:
             u = np.flatnonzero(update)
-            M[k:, u, k + 1:] -= (2.0 / vtv[u] * v[:, u])[:, :, None] \
-                * w[u, 1:]
-        M[k, :, k] = alpha
-        M[k + 1:, :, k] = 0.0
+            M[k:, k + 1:, u] -= (2.0 / vtv[u] * v[:, u])[:, None] * w[1:, u]
+        M[k, k] = alpha
+        M[k + 1:, k] = 0.0
         rank[live] += 1
-    R[live] = M[:p, :, :p].transpose(1, 0, 2)
-    qty[live] = M[:, :, p].T
+    R[live] = M[:p, :p].transpose(2, 0, 1)
+    qty[live] = M[:, p].T
     return R, qty, piv, rank
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,13 +22,13 @@ from .ols import (BASELINE_LABELS, UPLIFT_LABELS, DesignMatrix, FitResult,
 # Stage 2 estimates 10 parameters; one extra day gives a nonzero dof.
 MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
 
-# run_study cuts the SKUs into batches of at most this many padded rows
-# (SKUs times the longest stage among them). Large enough to spread numpy's
-# per-call overhead over dozens of short panels. Small enough that a batch's
-# working arrays (design, factorisation, one temporary) stay near 1 MB: at
-# 2**14 rows, a study of 2,000 SKUs x 180 days peaked 6 MB (8 %) higher in
-# resident memory than fitting one SKU at a time, for no further speed.
-BATCH_ROWS = 1 << 12
+# run_study cuts the SKUs, in order, into runs of this many. The kernel keeps
+# the fits on its innermost axis, so each of its numpy loops runs over
+# (columns left) x 32 contiguous elements whatever the panel length: enough
+# to spread numpy's per-call overhead (16 and 64 were no faster on 500
+# two-year panels), while a batch's working matrix stays near 1.5 MB even
+# for two-year panels (32 SKUs x 550 rows x 11 columns).
+BATCH_FITS = 32
 
 
 class TwoStepError(ValueError):
@@ -143,13 +143,28 @@ def _check_discount_days(panel: SkuPanel) -> None:
         raise TooFewDiscountDays(f"sku {panel.sku_id}: no discount days")
 
 
-def _check_inference(panel: SkuPanel, alpha: float) -> None:
+def _check_inference(panel: SkuPanel) -> None:
     if panel.n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE:
         raise TooFewDiscountDays(
             f"sku {panel.sku_id}: {panel.n_disc} discount days, need at least "
             f"{MIN_DISCOUNT_DAYS_FOR_INFERENCE} for stage-2 inference")
+
+
+def _checked_t_test(alpha: float, sidedness: Sidedness | str) -> Sidedness:
+    """The member for ``sidedness``, once it and ``alpha`` are known valid.
+
+    A plain string such as ``"one-positive"`` becomes its member: it would
+    compare equal to it but fail the identity test that picks the p-value.
+    """
     if not 0.0 < alpha < 1.0:
         raise TwoStepError(f"alpha must be in (0, 1), got {alpha}")
+    try:
+        return Sidedness(sidedness)
+    except ValueError:
+        raise TwoStepError(
+            f"sidedness must be one of "
+            f"{', '.join(repr(s.value) for s in Sidedness)}, got "
+            f"{sidedness!r}") from None
 
 
 def fit_baseline(panel: SkuPanel) -> FitResult:
@@ -186,12 +201,13 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
     Stage-2 rank deficiency yields an ``ESTIMATION_FAILED`` report rather
     than an exception.
     """
+    sidedness = _checked_t_test(alpha, sidedness)
     residuals = np.asarray(residuals, dtype=np.float64).ravel()
     if residuals.shape[0] != panel.n_disc:
         raise TwoStepError(
             f"sku {panel.sku_id}: {residuals.shape[0]} residuals for "
             f"{panel.n_disc} discount days")
-    _check_inference(panel, alpha)
+    _check_inference(panel)
     X = _design(panel, panel.disc_index, include_ds=True)
     return _uplift_report(panel, residuals, stage1, fit_ols(X, residuals),
                           alpha, sidedness)
@@ -276,7 +292,7 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
             continue
         try:
             _check_discount_days(panel)
-            _check_inference(panel, alpha)
+            _check_inference(panel)
         except TwoStepError as exc:
             reports[i] = _failed(panel, str(exc), stage1=fit)
         else:
@@ -300,24 +316,19 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
 
 def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
                  sidedness: Sidedness = Sidedness.TWO_SIDED) -> SkuUpliftReport:
-    """Run both stages for one panel, turning failures into a failed report."""
+    """Run both stages for one panel, turning failures into a failed report.
+
+    An ``alpha`` outside (0, 1) or an unknown ``sidedness`` raises
+    ``TwoStepError``.
+    """
+    sidedness = _checked_t_test(alpha, sidedness)
     return _estimate_batch([panel], alpha, sidedness)[0]
 
 
-def _batches(panels: Sequence[SkuPanel]) -> Iterator[list[SkuPanel]]:
-    """Consecutive runs of ``panels`` of at most BATCH_ROWS padded rows; a
-    panel longer than that on its own forms a batch of one."""
-    batch: list[SkuPanel] = []
-    widest = 0
-    for panel in panels:
-        rows = max(panel.n_plain, panel.n_disc)
-        if batch and (len(batch) + 1) * max(widest, rows) > BATCH_ROWS:
-            yield batch
-            batch, widest = [], 0
-        batch.append(panel)
-        widest = max(widest, rows)
-    if batch:
-        yield batch
+def _batches(panels: Sequence[SkuPanel]) -> list[Sequence[SkuPanel]]:
+    """Consecutive runs of BATCH_FITS panels; the last may be shorter."""
+    return [panels[i:i + BATCH_FITS]
+            for i in range(0, len(panels), BATCH_FITS)]
 
 
 def run_study(panels: Iterable[SkuPanel],
@@ -328,23 +339,26 @@ def run_study(panels: Iterable[SkuPanel],
     """Estimate every eligible panel; per-SKU failures never abort the study.
 
     The eligible panels, in ascending (sku, store) order, are cut into
-    consecutive batches of at most BATCH_ROWS padded rows, and ``threads``
-    workers estimate whole batches. A fit's bytes do not depend on its
-    batch, so any thread count gives identical reports, returned in that
-    order. An unexpected exception while estimating a batch marks each SKU
-    of that batch, and only of that batch, ``internal error: ...``.
+    consecutive batches of BATCH_FITS, and ``threads`` workers estimate
+    whole batches. A fit's bytes do not depend on its batch, so any thread
+    count gives identical reports, returned in that order. An unexpected
+    exception while estimating a batch marks each SKU of that batch, and
+    only of that batch, ``internal error: ...``. An ``alpha`` outside
+    (0, 1) or an unknown ``sidedness`` raises ``TwoStepError`` before any
+    fit.
     """
+    sidedness = _checked_t_test(alpha, sidedness)
     eligible, _ = filter_eligible(panels, rule)
     ordered = sorted(eligible, key=lambda p: p.key)
 
-    def one(batch: list[SkuPanel]) -> list[SkuUpliftReport]:
+    def one(batch: Sequence[SkuPanel]) -> list[SkuUpliftReport]:
         try:
             return _estimate_batch(batch, alpha, sidedness)
         except Exception as exc:  # records, never aborts the study
             return [_failed(panel, f"internal error: {exc}")
                     for panel in batch]
 
-    batches = list(_batches(ordered))
+    batches = _batches(ordered)
     if threads is not None and threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(one, batches))

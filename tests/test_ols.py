@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from discount_uplift.ols import (DesignMatrix, DimensionMismatch, FitResult,
                                  FitStatus, InvalidDof,
-                                 PredictOnFailedFit, fit_ols, fit_ols_batch,
-                                 predict,
+                                 PredictOnFailedFit, _householder_qr, fit_ols,
+                                 fit_ols_batch, predict,
                                  regularized_incomplete_beta, t_critical,
                                  t_pvalue)
 from oracles import (householder_fit, matrix_with_condition,
@@ -209,6 +209,19 @@ def _fit_bytes(fit: FitResult) -> tuple:
             fit.missing_columns, np.float64(fit.sigma2).tobytes()) + arrays
 
 
+def _padded_batch(designs, extra_rows):
+    """Designs and responses zero-padded to a common row count plus
+    ``extra_rows``: (fits, rows, columns) and (fits, rows)."""
+    rows = max(len(yb) for _, yb in designs) + extra_rows
+    p = designs[0][0].shape[1]
+    X = np.zeros((len(designs), rows, p))
+    y = np.zeros((len(designs), rows))
+    for b, (Xb, yb) in enumerate(designs):
+        X[b, :len(yb)] = Xb
+        y[b, :len(yb)] = yb
+    return X, y
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_rows_equal_lone_fits(seed):
     # One kernel call on zero-padded designs of different lengths gives each
@@ -227,12 +240,7 @@ def test_batch_rows_equal_lone_fits(seed):
         if b == deficient:
             X[:, -1] = 2.0 * X[:, 0]
         designs.append((X, rng.normal(size=n)))
-    rows = max(lengths) + 3
-    X = np.zeros((len(designs), rows, p))
-    y = np.zeros((len(designs), rows))
-    for b, (Xb, yb) in enumerate(designs):
-        X[b, :len(yb)] = Xb
-        y[b, :len(yb)] = yb
+    X, y = _padded_batch(designs, 3)
     labels = tuple(f"x{j}" for j in range(p))
     batch = fit_ols_batch(X, y, lengths, labels)
     assert batch[deficient].status is FitStatus.RANK_DEFICIENT
@@ -244,6 +252,48 @@ def test_batch_rows_equal_lone_fits(seed):
                             labels)
     assert [_fit_bytes(f) for f in without] == \
            [_fit_bytes(batch[b]) for b in keep]
+
+
+def test_kernel_bits_as_fits_leave_down_to_one():
+    # Fit r has rank r, so one fit leaves the batch at each step and the
+    # full-rank fit runs the last step alone; a batch of one-column designs
+    # reduces two columns (x and y) at its only step. Each fit's partial
+    # factorisation, pivots, rank and result are the bits of the same fit
+    # alone, and every full-rank fit is the Python-float reference's: a
+    # reduce whose rows end up innermost (a single column, or a strided view
+    # into a scratch buffer) is summed pairwise and rounds differently.
+    rng = np.random.default_rng(20261018)
+    p = 6
+    designs = []
+    for r in range(p + 1):
+        n = 24 + 7 * r
+        X = np.empty((n, p))
+        X[:, :r] = rng.normal(size=(n, r)) * 10.0 ** rng.integers(-3, 4, r)
+        for j in range(r, p):
+            X[:, j] = X[:, j % r] if r else 0.0
+        designs.append((X, rng.normal(size=n)))
+    designs.reverse()  # the full-rank fit first, the all-zero design last
+    columns = [(X[:, :1] * 3.0 ** b, y) for b, (X, y) in enumerate(designs)
+               if b < p]
+    for batch, ranks in ((designs, range(p, -1, -1)), (columns, [1] * p)):
+        X, y = _padded_batch(batch, 5)
+        labels = tuple(f"x{j}" for j in range(X.shape[2]))
+        lengths = [len(yb) for _, yb in batch]
+        R, qty, piv, rank = _householder_qr(X, y)
+        assert rank.tolist() == list(ranks)
+        fits = fit_ols_batch(X, y, lengths, labels)
+        for b, (Xb, yb) in enumerate(batch):
+            R1, qty1, piv1, rank1 = _householder_qr(Xb[None], yb[None])
+            assert rank[b] == rank1[0]
+            assert piv[b].tobytes() == piv1[0].tobytes()
+            assert R[b].tobytes() == R1[0].tobytes(), b
+            assert qty[b, :len(yb)].tobytes() == qty1[0].tobytes(), b
+            assert _fit_bytes(fits[b]) == _fit_bytes(fit_ols(Xb, yb, labels))
+            if rank1[0] == X.shape[2]:
+                oracle = householder_fit(Xb.tolist(), yb.tolist())
+                assert _oracle_bytes(fits[b].rank, fits[b].coefficients,
+                                     fits[b].std_errors, fits[b].residuals) \
+                    == _oracle_bytes(*oracle), b
 
 
 @settings(max_examples=100, deadline=None)
@@ -315,12 +365,7 @@ def test_kernel_equals_householder_oracle(seed):
         scales = 10.0 ** (rng.integers(-6, 7) + rng.integers(-2, 3, size=p))
         designs.append((rng.normal(size=(n, p)) * scales,
                         rng.normal(size=n) * 10.0 ** rng.integers(-6, 7)))
-    rows = max(lengths) + int(rng.integers(0, 9))
-    X = np.zeros((len(designs), rows, p))
-    y = np.zeros((len(designs), rows))
-    for b, (Xb, yb) in enumerate(designs):
-        X[b, :len(yb)] = Xb
-        y[b, :len(yb)] = yb
+    X, y = _padded_batch(designs, int(rng.integers(0, 9)))
     labels = tuple(f"x{j}" for j in range(p))
     batch = fit_ols_batch(X, y, lengths, labels)
     for fit, (Xb, yb) in zip(batch, designs):

@@ -177,6 +177,48 @@ def test_one_sided_p_is_half_of_two_sided_for_positive_t():
     assert one.gamma10_p == pytest.approx(two.gamma10_p / 2.0)
 
 
+def test_sidedness_given_as_its_string_value():
+    # Sidedness is a str enum: "one-positive" equals its member, so it must
+    # pick the one-sided p-value, not fall through to the two-sided one.
+    panel = generate_panel(DgpConfig(seed=2, n_days=600), sku_id=1)
+    one = estimate_sku(panel, sidedness=Sidedness.ONE_SIDED_POSITIVE)
+    two = estimate_sku(panel, sidedness=Sidedness.TWO_SIDED)
+    assert one.gamma10_p < two.gamma10_p
+    (study,) = run_study([panel], rule=LOW_RULE, sidedness="one-positive")
+    assert study.gamma10_p == one.gamma10_p
+    assert estimate_sku(panel, sidedness="one-positive").gamma10_p == \
+        one.gamma10_p
+    assert estimate_sku(panel, sidedness="two").gamma10_p == two.gamma10_p
+    lift = residual_lift(panel, fit_baseline(panel))
+    assert fit_uplift(panel, lift, sidedness="one-positive").gamma10_p == \
+        one.gamma10_p
+    for bad in ("one", "ONE-POSITIVE", None):
+        with pytest.raises(TwoStepError, match="sidedness"):
+            run_study([panel], sidedness=bad)
+        with pytest.raises(TwoStepError, match="sidedness"):
+            estimate_sku(panel, sidedness=bad)
+        with pytest.raises(TwoStepError, match="sidedness"):
+            fit_uplift(panel, lift, sidedness=bad)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.0, 1.0, -0.1, float("nan")])
+def test_bad_alpha_raises_before_any_fit(monkeypatch, alpha):
+    import discount_uplift.two_step as two_step
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before alpha was checked")
+
+    monkeypatch.setattr(two_step, "fit_ols_batch", no_fit)
+    monkeypatch.setattr(two_step, "fit_ols", no_fit)
+    panel = generate_panel(DgpConfig(seed=2, n_days=600), sku_id=1)
+    with pytest.raises(TwoStepError, match="alpha"):
+        run_study([panel], alpha=alpha)
+    with pytest.raises(TwoStepError, match="alpha"):
+        estimate_sku(panel, alpha=alpha)
+    with pytest.raises(TwoStepError, match="alpha"):
+        fit_uplift(panel, np.zeros(panel.n_disc), alpha=alpha)
+
+
 def test_run_study_records_failures_and_continues():
     good1 = generate_panel(DgpConfig(seed=31, n_days=300,
                                      discount_probability=0.35), sku_id=1)
@@ -268,7 +310,7 @@ def _mixed_panels():
     """Panels that take every route through a batch: different numbers of
     discount-free days, a rank-deficient stage 1, too few discount days for
     inference, a saturated stage 1 (9 discount-free days for 9 columns), no
-    discount-free days at all, and one panel longer than a whole batch."""
+    discount-free days at all, and a 700-day panel among short ones."""
     panels = [generate_panel(DgpConfig(seed=81, n_days=days,
                                        discount_probability=0.35), sku_id=sku)
               for sku, days in ((1, 120), (2, 300), (3, 200), (4, 150),
@@ -299,7 +341,7 @@ def test_batched_study_equals_lone_estimates(monkeypatch):
     assert saturated.ok and saturated.stage1.dof == 0
     assert np.isnan(saturated.stage1.std_errors).all()
 
-    monkeypatch.setattr(two_step, "BATCH_ROWS", 400)
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     ordered = sorted(panels, key=lambda p: p.key)
     assert len(list(two_step._batches(ordered))) >= 4
     for threads in (1, 2, 3):
@@ -328,7 +370,7 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
                          stock=[9999] * 150, sku_id=3)
     panels[2] = marked
     monkeypatch.setattr(ols, "_householder_qr", faulty)
-    monkeypatch.setattr(two_step, "BATCH_ROWS", 400)
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     batches = list(two_step._batches(sorted(panels, key=lambda p: p.key)))
     hit = next(b for b in batches if marked in b)
     assert 1 < len(hit) < len(panels)
