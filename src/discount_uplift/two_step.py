@@ -22,13 +22,17 @@ from .ols import (BASELINE_LABELS, UPLIFT_LABELS, DesignMatrix, FitResult,
 # Stage 2 estimates 10 parameters; one extra day gives a nonzero dof.
 MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
 
-# run_study cuts the SKUs, in order, into runs of this many. The kernel keeps
-# the fits on its innermost axis, so each of its numpy loops runs over
-# (columns left) x 32 contiguous elements whatever the panel length: enough
-# to spread numpy's per-call overhead (16 and 64 were no faster on 500
-# two-year panels), while a batch's working matrix stays near 1.5 MB even
-# for two-year panels (32 SKUs x 550 rows x 11 columns).
+# run_study sorts the SKUs by length (the rows of their longer stage) and cuts
+# them into runs of at most BATCH_FITS SKUs and BATCH_ROWS padded rows. The
+# kernel keeps the fits on its innermost axis, so each of its numpy loops
+# runs over (columns left) x fits contiguous elements: 32 fits spread numpy's
+# per-call overhead (16 and 64 were no faster on 500 two-year panels, which
+# reach about 600 rows and so stay under the row cap). Sorting by length
+# keeps a long panel from padding short ones to its length, and the row cap
+# keeps a batch's working matrix near 3 MB (2**15 rows x 11 columns) however
+# long the panels: 3,650-day panels go 11 to a batch.
 BATCH_FITS = 32
+BATCH_ROWS = 1 << 15
 
 
 class TwoStepError(ValueError):
@@ -325,10 +329,25 @@ def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
     return _estimate_batch([panel], alpha, sidedness)[0]
 
 
-def _batches(panels: Sequence[SkuPanel]) -> list[Sequence[SkuPanel]]:
-    """Consecutive runs of BATCH_FITS panels; the last may be shorter."""
-    return [panels[i:i + BATCH_FITS]
-            for i in range(0, len(panels), BATCH_FITS)]
+def _batches(panels: Sequence[SkuPanel]) -> list[list[int]]:
+    """Indices into ``panels`` in batches of similar length.
+
+    The indices go in ascending order of the panels' longer stage, equal
+    lengths keeping their order, and a batch closes at BATCH_FITS panels or
+    before it would pass BATCH_ROWS padded rows; a panel longer than that
+    forms a batch of one.
+    """
+    def rows(i: int) -> int:
+        return max(panels[i].n_plain, panels[i].n_disc)
+
+    batches: list[list[int]] = []
+    for i in sorted(range(len(panels)), key=rows):
+        # Ascending order makes panel i the widest of its batch.
+        if (not batches or len(batches[-1]) == BATCH_FITS
+                or (len(batches[-1]) + 1) * rows(i) > BATCH_ROWS):
+            batches.append([])
+        batches[-1].append(i)
+    return batches
 
 
 def run_study(panels: Iterable[SkuPanel],
@@ -338,10 +357,10 @@ def run_study(panels: Iterable[SkuPanel],
               threads: int | None = None) -> tuple[SkuUpliftReport, ...]:
     """Estimate every eligible panel; per-SKU failures never abort the study.
 
-    The eligible panels, in ascending (sku, store) order, are cut into
-    consecutive batches of BATCH_FITS, and ``threads`` workers estimate
-    whole batches. A fit's bytes do not depend on its batch, so any thread
-    count gives identical reports, returned in that order. An unexpected
+    The eligible panels are cut into batches of similar length (see
+    ``_batches``), and ``threads`` workers estimate whole batches. A fit's
+    bytes do not depend on its batch, so any thread count gives identical
+    reports, returned in ascending (sku, store) order. An unexpected
     exception while estimating a batch marks each SKU of that batch, and
     only of that batch, ``internal error: ...``. An ``alpha`` outside
     (0, 1) or an unknown ``sidedness`` raises ``TwoStepError`` before any
@@ -351,12 +370,13 @@ def run_study(panels: Iterable[SkuPanel],
     eligible, _ = filter_eligible(panels, rule)
     ordered = sorted(eligible, key=lambda p: p.key)
 
-    def one(batch: Sequence[SkuPanel]) -> list[SkuUpliftReport]:
+    def one(batch: list[int]) -> list[SkuUpliftReport]:
+        members = [ordered[i] for i in batch]
         try:
-            return _estimate_batch(batch, alpha, sidedness)
+            return _estimate_batch(members, alpha, sidedness)
         except Exception as exc:  # records, never aborts the study
             return [_failed(panel, f"internal error: {exc}")
-                    for panel in batch]
+                    for panel in members]
 
     batches = _batches(ordered)
     if threads is not None and threads > 1 and len(batches) > 1:
@@ -364,4 +384,8 @@ def run_study(panels: Iterable[SkuPanel],
             done = list(pool.map(one, batches))
     else:
         done = [one(batch) for batch in batches]
-    return tuple(report for batch in done for report in batch)
+    reports: list[SkuUpliftReport | None] = [None] * len(ordered)
+    for batch, batch_reports in zip(batches, done):
+        for i, report in zip(batch, batch_reports):
+            reports[i] = report
+    return tuple(reports)

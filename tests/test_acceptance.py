@@ -200,8 +200,12 @@ def test_criterion_7_cycle_directionality():
                             "stock for 20/20 seeds")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     """Byte-identical fit outputs across threads/runs; stable simulate digest."""
+    import discount_uplift.two_step as two_step
+
+    # The 8 golden SKUs in several batches, so --threads 4 uses the pool.
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     digests = []
     for run, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         out_dir = tmp_path / run

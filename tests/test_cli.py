@@ -249,7 +249,11 @@ def test_fit_bytes_independent_of_openblas_kernel(tmp_path):
     assert len(outputs) == 1
 
 
-def test_fit_outputs_identical_across_threads_and_runs(tmp_path):
+def test_fit_outputs_identical_across_threads_and_runs(tmp_path, monkeypatch):
+    import discount_uplift.two_step as two_step
+
+    # The 8 golden SKUs in several batches, so --threads 4 uses the pool.
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     digests = []
     for run, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         out_dir = tmp_path / run

@@ -264,9 +264,13 @@ def _report_fields(report):
             report.gamma10_t, report.gamma10_p, report.significant_positive)
 
 
-def test_run_study_deterministic_across_thread_counts():
+def test_run_study_deterministic_across_thread_counts(monkeypatch):
+    import discount_uplift.two_step as two_step
+
     panels = generate_study(DgpConfig(seed=61, n_days=300,
                                       discount_probability=0.35), 12)
+    # Several batches, so that the threaded runs go through the pool.
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     serial = run_study(panels, threads=1)
     threaded = run_study(panels, threads=4)
     shuffled = run_study(panels[::-1], threads=3)
@@ -352,6 +356,29 @@ def test_batched_study_equals_lone_estimates(monkeypatch):
                 assert _report_bytes(r) == lone[r.sku_id], (threads, r.sku_id)
 
 
+def test_batches_group_panels_by_length(monkeypatch):
+    import discount_uplift.two_step as two_step
+
+    # A long panel every third SKU: batches in key order would pad each
+    # short panel to the long one's length.
+    panels = [generate_panel(DgpConfig(seed=91, discount_probability=0.35,
+                                       n_days=1200 if sku % 3 == 0 else 120),
+                             sku_id=sku) for sku in range(1, 13)]
+    rows = [max(p.n_plain, p.n_disc) for p in panels]
+    monkeypatch.setattr(two_step, "BATCH_FITS", 4)
+    monkeypatch.setattr(two_step, "BATCH_ROWS", 2000)
+    batches = two_step._batches(panels)
+    assert sorted(i for b in batches for i in b) == list(range(12))
+    assert [len(b) for b in batches] == [4, 4, 2, 2]
+    for b in batches:
+        assert len({panels[i].n_obs for i in b}) == 1
+        assert len(b) * max(rows[i] for i in b) <= 2000
+    lone = [_report_bytes(estimate_sku(p)) for p in panels]
+    for threads in (1, 2):
+        reports = run_study(panels[::-1], rule=LOW_RULE, threads=threads)
+        assert [_report_bytes(r) for r in reports] == lone
+
+
 def test_kernel_fault_marks_only_its_batch(monkeypatch):
     import discount_uplift.ols as ols
     import discount_uplift.two_step as two_step
@@ -371,7 +398,8 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
     panels[2] = marked
     monkeypatch.setattr(ols, "_householder_qr", faulty)
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
-    batches = list(two_step._batches(sorted(panels, key=lambda p: p.key)))
+    ordered = sorted(panels, key=lambda p: p.key)
+    batches = [[ordered[i] for i in b] for b in two_step._batches(ordered)]
     hit = next(b for b in batches if marked in b)
     assert 1 < len(hit) < len(panels)
     hit_ids = {p.sku_id for p in hit}
