@@ -33,6 +33,8 @@ def run(gamma: float, seeds: int, days: int, discount_prob: float) -> dict:
         covered += (report.gamma10 - halfwidth <= gamma
                     <= report.gamma10 + halfwidth)
         significant += report.significant_positive
+    if not estimates:
+        return {"gamma": gamma, "n": 0}
     est = np.array(estimates)
     return {"gamma": gamma, "n": len(est), "mean": est.mean(),
             "sd": est.std(), "coverage": covered / len(est),
@@ -48,11 +50,16 @@ def main() -> None:
                         default=[0.0, 0.3, 0.6, 1.0])
     args = parser.parse_args()
 
-    print(f"{'gamma':>6} {'mean':>8} {'sd':>7} {'coverage':>9} {'signif':>7}")
+    print(f"{'gamma':>6} {'n':>5} {'mean':>8} {'sd':>7} {'coverage':>9} "
+          f"{'signif':>7}")
     for gamma in args.gammas:
         row = run(gamma, args.seeds, args.days, args.discount_prob)
-        print(f"{row['gamma']:>6.2f} {row['mean']:>8.4f} {row['sd']:>7.4f} "
-              f"{row['coverage']:>9.2%} {row['significant']:>7.2%}")
+        if not row["n"]:
+            print(f"{row['gamma']:>6.2f} {0:>5}  no SKU estimated")
+            continue
+        print(f"{row['gamma']:>6.2f} {row['n']:>5} {row['mean']:>8.4f} "
+              f"{row['sd']:>7.4f} {row['coverage']:>9.2%} "
+              f"{row['significant']:>7.2%}")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,7 @@ from .domain import (EligibilityRule, ExcludedPanel, ExclusionReason,
                      Observation, ObservationTable, ObservationView,
                      ParseResult, RowIssue, SkuPanel,
                      build_panels, filter_eligible, parse_csv, serialize_csv)
-from .ols import (DesignMatrix, FitResult, FitStatus, fit_ols, predict,
-                  t_critical, t_pvalue)
+from .ols import FitResult, FitStatus, fit_ols, predict, t_critical, t_pvalue
 from .synth import (CycleConfig, CycleTrace, DgpConfig, cycle_summary,
                     generate_panel, generate_study, simulate_cycle)
 from .two_step import (ReportStatus, Sidedness, SkuUpliftReport, estimate_sku,
@@ -30,7 +29,7 @@ __all__ = [
     "ObservationTable", "ObservationView", "ParseResult", "RowIssue",
     "SkuPanel", "build_panels", "filter_eligible", "parse_csv",
     "serialize_csv",
-    "DesignMatrix", "FitResult", "FitStatus", "fit_ols", "predict",
+    "FitResult", "FitStatus", "fit_ols", "predict",
     "t_critical", "t_pvalue",
     "CycleConfig", "CycleTrace", "DgpConfig", "cycle_summary",
     "generate_panel", "generate_study", "simulate_cycle",

@@ -49,23 +49,6 @@ class PredictOnFailedFit(OlsError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class DesignMatrix:
-    """A labelled, row-major design matrix."""
-
-    values: np.ndarray
-    column_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise DimensionMismatch("design matrix must be two-dimensional")
-        if values.shape[1] != len(self.column_labels):
-            raise DimensionMismatch(
-                f"{values.shape[1]} columns but {len(self.column_labels)} labels")
-        object.__setattr__(self, "values", values)
-
-
 class FitStatus(Enum):
     OK = "ok"
     RANK_DEFICIENT = "rank_deficient"
@@ -97,22 +80,6 @@ class FitResult:
     @property
     def ok(self) -> bool:
         return self.status is FitStatus.OK
-
-
-def _labels(X: DesignMatrix | np.ndarray,
-            labels: Sequence[str] | None) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(X, DesignMatrix):
-        return X.values, X.column_labels
-    values = np.asarray(X, dtype=np.float64)
-    if values.ndim != 2:
-        raise DimensionMismatch("design matrix must be two-dimensional")
-    if labels is None:
-        names = tuple(f"x{j}" for j in range(values.shape[1]))
-    else:
-        names = tuple(labels)
-        if len(names) != values.shape[1]:
-            raise DimensionMismatch("label count does not match column count")
-    return values, names
 
 
 def _householder_qr(A: np.ndarray, y: np.ndarray
@@ -303,7 +270,7 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     return results
 
 
-def fit_ols(X: DesignMatrix | np.ndarray, y: Sequence[float] | np.ndarray,
+def fit_ols(X: np.ndarray, y: Sequence[float] | np.ndarray,
             labels: Sequence[str] | None = None) -> FitResult:
     """Least-squares fit of ``y`` on the columns of ``X``: a batch of one.
 
@@ -312,30 +279,29 @@ def fit_ols(X: DesignMatrix | np.ndarray, y: Sequence[float] | np.ndarray,
     unpivoted columns are listed) rather than re-parameterised. With full
     rank, ``sigma2 = ||r||^2 / (n - p)``, standard errors come from the
     diagonal of ``sigma2 * (X'X)^-1`` and p-values are two-sided Student-t
-    with ``n - p`` degrees of freedom.
+    with ``n - p`` degrees of freedom. A NaN or infinity in ``X`` or ``y``
+    raises ``OlsError``.
     """
-    values, names = _labels(X, labels)
+    values = np.asarray(X, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64).ravel()
+    if values.ndim != 2:
+        raise DimensionMismatch("design matrix must be two-dimensional")
     n, p = values.shape
     if yv.shape[0] != n:
         raise DimensionMismatch(f"X has {n} rows but y has {yv.shape[0]}")
     if p == 0:
         raise DimensionMismatch("design matrix has no columns")
+    names = tuple(f"x{j}" for j in range(p)) if labels is None else labels
+    if not (np.isfinite(values).all() and np.isfinite(yv).all()):
+        raise OlsError("X and y must be finite")
     return fit_ols_batch(values[None], yv[None], (n,), names)[0]
 
 
-def predict(fit: FitResult, X_new: DesignMatrix | np.ndarray) -> np.ndarray:
+def predict(fit: FitResult, X_new: np.ndarray) -> np.ndarray:
     """Evaluate the fitted linear model on new rows."""
     if not fit.ok or fit.coefficients is None:
         raise PredictOnFailedFit("cannot predict from a rank-deficient fit")
-    if isinstance(X_new, DesignMatrix):
-        if X_new.column_labels != fit.column_labels:
-            raise DimensionMismatch(
-                f"columns {X_new.column_labels} do not match fit columns "
-                f"{fit.column_labels}")
-        values = X_new.values
-    else:
-        values = np.asarray(X_new, dtype=np.float64)
+    values = np.asarray(X_new, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(fit.column_labels):
         raise DimensionMismatch("prediction rows do not match fit dimension")
     return linear_combination(values, fit.coefficients)

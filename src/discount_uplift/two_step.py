@@ -15,9 +15,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .domain import EligibilityRule, SkuPanel, filter_eligible
-from .ols import (BASELINE_LABELS, UPLIFT_LABELS, DesignMatrix, FitResult,
-                  FitStatus, fit_ols, fit_ols_batch, linear_combination,
-                  predict)
+from .ols import (BASELINE_LABELS, UPLIFT_LABELS, DimensionMismatch,
+                  FitResult, FitStatus, PredictOnFailedFit, fit_ols_batch,
+                  linear_combination)
+# Unused here; perfbench/tracer.py wraps two_step.fit_ols and two_step.predict.
+from .ols import fit_ols, predict  # noqa: F401
 
 # Stage 2 estimates 10 parameters; one extra day gives a nonzero dof.
 MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
@@ -111,19 +113,6 @@ def _fill_design(out: np.ndarray, panel: SkuPanel,
         out[:m, 9] = table.discounted_sales[indices]
 
 
-def _design(panel: SkuPanel, indices: np.ndarray,
-            include_ds: bool) -> DesignMatrix:
-    """The design rows of ``indices`` as a labelled matrix."""
-    labels = UPLIFT_LABELS if include_ds else BASELINE_LABELS
-    rows = np.empty((len(indices), len(labels)))
-    _fill_design(rows, panel, indices)
-    return DesignMatrix(rows, labels)
-
-
-def _sales(panel: SkuPanel, indices: np.ndarray) -> np.ndarray:
-    return panel.table.sales[indices].astype(np.float64)
-
-
 def _stack(panels: Sequence[SkuPanel], indices: Sequence[np.ndarray],
            labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Designs and sales of many panels, zero-padded to a common row count:
@@ -135,6 +124,24 @@ def _stack(panels: Sequence[SkuPanel], indices: Sequence[np.ndarray],
         _fill_design(X[b], panel, index)
         y[b, :len(index)] = panel.table.sales[index]
     return X, y
+
+
+def _stage1(panels: Sequence[SkuPanel]) -> list[FitResult]:
+    """Stage 1 of each panel, in one kernel call: sales on weekday dummies,
+    forecast and stock over its discount-free days."""
+    X, y = _stack(panels, [p.plain_index for p in panels], BASELINE_LABELS)
+    return fit_ols_batch(X, y, [p.n_plain for p in panels], BASELINE_LABELS)
+
+
+def _lift(panels: Sequence[SkuPanel], stage1: Sequence[FitResult]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The stage-2 designs of the panels' discount days, (panels, rows,
+    columns), and each day's sales minus its stage-1 prediction, (panels,
+    rows); padded rows come out +0.0 in both."""
+    X, sales = _stack(panels, [p.disc_index for p in panels], UPLIFT_LABELS)
+    coefficients = np.stack([fit.coefficients for fit in stage1])
+    return X, sales - linear_combination(X[:, :, :len(BASELINE_LABELS)],
+                                         coefficients[:, None, :])
 
 
 def _check_training_days(panel: SkuPanel) -> None:
@@ -180,15 +187,18 @@ def fit_baseline(panel: SkuPanel) -> FitResult:
     the SKU cannot be estimated.
     """
     _check_training_days(panel)
-    X = _design(panel, panel.plain_index, include_ds=False)
-    return fit_ols(X, _sales(panel, panel.plain_index))
+    return _stage1([panel])[0]
 
 
 def residual_lift(panel: SkuPanel, baseline: FitResult) -> np.ndarray:
     """Actual minus predicted sales on each discount day (in disc_index order)."""
     _check_discount_days(panel)
-    X = _design(panel, panel.disc_index, include_ds=False)
-    return _sales(panel, panel.disc_index) - predict(baseline, X)
+    if not baseline.ok or baseline.coefficients is None:
+        raise PredictOnFailedFit("cannot predict from a rank-deficient fit")
+    if baseline.column_labels != BASELINE_LABELS:
+        raise DimensionMismatch(f"columns {BASELINE_LABELS} do not match fit "
+                                f"columns {baseline.column_labels}")
+    return _lift([panel], [baseline])[1][0]
 
 
 def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
@@ -212,9 +222,12 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
             f"sku {panel.sku_id}: {residuals.shape[0]} residuals for "
             f"{panel.n_disc} discount days")
     _check_inference(panel)
-    X = _design(panel, panel.disc_index, include_ds=True)
-    return _uplift_report(panel, residuals, stage1, fit_ols(X, residuals),
-                          alpha, sidedness)
+    if not np.isfinite(residuals).all():
+        raise TwoStepError(f"sku {panel.sku_id}: non-finite residual")
+    X, _ = _stack([panel], [panel.disc_index], UPLIFT_LABELS)
+    stage2 = fit_ols_batch(X, residuals[None], [panel.n_disc], UPLIFT_LABELS)
+    return _uplift_report(panel, residuals, stage1, stage2[0], alpha,
+                          sidedness)
 
 
 def _uplift_report(panel: SkuPanel, residuals: np.ndarray,
@@ -282,10 +295,7 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     if not first:
         return reports
 
-    X, y = _stack([panels[i] for i in first],
-                  [panels[i].plain_index for i in first], BASELINE_LABELS)
-    stage1 = dict(zip(first, fit_ols_batch(
-        X, y, [panels[i].n_plain for i in first], BASELINE_LABELS)))
+    stage1 = dict(zip(first, _stage1([panels[i] for i in first])))
     second = []
     for i in first:
         panel, fit = panels[i], stage1[i]
@@ -304,12 +314,7 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     if not second:
         return reports
 
-    X, sales = _stack([panels[i] for i in second],
-                      [panels[i].disc_index for i in second], UPLIFT_LABELS)
-    coefficients = np.stack([stage1[i].coefficients for i in second])
-    # The reduction predict uses; padded rows come out +0.0.
-    lift = sales - linear_combination(X[:, :, :len(BASELINE_LABELS)],
-                                      coefficients[:, None, :])
+    X, lift = _lift([panels[i] for i in second], [stage1[i] for i in second])
     n_disc = [panels[i].n_disc for i in second]
     stage2 = fit_ols_batch(X, lift, n_disc, UPLIFT_LABELS)
     for row, i in enumerate(second):

@@ -377,20 +377,22 @@ def _design_by_rows(panel, indices, include_ds):
 
 
 def test_design_bytes_equal_per_row_reference():
+    from discount_uplift.ols import BASELINE_LABELS, UPLIFT_LABELS
     from discount_uplift.synth import DgpConfig, generate_panel
-    from discount_uplift.two_step import _design, _sales
+    from discount_uplift.two_step import _stack
 
     panel = generate_panel(DgpConfig(seed=5, n_days=120), sku_id=3)
     for indices in (panel.plain_index, panel.disc_index):
         for include_ds in (False, True):
-            X = _design(panel, indices, include_ds)
+            labels = UPLIFT_LABELS if include_ds else BASELINE_LABELS
+            X, y = _stack([panel], [indices], labels)
             expected = _design_by_rows(panel, indices.tolist(), include_ds)
-            assert X.values.dtype == expected.dtype
-            assert X.values.shape == expected.shape
-            assert X.values.tobytes() == expected.tobytes()
+            assert X[0].dtype == expected.dtype
+            assert X[0].shape == expected.shape
+            assert X[0].tobytes() == expected.tobytes()
         sales = np.array([panel.observations[i].sales for i in indices],
                          dtype=np.float64)
-        assert _sales(panel, indices).tobytes() == sales.tobytes()
+        assert y[0].tobytes() == sales.tobytes()
 
 
 def test_views_construct_no_observation(monkeypatch):

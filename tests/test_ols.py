@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discount_uplift.ols import (DesignMatrix, DimensionMismatch, FitResult,
-                                 FitStatus, InvalidDof,
-                                 PredictOnFailedFit, _householder_qr, fit_ols,
-                                 fit_ols_batch, predict,
-                                 regularized_incomplete_beta, t_critical,
-                                 t_pvalue)
+from discount_uplift.ols import (DimensionMismatch, FitResult, FitStatus,
+                                 InvalidDof, OlsError, PredictOnFailedFit,
+                                 _householder_qr, fit_ols, fit_ols_batch,
+                                 predict, regularized_incomplete_beta,
+                                 t_critical, t_pvalue)
 from oracles import (householder_fit, matrix_with_condition,
                      normal_equations_fit, t_pvalue_quadrature)
 
@@ -88,7 +87,7 @@ def test_predict_hand_computed_dot_product():
               "Forecast", "Stock")
     fit = FitResult(status=FitStatus.OK, column_labels=labels, n_obs=99,
                     rank=9, dof=90, coefficients=beta)
-    row = DesignMatrix(np.array([[0, 0, 1, 0, 0, 0, 0, 0.736, 5.0]]), labels)
+    row = np.array([[0, 0, 1, 0, 0, 0, 0, 0.736, 5.0]])
     assert predict(fit, row)[0] == pytest.approx(0.3 + 2.0 * 0.736 + 0.05 * 5.0)
 
 
@@ -99,8 +98,19 @@ def test_predict_refuses_failed_or_mismatched():
     good = fit_ols(np.ones((5, 1)), np.arange(5.0))
     with pytest.raises(DimensionMismatch):
         predict(good, np.ones((1, 3)))
-    with pytest.raises(DimensionMismatch):
-        predict(good, DesignMatrix(np.ones((1, 1)), ("other",)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_ols_rejects_non_finite_input(bad):
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(12, 3)), rng.normal(size=12)
+    y[5] = bad
+    with pytest.raises(OlsError, match="finite"):
+        fit_ols(X, y)
+    y[5] = 0.0
+    X[7, 1] = bad
+    with pytest.raises(OlsError, match="finite"):
+        fit_ols(X, y)
 
 
 # --- Student-t ---------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import build_panel
 from discount_uplift.domain import EligibilityRule
-from discount_uplift.ols import FitStatus, PredictOnFailedFit
+from discount_uplift.ols import (DimensionMismatch, FitStatus,
+                                 PredictOnFailedFit)
 from discount_uplift.synth import DgpConfig, generate_panel, generate_study
 from discount_uplift.two_step import (MIN_DISCOUNT_DAYS_FOR_INFERENCE,
                                       EmptyTrainingSet, ReportStatus,
@@ -98,6 +99,15 @@ def test_residual_lift_value():
         residual_lift(panel, fit)
 
 
+def test_residual_lift_rejects_a_stage2_fit():
+    panel = generate_panel(DgpConfig(seed=17, n_days=300,
+                                     discount_probability=0.3), sku_id=1)
+    report = estimate_sku(panel)
+    assert report.ok
+    with pytest.raises(DimensionMismatch, match="do not match"):
+        residual_lift(panel, report.stage2)
+
+
 def test_residual_lift_dgp_expectation():
     # Truncated Poisson(0.874) has mean 1.5 on discount days, so the mean
     # residual lift should be close to 0.8 * 1.5 = 1.2.
@@ -136,6 +146,16 @@ def test_fit_uplift_residual_alignment_checked():
     panel = build_panel([5] * 120, [1] * 60 + [0] * 60)
     with pytest.raises(TwoStepError):
         fit_uplift(panel, np.zeros(10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_uplift_rejects_non_finite_residuals(bad):
+    panel = generate_panel(DgpConfig(seed=17, n_days=300,
+                                     discount_probability=0.3), sku_id=1)
+    residuals = residual_lift(panel, fit_baseline(panel))
+    residuals[4] = bad
+    with pytest.raises(TwoStepError, match="non-finite"):
+        fit_uplift(panel, residuals)
 
 
 def test_fit_uplift_stage2_residuals_sum_to_zero():
@@ -331,6 +351,27 @@ def _mixed_panels():
 
 
 LOW_RULE = EligibilityRule(min_entries=10, min_discount_days=1)
+
+
+def test_public_chain_equals_estimate_sku():
+    # The error each public step raises where estimate_sku reports failure.
+    errors = {7: PredictOnFailedFit, 8: TooFewDiscountDays,
+              10: EmptyTrainingSet}
+
+    def chain(panel):
+        baseline = fit_baseline(panel)
+        return fit_uplift(panel, residual_lift(panel, baseline),
+                          stage1=baseline)
+
+    for panel in _mixed_panels():
+        lone = estimate_sku(panel)
+        if panel.sku_id in errors:
+            assert not lone.ok
+            with pytest.raises(errors[panel.sku_id]):
+                chain(panel)
+        else:
+            assert _report_bytes(chain(panel)) == _report_bytes(lone), \
+                panel.sku_id
 
 
 def test_batched_study_equals_lone_estimates(monkeypatch):
