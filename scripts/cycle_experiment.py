@@ -27,6 +27,8 @@ def main() -> None:
     parser.add_argument("--assumed-shares", type=float, nargs="+",
                         default=[0.0, 0.3, 0.6, 1.0])
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     print(f"true regular share: {args.true_share}")
     print(f"{'assumed':>8} {'mean stock':>11} {'mean spoilage':>14} "

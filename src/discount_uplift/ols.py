@@ -5,7 +5,10 @@ incomplete-beta evaluation for p-values, so results do not depend on any
 linear-algebra or stats library. numpy is used only as the array container:
 every product is elementwise and every sum a numpy reduction in a fixed
 order, never a BLAS call, so the bytes of a result do not depend on which
-BLAS kernel the machine would pick.
+BLAS kernel the machine would pick. They do depend on numpy's order for
+summing a short contiguous row (fitted values, squared row norms of R^-1):
+eight interleaved lanes added pairwise, which
+``tests/oracles.py::_short_row_sum`` models.
 
 There is one kernel: ``fit_ols_batch`` fits many designs at once on
 zero-padded (fits, rows, columns) arrays, and ``fit_ols`` is a batch of one.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +65,8 @@ class FitResult:
     When the design is rank deficient no coefficients are reported and
     ``missing_columns`` names a set of columns that are linear combinations
     of the pivoted ones. A saturated fit (``dof == 0``) reports coefficients
-    with NaN standard errors, t statistics and p-values.
+    with NaN standard errors, t statistics and p-values. The p-values are
+    computed on first access: a study reads only ``gamma10``'s.
     """
 
     status: FitStatus
@@ -72,7 +77,6 @@ class FitResult:
     coefficients: np.ndarray | None = None
     std_errors: np.ndarray | None = None
     t_stats: np.ndarray | None = None
-    p_values: np.ndarray | None = None
     sigma2: float = math.nan
     residuals: np.ndarray | None = None
     missing_columns: tuple[str, ...] = ()
@@ -80,6 +84,18 @@ class FitResult:
     @property
     def ok(self) -> bool:
         return self.status is FitStatus.OK
+
+    def p_value(self, j: int) -> float:
+        """Two-sided p-value of coefficient ``j`` (NaN when ``dof == 0``)."""
+        if self.dof == 0:
+            return math.nan
+        return t_pvalue(self.t_stats[j], self.dof)
+
+    @cached_property
+    def p_values(self) -> np.ndarray | None:
+        """Every coefficient's ``p_value``; None for a rank-deficient fit."""
+        return None if self.t_stats is None else np.array(
+            [self.p_value(j) for j in range(len(self.t_stats))])
 
 
 def _householder_qr(A: np.ndarray, y: np.ndarray
@@ -160,9 +176,9 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
 
 
 def linear_combination(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """``X b`` with each row's products summed by numpy, not by BLAS; on a
-    batch ``X`` (fits, rows, columns) pass ``coefficients`` as
-    (fits, 1, columns)."""
+    """``X b`` with each row's products summed by numpy, not by BLAS, in
+    numpy's lane order for a short contiguous row; on a batch ``X`` (fits,
+    rows, columns) pass ``coefficients`` as (fits, 1, columns)."""
     return np.add.reduce(X * coefficients, axis=-1)
 
 
@@ -179,7 +195,7 @@ def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _fit_result(names: tuple[str, ...], n: int, rank: int, piv: np.ndarray,
                 beta: np.ndarray | None, residuals: np.ndarray | None,
                 rss: float, row_sq: np.ndarray | None) -> FitResult:
-    """One fit of a batch as a ``FitResult`` with its Student-t inference.
+    """One fit of a batch as a ``FitResult`` with its t statistics.
 
     ``beta`` and ``residuals`` are this fit's own (unpadded) arrays, ``rss``
     its residual sum of squares and ``row_sq`` the squared row norms of
@@ -191,36 +207,20 @@ def _fit_result(names: tuple[str, ...], n: int, rank: int, piv: np.ndarray,
         missing = tuple(names[j] for j in sorted(piv[rank:]))
         return FitResult(status=FitStatus.RANK_DEFICIENT, column_labels=names,
                          n_obs=n, rank=rank, dof=dof, missing_columns=missing)
-    if dof == 0:
-        nan = np.full(p, math.nan)
-        return FitResult(status=FitStatus.OK, column_labels=names, n_obs=n,
-                         rank=rank, dof=0, coefficients=beta, std_errors=nan,
-                         t_stats=nan.copy(), p_values=nan.copy(),
-                         sigma2=math.nan, residuals=residuals)
-
-    sigma2 = float(rss) / dof
+    # A saturated fit (dof 0) has a NaN sigma2, so NaN errors and t's.
+    sigma2 = float(rss) / dof if dof else math.nan
     # diag((X'X)^-1) in pivoted order: squared row norms of R^-1.
     variances = np.empty(p)
     variances[piv] = sigma2 * row_sq
     std_errors = np.sqrt(np.maximum(variances, 0.0))
-
-    t_stats = np.empty(p)
-    p_values = np.empty(p)
-    for j in range(p):
-        if std_errors[j] > 0.0:
-            t_stats[j] = beta[j] / std_errors[j]
-            p_values[j] = t_pvalue(t_stats[j], dof)
-        elif beta[j] == 0.0:
-            t_stats[j] = 0.0
-            p_values[j] = 1.0
-        else:
-            # Exact fit: nonzero coefficient with zero residual variance.
-            t_stats[j] = math.copysign(math.inf, beta[j])
-            p_values[j] = 0.0
+    # beta / se where se > 0 or is NaN; else +0.0 for a zero coefficient and,
+    # in an exact fit (zero residual variance), an infinity of its sign.
+    t_stats = np.where(beta == 0.0, 0.0, np.copysign(math.inf, beta))
+    np.divide(beta, std_errors, out=t_stats, where=~(std_errors <= 0.0))
     return FitResult(status=FitStatus.OK, column_labels=names, n_obs=n,
                      rank=rank, dof=dof, coefficients=beta,
-                     std_errors=std_errors, t_stats=t_stats,
-                     p_values=p_values, sigma2=sigma2, residuals=residuals)
+                     std_errors=std_errors, t_stats=t_stats, sigma2=sigma2,
+                     residuals=residuals)
 
 
 def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],

@@ -247,7 +247,7 @@ def _uplift_report(panel: SkuPanel, residuals: np.ndarray,
     gamma10 = float(stage2.coefficients[ds_col])
     gamma10_se = float(stage2.std_errors[ds_col])
     gamma10_t = float(stage2.t_stats[ds_col])
-    two_sided_p = float(stage2.p_values[ds_col])
+    two_sided_p = stage2.p_value(ds_col)
     if sidedness is Sidedness.ONE_SIDED_POSITIVE:
         gamma10_p = _one_sided_positive_p(gamma10_t, two_sided_p)
     else:

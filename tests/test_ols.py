@@ -32,6 +32,20 @@ def test_saturated_fit_reports_nan_inference():
     assert np.isnan(fit.p_values).all()
 
 
+def test_exact_fit_inference_branches():
+    # y = 2x exactly: the residual variance and both standard errors are 0.
+    # A zero coefficient gets t = +0.0, even as -0.0, and p = 1; a nonzero
+    # one gets an infinite t of its sign and p = 0.
+    fit = fit_ols(np.column_stack([np.ones(6), np.arange(6)]), 2 * np.arange(6))
+    assert fit.ok and fit.dof == 4 and fit.sigma2 == 0.0
+    assert fit.coefficients.tolist() == [0.0, 2.0]
+    assert math.copysign(1.0, fit.coefficients[0]) == -1.0
+    assert fit.std_errors.tolist() == [0.0, 0.0]
+    assert fit.t_stats.tolist() == [0.0, math.inf]
+    assert math.copysign(1.0, fit.t_stats[0]) == 1.0
+    assert fit.p_values.tolist() == [1.0, 0.0]
+
+
 def test_matches_normal_equations_oracle():
     rng = np.random.default_rng(42)
     X = rng.normal(size=(50, 9))
@@ -321,6 +335,14 @@ def test_scale_equivariance(seed, scale):
                        rtol=1e-10, atol=1e-12)
     assert np.allclose(scaled.t_stats, base.t_stats, rtol=1e-10, atol=1e-10)
     assert np.allclose(scaled.p_values, base.p_values, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.xfail(strict=True, reason="x**a is formed as exp(a*log(x)), "
+                   "whose rounding exceeds the change over one ulp of t")
+def test_pvalue_monotone_one_ulp_below_30():
+    # The two x = dof / (dof + t*t) differ, so the smaller t must give the
+    # larger p-value, but it gives the smaller one.
+    assert t_pvalue(29.999999999999996, 185) > t_pvalue(30.0, 185)
 
 
 @settings(max_examples=150, deadline=None)

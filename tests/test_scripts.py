@@ -10,13 +10,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str) -> list[str]:
+def _process(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
                            *args], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def _run(script: str, *args: str) -> list[str]:
+    done = _process(script, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -43,3 +47,11 @@ def test_cycle_experiment_prints_one_row_per_share():
     assert [line.split()[0] for line in lines[2:]] == [
         "0.00", "0.30", "0.60", "1.00"]
     assert all(len(line.split()) == 4 for line in lines[2:])
+
+
+def test_cycle_experiment_rejects_an_empty_seed_grid():
+    done = _process("cycle_experiment.py", "--seeds", "0", "--days", "30")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--seeds must be at least 1" in done.stderr
+    assert "Warning" not in done.stderr

@@ -6,7 +6,7 @@ import pytest
 from conftest import build_panel
 from discount_uplift.domain import EligibilityRule
 from discount_uplift.ols import (DimensionMismatch, FitStatus,
-                                 PredictOnFailedFit)
+                                 PredictOnFailedFit, t_pvalue)
 from discount_uplift.synth import DgpConfig, generate_panel, generate_study
 from discount_uplift.two_step import (MIN_DISCOUNT_DAYS_FOR_INFERENCE,
                                       EmptyTrainingSet, ReportStatus,
@@ -452,3 +452,34 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
                 assert r.stage1 is None and r.gamma10 is None
             else:
                 assert _report_bytes(r) == lone[r.sku_id]
+
+
+def test_study_computes_one_p_value_per_reported_sku(monkeypatch):
+    import discount_uplift.ols as ols
+
+    # Replaced under the module attribute, where the p-values look it up.
+    calls = []
+    monkeypatch.setattr(ols, "t_pvalue",
+                        lambda t, dof: calls.append(dof) or t_pvalue(t, dof))
+    reports = run_study(_mixed_panels(), rule=LOW_RULE)
+    ok = [r for r in reports if r.ok]
+    assert len(ok) >= 5
+    assert sorted(calls) == sorted(r.stage2.dof for r in ok)
+
+
+def test_lazy_p_values_are_t_pvalue_of_each_t():
+    for panel in _mixed_panels():
+        report = estimate_sku(panel)
+        for fit in (report.stage1, report.stage2):
+            if fit is None:
+                continue
+            if not fit.ok:
+                assert fit.p_values is None
+            elif fit.dof == 0:
+                assert np.isnan(fit.p_values).all()
+            else:
+                expected = [t_pvalue(t, fit.dof) for t in fit.t_stats]
+                assert fit.p_values.tobytes() == np.array(expected).tobytes()
+                assert fit.p_values is fit.p_values
+                assert [fit.p_value(j) for j in range(len(expected))] \
+                    == expected
