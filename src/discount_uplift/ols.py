@@ -86,7 +86,11 @@ class FitResult:
         return self.status is FitStatus.OK
 
     def p_value(self, j: int) -> float:
-        """Two-sided p-value of coefficient ``j`` (NaN when ``dof == 0``)."""
+        """Two-sided p-value of coefficient ``j`` (NaN when ``dof == 0``);
+        a rank-deficient fit has none and raises ``OlsError``."""
+        if self.t_stats is None:
+            raise OlsError("a rank-deficient fit has no p-values; dependent "
+                           "columns: " + ", ".join(self.missing_columns))
         if self.dof == 0:
             return math.nan
         return t_pvalue(self.t_stats[j], self.dof)
@@ -192,37 +196,6 @@ def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def _fit_result(names: tuple[str, ...], n: int, rank: int, piv: np.ndarray,
-                beta: np.ndarray | None, residuals: np.ndarray | None,
-                rss: float, row_sq: np.ndarray | None) -> FitResult:
-    """One fit of a batch as a ``FitResult`` with its t statistics.
-
-    ``beta`` and ``residuals`` are this fit's own (unpadded) arrays, ``rss``
-    its residual sum of squares and ``row_sq`` the squared row norms of
-    R^-1 in pivoted order.
-    """
-    p = len(names)
-    dof = n - p
-    if rank < p:
-        missing = tuple(names[j] for j in sorted(piv[rank:]))
-        return FitResult(status=FitStatus.RANK_DEFICIENT, column_labels=names,
-                         n_obs=n, rank=rank, dof=dof, missing_columns=missing)
-    # A saturated fit (dof 0) has a NaN sigma2, so NaN errors and t's.
-    sigma2 = float(rss) / dof if dof else math.nan
-    # diag((X'X)^-1) in pivoted order: squared row norms of R^-1.
-    variances = np.empty(p)
-    variances[piv] = sigma2 * row_sq
-    std_errors = np.sqrt(np.maximum(variances, 0.0))
-    # beta / se where se > 0 or is NaN; else +0.0 for a zero coefficient and,
-    # in an exact fit (zero residual variance), an infinity of its sign.
-    t_stats = np.where(beta == 0.0, 0.0, np.copysign(math.inf, beta))
-    np.divide(beta, std_errors, out=t_stats, where=~(std_errors <= 0.0))
-    return FitResult(status=FitStatus.OK, column_labels=names, n_obs=n,
-                     rank=rank, dof=dof, coefficients=beta,
-                     std_errors=std_errors, t_stats=t_stats, sigma2=sigma2,
-                     residuals=residuals)
-
-
 def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
                   labels: Sequence[str]) -> list[FitResult]:
     """Least-squares fits of a batch of designs in one pass of the kernel.
@@ -231,7 +204,10 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     its first ``n_obs[b]`` rows, and its remaining rows must be zero in both.
     Every sum over rows adds them in order and every other reduction runs
     within one fit, so each result is bit-identical to ``fit_ols`` on that
-    fit's rows alone, whatever else shares the batch.
+    fit's rows alone, whatever else shares the batch. The inference of all
+    full-rank fits (``sigma2``, standard errors, t statistics) is computed
+    as (fits, columns) arrays with elementwise operations; each result holds
+    its own rows of them.
     """
     names = tuple(labels)
     count, n, p = X.shape
@@ -241,9 +217,14 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
         raise DimensionMismatch("design columns do not match the labels")
 
     R, qty, piv, rank = _householder_qr(X, y)
-    results = [_fit_result(names, n_obs[b], int(rank[b]), piv[b], None, None,
-                           math.nan, None) if rank[b] < p else None
-               for b in range(count)]
+    results: list[FitResult | None] = [None] * count
+    for b in np.flatnonzero(rank < p).tolist():
+        # The unpivoted columns are linear combinations of the pivoted ones.
+        missing = tuple(names[j] for j in sorted(piv[b, rank[b]:]))
+        results[b] = FitResult(status=FitStatus.RANK_DEFICIENT,
+                               column_labels=names, n_obs=n_obs[b],
+                               rank=int(rank[b]), dof=n_obs[b] - p,
+                               missing_columns=missing)
     full = np.flatnonzero(rank == p)
     if full.size == 0:
         return results
@@ -260,13 +241,32 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     # A running total adds the residuals in row order; a 1-D reduce would
     # sum them pairwise, whose rounding changes with trailing zero rows.
     rss = np.add.accumulate(residuals * residuals, axis=1)[:, -1]
+    # A saturated fit (dof 0) has a NaN sigma2, so NaN errors and t's.
+    n_full = [n_obs[b] for b in full]
+    dof = np.array(n_full) - p
+    sigma2 = np.divide(rss, dof, out=np.full(full.size, math.nan),
+                       where=dof != 0)
+    # diag((X'X)^-1) in pivoted order: squared row norms of R^-1.
     r_inv = solved[:, :, 1:]
-    row_sq = np.add.reduce(r_inv * r_inv, axis=2)
-    for i, b in enumerate(full):
-        # Copies, so that no result keeps the whole batch alive.
-        results[b] = _fit_result(names, n_obs[b], p, piv[b], beta[i].copy(),
-                                 residuals[i, :n_obs[b]].copy(), rss[i],
-                                 row_sq[i])
+    variances = np.empty((full.size, p))
+    np.put_along_axis(variances, piv[full],
+                      sigma2[:, None] * np.add.reduce(r_inv * r_inv, axis=2),
+                      axis=1)
+    std_errors = np.sqrt(np.maximum(variances, 0.0))
+    # beta / se where se > 0 or is NaN; else +0.0 for a zero coefficient and,
+    # in an exact fit (zero residual variance), an infinity of its sign.
+    t_stats = np.where(beta == 0.0, 0.0, np.copysign(math.inf, beta))
+    np.divide(beta, std_errors, out=t_stats, where=~(std_errors <= 0.0))
+    for b, m, coefficients, se, t, s2, r in zip(
+            full.tolist(), n_full, beta, std_errors, t_stats, sigma2.tolist(),
+            residuals):
+        # Rows of the (fits, columns) arrays; the residuals are copied, so
+        # that no result keeps the padded (fits, rows) array alive.
+        results[b] = FitResult(status=FitStatus.OK, column_labels=names,
+                               n_obs=m, rank=p, dof=m - p,
+                               coefficients=coefficients, std_errors=se,
+                               t_stats=t, sigma2=s2,
+                               residuals=r[:m].copy())
     return results
 
 

@@ -218,11 +218,13 @@ def generate_study(config: DgpConfig, n_skus: int,
     """Generate a batch of SKU panels, optionally with per-SKU uplifts.
 
     ``gammas`` is cycled over the SKUs; None keeps ``config.gamma_true``
-    everywhere. SKU ids run from 1 upward and fix each SKU's random stream
-    together with the seed.
+    everywhere, and an empty sequence raises ``InvalidConfig``. SKU ids run
+    from 1 upward and fix each SKU's random stream together with the seed.
     """
     if n_skus < 0:
         raise InvalidConfig("n_skus must be non-negative")
+    if gammas is not None and len(gammas) == 0:
+        raise InvalidConfig("gammas must be None or non-empty")
     panels = []
     for i in range(n_skus):
         cfg = config if gammas is None else replace(

@@ -27,13 +27,18 @@ MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
 # run_study sorts the SKUs by length (the rows of their longer stage) and cuts
 # them into runs of at most BATCH_FITS SKUs and BATCH_ROWS padded rows. The
 # kernel keeps the fits on its innermost axis, so each of its numpy loops
-# runs over (columns left) x fits contiguous elements: 32 fits spread numpy's
-# per-call overhead (16 and 64 were no faster on 500 two-year panels, which
-# reach about 600 rows and so stay under the row cap). Sorting by length
-# keeps a long panel from padding short ones to its length, and the row cap
-# keeps a batch's working matrix near 3 MB (2**15 rows x 11 columns) however
-# long the panels: 3,650-day panels go 11 to a batch.
-BATCH_FITS = 32
+# runs over (columns left) x fits contiguous elements, and numpy's per-call
+# overhead is spread over the fits of a batch. Serial run_study medians on
+# one machine (2 vCPUs): 2,000 180-day panels took 0.231 s with 32 fits,
+# 0.222 s with 40 and 0.219 s with 64; 500 two-year panels (up to 594 rows)
+# took 0.144, 0.143 and 0.136 s. Wider batches cost memory, mostly on long
+# panels: the peak RSS of `uplift fit` on those 500 panels was 103.2 MB with
+# 32 fits, 103.3-104.6 with 40 and 44, 106.2 with 48 and up to 108.5 with 64.
+# Sorting by length keeps a long panel from padding short ones to its
+# length, and the row cap keeps a batch's working matrix near 3 MB (2**15
+# rows x 11 columns) however long the panels: 3,650-day panels go 11 to a
+# batch.
+BATCH_FITS = 40
 BATCH_ROWS = 1 << 15
 
 
@@ -342,14 +347,12 @@ def _batches(panels: Sequence[SkuPanel]) -> list[list[int]]:
     before it would pass BATCH_ROWS padded rows; a panel longer than that
     forms a batch of one.
     """
-    def rows(i: int) -> int:
-        return max(panels[i].n_plain, panels[i].n_disc)
-
+    rows = [max(p.n_plain, p.n_disc) for p in panels]
     batches: list[list[int]] = []
-    for i in sorted(range(len(panels)), key=rows):
+    for i in sorted(range(len(panels)), key=rows.__getitem__):
         # Ascending order makes panel i the widest of its batch.
         if (not batches or len(batches[-1]) == BATCH_FITS
-                or (len(batches[-1]) + 1) * rows(i) > BATCH_ROWS):
+                or (len(batches[-1]) + 1) * rows[i] > BATCH_ROWS):
             batches.append([])
         batches[-1].append(i)
     return batches

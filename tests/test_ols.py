@@ -46,6 +46,13 @@ def test_exact_fit_inference_branches():
     assert fit.p_values.tolist() == [1.0, 0.0]
 
 
+def test_p_value_of_rank_deficient_fit_raises():
+    fit = fit_ols(np.column_stack([np.ones(5), np.ones(5)]), np.arange(5.0))
+    assert fit.status is FitStatus.RANK_DEFICIENT and fit.p_values is None
+    with pytest.raises(OlsError, match="rank-deficient.*x1"):
+        fit.p_value(0)
+
+
 def test_matches_normal_equations_oracle():
     rng = np.random.default_rng(42)
     X = rng.normal(size=(50, 9))
@@ -276,6 +283,38 @@ def test_batch_rows_equal_lone_fits(seed):
                             labels)
     assert [_fit_bytes(f) for f in without] == \
            [_fit_bytes(batch[b]) for b in keep]
+
+
+def test_batch_inference_branches_equal_lone_fits():
+    # The inference of a batch is computed for all its full-rank fits at
+    # once; each branch must still give a fit the bytes of fit_ols on its
+    # own rows: an ordinary fit, a rank-deficient one, a saturated one
+    # (n == p: NaN sigma2, errors and t's) and exact fits (zero residuals:
+    # t of +0.0 for the -0.0 intercept and an infinity of the slope's sign).
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=12)
+    line = np.column_stack([np.ones(6), np.arange(6.0)])
+    designs = [(rng.normal(size=(20, 2)), rng.normal(size=20)),
+               (np.column_stack([x, 2.0 * x]), rng.normal(size=12)),
+               (rng.normal(size=(2, 2)), rng.normal(size=2)),
+               (line, 2.0 * np.arange(6.0)),
+               (line, -3.0 * np.arange(6.0))]
+    X, y = _padded_batch(designs, 4)
+    labels = ("a", "b")
+    fits = fit_ols_batch(X, y, [len(yb) for _, yb in designs], labels)
+    ordinary, deficient, saturated, rising, falling = fits
+    assert ordinary.ok and np.isfinite(ordinary.t_stats).all()
+    assert deficient.status is FitStatus.RANK_DEFICIENT
+    assert saturated.ok and saturated.dof == 0 and math.isnan(saturated.sigma2)
+    assert np.isnan(saturated.std_errors).all()
+    assert np.isnan(saturated.t_stats).all()
+    for fit, slope_t in ((rising, math.inf), (falling, -math.inf)):
+        assert fit.sigma2 == 0.0 and fit.std_errors.tolist() == [0.0, 0.0]
+        assert fit.t_stats.tolist() == [0.0, slope_t]
+        assert math.copysign(1.0, fit.coefficients[0]) == -1.0
+        assert math.copysign(1.0, fit.t_stats[0]) == 1.0
+    for fit, (Xb, yb) in zip(fits, designs):
+        assert _fit_bytes(fit) == _fit_bytes(fit_ols(Xb, yb, labels))
 
 
 def test_kernel_bits_as_fits_leave_down_to_one():

@@ -92,6 +92,11 @@ def test_generate_study_cycles_gammas():
         assert p.observations == q.observations
 
 
+def test_generate_study_rejects_empty_gammas():
+    with pytest.raises(InvalidConfig, match="gammas"):
+        generate_study(DgpConfig(n_days=10), 3, gammas=[])
+
+
 @pytest.mark.parametrize("bad", [
     {"n_days": -1},
     {"weekday_effects": (1.0, 2.0)},

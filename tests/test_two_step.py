@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -418,6 +420,21 @@ def test_batches_group_panels_by_length(monkeypatch):
     for threads in (1, 2):
         reports = run_study(panels[::-1], rule=LOW_RULE, threads=threads)
         assert [_report_bytes(r) for r in reports] == lone
+
+
+@pytest.mark.parametrize("n_plain, n_disc, sizes", [
+    (110, 70, [40, 40, 2]),      # 180-day panels: BATCH_FITS binds
+    (594, 136, [40, 40, 10]),    # two-year panels: 40 x 594 rows < 2**15
+    (2900, 750, [11, 11, 1]),    # 3,650-day panels: the row cap binds
+])
+def test_default_batch_sizes(n_plain, n_disc, sizes):
+    import discount_uplift.two_step as two_step
+
+    stubs = [SimpleNamespace(n_plain=n_plain, n_disc=n_disc)
+             for _ in range(sum(sizes))]
+    batches = two_step._batches(stubs)
+    assert [len(b) for b in batches] == sizes
+    assert [i for b in batches for i in b] == list(range(len(stubs)))
 
 
 def test_kernel_fault_marks_only_its_batch(monkeypatch):
