@@ -30,10 +30,14 @@ import numpy as np
 
 from . import __version__
 from .aggregate import AggregateError, StudyAggregate, summarize
-from .domain import (EligibilityRule, ObservationTable, RowIssue, build_panels,
-                     parse_csv, serialize_csv)
+from .domain import (EligibilityRule, RowIssue, build_panels, csv_blocks,
+                     parse_csv)
 from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
-                    generate_study, simulate_cycle)
+                    iter_study, simulate_cycle)
+# Unused here; perfbench/tracer.py wraps cli.generate_study and
+# cli.serialize_csv until its stage recorder replaces them (ROADMAP item 6).
+from .domain import serialize_csv  # noqa: F401
+from .synth import generate_study  # noqa: F401
 from .two_step import ReportStatus, Sidedness, SkuUpliftReport, run_study
 
 
@@ -247,21 +251,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except InvalidConfig as exc:
         raise UserError(str(exc)) from exc
 
-    panels = generate_study(config, args.skus)
-    n_rows = sum(panel.n_obs for panel in panels)
-    data = serialize_csv(
-        ObservationTable.concat(p.table for p in panels)).encode("utf-8")
+    # The file is written under a temporary name in the same directory and
+    # renamed when complete, so a failed run leaves no partial dataset.
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(data)
+    part = out_path.with_name(f".{out_path.name}.{os.getpid()}.part")
+    digest = hashlib.sha256()
+    try:
+        with open(part, "wb") as out:
+            for text in csv_blocks(p.table for p in iter_study(config,
+                                                                args.skus)):
+                data = text.encode("utf-8")
+                digest.update(data)
+                out.write(data)
+        os.replace(part, out_path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     config_dict = dataclasses.asdict(config)
     config_dict["start_date"] = config.start_date.isoformat()
     config_dict["skus"] = args.skus
     _write_json(out_path.with_name(out_path.name + ".manifest.json"),
-                _manifest("simulate", config_dict,
-                          _sha256(data)))
-    print(f"wrote {n_rows} observations for {args.skus} SKUs "
-          f"to {out_path}")
+                _manifest("simulate", config_dict, digest.hexdigest()))
+    print(f"wrote {args.skus * config.n_days} observations for {args.skus} "
+          f"SKUs to {out_path}")
     return 0
 
 

@@ -539,7 +539,14 @@ def parse_csv(source: str | bytes | io.TextIOBase,
 
 
 def _strings(column: np.ndarray, convert: Callable = str) -> list[str]:
-    """``convert`` of every element, called once per distinct value."""
+    """``convert`` of every element of an int64 column, called once per
+    entry of a lookup table: each value of the column's range when the
+    range is shorter than the column, else each distinct value."""
+    low, high = int(column.min()), int(column.max())
+    if high - low < len(column):
+        strings = np.array([convert(value) for value in range(low, high + 1)],
+                           dtype=object)
+        return strings[column - low].tolist()
     distinct, inverse = np.unique(column, return_inverse=True)
     return np.array([convert(value) for value in distinct.tolist()],
                     dtype=object)[inverse].tolist()
@@ -549,29 +556,59 @@ def _iso_day(day: int) -> str:
     return (_EPOCH + dt.timedelta(days=day)).isoformat()
 
 
-def serialize_csv(observations: Iterable[Observation] | ObservationTable
-                  ) -> str:
-    """Render observations in the canonical CSV schema (round-trip safe).
+def _row_blocks(tables: Iterable[ObservationTable]
+                ) -> Iterator[ObservationTable]:
+    """The rows of ``tables`` in order, in blocks of ``_CHUNK_ROWS`` rows
+    and a shorter last one. Tables are read only as far as the next block
+    needs, so at most one block plus one table's rows are held."""
+    pending: list[ObservationTable] = []
+    held = 0
+    for table in tables:
+        if not len(table):
+            continue
+        pending.append(table)
+        held += len(table)
+        if held < _CHUNK_ROWS:
+            continue
+        rows = pending[0] if len(pending) == 1 else \
+            ObservationTable.concat(pending)
+        full = held - held % _CHUNK_ROWS
+        for start in range(0, full, _CHUNK_ROWS):
+            yield rows[start:start + _CHUNK_ROWS]
+        pending, held = [rows[full:]], held - full
+    if held:
+        yield ObservationTable.concat(pending)
+
+
+def csv_blocks(tables: Iterable[ObservationTable]) -> Iterator[str]:
+    """The canonical CSV of the rows of ``tables``, lazily: the header line,
+    then the text of each block of at most ``_CHUNK_ROWS`` rows.
 
     The text is what ``csv.writer`` writes with newline line endings: no
-    integer, ISO date, weekday name or float ``repr`` needs quoting. Each
-    block of rows is rendered column by column, integers and dates through
-    their distinct values and forecasts with ``repr``.
+    integer, ISO date, weekday name or float ``repr`` needs quoting. A block
+    is rendered column by column, integers and dates through a table of
+    their strings and forecasts with ``repr``.
     """
-    table = _as_table(observations)
     names = np.array(WEEKDAY_NAMES, dtype=object)
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for start in range(0, len(table), _CHUNK_ROWS):
-        block = table[start:start + _CHUNK_ROWS]
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for block in _row_blocks(tables):
         columns = (_strings(block.store_id), _strings(block.sku_id),
                    _strings(block.date.view(np.int64), _iso_day),
                    names[block.weekday - 1].tolist(), _strings(block.stock),
                    list(map(repr, block.forecast.tolist())),
                    _strings(block.sales), _strings(block.discounted_sales))
-        out.write("\n".join(map(",".join, zip(*columns))))
-        out.write("\n")
-    return out.getvalue()
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def serialize_csv(observations: Iterable[Observation] | ObservationTable
+                  ) -> str:
+    """Render observations in the canonical CSV schema (round-trip safe).
+
+    The text is the concatenation of :func:`csv_blocks` on the one table,
+    which is rendered a block of rows at a time; writing those blocks as
+    they come gives the same bytes without holding the whole text.
+    """
+    return "".join(csv_blocks([_as_table(observations)]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -202,6 +202,7 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
 
     ``X`` is (fits, rows, columns) and ``y`` (fits, rows); fit ``b`` uses
     its first ``n_obs[b]`` rows, and its remaining rows must be zero in both.
+    Every ``n_obs`` must lie in 1..rows, else ``DimensionMismatch``.
     Every sum over rows adds them in order and every other reduction runs
     within one fit, so each result is bit-identical to ``fit_ols`` on that
     fit's rows alone, whatever else shares the batch. The inference of all
@@ -213,6 +214,10 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     count, n, p = X.shape
     if y.shape != (count, n) or len(n_obs) != count:
         raise DimensionMismatch("batch shapes of X, y and n_obs disagree")
+    bad = [int(k) for k in n_obs if not 1 <= k <= n]
+    if bad:
+        raise DimensionMismatch(f"n_obs must be in 1..{n}, the batch's rows; "
+                                f"got {bad}")
     if p != len(names) or p == 0:
         raise DimensionMismatch("design columns do not match the labels")
 

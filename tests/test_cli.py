@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -15,8 +16,11 @@ import numpy as np
 import pytest
 
 import discount_uplift
+from discount_uplift import cli, domain, synth
 from discount_uplift.cli import main
-from discount_uplift.domain import WEEKDAY_NAMES, parse_csv
+from discount_uplift.domain import (WEEKDAY_NAMES, ObservationTable,
+                                    parse_csv, serialize_csv)
+from discount_uplift.synth import DgpConfig, generate_study
 from oracles import exact_sqrt, exact_two_step
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +59,80 @@ def test_simulate_accepts_negative_gamma(tmp_path):
     out = tmp_path / "neg.csv"
     assert main(["simulate", "--skus", "1", "--days", "30", "--gamma", "-0.2",
                  "--out", str(out)]) == 0
+
+
+def _library_csv(seed: int, skus: int, days: int) -> bytes:
+    panels = generate_study(DgpConfig(seed=seed, n_days=days), skus)
+    table = ObservationTable.concat(p.table for p in panels)
+    return serialize_csv(table).encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk_rows, skus, days", [
+    (7, 4, 20),  # a panel spans several blocks
+    (16, 12, 3),  # a block holds several panels
+    (None, 0, 30),  # the header alone
+])
+def test_simulate_streams_the_library_bytes(tmp_path, monkeypatch,
+                                            chunk_rows, skus, days):
+    if chunk_rows is not None:
+        monkeypatch.setattr(domain, "_CHUNK_ROWS", chunk_rows)
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--seed", "5", "--skus", str(skus),
+                 "--days", str(days), "--out", str(out)]) == 0
+    expected = _library_csv(5, skus, days)
+    assert out.read_bytes() == expected
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["input_digest"] == hashlib.sha256(expected).hexdigest()
+
+
+def test_simulate_generates_at_most_one_block_ahead(tmp_path, monkeypatch):
+    # Panels come from synth.generate_panel (the name the benchmark traces),
+    # and no more of them than one block needs exist when it is written.
+    chunk, days = 50, 20
+    monkeypatch.setattr(domain, "_CHUNK_ROWS", chunk)
+    generate, render = synth.generate_panel, cli.csv_blocks
+    generated: list[int] = []
+    at_block: list[int] = []  # panels generated as each block is yielded
+
+    def counting(*args, **kwargs):
+        generated.append(1)
+        return generate(*args, **kwargs)
+
+    def watching(tables):
+        for text in render(tables):
+            at_block.append(len(generated))
+            yield text
+
+    monkeypatch.setattr(synth, "generate_panel", counting)
+    monkeypatch.setattr(cli, "csv_blocks", watching)
+    assert main(["simulate", "--skus", "12", "--days", str(days),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(generated) == 12
+    assert at_block[0] == 0  # the header
+    assert at_block[1] <= math.ceil(chunk / days) + 1
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier dataset\n"])
+def test_simulate_failure_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                 earlier):
+    generate = synth.generate_panel
+
+    def failing(config, sku_id):
+        if sku_id == 3:
+            raise RuntimeError("generator failed")
+        return generate(config, sku_id=sku_id)
+
+    monkeypatch.setattr(synth, "generate_panel", failing)
+    monkeypatch.setattr(domain, "_CHUNK_ROWS", 7)  # blocks precede the failure
+    out = tmp_path / "s.csv"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    assert main(["simulate", "--skus", "5", "--days", "20",
+                 "--out", str(out)]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ([] if earlier is None else ["s.csv"])
+    if earlier is not None:
+        assert out.read_bytes() == earlier
 
 
 def test_simulate_rejects_invalid_config(tmp_path):

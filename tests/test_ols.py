@@ -446,3 +446,13 @@ def test_kernel_equals_householder_oracle(seed):
         for got in (fit, lone):
             assert _oracle_bytes(got.rank, got.coefficients, got.std_errors,
                                  got.residuals) == _oracle_bytes(*oracle)
+
+
+@pytest.mark.parametrize("n_obs", [10, 0])
+def test_batch_rejects_n_obs_outside_its_rows(n_obs):
+    # More rows than the batch holds gave an OK fit with dof 8 over 6
+    # residuals; none gave dof -2, a negative sigma2 and infinite t's.
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(1, 6, 2)), rng.normal(size=(1, 6))
+    with pytest.raises(DimensionMismatch, match="n_obs"):
+        fit_ols_batch(X, y, [n_obs], ("a", "b"))
