@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .aggregate import AggregateError, StudyAggregate, summarize
-from .domain import (EligibilityRule, RowIssue, build_panels, csv_blocks,
-                     parse_csv)
+from .domain import (DomainError, EligibilityRule, RowIssue, build_panels,
+                     csv_blocks, parse_csv, read_blocks)
 from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
                     iter_study, simulate_cycle)
 # Unused here; perfbench/tracer.py wraps cli.generate_study and
@@ -55,10 +55,6 @@ def _fmt(value: float | None) -> str:
     return format(value, ".17g")
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _manifest(command: str, config: dict, input_digest: str | None) -> dict:
     return {
         "command": command,
@@ -68,6 +64,14 @@ def _manifest(command: str, config: dict, input_digest: str | None) -> dict:
         "numpy_version": np.__version__,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
+
+
+def _check_makedirs(path: Path, flag: str) -> None:
+    """Raises UserError unless ``path`` is a directory or can be made one:
+    the nearest of it and its ancestors that exists must be a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise UserError(f"{flag}: {existing} is not a directory")
 
 
 def _write(path: Path, text: str) -> None:
@@ -166,19 +170,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
         raise UserError(f"input file not found: {input_path}")
-    raw = input_path.read_bytes()
-    try:
-        parsed = parse_csv(raw)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise UserError(f"{input_path} is not a readable UTF-8 CSV file: "
-                        f"{exc}") from exc
-    _print_issues(parsed.warnings, "warning: ", "warnings")
-    if parsed.errors:
-        _print_issues(parsed.errors, "", "errors")
-        if parsed.errors[0].line == 1:  # the header's; no row was read
-            raise UserError(f"invalid header in {input_path}")
-        raise UserError(f"{len(parsed.errors)} invalid rows in {input_path}")
-
+    out_dir = Path(args.out_dir)
+    _check_makedirs(out_dir, "--out-dir")
     try:
         rule = EligibilityRule(min_entries=args.min_entries,
                                min_discount_days=args.min_discount_days)
@@ -194,6 +187,29 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise UserError("--hist-bins must be at least 1")
     threads = _resolve_threads(args.threads)
 
+    # One handle is hashed, then parsed, in bounded reads.
+    digest = hashlib.sha256()
+    with open(input_path, "rb") as handle:
+        for block in read_blocks(handle):
+            digest.update(block)
+        size = handle.tell()
+        handle.seek(0)
+        try:
+            parsed = parse_csv(handle)
+        except (DomainError, csv.Error) as exc:
+            raise UserError(f"{input_path} is not a readable UTF-8 CSV file: "
+                            f"{exc}") from exc
+        read = handle.tell()
+    _print_issues(parsed.warnings, "warning: ", "warnings")
+    if parsed.errors:
+        _print_issues(parsed.errors, "", "errors")
+        if parsed.errors[0].line == 1:  # the header's; no row was read
+            raise UserError(f"invalid header in {input_path}")
+        raise UserError(f"{len(parsed.errors)} invalid rows in {input_path}")
+    if read != size:
+        raise UserError(f"{input_path} changed while it was read: {size} "
+                        f"bytes hashed, {read} parsed")
+
     panels = build_panels(parsed.table, group_by=args.group_by)
     reports = run_study(panels, rule=rule, alpha=args.alpha,
                         sidedness=sidedness, threads=threads)
@@ -208,7 +224,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except AggregateError as exc:
         raise UserError(str(exc)) from exc
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with_store = args.group_by == "store-sku"
     _write(out_dir / "reports.csv", _reports_csv(reports, with_store))
@@ -223,7 +238,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
          "sided": args.sided, "trim": args.trim, "hist_range": args.hist_range,
          "hist_bins": args.hist_bins, "group_by": args.group_by,
          "threads": threads},
-        _sha256(raw)))
+        digest.hexdigest()))
     print(f"estimated {len(reports) - n_failed} SKUs "
           f"({n_failed} failed, {len(panels) - len(reports)} ineligible); "
           f"reports in {out_dir}")
@@ -254,6 +269,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # The file is written under a temporary name in the same directory and
     # renamed when complete, so a failed run leaves no partial dataset.
     out_path = Path(args.out)
+    if out_path.is_dir():
+        raise UserError(f"--out: {out_path} is a directory")
+    _check_makedirs(out_path.parent, "--out")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     part = out_path.with_name(f".{out_path.name}.{os.getpid()}.part")
     digest = hashlib.sha256()
@@ -290,8 +308,9 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     except InvalidConfig as exc:
         raise UserError(str(exc)) from exc
 
-    trace = simulate_cycle(config)
     out_dir = Path(args.out_dir)
+    _check_makedirs(out_dir, "--out-dir")
+    trace = simulate_cycle(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,6 +32,8 @@ CSV_COLUMNS = ("store", "sku", "date", "weekday", "stock", "forecast",
 _CHUNK_ROWS = 16384
 # Lines tokenized and converted per block in ingestion.
 _PARSE_LINES = 4096
+# Bytes per read when a binary source is counted or hashed.
+READ_BYTES = 1 << 20
 _EPOCH = dt.date(1970, 1, 1)
 _INT64 = np.iinfo(np.int64)
 
@@ -379,6 +381,9 @@ class _Columns:
         converted again cell by cell, to find and word its bad cells."""
         start, n = self.filled, len(lines)
         end = start + n
+        if end > len(self.lines):
+            raise DomainError("more lines than the first pass counted: the "
+                              "input changed while it was read")
         failed: dict[tuple[int, str], ValueError] = {}
         for (name, _, native, strict), column, out in zip(
                 self.fields, cells, self.columns):
@@ -417,16 +422,19 @@ class _Columns:
         return ObservationTable(*columns), self.lines[:self.filled]
 
 
-def _text_lines(source: str | bytes | io.TextIOBase
-                ) -> tuple[Iterator[str], int]:
-    """The lines of ``source``, each ending in its newline, and a bound on
-    their number."""
-    if isinstance(source, io.TextIOBase):
-        source = source.read()
-    if isinstance(source, bytes):
-        return (io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
-                                 newline="\n"), source.count(b"\n") + 1)
-    return io.StringIO(source), source.count("\n") + 1
+def read_blocks(source: BinaryIO, size: int = -1) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``source`` (all, if negative), in reads of
+    at most :data:`READ_BYTES`."""
+    while size and (block := source.read(
+            READ_BYTES if size < 0 else min(size, READ_BYTES))):
+        size -= len(block)
+        yield block
+
+
+def _newlines(source: BinaryIO, size: int = -1) -> int:
+    """Newlines in the next ``size`` bytes of ``source`` (all, if
+    negative)."""
+    return sum(block.count(b"\n") for block in read_blocks(source, size))
 
 
 def _repeated_keys(store: np.ndarray, sku: np.ndarray,
@@ -440,9 +448,20 @@ def _repeated_keys(store: np.ndarray, sku: np.ndarray,
     return mask
 
 
-def parse_csv(source: str | bytes | io.TextIOBase,
+def parse_csv(source: str | bytes | BinaryIO,
               schema: Mapping[str, str] | None = None) -> ParseResult:
     """Parse a CSV of observations, collecting errors instead of failing fast.
+
+    ``source`` is the document as ``str`` or UTF-8 ``bytes``, or a seekable
+    binary file of UTF-8 text, read from its current position, such as
+    ``open(path, "rb")`` or ``io.BytesIO``. A file is never held whole: a
+    first pass counts its newlines in reads of at most :data:`READ_BYTES`,
+    then the file is sought back and a second pass decodes it line by line.
+    A file that has more lines in the second pass than in the first, because
+    it grew in between, raises :class:`DomainError` instead of overrunning
+    the columns. So do bytes that are not UTF-8; the message names the line
+    and the byte offset of the first bad byte. The file is left open, at the
+    end of what was read.
 
     ``schema`` maps the canonical column names (:data:`CSV_COLUMNS`) to the
     actual header names; omitted entries default to the canonical name.
@@ -464,14 +483,40 @@ def parse_csv(source: str | bytes | io.TextIOBase,
     on whole columns and worded per offending row. A byte-order mark before
     the header is ignored.
     """
-    text, bound = _text_lines(source)
     colmap = {name: name for name in CSV_COLUMNS}
     if schema:
         unknown = set(schema) - set(CSV_COLUMNS)
         if unknown:
             raise DomainError(f"unknown schema keys: {sorted(unknown)}")
         colmap.update(schema)
+    if isinstance(source, str):
+        return _parse_lines(io.StringIO(source), source.count("\n") + 1,
+                            colmap)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    start = source.tell()
+    bound = _newlines(source) + 1
+    source.seek(start)
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="\n")
+    try:
+        return _parse_lines(text, bound, colmap)
+    except UnicodeDecodeError as exc:
+        # The decoder's position is within its last read, which ended at the
+        # buffer's position.
+        offset = source.tell() - len(exc.object) + exc.start - start
+        source.seek(start)
+        line = _newlines(source, offset) + 1
+        raise DomainError(f"line {line}, byte {offset}: can't decode byte "
+                          f"0x{exc.object[exc.start]:02x}: {exc.reason}"
+                          ) from exc
+    finally:
+        text.detach()  # else closing the wrapper would close ``source``
 
+
+def _parse_lines(text: Iterator[str], bound: int,
+                 colmap: Mapping[str, str]) -> ParseResult:
+    """:func:`parse_csv` of ``text``'s lines, at most ``bound`` of them, with
+    each canonical column read from the header column ``colmap`` names."""
     first = next(text, "").removeprefix("\ufeff")  # a byte-order mark
     reader = csv.reader(itertools.chain([first] if first else [], text))
     try:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import hashlib
+import io
 import json
 import math
 import os
@@ -135,6 +136,30 @@ def test_simulate_failure_leaves_no_partial_file(tmp_path, monkeypatch,
         assert out.read_bytes() == earlier
 
 
+def test_simulate_out_naming_a_directory_exits_2(tmp_path, monkeypatch,
+                                                 capsys):
+    generate = synth.generate_panel
+    generated = []
+
+    def counting(*args, **kwargs):
+        generated.append(1)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "generate_panel", counting)
+    assert main(["simulate", "--skus", "3", "--days", "20",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out: {tmp_path} is a directory\n"
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", "--skus", "3", "--days", "20",
+                 "--out", str(taken / "s.csv")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out: {taken} is not a directory\n"
+    assert not generated  # checked before any panel is made
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no .part
+
+
 def test_simulate_rejects_invalid_config(tmp_path):
     out = tmp_path / "bad.csv"
     assert main(["simulate", "--discount-prob", "1.5", "--out", str(out)]) == 2
@@ -189,6 +214,111 @@ def test_fit_user_input_value_errors_exit_2(tmp_path, capsys):
     assert main(["fit", "--input", str(DATA / "golden_input.csv"),
                  "--trim", "0.01", "--out-dir", str(tmp_path / "b")]) == 2
     assert "central trimming" in capsys.readouterr().err
+
+
+def test_fit_names_the_line_and_byte_of_a_non_utf8_byte(tmp_path, capsys):
+    # Past the first 64 KiB, a position within the decoder's last read is
+    # not the byte's offset in the file.
+    golden = (DATA / "golden_input.csv").read_bytes()
+    assert len(golden) > 1 << 16
+    latin1 = tmp_path / "latin1.csv"
+    row = "1,1,2024-01-01,Monday,5,0.5,1,0 café\n"
+    latin1.write_bytes(golden + row.encode("latin-1"))
+    line, offset = golden.count(b"\n") + 1, len(golden) + row.index("é")
+    assert main(["fit", "--input", str(latin1),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {latin1} is not a readable UTF-8 CSV file: line {line}, "
+        f"byte {offset}: can't decode byte 0xe9: invalid continuation byte\n")
+
+
+class _SpyReader(io.BufferedReader):
+    """A binary file that records the size asked of every read in
+    ``sizes``."""
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+    def read1(self, size=-1):
+        self.sizes.append(size)
+        return super().read1(size)
+
+    def readinto(self, buffer):
+        self.sizes.append(len(buffer))
+        return super().readinto(buffer)
+
+
+def test_fit_hashes_and_parses_one_handle_in_bounded_reads(tmp_path,
+                                                           monkeypatch):
+    opened, sizes = [], []
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        assert mode == "rb", mode
+        opened.append(Path(path))
+        reader = _SpyReader(io.FileIO(path, "rb"))
+        reader.sizes = sizes
+        return reader
+
+    def unread(self):
+        raise AssertionError(f"{self} read whole")
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    monkeypatch.setattr(Path, "read_bytes", unread)
+    src = DATA / "golden_input.csv"
+    out_dir = tmp_path / "o"
+    assert main(["fit", "--input", str(src), "--out-dir", str(out_dir)]) == 0
+    monkeypatch.undo()
+    assert opened == [src]
+    assert sizes and all(0 < size <= domain.READ_BYTES for size in sizes)
+    assert (out_dir / "reports.csv").read_bytes() == \
+        (DATA / "golden_reports.csv").read_bytes()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["input_digest"] == GOLDEN_INPUT_SHA256
+
+
+@pytest.mark.parametrize("extra", [
+    # More lines than the first pass counted: the columns are full.
+    "1,999,2024-01-01,Monday,5,0.5,1,0\n" * 5000,
+    # A last line the count allowed for, but not the hash.
+    "1,999,2024-01-01,Monday,5,0.5,1,0",
+], ids=["past-the-count", "within-the-count"])
+def test_fit_input_growing_while_read_exits_2(tmp_path, monkeypatch, capsys,
+                                              extra):
+    src = tmp_path / "growing.csv"
+    src.write_bytes((DATA / "golden_input.csv").read_bytes())
+    count = domain._newlines
+
+    def growing(source, size=-1):
+        newlines = count(source, size)
+        with open(src, "a") as handle:
+            handle.write(extra)
+        return newlines
+
+    monkeypatch.setattr(domain, "_newlines", growing)
+    assert main(["fit", "--input", str(src),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src} ")
+    assert "changed while it was read" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_out_dir_naming_a_file_exits_2_before_reading(tmp_path,
+                                                          monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "parse_csv", unread)
+    for out_dir in (taken, taken / "sub"):
+        assert main(["fit", "--input", str(DATA / "golden_input.csv"),
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --out-dir: {taken} is not a directory\n"
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_fit_rejects_a_cell_over_the_field_size_limit(tmp_path, capsys):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import io
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from discount_uplift.domain import (CSV_COLUMNS, WEEKDAY_NAMES, DomainError,
                                     build_panels, filter_eligible,
                                     panel_from_observations, parse_csv,
                                     serialize_csv)
+from discount_uplift.synth import DgpConfig, generate_study
 from oracles import csv_writer_text, parse_csv_rows
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -321,7 +324,8 @@ def test_parse_matches_row_by_row_oracle(text, chunk_rows):
     records, errors, warnings = parse_csv_rows(text)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(domain, "_PARSE_LINES", chunk_rows)
-        for source in (text, text.encode("utf-8")):
+        for source in (text, text.encode("utf-8"),
+                       io.BytesIO(text.encode("utf-8"))):
             result = parse_csv(source)
             assert [dataclasses.astuple(o) for o in result.observations] \
                 == records
@@ -336,6 +340,69 @@ def test_parse_rejects_integers_outside_int64():
     (error,) = result.errors
     assert (error.line, error.field) == (2, "stock")
     assert "outside the 64-bit integer range" in error.message
+
+
+class _ReadSpy(io.BytesIO):
+    """A binary file that records the size asked of every read."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(data)
+        self.sizes: list[int | None] = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+    def read1(self, size=-1):
+        self.sizes.append(size)
+        return super().read1(size)
+
+    def readinto(self, buffer):
+        self.sizes.append(len(buffer))
+        return super().readinto(buffer)
+
+    def getvalue(self):
+        raise AssertionError("the whole file was asked for")
+
+
+def test_parse_reads_a_binary_file_in_bounded_reads():
+    panels = generate_study(DgpConfig(seed=4, n_days=730), 60)
+    data = serialize_csv(ObservationTable.concat(p.table for p in panels)
+                         ).encode("utf-8")
+    assert len(data) > 2 * domain.READ_BYTES
+    spy = _ReadSpy(data)
+    result = parse_csv(spy)
+    assert result.table == parse_csv(data).table
+    assert len(result.table) == 60 * 730 and not result.errors
+    assert all(0 < size <= domain.READ_BYTES for size in spy.sizes), \
+        sorted(set(spy.sizes), key=str)
+    assert not spy.closed and spy.tell() == len(data)
+
+
+GOLDEN_INPUT = Path(__file__).parent / "data" / "golden_input.csv"
+
+
+@pytest.mark.parametrize("at, bad", [
+    (0, b"\xff"),  # in the header
+    (70_000, b"\xe9"),  # past 64 KiB, a latin-1 e-acute
+    (8191, "\u00e9".encode("utf-8") + b"\xff"),  # after a character split
+    # across the decoder's reads
+    (None, b"\xe2\x82"),  # a character cut short by the end of the file
+])
+def test_parse_names_the_line_and_byte_of_invalid_utf8(at, bad):
+    golden = GOLDEN_INPUT.read_bytes()
+    at = len(golden) if at is None else at
+    data = golden[:at] + bad + golden[at:]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    start = whole.value.start
+    line = data[:start].count(b"\n") + 1
+    expected = (f"line {line}, byte {start}: "
+                f"can't decode byte 0x{data[start]:02x}: {whole.value.reason}")
+    for source in (data, io.BytesIO(data)):
+        with pytest.raises(DomainError) as raised:
+            parse_csv(source)
+        assert str(raised.value) == expected
 
 
 # --- columnar representation -------------------------------------------------
