@@ -17,11 +17,13 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import heapq
 import io
 import json
 import math
 import os
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 from typing import Sequence
@@ -31,18 +33,22 @@ import numpy as np
 from . import __version__
 from .aggregate import AggregateError, StudyAggregate, summarize
 from .domain import (DomainError, EligibilityRule, RowIssue, build_panels,
-                     csv_blocks, parse_csv, read_blocks)
+                     csv_blocks, partition_csv)
 from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
                     iter_study, simulate_cycle)
-# Unused here; perfbench/tracer.py wraps cli.generate_study and
-# cli.serialize_csv until its stage recorder replaces them (ROADMAP item 6).
-from .domain import serialize_csv  # noqa: F401
+# Unused here; perfbench/tracer.py wraps cli.generate_study, cli.parse_csv
+# and cli.serialize_csv until its stage recorder replaces them (ROADMAP
+# item 6).
+from .domain import parse_csv, serialize_csv  # noqa: F401
 from .synth import generate_study  # noqa: F401
 from .two_step import ReportStatus, Sidedness, SkuUpliftReport, run_study
 
 
 # Row errors and warnings printed per field before the rest are only counted.
 ISSUES_SHOWN = 10
+FIT_OUTPUTS = ("reports.csv", "aggregate.json", "histogram.csv",
+               "boxplot.csv", "manifest.json")
+CYCLE_OUTPUTS = ("trace.csv", "summary.json", "manifest.json")
 
 
 class UserError(Exception):
@@ -66,12 +72,18 @@ def _manifest(command: str, config: dict, input_digest: str | None) -> dict:
     }
 
 
-def _check_makedirs(path: Path, flag: str) -> None:
-    """Raises UserError unless ``path`` is a directory or can be made one:
-    the nearest of it and its ancestors that exists must be a directory."""
+def _check_makedirs(path: Path, flag: str, files: Sequence[str] = ()
+                    ) -> Path:
+    """Raises UserError unless ``path`` is a directory or can be made one,
+    and none of ``files`` in it is a directory: the nearest of it and its
+    ancestors that exists must be a directory. Returns that nearest one."""
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise UserError(f"{flag}: {existing} is not a directory")
+    for name in files:
+        if (path / name).is_dir():
+            raise UserError(f"{flag}: {path / name} is a directory")
+    return existing
 
 
 def _write(path: Path, text: str) -> None:
@@ -100,18 +112,54 @@ def _resolve_threads(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _print_issues(issues: Sequence[RowIssue], prefix: str, noun: str) -> None:
+def _print_issues(issues: Sequence[RowIssue], prefix: str, noun: str,
+                  counts: dict[str, int] | None = None) -> None:
     """The first ISSUES_SHOWN issues of each field, then one count line per
-    field for the rest."""
+    field for the rest. ``counts`` gives each field's number of issues when
+    ``issues`` holds only the first ones."""
     seen: dict[str, int] = {}
     for issue in issues:
         seen[issue.field] = seen.get(issue.field, 0) + 1
         if seen[issue.field] <= ISSUES_SHOWN:
             print(f"{prefix}{issue}", file=sys.stderr)
-    for field, count in seen.items():
+    for field in seen:
+        count = (counts or seen)[field]
         if count > ISSUES_SHOWN:
             print(f"{prefix}… and {count - ISSUES_SHOWN} more {field} {noun}",
                   file=sys.stderr)
+
+
+class _IssueLog:
+    """Issues of one kind, added in any order: per field, the ISSUES_SHOWN
+    first ones in line order (a line's in the order they were added), and
+    the number of all."""
+
+    def __init__(self) -> None:
+        # Per field, a heap of (-line, -order added, issue): its root is the
+        # last of the issues kept.
+        self.first: dict[str, list[tuple[int, int, RowIssue]]] = {}
+        self.counts: dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def append(self, issue: RowIssue) -> None:
+        heap = self.first.setdefault(issue.field, [])
+        item = (-issue.line, -len(self), issue)
+        self.counts[issue.field] = self.counts.get(issue.field, 0) + 1
+        if len(heap) < ISSUES_SHOWN:
+            heapq.heappush(heap, item)
+        else:
+            heapq.heappushpop(heap, item)
+
+    def shown(self) -> list[RowIssue]:
+        """The issues kept, in line order."""
+        return [issue for _, _, issue in sorted(
+            (item for heap in self.first.values() for item in heap),
+            reverse=True)]
+
+    def print(self, prefix: str, noun: str) -> None:
+        _print_issues(self.shown(), prefix, noun, self.counts)
 
 
 def _reports_csv(reports: Sequence[SkuUpliftReport], with_store: bool) -> str:
@@ -166,12 +214,16 @@ def _parse_hist_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _report_key(report: SkuUpliftReport) -> tuple[int, int]:
+    return (report.sku_id, -1 if report.store_id is None else report.store_id)
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
         raise UserError(f"input file not found: {input_path}")
     out_dir = Path(args.out_dir)
-    _check_makedirs(out_dir, "--out-dir")
+    existing = _check_makedirs(out_dir, "--out-dir", FIT_OUTPUTS)
     try:
         rule = EligibilityRule(min_entries=args.min_entries,
                                min_discount_days=args.min_discount_days)
@@ -187,32 +239,42 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise UserError("--hist-bins must be at least 1")
     threads = _resolve_threads(args.threads)
 
-    # One handle is hashed, then parsed, in bounded reads.
+    # The input is read once, and its rows wait in bucket files beside
+    # --out-dir (not in the system's temporary directory, which may be held
+    # in memory) to be estimated a bucket at a time. Every issue is known
+    # before the first is printed, and before any output is written.
     digest = hashlib.sha256()
-    with open(input_path, "rb") as handle:
-        for block in read_blocks(handle):
-            digest.update(block)
-        size = handle.tell()
-        handle.seek(0)
-        try:
-            parsed = parse_csv(handle)
-        except (DomainError, csv.Error) as exc:
-            raise UserError(f"{input_path} is not a readable UTF-8 CSV file: "
-                            f"{exc}") from exc
-        read = handle.tell()
-    _print_issues(parsed.warnings, "warning: ", "warnings")
-    if parsed.errors:
-        _print_issues(parsed.errors, "", "errors")
-        if parsed.errors[0].line == 1:  # the header's; no row was read
+    errors, warnings = _IssueLog(), _IssueLog()
+    reports: list[SkuUpliftReport] = []
+    n_panels = 0
+    with tempfile.TemporaryDirectory(prefix=".uplift-fit-",
+                                     dir=existing) as spill:
+        with open(input_path, "rb") as handle:
+            try:
+                partition = partition_csv(handle, Path(spill), digest,
+                                          errors)
+            except (DomainError, csv.Error) as exc:
+                raise UserError(f"{input_path} is not a readable UTF-8 CSV "
+                                f"file: {exc}") from exc
+        for table in partition.tables(errors, warnings):
+            if errors:
+                continue  # only the issues are still wanted
+            panels = build_panels(table, group_by=args.group_by)
+            n_panels += len(panels)
+            # fit writes neither stage's fit; the reports drop them.
+            reports += (dataclasses.replace(r, stage1=None, stage2=None)
+                        for r in run_study(panels, rule=rule,
+                                           alpha=args.alpha,
+                                           sidedness=sidedness,
+                                           threads=threads))
+    warnings.print("warning: ", "warnings")
+    if errors:
+        errors.print("", "errors")
+        if errors.shown()[0].line == 1:  # the header's; no row was read
             raise UserError(f"invalid header in {input_path}")
-        raise UserError(f"{len(parsed.errors)} invalid rows in {input_path}")
-    if read != size:
-        raise UserError(f"{input_path} changed while it was read: {size} "
-                        f"bytes hashed, {read} parsed")
+        raise UserError(f"{len(errors)} invalid rows in {input_path}")
+    reports.sort(key=_report_key)
 
-    panels = build_panels(parsed.table, group_by=args.group_by)
-    reports = run_study(panels, rule=rule, alpha=args.alpha,
-                        sidedness=sidedness, threads=threads)
     if not reports:
         raise UserError("no eligible SKUs")
     n_failed = sum(1 for r in reports if r.status is ReportStatus.ESTIMATION_FAILED)
@@ -240,7 +302,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
          "threads": threads},
         digest.hexdigest()))
     print(f"estimated {len(reports) - n_failed} SKUs "
-          f"({n_failed} failed, {len(panels) - len(reports)} ineligible); "
+          f"({n_failed} failed, {n_panels - len(reports)} ineligible); "
           f"reports in {out_dir}")
     return 0
 
@@ -269,9 +331,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # The file is written under a temporary name in the same directory and
     # renamed when complete, so a failed run leaves no partial dataset.
     out_path = Path(args.out)
-    if out_path.is_dir():
-        raise UserError(f"--out: {out_path} is a directory")
-    _check_makedirs(out_path.parent, "--out")
+    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
+    _check_makedirs(out_path.parent, "--out",
+                    (out_path.name, manifest_path.name))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     part = out_path.with_name(f".{out_path.name}.{os.getpid()}.part")
     digest = hashlib.sha256()
@@ -289,7 +351,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config_dict = dataclasses.asdict(config)
     config_dict["start_date"] = config.start_date.isoformat()
     config_dict["skus"] = args.skus
-    _write_json(out_path.with_name(out_path.name + ".manifest.json"),
+    _write_json(manifest_path,
                 _manifest("simulate", config_dict, digest.hexdigest()))
     print(f"wrote {args.skus * config.n_days} observations for {args.skus} "
           f"SKUs to {out_path}")
@@ -309,7 +371,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
         raise UserError(str(exc)) from exc
 
     out_dir = Path(args.out_dir)
-    _check_makedirs(out_dir, "--out-dir")
+    _check_makedirs(out_dir, "--out-dir", CYCLE_OUTPUTS)
     trace = simulate_cycle(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = io.StringIO()

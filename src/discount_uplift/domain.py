@@ -9,6 +9,7 @@ a table row; it is built only when a caller asks for an element.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -17,6 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, itemgetter
+from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -27,13 +29,28 @@ _WEEKDAY_BY_NAME = {name.lower(): i + 1 for i, name in enumerate(WEEKDAY_NAMES)}
 
 CSV_COLUMNS = ("store", "sku", "date", "weekday", "stock", "forecast",
                "sales", "discounted_sales")
+_CANONICAL = {name: name for name in CSV_COLUMNS}
 
 # Rows converted per block in serialisation and row views.
 _CHUNK_ROWS = 16384
 # Lines tokenized and converted per block in ingestion.
 _PARSE_LINES = 4096
-# Bytes per read when a binary source is counted or hashed.
+# Bytes per read when a binary source is counted, hashed or decoded.
 READ_BYTES = 1 << 20
+# partition_csv spills the rows of a file to one bucket per BUCKET_BYTES of
+# it, and to at most MAX_BUCKETS; a Partition holds up to _SPILL_ROWS rows
+# (2.4 MB) before it writes them out. A MiB of the CSV that `uplift
+# simulate` writes is about 20,000 rows, 28 two-year panels: one study
+# batch (two_step.BATCH_FITS). `uplift fit` on 2 vCPUs then peaked at
+# 44-45 MB (child ru_maxrss) on 18.5 and 75 MB inputs (18 and 72 buckets),
+# against 34 MB for the interpreter and its imports alone.
+BUCKET_BYTES = 1 << 20
+MAX_BUCKETS = 256
+_SPILL_ROWS = 1 << 15
+# A row's bucket is the high half of sku_id * _MIX (mod 2**64), modulo the
+# bucket count: a multiplicative hash, so that ids sharing a factor with
+# the count, such as multiples of 10 or 100, still fill every bucket.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 _EPOCH = dt.date(1970, 1, 1)
 _INT64 = np.iinfo(np.int64)
 
@@ -66,6 +83,8 @@ class Observation:
 _FIELDS = tuple(f.name for f in fields(Observation))
 _DTYPES = {name: np.int64 for name in _FIELDS}
 _DTYPES.update(date=np.dtype("datetime64[D]"), forecast=np.float64)
+# A spilled row: the fields, then its line number.
+_RECORD = np.dtype([*_DTYPES.items(), ("line", np.int64)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,19 +441,55 @@ class _Columns:
         return ObservationTable(*columns), self.lines[:self.filled]
 
 
-def read_blocks(source: BinaryIO, size: int = -1) -> Iterator[bytes]:
-    """The next ``size`` bytes of ``source`` (all, if negative), in reads of
-    at most :data:`READ_BYTES`."""
+def _newlines(source: BinaryIO, size: int = -1) -> int:
+    """Newlines in the next ``size`` bytes of ``source`` (all, if
+    negative), read in blocks of at most :data:`READ_BYTES`."""
+    newlines = 0
     while size and (block := source.read(
             READ_BYTES if size < 0 else min(size, READ_BYTES))):
         size -= len(block)
-        yield block
+        newlines += block.count(b"\n")
+    return newlines
 
 
-def _newlines(source: BinaryIO, size: int = -1) -> int:
-    """Newlines in the next ``size`` bytes of ``source`` (all, if
-    negative)."""
-    return sum(block.count(b"\n") for block in read_blocks(source, size))
+class _Reader(io.RawIOBase):
+    """``source`` from its current position, as a raw stream that feeds the
+    bytes read to ``digest``, if one is given."""
+
+    def __init__(self, source: BinaryIO, digest=None) -> None:
+        super().__init__()
+        self.source, self.digest = source, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.source.readinto(buffer)
+        if self.digest is not None:
+            self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+@contextlib.contextmanager
+def _decoded(source: BinaryIO, digest=None) -> Iterator[io.TextIOWrapper]:
+    """The UTF-8 text of ``source`` from its current position, decoded from
+    reads of :data:`READ_BYTES` that are fed to ``digest``, if one is given.
+    A byte that is not UTF-8 raises :class:`DomainError` naming its line and
+    byte offset."""
+    start = source.tell()
+    text = io.TextIOWrapper(_Reader(source, digest), encoding="utf-8",
+                            newline="\n")
+    text._CHUNK_SIZE = READ_BYTES  # one read of ``source`` per decoded chunk
+    try:
+        yield text
+    except UnicodeDecodeError as exc:
+        # The decoder's input ends where the last read ended.
+        offset = source.tell() - start - len(exc.object) + exc.start
+        source.seek(start)
+        line = _newlines(source, offset) + 1
+        raise DomainError(f"line {line}, byte {offset}: can't decode byte "
+                          f"0x{exc.object[exc.start]:02x}: {exc.reason}"
+                          ) from exc
 
 
 def _repeated_keys(store: np.ndarray, sku: np.ndarray,
@@ -455,13 +510,13 @@ def parse_csv(source: str | bytes | BinaryIO,
     ``source`` is the document as ``str`` or UTF-8 ``bytes``, or a seekable
     binary file of UTF-8 text, read from its current position, such as
     ``open(path, "rb")`` or ``io.BytesIO``. A file is never held whole: a
-    first pass counts its newlines in reads of at most :data:`READ_BYTES`,
-    then the file is sought back and a second pass decodes it line by line.
-    A file that has more lines in the second pass than in the first, because
-    it grew in between, raises :class:`DomainError` instead of overrunning
-    the columns. So do bytes that are not UTF-8; the message names the line
-    and the byte offset of the first bad byte. The file is left open, at the
-    end of what was read.
+    first pass counts its newlines, then the file is sought back and a
+    second pass decodes it line by line, both in reads of at most
+    :data:`READ_BYTES`. A file that has more lines in the second pass than
+    in the first, because it grew in between, raises :class:`DomainError`
+    instead of overrunning the columns. So do bytes that are not UTF-8; the
+    message names the line and the byte offset of the first bad byte. The
+    file is left open, at the end of what was read.
 
     ``schema`` maps the canonical column names (:data:`CSV_COLUMNS`) to the
     actual header names; omitted entries default to the canonical name.
@@ -481,9 +536,10 @@ def parse_csv(source: str | bytes | BinaryIO,
     columns preallocated for the line count, and the table is a view of the
     filled part. Invariants, duplicate keys and weekday mismatches are found
     on whole columns and worded per offending row. A byte-order mark before
-    the header is ignored.
+    the header is ignored. :func:`partition_csv` runs the same block loop
+    and converter on a file read once.
     """
-    colmap = {name: name for name in CSV_COLUMNS}
+    colmap = dict(_CANONICAL)
     if schema:
         unknown = set(schema) - set(CSV_COLUMNS)
         if unknown:
@@ -497,48 +553,64 @@ def parse_csv(source: str | bytes | BinaryIO,
     start = source.tell()
     bound = _newlines(source) + 1
     source.seek(start)
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="\n")
-    try:
+    with _decoded(source) as text:
         return _parse_lines(text, bound, colmap)
-    except UnicodeDecodeError as exc:
-        # The decoder's position is within its last read, which ended at the
-        # buffer's position.
-        offset = source.tell() - len(exc.object) + exc.start - start
-        source.seek(start)
-        line = _newlines(source, offset) + 1
-        raise DomainError(f"line {line}, byte {offset}: can't decode byte "
-                          f"0x{exc.object[exc.start]:02x}: {exc.reason}"
-                          ) from exc
-    finally:
-        text.detach()  # else closing the wrapper would close ``source``
 
 
 def _parse_lines(text: Iterator[str], bound: int,
                  colmap: Mapping[str, str]) -> ParseResult:
     """:func:`parse_csv` of ``text``'s lines, at most ``bound`` of them, with
     each canonical column read from the header column ``colmap`` names."""
+    errors: list[RowIssue] = []
+    header = _read_header(text, colmap, errors)
+    if header is None:
+        return ParseResult(ObservationTable.empty(), tuple(errors), ())
+    position, n_fields, line = header
+    columns = _Columns(position, n_fields, bound)
+    for _ in _blocks(text, columns, line, errors):
+        pass
+    table, lines = columns.table()
+    warnings: list[RowIssue] = []
+    keep = _unique_rows(table, lines, _valid_rows(table, lines, errors),
+                        errors, warnings)
+    errors.sort(key=attrgetter("line"))  # stable: a line's errors keep order
+    if not keep.all():
+        table = table[keep]
+    return ParseResult(table, tuple(errors), tuple(warnings))
+
+
+def _read_header(text: Iterator[str], colmap: Mapping[str, str],
+                 errors: list[RowIssue]
+                 ) -> tuple[dict[str, int], int, int] | None:
+    """Reads the header from ``text``: the position of each column
+    ``colmap`` names, the number of fields and the header's last line.
+    Returns None, after adding the header's issues to ``errors``, if the
+    text is empty or a column is missing."""
     first = next(text, "").removeprefix("\ufeff")  # a byte-order mark
     reader = csv.reader(itertools.chain([first] if first else [], text))
     try:
         header = next(reader)
     except StopIteration:
-        return ParseResult(ObservationTable.empty(),
-                           (RowIssue(1, "header", "empty file"),), ())
-
+        errors.append(RowIssue(1, "header", "empty file"))
+        return None
     position: dict[str, int] = {}
     lowered = [h.strip().lower() for h in header]
-    errors: list[RowIssue] = []
     for name, column in colmap.items():
         try:
             position[name] = lowered.index(column.lower())
         except ValueError:
             errors.append(RowIssue(1, column, "missing column"))
-    if errors:
-        return ParseResult(ObservationTable.empty(), tuple(errors), ())
+    if len(position) < len(colmap):
+        return None
+    return position, len(header), reader.line_num
 
-    columns = _Columns(position, len(header), bound)
-    line = reader.line_num  # the last line read
-    commas = len(header) - 1
+
+def _blocks(text: Iterator[str], columns: _Columns, line: int,
+            errors: list[RowIssue]) -> Iterator[None]:
+    """Adds the rows of ``text``, whose lines are numbered after ``line``,
+    to ``columns`` a block of :data:`_PARSE_LINES` lines at a time, and
+    yields after each block."""
+    commas = columns.n_fields - 1
     limit = csv.field_size_limit()
     while chunk := list(itertools.islice(text, _PARSE_LINES)):
         block = "".join(chunk)
@@ -548,39 +620,154 @@ def _parse_lines(text: Iterator[str], bound: int,
                 and max(map(len, chunk)) <= limit):
             columns.split(block.removesuffix("\n"), line + 1, errors)
             line += len(chunk)
-            continue
-        reader = csv.reader(itertools.chain(chunk, text))
-        rows, ends = [], []
-        for row in reader:
-            rows.append(row)
-            ends.append(reader.line_num)
-            if reader.line_num >= len(chunk):
-                break
-        columns.records(rows, line + np.array(ends, dtype=np.int64), errors)
-        line += reader.line_num
+        else:
+            reader = csv.reader(itertools.chain(chunk, text))
+            rows, ends = [], []
+            for row in reader:
+                rows.append(row)
+                ends.append(reader.line_num)
+                if reader.line_num >= len(chunk):
+                    break
+            columns.records(rows, line + np.array(ends, dtype=np.int64),
+                            errors)
+            line += reader.line_num
+        yield
 
-    table, lines = columns.table()
 
+def _valid_rows(table: ObservationTable, lines: np.ndarray,
+                errors: list[RowIssue]) -> np.ndarray:
+    """Mask of the rows that keep every record invariant; each breach of
+    the others is added to ``errors``."""
     violated = _violated(table)
     for i in np.flatnonzero(violated).tolist():
         for name, message in observation_violations(table.observation(i)):
             errors.append(RowIssue(int(lines[i]), name, message))
-    valid = ~violated
+    return ~violated
+
+
+def _unique_rows(table: ObservationTable, lines: np.ndarray,
+                 rows: np.ndarray, errors: list[RowIssue],
+                 warnings: list[RowIssue]) -> np.ndarray:
+    """Mask of the ``rows`` that repeat no earlier one's key. Each repeat is
+    added to ``errors``, and each row kept whose weekday column disagrees
+    with its date to ``warnings``."""
     duplicate = np.zeros(len(table), dtype=bool)
-    duplicate[valid] = _repeated_keys(table.store_id[valid],
-                                      table.sku_id[valid], table.date[valid])
+    duplicate[rows] = _repeated_keys(table.store_id[rows],
+                                     table.sku_id[rows], table.date[rows])
     for i in np.flatnonzero(duplicate).tolist():
         errors.append(_duplicate_issue(int(lines[i]), table.observation(i)))
-    keep = valid & ~duplicate
-
+    keep = rows & ~duplicate
     days = table.date.view(np.int64)
     mismatch = keep & (table.weekday != (days + 3) % 7 + 1)  # 1970-01-01: Thu
-    warnings = [_weekday_issue(int(lines[i]), table.observation(i))
-                for i in np.flatnonzero(mismatch).tolist()]
-    errors.sort(key=attrgetter("line"))  # stable: a line's errors keep order
-    if not keep.all():
-        table = table[keep]
-    return ParseResult(table, tuple(errors), tuple(warnings))
+    for i in np.flatnonzero(mismatch).tolist():
+        warnings.append(_weekday_issue(int(lines[i]), table.observation(i)))
+    return keep
+
+
+class Partition:
+    """The rows :func:`partition_csv` accepted, spilled to bucket files in a
+    directory: a row goes to the bucket its ``sku_id`` hashes to, so every
+    row of a SKU lands in one bucket, in the order the rows were read.
+
+    Rows wait in memory until :data:`_SPILL_ROWS` of them do; then each
+    bucket's are appended to its file as raw records of the observation
+    fields and the line number (72 bytes a row), one write per bucket.
+    """
+
+    def __init__(self, directory: Path, buckets: int) -> None:
+        self.paths = [directory / f"bucket-{b}" for b in range(buckets)]
+        self.rows = [0] * buckets
+        # Per block: its records in bucket order, and each bucket's bounds.
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self.held = 0
+
+    def append(self, table: ObservationTable, lines: np.ndarray,
+               keep: np.ndarray) -> None:
+        """Spills the ``keep`` rows of ``table``, numbered by ``lines``."""
+        buckets = len(self.paths)
+        mixed = (table.sku_id.view(np.uint64) * _MIX) >> np.uint64(32)
+        bucket = np.where(keep, mixed % np.uint64(buckets), buckets
+                          ).astype(np.int64)
+        counts = np.bincount(bucket, minlength=buckets + 1)
+        order = np.argsort(bucket, kind="stable")[:len(bucket) - counts[-1]]
+        records = np.empty(len(order), dtype=_RECORD)
+        for name, column in zip(_FIELDS, table.columns()):
+            records[name] = column[order]
+        records["line"] = lines[order]
+        self.pending.append((records, np.cumsum(counts) - counts))
+        self.held += len(records)
+        if self.held >= _SPILL_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Appends the rows held to their bucket files."""
+        for b, path in enumerate(self.paths):
+            parts = [records[bounds[b]:bounds[b + 1]]
+                     for records, bounds in self.pending]
+            rows = sum(map(len, parts))
+            if rows:
+                with open(path, "ab", buffering=0) as out:
+                    out.write(b"".join(parts))
+                self.rows[b] += rows
+        self.pending, self.held = [], 0
+
+    def tables(self, errors: list[RowIssue], warnings: list[RowIssue]
+               ) -> Iterator[ObservationTable]:
+        """Each bucket's rows, in bucket order, as a table of the rows that
+        repeat no earlier row's key; the repeats are added to ``errors`` and
+        the weekday mismatches of the rows kept to ``warnings``, as
+        :func:`parse_csv` words them. Empty buckets are skipped."""
+        self.flush()
+        for path, rows in zip(self.paths, self.rows):
+            if not rows:
+                continue
+            records = np.fromfile(path, dtype=_RECORD)
+            table = ObservationTable(*(records[name].copy()
+                                       for name in _FIELDS))
+            keep = _unique_rows(table, records["line"],
+                                np.ones(len(table), dtype=bool), errors,
+                                warnings)
+            del records  # the table holds copies
+            yield table if keep.all() else table[keep]
+
+
+def partition_csv(source: BinaryIO, directory: Path, digest,
+                  errors: list[RowIssue]) -> Partition:
+    """Reads a CSV of observations once and spills the rows it accepts to
+    bucket files in ``directory``, for :meth:`Partition.tables` to give
+    back one bucket at a time.
+
+    ``source`` is a seekable binary file of UTF-8 text in the canonical
+    schema, read from its current position to its end in reads of
+    :data:`READ_BYTES`, each fed to ``digest`` (a :mod:`hashlib` object), so
+    the digest covers exactly the bytes parsed. There is one bucket per
+    :data:`BUCKET_BYTES` of the file, and at most :data:`MAX_BUCKETS`.
+
+    Lines are tokenized and converted by :func:`parse_csv`'s block loop and
+    converter, one block at a time, and each block's rows are checked
+    against the record invariants before they are spilled. Every issue
+    found, here and by :meth:`Partition.tables`, is appended to ``errors``
+    or ``warnings`` with the line number and words :func:`parse_csv` gives
+    it, though not in line order. A byte that is not UTF-8 raises
+    :class:`DomainError`, and a cell over ``csv.field_size_limit()`` raises
+    ``csv.Error``, as in :func:`parse_csv`.
+    """
+    start = source.tell()
+    size = source.seek(0, io.SEEK_END) - start
+    source.seek(start)
+    partition = Partition(directory, min(MAX_BUCKETS,
+                                         max(1, -(-size // BUCKET_BYTES))))
+    with _decoded(source, digest) as text:
+        header = _read_header(text, _CANONICAL, errors)
+        if header is not None:
+            position, n_fields, line = header
+            columns = _Columns(position, n_fields, _PARSE_LINES)
+            for _ in _blocks(text, columns, line, errors):
+                table, lines = columns.table()
+                partition.append(table, lines,
+                                 _valid_rows(table, lines, errors))
+                columns.filled = 0
+    return partition
 
 
 def _strings(column: np.ndarray, convert: Callable = str) -> list[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import io
@@ -160,6 +161,26 @@ def test_simulate_out_naming_a_directory_exits_2(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no .part
 
 
+def test_simulate_manifest_naming_a_directory_exits_2(tmp_path, monkeypatch,
+                                                      capsys):
+    manifest = tmp_path / "x.csv.manifest.json"
+    manifest.mkdir()
+    generate = synth.generate_panel
+    generated = []
+
+    def counting(*args, **kwargs):
+        generated.append(1)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "generate_panel", counting)
+    assert main(["simulate", "--skus", "3", "--days", "20",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out: {manifest} is a directory\n"
+    assert not generated
+    assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
+
+
 def test_simulate_rejects_invalid_config(tmp_path):
     out = tmp_path / "bad.csv"
     assert main(["simulate", "--discount-prob", "1.5", "--out", str(out)]) == 2
@@ -277,31 +298,51 @@ def test_fit_hashes_and_parses_one_handle_in_bounded_reads(tmp_path,
     assert manifest["input_digest"] == GOLDEN_INPUT_SHA256
 
 
-@pytest.mark.parametrize("extra", [
-    # More lines than the first pass counted: the columns are full.
-    "1,999,2024-01-01,Monday,5,0.5,1,0\n" * 5000,
-    # A last line the count allowed for, but not the hash.
-    "1,999,2024-01-01,Monday,5,0.5,1,0",
-], ids=["past-the-count", "within-the-count"])
-def test_fit_input_growing_while_read_exits_2(tmp_path, monkeypatch, capsys,
-                                              extra):
+@pytest.mark.parametrize("extra, code", [
+    # Rows repeating one key: every one after the first is a duplicate.
+    ("1,999,2024-01-01,Monday,5,0.5,1,0\n" * 5000, 2),
+    # One more row, with no newline after it.
+    ("1,999,2024-01-01,Monday,5,0.5,1,0", 0),
+], ids=["appended-duplicates", "appended-row"])
+def test_fit_input_growing_while_read_is_hashed_as_parsed(
+        tmp_path, monkeypatch, capsys, extra, code):
+    # The file grows after its first read: what fit parses and what it
+    # hashes are the same bytes, the grown file.
     src = tmp_path / "growing.csv"
-    src.write_bytes((DATA / "golden_input.csv").read_bytes())
-    count = domain._newlines
+    golden = (DATA / "golden_input.csv").read_bytes()
+    src.write_bytes(golden)
 
-    def growing(source, size=-1):
-        newlines = count(source, size)
-        with open(src, "a") as handle:
-            handle.write(extra)
-        return newlines
+    class Growing(io.BufferedReader):
+        grown = False
 
-    monkeypatch.setattr(domain, "_newlines", growing)
-    assert main(["fit", "--input", str(src),
-                 "--out-dir", str(tmp_path / "o")]) == 2
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            if not self.grown:
+                self.grown = True
+                with open(src, "a") as handle:
+                    handle.write(extra)
+            return n
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: Growing(
+        io.FileIO(path, mode)), raising=False)
+    out_dir = tmp_path / "o"
+    assert main(["fit", "--input", str(src), "--out-dir", str(out_dir)]) \
+        == code
+    monkeypatch.undo()
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {src} ")
-    assert "changed while it was read" in err
-    assert not (tmp_path / "o").exists()
+    grown = src.read_bytes()
+    assert grown == golden + extra.encode()
+    if code == 2:
+        line = golden.count(b"\n") + 2  # the second appended row
+        assert err.splitlines()[0] == (
+            f"line:{line} field:row duplicate entry for store 1 sku 999 "
+            "date 2024-01-01")
+        assert err.endswith(f"error: 4999 invalid rows in {src}\n")
+        assert not out_dir.exists()
+    else:
+        assert err == ""
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["input_digest"] == hashlib.sha256(grown).hexdigest()
 
 
 def test_fit_out_dir_naming_a_file_exits_2_before_reading(tmp_path,
@@ -312,13 +353,30 @@ def test_fit_out_dir_naming_a_file_exits_2_before_reading(tmp_path,
     def unread(*args, **kwargs):
         raise AssertionError("the input was read")
 
-    monkeypatch.setattr(cli, "parse_csv", unread)
+    monkeypatch.setattr(cli, "partition_csv", unread)
     for out_dir in (taken, taken / "sub"):
         assert main(["fit", "--input", str(DATA / "golden_input.csv"),
                      "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == \
             f"error: --out-dir: {taken} is not a directory\n"
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name", cli.FIT_OUTPUTS)
+def test_fit_output_naming_a_directory_exits_2_before_reading(
+        tmp_path, monkeypatch, capsys, name):
+    out_dir = tmp_path / "fo"
+    (out_dir / name).mkdir(parents=True)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "partition_csv", unread)
+    assert main(["fit", "--input", str(DATA / "golden_input.csv"),
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out-dir: {out_dir / name} is a directory\n"
+    assert [p.name for p in out_dir.iterdir()] == [name]
 
 
 def test_fit_rejects_a_cell_over_the_field_size_limit(tmp_path, capsys):
@@ -583,6 +641,15 @@ def test_cycle_paired_runs_show_stock_ordering(tmp_path):
         summaries["0.3"]["last_half"]["mean_stock"]
 
 
+def test_cycle_output_naming_a_directory_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "co"
+    (out_dir / "summary.json").mkdir(parents=True)
+    assert main(["cycle", "--days", "5", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out-dir: {out_dir / 'summary.json'} is a directory\n"
+    assert [p.name for p in out_dir.iterdir()] == ["summary.json"]
+
+
 def test_cycle_single_day_and_validation(tmp_path):
     out_dir = tmp_path / "one"
     assert main(["cycle", "--days", "1", "--out-dir", str(out_dir)]) == 0
@@ -596,3 +663,191 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+# --- the partitioned fit pass ----------------------------------------------
+
+def _by_date(table: ObservationTable) -> bytes:
+    """The CSV of ``table`` with its rows in date order, so that consecutive
+    rows belong to different SKUs."""
+    return serialize_csv(table[np.argsort(table.date, kind="stable")]
+                         ).encode("utf-8")
+
+
+def _two_store_csv() -> bytes:
+    golden = parse_csv((DATA / "golden_input.csv").read_bytes()).table
+    other = ObservationTable.concat(p.table for p in generate_study(
+        DgpConfig(seed=8, n_days=300, discount_probability=0.35), 8))
+    other = ObservationTable(np.full(len(other), 2), *other.columns()[1:])
+    return _by_date(ObservationTable.concat([golden, other]))
+
+
+def _fit_files(src: Path, out_dir: Path, *flags: str) -> dict:
+    assert main(["fit", "--input", str(src), "--out-dir", str(out_dir),
+                 *flags]) == 0
+    files = {name: (out_dir / name).read_bytes()
+             for name in cli.FIT_OUTPUTS if name != "manifest.json"}
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    files["input_digest"] = manifest["input_digest"]
+    return files
+
+
+def _library_files(data: bytes, group_by: str) -> dict:
+    """What fit writes, computed by parse_csv, build_panels and run_study."""
+    reports = discount_uplift.run_study(discount_uplift.build_panels(
+        parse_csv(data).table, group_by=group_by))
+    aggregate = discount_uplift.summarize(reports)
+    return {"reports.csv": cli._reports_csv(reports, group_by == "store-sku"),
+            "aggregate.json": json.dumps(dataclasses.asdict(aggregate),
+                                         indent=2, sort_keys=True) + "\n",
+            "histogram.csv": cli._histogram_csv(aggregate),
+            "boxplot.csv": cli._boxplot_csv(aggregate),
+            "input_digest": hashlib.sha256(data).hexdigest()}
+
+
+def _small_buckets(monkeypatch, size: int, buckets: int,
+                   lines: int = 7) -> list[int]:
+    """Makes fit spill a ``size``-byte file to ``buckets`` buckets, blocks
+    of ``lines`` lines; returns the bucket counts of the partitions made."""
+    monkeypatch.setattr(domain, "BUCKET_BYTES", -(-size // buckets))
+    monkeypatch.setattr(domain, "_PARSE_LINES", lines)
+    made: list[int] = []
+    partition = cli.partition_csv
+
+    def counting(*args, **kwargs):
+        made.append(len((result := partition(*args, **kwargs)).paths))
+        return result
+
+    monkeypatch.setattr(cli, "partition_csv", counting)
+    return made
+
+
+@pytest.mark.parametrize("group_by", ["sku", "store-sku"])
+def test_fit_buckets_equal_one_bucket_and_the_library(tmp_path, monkeypatch,
+                                                       group_by):
+    data = _by_date(parse_csv((DATA / "golden_input.csv").read_bytes()
+                              ).table) if group_by == "sku" else \
+        _two_store_csv()
+    src = tmp_path / "in.csv"
+    src.write_bytes(data)
+    flags = ("--group-by", group_by)
+    whole = _fit_files(src, tmp_path / "whole", *flags)
+    made = _small_buckets(monkeypatch, len(data), 7)
+    split = _fit_files(src, tmp_path / "split", *flags)
+    assert made == [7]
+    assert split == whole
+    expected = _library_files(data, group_by)
+    assert {name: value if name == "input_digest" else value.decode()
+            for name, value in split.items()} == expected
+    if group_by == "sku":
+        assert split["reports.csv"] == \
+            (DATA / "golden_reports.csv").read_bytes()
+    else:
+        assert len(split["reports.csv"].splitlines()) == 1 + 16
+
+
+def _mixed_error_csv() -> bytes:
+    """Golden rows in date order with faults: malformed cells, short rows, a
+    quoted cell, invariant breaches, duplicates far from the rows they
+    repeat, two rows repeating malformed ones (not duplicates) and more
+    weekday mismatches than are shown."""
+    lines = _by_date(parse_csv((DATA / "golden_input.csv").read_bytes()
+                               ).table).decode().splitlines()
+    body = lines[1:]
+    for i in range(0, 240, 20):  # 12 malformed stock cells
+        cells = body[i].split(",")
+        cells[4] = "x"
+        body[i] = ",".join(cells)
+    for i in (301, 602, 903):  # short rows
+        body[i] = ",".join(body[i].split(",")[:5])
+    cells = body[1000].split(",")
+    cells[5] = f'"{cells[5]}"'  # a block for csv.reader
+    body[1000] = ",".join(cells)
+    for i in (1100, 1101, 1500, 1999):  # sales over stock
+        cells = body[i].split(",")
+        cells[6] = str(int(cells[4]) + 1)
+        body[i] = ",".join(cells)
+    for i in range(1200, 1200 + 15 * 11, 11):  # 15 weekday mismatches
+        cells = body[i].split(",")
+        cells[3] = WEEKDAY_NAMES[(WEEKDAY_NAMES.index(cells[3]) + 2) % 7]
+        body[i] = ",".join(cells)
+    # 12 repeats; the 11th and the last repeat rows whose stock is malformed
+    repeats = [lines[1 + i] for i in range(50, 50 + 12 * 13, 13)]
+    repeats.append(lines[1])
+    return ("\n".join([lines[0], *body, *repeats]) + "\n").encode()
+
+
+def test_fit_buckets_print_the_library_issues(tmp_path, monkeypatch, capsys):
+    data = _mixed_error_csv()
+    src = tmp_path / "mixed.csv"
+    src.write_bytes(data)
+    parsed = parse_csv(data)
+    assert 2 * cli.ISSUES_SHOWN < len(parsed.errors)
+    cli._print_issues(parsed.warnings, "warning: ", "warnings")
+    cli._print_issues(parsed.errors, "", "errors")
+    expected = capsys.readouterr().err + \
+        f"error: {len(parsed.errors)} invalid rows in {src}\n"
+    assert "… and 2 more stock errors" in expected
+    assert "… and 4 more row errors" in expected
+    assert "… and 5 more weekday warnings" in expected
+
+    held = []
+    append = cli._IssueLog.append
+
+    def watching(self, issue):
+        append(self, issue)
+        held.append(max(map(len, self.first.values())))
+
+    monkeypatch.setattr(cli._IssueLog, "append", watching)
+    # In one block of 4,096 lines, each repeat shares a block and a bucket
+    # with the row it repeats.
+    for buckets, lines in ((1, 7), (6, 7), (6, 4096)):
+        made = _small_buckets(monkeypatch, len(data), buckets, lines)
+        assert main(["fit", "--input", str(src),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert made == [buckets]
+        assert capsys.readouterr().err == expected
+    assert max(held) == cli.ISSUES_SHOWN
+    assert len(held) == 3 * (len(parsed.errors) + len(parsed.warnings))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case, code", [
+    ("estimated", 0), ("row-error", 2), ("duplicate", 2),
+    ("fault-in-second-bucket", 1), ("interrupted", None)])
+def test_fit_removes_its_buckets(tmp_path, monkeypatch, case, code):
+    golden = (DATA / "golden_input.csv").read_bytes()
+    if case == "row-error":
+        golden += b"1,99,2024-01-01,Monday,5,0.5,6,0\n"  # sales over stock
+    elif case == "duplicate":  # sku 5, in the last of 4 buckets
+        golden += golden.splitlines(keepends=True)[1 + 4 * 300]
+    src = tmp_path / "in.csv"
+    src.write_bytes(golden)
+    work = tmp_path / "work"  # the nearest existing ancestor of --out-dir
+    work.mkdir()
+    out_dir = work / "a" / "b"
+    assert _small_buckets(monkeypatch, len(golden), 4) is not None
+    seen: list[list[str]] = []
+    build = cli.build_panels
+
+    def watching(table, **kwargs):
+        seen.append(sorted(p.name for p in work.glob(".uplift-fit-*/*")))
+        if case == "fault-in-second-bucket" and len(seen) == 2:
+            raise RuntimeError("fault in the second bucket")
+        if case == "interrupted":
+            raise KeyboardInterrupt
+        return build(table, **kwargs)
+
+    monkeypatch.setattr(cli, "build_panels", watching)
+    argv = ["fit", "--input", str(src), "--out-dir", str(out_dir)]
+    if code is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert not list(work.glob(".uplift-fit-*"))
+    assert out_dir.exists() == (code == 0)
+    if case != "row-error":
+        assert seen and all(seen)  # the buckets were beside --out-dir
+    if case == "duplicate":
+        assert len(seen) == 3  # buckets before the last SKU's were fitted

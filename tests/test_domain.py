@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import hashlib
 import io
+import tempfile
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
@@ -331,6 +334,54 @@ def test_parse_matches_row_by_row_oracle(text, chunk_rows):
                 == records
             assert [str(e) for e in result.errors] == errors
             assert [str(w) for w in result.warnings] == warnings
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_csv_documents(), st.sampled_from([1, 2, 7, 16384]),
+       st.sampled_from([1, 50, 1 << 20]))
+def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes):
+    # Bucket by bucket, the rows and issues of parse_csv, the issues in
+    # another order: sorted by line, they are the same list.
+    data = text.encode("utf-8")
+    errors, warnings = [], []
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as spill:
+        patch.setattr(domain, "_PARSE_LINES", chunk_rows)
+        expected = parse_csv(data)
+        patch.setattr(domain, "BUCKET_BYTES", bucket_bytes)
+        patch.setattr(domain, "_SPILL_ROWS", 3)
+        source = io.BytesIO(data)
+        partition = domain.partition_csv(source, Path(spill), digest, errors)
+        tables = list(partition.tables(errors, warnings))
+    assert len(partition.paths) == min(domain.MAX_BUCKETS,
+                                       -(-len(data) // bucket_bytes))
+    assert digest.digest() == hashlib.sha256(data).digest()
+    assert source.tell() == len(data)
+    for found, issues in ((errors, expected.errors),
+                          (warnings, expected.warnings)):
+        found.sort(key=attrgetter("line"))  # stable
+        assert found == list(issues)
+    def by_key(table):
+        return table[np.lexsort((table.date, table.sku_id, table.store_id))]
+
+    assert by_key(ObservationTable.concat(tables)) == by_key(expected.table)
+    assert all(len(set(t.sku_id.tolist()) & set(u.sku_id.tolist())) == 0
+               for i, t in enumerate(tables) for u in tables[i + 1:])
+
+
+def test_partition_spreads_ids_sharing_a_factor_with_the_bucket_count(
+        tmp_path, monkeypatch):
+    # sku_id % 10 would put all of 10, 20, ..., 1000 in one of 10 buckets.
+    rows = [f"1,{sku},2024-01-01,Monday,5,0.5,1,0"
+            for sku in range(10, 1010, 10)]
+    data = (HEADER + "\n" + "\n".join(rows) + "\n").encode()
+    monkeypatch.setattr(domain, "BUCKET_BYTES", -(-len(data) // 10))
+    partition = domain.partition_csv(io.BytesIO(data), tmp_path,
+                                     hashlib.sha256(), [])
+    partition.flush()
+    assert len(partition.rows) == 10 and sum(partition.rows) == 100
+    assert max(partition.rows) <= 20
 
 
 def test_parse_rejects_integers_outside_int64():
