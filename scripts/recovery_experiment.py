@@ -15,7 +15,7 @@ import argparse
 
 import numpy as np
 
-from discount_uplift.ols import t_critical
+from discount_uplift.ols import UPLIFT_LABELS, t_critical
 from discount_uplift.synth import DgpConfig, generate_panel
 from discount_uplift.two_step import estimate_sku
 
@@ -29,7 +29,8 @@ def run(gamma: float, seeds: int, days: int, discount_prob: float) -> dict:
         if not report.ok:
             continue
         estimates.append(report.gamma10)
-        halfwidth = t_critical(0.05, report.stage2.dof) * report.gamma10_se
+        dof = report.n_disc - len(UPLIFT_LABELS)  # stage 2's
+        halfwidth = t_critical(0.05, dof) * report.gamma10_se
         covered += (report.gamma10 - halfwidth <= gamma
                     <= report.gamma10 + halfwidth)
         significant += report.significant_positive

@@ -18,8 +18,9 @@ from .domain import (EligibilityRule, ExcludedPanel, ExclusionReason,
 from .ols import FitResult, FitStatus, fit_ols, predict, t_critical, t_pvalue
 from .synth import (CycleConfig, CycleTrace, DgpConfig, cycle_summary,
                     generate_panel, generate_study, simulate_cycle)
-from .two_step import (ReportStatus, Sidedness, SkuUpliftReport, estimate_sku,
-                       fit_baseline, fit_uplift, residual_lift, run_study)
+from .two_step import (ReportStatus, Sidedness, SkuUpliftReport, StudyReports,
+                       estimate_sku, fit_baseline, fit_uplift, residual_lift,
+                       run_study)
 
 __all__ = [
     "__version__",
@@ -33,6 +34,7 @@ __all__ = [
     "t_critical", "t_pvalue",
     "CycleConfig", "CycleTrace", "DgpConfig", "cycle_summary",
     "generate_panel", "generate_study", "simulate_cycle",
-    "ReportStatus", "Sidedness", "SkuUpliftReport", "estimate_sku",
+    "ReportStatus", "Sidedness", "SkuUpliftReport", "StudyReports",
+    "estimate_sku",
     "fit_baseline", "fit_uplift", "residual_lift", "run_study",
 ]

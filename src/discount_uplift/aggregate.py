@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .two_step import SkuUpliftReport, StudyReports
+
 
 class AggregateError(ValueError):
     pass
@@ -129,11 +131,12 @@ class StudyAggregate:
     histogram_excluded: int
 
 
-def summarize(reports: Iterable,  # SkuUpliftReport; duck-typed to avoid a cycle
+def summarize(reports: StudyReports | Iterable[SkuUpliftReport],
               trim_mass: float = 0.95,
               hist_range: tuple[float, float] = (0.0, 1.5),
               hist_bins: int = 30) -> StudyAggregate:
-    """Aggregate per-SKU reports into the study-level statistics."""
+    """Aggregate per-SKU reports, the columns of a study or its rows, into
+    the study-level statistics."""
     lo, hi = float(hist_range[0]), float(hist_range[1])
     if hist_bins < 1:
         raise AggregateError(f"hist_bins must be >= 1, got {hist_bins}")
@@ -141,20 +144,27 @@ def summarize(reports: Iterable,  # SkuUpliftReport; duck-typed to avoid a cycle
         raise AggregateError(f"histogram range must be non-empty and of "
                              f"finite width: ({lo}, {hi})")
 
-    reports = list(reports)
-    ok = [r for r in reports if r.ok]
-    n_failed = len(reports) - len(ok)
-    if not ok:
+    if isinstance(reports, StudyReports):
+        n_reports, ok = len(reports), reports.ok
+        deltas, gammas = reports.mean_residual[ok], reports.gamma10[ok]
+        significant = reports.significant[ok]
+    else:
+        rows = list(reports)
+        n_reports, ok = len(rows), [r for r in rows if r.ok]
+        deltas = np.array([r.mean_residual for r in ok], dtype=np.float64)
+        gammas = np.array([r.gamma10 for r in ok], dtype=np.float64)
+        significant = np.array([bool(r.significant_positive) for r in ok],
+                               dtype=bool)
+    n_ok = len(deltas)
+    if not n_ok:
         raise NoSuccessfulReports("no successfully estimated SKUs")
 
-    deltas = np.array([r.mean_residual for r in ok], dtype=np.float64)
     trimmed = np.sort(trim_central(deltas, trim_mass))
     if trimmed.shape[0] == 0:
         raise AggregateError(
             f"central trimming at mass {trim_mass} left no values "
-            f"(only {len(ok)} estimated SKUs); raise the trim mass toward "
+            f"(only {n_ok} estimated SKUs); raise the trim mass toward "
             f"1.0 or supply more SKUs")
-    gammas = np.array([r.gamma10 for r in ok], dtype=np.float64)
 
     # Edges via lo + span*k/bins keep round display ranges exact; binning
     # bisects the same edges so counts always match the reported bins.
@@ -162,19 +172,19 @@ def summarize(reports: Iterable,  # SkuUpliftReport; duck-typed to avoid a cycle
         + (hi,)
     counts = [0] * hist_bins
     excluded = 0
-    for g in gammas:
+    for g in gammas.tolist():
         if lo <= g <= hi:
             counts[min(bisect_right(edges, g) - 1, hist_bins - 1)] += 1
         else:
             excluded += 1
 
     return StudyAggregate(
-        n_ok=len(ok), n_failed=n_failed, trimmed_n=int(trimmed.shape[0]),
+        n_ok=n_ok, n_failed=n_reports - n_ok, trimmed_n=int(trimmed.shape[0]),
         share_positive_mean_residual=int((trimmed > 0.0).sum()) / trimmed.shape[0],
-        share_positive_mean_residual_untrimmed=int((deltas > 0.0).sum()) / len(ok),
+        share_positive_mean_residual_untrimmed=int((deltas > 0.0).sum()) / n_ok,
         mean_of_mean_residuals=float(np.mean(trimmed)),
         n_gamma_positive=int(np.sum(gammas > 0.0)),
-        n_gamma_significant=sum(1 for r in ok if r.significant_positive),
+        n_gamma_significant=int(np.count_nonzero(significant)),
         boxplot=boxplot_stats(trimmed),
         histogram=Histogram(edges=edges, counts=tuple(counts)),
         histogram_excluded=excluded)

@@ -41,7 +41,7 @@ from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
 # item 6).
 from .domain import parse_csv, serialize_csv  # noqa: F401
 from .synth import generate_study  # noqa: F401
-from .two_step import ReportStatus, Sidedness, SkuUpliftReport, run_study
+from .two_step import ReportStatus, Sidedness, StudyReports, run_study
 
 
 # Row errors and warnings printed per field before the rest are only counted.
@@ -162,7 +162,7 @@ class _IssueLog:
         _print_issues(self.shown(), prefix, noun, self.counts)
 
 
-def _reports_csv(reports: Sequence[SkuUpliftReport], with_store: bool) -> str:
+def _reports_csv(reports: StudyReports, with_store: bool) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     header = ["sku", "status", "n_plain", "n_disc", "mean_residual", "gamma10",
@@ -170,15 +170,22 @@ def _reports_csv(reports: Sequence[SkuUpliftReport], with_store: bool) -> str:
     if with_store:
         header.insert(1, "store")
     writer.writerow(header)
-    for r in reports:
-        significant = "" if r.significant_positive is None else \
-            ("true" if r.significant_positive else "false")
-        row = [r.sku_id, r.status.value, r.n_plain, r.n_disc,
-               _fmt(r.mean_residual), _fmt(r.gamma10), _fmt(r.gamma10_se),
-               _fmt(r.gamma10_t), _fmt(r.gamma10_p), significant]
-        if with_store:
-            row.insert(1, "" if r.store_id is None else r.store_id)
-        writer.writerow(row)
+    ok = reports.ok.tolist()
+    # A failed row leaves its estimates and its significance empty.
+    columns = [reports.sku.tolist(),
+               [(ReportStatus.OK if o else ReportStatus.ESTIMATION_FAILED
+                 ).value for o in ok],
+               reports.n_plain.tolist(), reports.n_disc.tolist()]
+    columns += [[_fmt(v) if o else "" for v, o in zip(values.tolist(), ok)]
+                for values in (reports.mean_residual, reports.gamma10,
+                               reports.gamma10_se, reports.gamma10_t,
+                               reports.gamma10_p)]
+    columns.append([("true" if v else "false") if o else ""
+                    for v, o in zip(reports.significant.tolist(), ok)])
+    if with_store:
+        columns.insert(1, [store if has else "" for store, has in zip(
+            reports.store.tolist(), reports.has_store.tolist())])
+    writer.writerows(zip(*columns))
     return out.getvalue()
 
 
@@ -214,10 +221,6 @@ def _parse_hist_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _report_key(report: SkuUpliftReport) -> tuple[int, int]:
-    return (report.sku_id, -1 if report.store_id is None else report.store_id)
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
@@ -245,7 +248,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     # before the first is printed, and before any output is written.
     digest = hashlib.sha256()
     errors, warnings = _IssueLog(), _IssueLog()
-    reports: list[SkuUpliftReport] = []
+    parts: list[StudyReports] = []
     n_panels = 0
     with tempfile.TemporaryDirectory(prefix=".uplift-fit-",
                                      dir=existing) as spill:
@@ -256,28 +259,28 @@ def cmd_fit(args: argparse.Namespace) -> int:
             except (DomainError, csv.Error) as exc:
                 raise UserError(f"{input_path} is not a readable UTF-8 CSV "
                                 f"file: {exc}") from exc
-        for table in partition.tables(errors, warnings):
-            if errors:
-                continue  # only the issues are still wanted
+        # Every bucket is checked for repeated keys before the first is
+        # estimated, so that an error found late wastes no estimation.
+        partition.check(errors, warnings)
+        for table in () if errors else partition.tables():
             panels = build_panels(table, group_by=args.group_by)
             n_panels += len(panels)
-            # fit writes neither stage's fit; the reports drop them.
-            reports += (dataclasses.replace(r, stage1=None, stage2=None)
-                        for r in run_study(panels, rule=rule,
-                                           alpha=args.alpha,
-                                           sidedness=sidedness,
-                                           threads=threads))
+            parts.append(run_study(panels, rule=rule, alpha=args.alpha,
+                                   sidedness=sidedness, threads=threads))
     warnings.print("warning: ", "warnings")
     if errors:
         errors.print("", "errors")
         if errors.shown()[0].line == 1:  # the header's; no row was read
             raise UserError(f"invalid header in {input_path}")
         raise UserError(f"{len(errors)} invalid rows in {input_path}")
-    reports.sort(key=_report_key)
+    reports = StudyReports.concatenate(parts)
+    # Each SKU's rows are in one bucket; order them by (sku, store) as a
+    # single study would.
+    reports = reports.take(np.lexsort((reports.store, reports.sku)))
 
-    if not reports:
+    if not len(reports):
         raise UserError("no eligible SKUs")
-    n_failed = sum(1 for r in reports if r.status is ReportStatus.ESTIMATION_FAILED)
+    n_failed = len(reports) - int(np.count_nonzero(reports.ok))
     if n_failed == len(reports):
         raise UserError("estimation failed for every eligible SKU")
     try:

@@ -711,31 +711,39 @@ class Partition:
                 self.rows[b] += rows
         self.pending, self.held = [], 0
 
-    def tables(self, errors: list[RowIssue], warnings: list[RowIssue]
-               ) -> Iterator[ObservationTable]:
-        """Each bucket's rows, in bucket order, as a table of the rows that
-        repeat no earlier row's key; the repeats are added to ``errors`` and
-        the weekday mismatches of the rows kept to ``warnings``, as
-        :func:`parse_csv` words them. Empty buckets are skipped."""
+    def _buckets(self) -> Iterator[np.ndarray]:
+        """Each non-empty bucket's records, in bucket order."""
         self.flush()
         for path, rows in zip(self.paths, self.rows):
-            if not rows:
-                continue
-            records = np.fromfile(path, dtype=_RECORD)
+            if rows:
+                yield np.fromfile(path, dtype=_RECORD)
+
+    def check(self, errors: list[RowIssue], warnings: list[RowIssue]
+              ) -> None:
+        """Adds every row that repeats an earlier row's key to ``errors``,
+        and the weekday mismatches of the other rows to ``warnings``, as
+        :func:`parse_csv` words them, reading one bucket at a time."""
+        for records in self._buckets():
+            table = ObservationTable(*(records[name] for name in _FIELDS))
+            _unique_rows(table, records["line"],
+                         np.ones(len(table), dtype=bool), errors, warnings)
+
+    def tables(self) -> Iterator[ObservationTable]:
+        """Each bucket's rows as a table, in bucket order; the rows of a
+        partition that :meth:`check` found no repeated key in are the rows
+        :func:`parse_csv` keeps."""
+        for records in self._buckets():
             table = ObservationTable(*(records[name].copy()
                                        for name in _FIELDS))
-            keep = _unique_rows(table, records["line"],
-                                np.ones(len(table), dtype=bool), errors,
-                                warnings)
             del records  # the table holds copies
-            yield table if keep.all() else table[keep]
+            yield table
 
 
 def partition_csv(source: BinaryIO, directory: Path, digest,
                   errors: list[RowIssue]) -> Partition:
     """Reads a CSV of observations once and spills the rows it accepts to
-    bucket files in ``directory``, for :meth:`Partition.tables` to give
-    back one bucket at a time.
+    bucket files in ``directory``, for :meth:`Partition.check` to check and
+    :meth:`Partition.tables` to give back one bucket at a time.
 
     ``source`` is a seekable binary file of UTF-8 text in the canonical
     schema, read from its current position to its end in reads of
@@ -746,7 +754,7 @@ def partition_csv(source: BinaryIO, directory: Path, digest,
     Lines are tokenized and converted by :func:`parse_csv`'s block loop and
     converter, one block at a time, and each block's rows are checked
     against the record invariants before they are spilled. Every issue
-    found, here and by :meth:`Partition.tables`, is appended to ``errors``
+    found, here and by :meth:`Partition.check`, is appended to ``errors``
     or ``warnings`` with the line number and words :func:`parse_csv` gives
     it, though not in line order. A byte that is not UTF-8 raises
     :class:`DomainError`, and a cell over ``csv.field_size_limit()`` raises

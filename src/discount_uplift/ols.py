@@ -60,13 +60,15 @@ class FitStatus(Enum):
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Coefficients and Student-t inference for one least-squares stage.
+    """Coefficients and Student-t inference for one least-squares fit.
 
-    When the design is rank deficient no coefficients are reported and
-    ``missing_columns`` names a set of columns that are linear combinations
-    of the pivoted ones. A saturated fit (``dof == 0``) reports coefficients
-    with NaN standard errors, t statistics and p-values. The p-values are
-    computed on first access: a study reads only ``gamma10``'s.
+    ``fit_ols``, ``fit_baseline`` and ``fit_uplift`` return one, as a row of
+    a :class:`BatchFit`; a study keeps none. When the design is rank
+    deficient no coefficients are reported and ``missing_columns`` names a
+    set of columns that are linear combinations of the pivoted ones. A
+    saturated fit (``dof == 0``) reports coefficients with NaN standard
+    errors, t statistics and p-values. The p-values are computed on first
+    access.
     """
 
     status: FitStatus
@@ -91,9 +93,7 @@ class FitResult:
         if self.t_stats is None:
             raise OlsError("a rank-deficient fit has no p-values; dependent "
                            "columns: " + ", ".join(self.missing_columns))
-        if self.dof == 0:
-            return math.nan
-        return t_pvalue(self.t_stats[j], self.dof)
+        return p_value(self.t_stats[j], self.dof)
 
     @cached_property
     def p_values(self) -> np.ndarray | None:
@@ -196,25 +196,81 @@ def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
+@dataclass(frozen=True, eq=False)
+class BatchFit:
+    """The fits of one ``fit_ols_batch`` call as arrays, one row per fit.
+
+    ``coefficients``, ``std_errors`` and ``t_stats`` are (fits, columns)
+    and ``sigma2`` (fits,); their rows are NaN where a fit is rank
+    deficient, and ``missing_columns`` names that fit's dependent columns
+    (empty at full rank). ``residuals`` is (fits, rows), each fit's in its
+    first ``n_obs`` entries, when the caller asked for it, else None.
+    ``row`` gives one fit as a :class:`FitResult`.
+    """
+
+    column_labels: tuple[str, ...]
+    n_obs: np.ndarray
+    rank: np.ndarray
+    dof: np.ndarray
+    coefficients: np.ndarray
+    std_errors: np.ndarray
+    t_stats: np.ndarray
+    sigma2: np.ndarray
+    missing_columns: tuple[tuple[str, ...], ...]
+    residuals: np.ndarray | None = None
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Mask of the full-rank fits."""
+        return self.rank == len(self.column_labels)
+
+    def row(self, b: int) -> FitResult:
+        """Fit ``b`` as a :class:`FitResult` whose arrays are views of the
+        batch's rows."""
+        n_obs, dof = int(self.n_obs[b]), int(self.dof[b])
+        if not self.ok[b]:
+            return FitResult(status=FitStatus.RANK_DEFICIENT,
+                             column_labels=self.column_labels, n_obs=n_obs,
+                             rank=int(self.rank[b]), dof=dof,
+                             missing_columns=self.missing_columns[b])
+        return FitResult(status=FitStatus.OK, column_labels=self.column_labels,
+                         n_obs=n_obs, rank=int(self.rank[b]), dof=dof,
+                         coefficients=self.coefficients[b],
+                         std_errors=self.std_errors[b],
+                         t_stats=self.t_stats[b],
+                         sigma2=float(self.sigma2[b]),
+                         residuals=None if self.residuals is None
+                         else self.residuals[b, :n_obs])
+
+
+def _scatter(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``values`` of the fits at ``rows`` placed in a NaN array of
+    ``count`` fits."""
+    out = np.full((count,) + values.shape[1:], math.nan)
+    out[rows] = values
+    return out
+
+
 def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
-                  labels: Sequence[str]) -> list[FitResult]:
+                  labels: Sequence[str], residuals: bool = False) -> BatchFit:
     """Least-squares fits of a batch of designs in one pass of the kernel.
 
     ``X`` is (fits, rows, columns) and ``y`` (fits, rows); fit ``b`` uses
     its first ``n_obs[b]`` rows, and its remaining rows must be zero in both.
     Every ``n_obs`` must lie in 1..rows, else ``DimensionMismatch``.
     Every sum over rows adds them in order and every other reduction runs
-    within one fit, so each result is bit-identical to ``fit_ols`` on that
+    within one fit, so each fit is bit-identical to ``fit_ols`` on that
     fit's rows alone, whatever else shares the batch. The inference of all
     full-rank fits (``sigma2``, standard errors, t statistics) is computed
-    as (fits, columns) arrays with elementwise operations; each result holds
-    its own rows of them.
+    as (fits, columns) arrays with elementwise operations, and returned as
+    such; the residuals are returned only when ``residuals`` is true.
     """
     names = tuple(labels)
     count, n, p = X.shape
     if y.shape != (count, n) or len(n_obs) != count:
         raise DimensionMismatch("batch shapes of X, y and n_obs disagree")
-    bad = [int(k) for k in n_obs if not 1 <= k <= n]
+    n_obs = np.array(n_obs, dtype=np.int64)
+    bad = n_obs[(n_obs < 1) | (n_obs > n)].tolist()
     if bad:
         raise DimensionMismatch(f"n_obs must be in 1..{n}, the batch's rows; "
                                 f"got {bad}")
@@ -222,17 +278,21 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
         raise DimensionMismatch("design columns do not match the labels")
 
     R, qty, piv, rank = _householder_qr(X, y)
-    results: list[FitResult | None] = [None] * count
+    missing: list[tuple[str, ...]] = [()] * count
     for b in np.flatnonzero(rank < p).tolist():
         # The unpivoted columns are linear combinations of the pivoted ones.
-        missing = tuple(names[j] for j in sorted(piv[b, rank[b]:]))
-        results[b] = FitResult(status=FitStatus.RANK_DEFICIENT,
-                               column_labels=names, n_obs=n_obs[b],
-                               rank=int(rank[b]), dof=n_obs[b] - p,
-                               missing_columns=missing)
+        missing[b] = tuple(names[j] for j in sorted(piv[b, rank[b]:]))
+    dof = n_obs - p
     full = np.flatnonzero(rank == p)
-    if full.size == 0:
-        return results
+    if full.size == 0:  # also whenever the batch has fewer rows than columns
+        return BatchFit(column_labels=names, n_obs=n_obs, rank=rank, dof=dof,
+                        coefficients=np.full((count, p), math.nan),
+                        std_errors=np.full((count, p), math.nan),
+                        t_stats=np.full((count, p), math.nan),
+                        sigma2=np.full(count, math.nan),
+                        missing_columns=tuple(missing),
+                        residuals=np.full((count, n), math.nan)
+                        if residuals else None)
     if full.size < count:
         X, y = X[full], y[full]
     # One solve gives the pivoted coefficients (column 0) and R^-1.
@@ -242,15 +302,13 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     solved = _back_substitute(R[full], rhs)
     beta = np.empty((full.size, p))
     np.put_along_axis(beta, piv[full], solved[:, :, 0], axis=1)
-    residuals = y - linear_combination(X, beta[:, None, :])
+    fitted = y - linear_combination(X, beta[:, None, :])
     # A running total adds the residuals in row order; a 1-D reduce would
     # sum them pairwise, whose rounding changes with trailing zero rows.
-    rss = np.add.accumulate(residuals * residuals, axis=1)[:, -1]
+    rss = np.add.accumulate(fitted * fitted, axis=1)[:, -1]
     # A saturated fit (dof 0) has a NaN sigma2, so NaN errors and t's.
-    n_full = [n_obs[b] for b in full]
-    dof = np.array(n_full) - p
-    sigma2 = np.divide(rss, dof, out=np.full(full.size, math.nan),
-                       where=dof != 0)
+    sigma2 = np.divide(rss, dof[full], out=np.full(full.size, math.nan),
+                       where=dof[full] != 0)
     # diag((X'X)^-1) in pivoted order: squared row norms of R^-1.
     r_inv = solved[:, :, 1:]
     variances = np.empty((full.size, p))
@@ -262,17 +320,15 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     # in an exact fit (zero residual variance), an infinity of its sign.
     t_stats = np.where(beta == 0.0, 0.0, np.copysign(math.inf, beta))
     np.divide(beta, std_errors, out=t_stats, where=~(std_errors <= 0.0))
-    for b, m, coefficients, se, t, s2, r in zip(
-            full.tolist(), n_full, beta, std_errors, t_stats, sigma2.tolist(),
-            residuals):
-        # Rows of the (fits, columns) arrays; the residuals are copied, so
-        # that no result keeps the padded (fits, rows) array alive.
-        results[b] = FitResult(status=FitStatus.OK, column_labels=names,
-                               n_obs=m, rank=p, dof=m - p,
-                               coefficients=coefficients, std_errors=se,
-                               t_stats=t, sigma2=s2,
-                               residuals=r[:m].copy())
-    return results
+    arrays = [beta, std_errors, t_stats, sigma2, fitted if residuals else None]
+    if full.size < count:
+        arrays = [None if a is None else _scatter(a, full, count)
+                  for a in arrays]
+    beta, std_errors, t_stats, sigma2, fitted = arrays
+    return BatchFit(column_labels=names, n_obs=n_obs, rank=rank, dof=dof,
+                    coefficients=beta, std_errors=std_errors, t_stats=t_stats,
+                    sigma2=sigma2, missing_columns=tuple(missing),
+                    residuals=fitted)
 
 
 def fit_ols(X: np.ndarray, y: Sequence[float] | np.ndarray,
@@ -299,7 +355,8 @@ def fit_ols(X: np.ndarray, y: Sequence[float] | np.ndarray,
     names = tuple(f"x{j}" for j in range(p)) if labels is None else labels
     if not (np.isfinite(values).all() and np.isfinite(yv).all()):
         raise OlsError("X and y must be finite")
-    return fit_ols_batch(values[None], yv[None], (n,), names)[0]
+    return fit_ols_batch(values[None], yv[None], (n,), names,
+                         residuals=True).row(0)
 
 
 def predict(fit: FitResult, X_new: np.ndarray) -> np.ndarray:
@@ -391,6 +448,11 @@ def t_pvalue(t: float, dof: int) -> float:
         raise OlsError("t statistic is NaN")
     x = dof / (dof + t * t)
     return regularized_incomplete_beta(dof / 2.0, 0.5, x)
+
+
+def p_value(t: float, dof: int) -> float:
+    """``t_pvalue(t, dof)``, or NaN for a saturated fit (``dof == 0``)."""
+    return math.nan if dof == 0 else t_pvalue(t, dof)
 
 
 def t_critical(alpha: float, dof: int) -> float:

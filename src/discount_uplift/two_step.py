@@ -7,17 +7,19 @@ coefficient on that count is the per-unit uplift.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .domain import EligibilityRule, SkuPanel, filter_eligible
-from .ols import (BASELINE_LABELS, UPLIFT_LABELS, DimensionMismatch,
-                  FitResult, FitStatus, PredictOnFailedFit, fit_ols_batch,
-                  linear_combination)
+from .ols import (BASELINE_LABELS, UPLIFT_LABELS, BatchFit, DimensionMismatch,
+                  FitResult, PredictOnFailedFit, fit_ols_batch,
+                  linear_combination, p_value)
 # Unused here; perfbench/tracer.py wraps two_step.fit_ols and two_step.predict.
 from .ols import fit_ols, predict  # noqa: F401
 
@@ -28,12 +30,14 @@ MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
 # them into runs of at most BATCH_FITS SKUs and BATCH_ROWS padded rows. The
 # kernel keeps the fits on its innermost axis, so each of its numpy loops
 # runs over (columns left) x fits contiguous elements, and numpy's per-call
-# overhead is spread over the fits of a batch. Serial run_study medians on
-# one machine (2 vCPUs): 2,000 180-day panels took 0.231 s with 32 fits,
-# 0.222 s with 40 and 0.219 s with 64; 500 two-year panels (up to 594 rows)
-# took 0.144, 0.143 and 0.136 s. Wider batches cost memory, mostly on long
-# panels: the peak RSS of `uplift fit` on those 500 panels was 103.2 MB with
-# 32 fits, 103.3-104.6 with 40 and 44, 106.2 with 48 and up to 108.5 with 64.
+# overhead is spread over the fits of a batch; from 32 to 64 fits a study of
+# 2,000 180-day panels runs within 10 % of the same time. Wider batches cost
+# memory, mostly on long panels, where a batch holds about four arrays of its
+# padded size at once (the stacked design, the kernel's working matrix, a
+# block temporary and the rank-1 update): a serial run_study on 500 two-year
+# panels (up to 594 rows) peaks at 4.9 MiB of traced allocations with 32
+# fits, 6.0 with 40 and 8.5 with 64. `uplift fit` estimates one bucket of
+# about 28 such SKUs at a time, one batch each, and peaks near 46 MB.
 # Sorting by length keeps a long panel from padding short ones to its
 # length, and the row cap keeps a batch's working matrix near 3 MB (2**15
 # rows x 11 columns) however long the panels: 3,650-day panels go 11 to a
@@ -78,7 +82,8 @@ class SkuUpliftReport:
     (items/day); ``gamma10`` the estimated uplift per discounted sale. On
     ``ESTIMATION_FAILED`` all estimate fields are None and
     ``failure_reason`` says why (naming missing weekday columns when a stage
-    was rank deficient).
+    was rank deficient). ``stage1`` and ``stage2`` are set only by
+    ``fit_uplift``; a row of a study carries no stage fits.
     """
 
     sku_id: int
@@ -99,6 +104,107 @@ class SkuUpliftReport:
     @property
     def ok(self) -> bool:
         return self.status is ReportStatus.OK
+
+
+# The estimates of a report, NaN in a StudyReports row that failed.
+_ESTIMATES = ("mean_residual", "gamma10", "gamma10_se", "gamma10_t",
+              "gamma10_p")
+_COLUMNS = ("sku", "store", "has_store", "ok", "n_plain", "n_disc",
+            *_ESTIMATES, "significant")
+
+
+@dataclass(frozen=True, eq=False)
+class StudyReports:
+    """The per-SKU outcomes of a study as columns, one row per SKU.
+
+    One array per field of ``reports.csv``: ``sku``; ``store``, which
+    holds a store id where ``has_store`` is true and, as in
+    ``SkuPanel.key``, -1 elsewhere; ``ok``, the status
+    (``ReportStatus.OK`` where true); ``n_plain`` and ``n_disc``; the
+    float64 estimates ``mean_residual``, ``gamma10``, ``gamma10_se``,
+    ``gamma10_t`` and ``gamma10_p``, NaN where the estimation failed; and
+    ``significant``, false there. ``failure_reason`` is a list holding
+    each failed row's reason and None elsewhere. Indexing or iterating
+    gives rows as :class:`SkuUpliftReport` with no stage fits.
+    """
+
+    sku: np.ndarray
+    store: np.ndarray
+    has_store: np.ndarray
+    ok: np.ndarray
+    n_plain: np.ndarray
+    n_disc: np.ndarray
+    mean_residual: np.ndarray
+    gamma10: np.ndarray
+    gamma10_se: np.ndarray
+    gamma10_t: np.ndarray
+    gamma10_p: np.ndarray
+    significant: np.ndarray
+    failure_reason: list[str | None]
+
+    @classmethod
+    def failed(cls, panels: Sequence[SkuPanel],
+               reason: str | None = None) -> StudyReports:
+        """Rows for ``panels``, in their order, with no estimates and the
+        failure ``reason``."""
+        n = len(panels)
+        stores = [p.store_id for p in panels]
+        return cls(
+            sku=np.array([p.sku_id for p in panels], dtype=np.int64),
+            store=np.array([-1 if s is None else s for s in stores],
+                           dtype=np.int64),
+            has_store=np.array([s is not None for s in stores], dtype=bool),
+            ok=np.zeros(n, dtype=bool),
+            n_plain=np.array([p.n_plain for p in panels], dtype=np.int64),
+            n_disc=np.array([p.n_disc for p in panels], dtype=np.int64),
+            **{name: np.full(n, math.nan) for name in _ESTIMATES},
+            significant=np.zeros(n, dtype=bool),
+            failure_reason=[reason] * n)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[StudyReports]) -> StudyReports:
+        """The rows of ``parts``, one after another."""
+        if not parts:
+            return cls.failed(())
+        return cls(**{name: np.concatenate([getattr(p, name) for p in parts])
+                      for name in _COLUMNS},
+                   failure_reason=[r for p in parts for r in p.failure_reason])
+
+    def take(self, index: np.ndarray) -> StudyReports:
+        """The rows at the positions ``index``, in its order."""
+        return StudyReports(**{name: getattr(self, name)[index]
+                               for name in _COLUMNS},
+                            failure_reason=[self.failure_reason[i]
+                                            for i in index.tolist()])
+
+    def __len__(self) -> int:
+        return len(self.sku)
+
+    def __getitem__(self, i: int) -> SkuUpliftReport:
+        return _report_row(*(getattr(self, name)[i].item()
+                             for name in _COLUMNS), self.failure_reason[i])
+
+    def __iter__(self) -> Iterator[SkuUpliftReport]:
+        columns = [getattr(self, name).tolist() for name in _COLUMNS]
+        for values in zip(*columns, self.failure_reason):
+            yield _report_row(*values)
+
+
+def _report_row(sku, store, has_store, ok, n_plain, n_disc, mean_residual,
+                gamma10, gamma10_se, gamma10_t, gamma10_p, significant,
+                failure_reason) -> SkuUpliftReport:
+    """One row of a StudyReports, from the Python values of its columns."""
+    store_id = store if has_store else None
+    if not ok:
+        return SkuUpliftReport(sku_id=sku, store_id=store_id,
+                               status=ReportStatus.ESTIMATION_FAILED,
+                               n_plain=n_plain, n_disc=n_disc,
+                               failure_reason=failure_reason)
+    return SkuUpliftReport(
+        sku_id=sku, store_id=store_id, status=ReportStatus.OK,
+        n_plain=n_plain, n_disc=n_disc, mean_residual=mean_residual,
+        gamma10=gamma10, gamma10_se=gamma10_se, gamma10_t=gamma10_t,
+        gamma10_p=gamma10_p, significant_positive=significant)
 
 
 _WEEKDAY_ONE_HOT = np.eye(7)
@@ -131,20 +237,21 @@ def _stack(panels: Sequence[SkuPanel], indices: Sequence[np.ndarray],
     return X, y
 
 
-def _stage1(panels: Sequence[SkuPanel]) -> list[FitResult]:
+def _stage1(panels: Sequence[SkuPanel], residuals: bool = False) -> BatchFit:
     """Stage 1 of each panel, in one kernel call: sales on weekday dummies,
     forecast and stock over its discount-free days."""
     X, y = _stack(panels, [p.plain_index for p in panels], BASELINE_LABELS)
-    return fit_ols_batch(X, y, [p.n_plain for p in panels], BASELINE_LABELS)
+    return fit_ols_batch(X, y, [p.n_plain for p in panels], BASELINE_LABELS,
+                         residuals)
 
 
-def _lift(panels: Sequence[SkuPanel], stage1: Sequence[FitResult]
+def _lift(panels: Sequence[SkuPanel], coefficients: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """The stage-2 designs of the panels' discount days, (panels, rows,
-    columns), and each day's sales minus its stage-1 prediction, (panels,
-    rows); padded rows come out +0.0 in both."""
+    columns), and each day's sales minus its prediction by the panel's row
+    of stage-1 ``coefficients``, (panels, rows); padded rows come out +0.0
+    in both."""
     X, sales = _stack(panels, [p.disc_index for p in panels], UPLIFT_LABELS)
-    coefficients = np.stack([fit.coefficients for fit in stage1])
     return X, sales - linear_combination(X[:, :, :len(BASELINE_LABELS)],
                                          coefficients[:, None, :])
 
@@ -192,7 +299,7 @@ def fit_baseline(panel: SkuPanel) -> FitResult:
     the SKU cannot be estimated.
     """
     _check_training_days(panel)
-    return _stage1([panel])[0]
+    return _stage1([panel], residuals=True).row(0)
 
 
 def residual_lift(panel: SkuPanel, baseline: FitResult) -> np.ndarray:
@@ -203,7 +310,7 @@ def residual_lift(panel: SkuPanel, baseline: FitResult) -> np.ndarray:
     if baseline.column_labels != BASELINE_LABELS:
         raise DimensionMismatch(f"columns {BASELINE_LABELS} do not match fit "
                                 f"columns {baseline.column_labels}")
-    return _lift([panel], [baseline])[1][0]
+    return _lift([panel], baseline.coefficients[None])[1][0]
 
 
 def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
@@ -217,6 +324,7 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
     """Regress baseline residuals on covariates plus the discounted-sales
     count and report the uplift coefficient with its significance verdict.
 
+    The report carries this stage-2 fit and the given ``stage1``.
     Stage-2 rank deficiency yields an ``ESTIMATION_FAILED`` report rather
     than an exception.
     """
@@ -230,57 +338,51 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
     if not np.isfinite(residuals).all():
         raise TwoStepError(f"sku {panel.sku_id}: non-finite residual")
     X, _ = _stack([panel], [panel.disc_index], UPLIFT_LABELS)
-    stage2 = fit_ols_batch(X, residuals[None], [panel.n_disc], UPLIFT_LABELS)
-    return _uplift_report(panel, residuals, stage1, stage2[0], alpha,
-                          sidedness)
+    stage2 = fit_ols_batch(X, residuals[None], [panel.n_disc], UPLIFT_LABELS,
+                           residuals=True)
+    reports = StudyReports.failed([panel])
+    _set_uplift(reports, [0], stage2, residuals[None], alpha, sidedness)
+    return dataclasses.replace(reports[0], stage1=stage1,
+                               stage2=stage2.row(0))
 
 
-def _uplift_report(panel: SkuPanel, residuals: np.ndarray,
-                   stage1: FitResult | None, stage2: FitResult, alpha: float,
-                   sidedness: Sidedness) -> SkuUpliftReport:
-    """The report of a SKU whose stage 2 has been fitted to ``residuals``."""
-    if stage2.status is FitStatus.RANK_DEFICIENT:
-        return SkuUpliftReport(
-            sku_id=panel.sku_id, store_id=panel.store_id,
-            status=ReportStatus.ESTIMATION_FAILED,
-            n_plain=panel.n_plain, n_disc=panel.n_disc,
-            stage1=stage1, stage2=stage2,
-            failure_reason=("stage 2 rank deficient; dependent columns: "
-                            + ", ".join(stage2.missing_columns)))
-
+def _set_uplift(reports: StudyReports, rows: Sequence[int], stage2: BatchFit,
+                lift: np.ndarray, alpha: float, sidedness: Sidedness) -> None:
+    """Fill the ``rows`` of ``reports`` from their stage 2, fitted in that
+    order to the padded residuals ``lift``, reading each array of the batch
+    once."""
+    for b in np.flatnonzero(~stage2.ok).tolist():
+        reports.failure_reason[rows[b]] = (
+            "stage 2 rank deficient; dependent columns: "
+            + ", ".join(stage2.missing_columns[b]))
+    fitted = np.flatnonzero(stage2.ok)
     ds_col = len(UPLIFT_LABELS) - 1
-    gamma10 = float(stage2.coefficients[ds_col])
-    gamma10_se = float(stage2.std_errors[ds_col])
-    gamma10_t = float(stage2.t_stats[ds_col])
-    two_sided_p = stage2.p_value(ds_col)
-    if sidedness is Sidedness.ONE_SIDED_POSITIVE:
-        gamma10_p = _one_sided_positive_p(gamma10_t, two_sided_p)
-    else:
-        gamma10_p = two_sided_p
-
-    # np.mean of the SKU's own residuals, as a single-SKU fit takes it: a
-    # sum over the padded batch in row order would round differently.
-    mean_residual = float(np.mean(residuals))
-
-    return SkuUpliftReport(
-        sku_id=panel.sku_id, store_id=panel.store_id, status=ReportStatus.OK,
-        n_plain=panel.n_plain, n_disc=panel.n_disc,
-        mean_residual=mean_residual, gamma10=gamma10, gamma10_se=gamma10_se,
-        gamma10_t=gamma10_t, gamma10_p=gamma10_p,
-        significant_positive=bool(gamma10 > 0.0 and gamma10_p < alpha),
-        stage1=stage1, stage2=stage2)
-
-
-def _failed(panel: SkuPanel, reason: str,
-            stage1: FitResult | None = None) -> SkuUpliftReport:
-    return SkuUpliftReport(sku_id=panel.sku_id, store_id=panel.store_id,
-                           status=ReportStatus.ESTIMATION_FAILED,
-                           n_plain=panel.n_plain, n_disc=panel.n_disc,
-                           stage1=stage1, failure_reason=reason)
+    gamma10 = stage2.coefficients[fitted, ds_col]
+    gamma10_t = stage2.t_stats[fitted, ds_col]
+    gamma10_p = []
+    mean_residual = []
+    for b, t, dof, n in zip(fitted.tolist(), gamma10_t.tolist(),
+                            stage2.dof[fitted].tolist(),
+                            stage2.n_obs[fitted].tolist()):
+        two_sided_p = p_value(t, dof)
+        gamma10_p.append(_one_sided_positive_p(t, two_sided_p)
+                         if sidedness is Sidedness.ONE_SIDED_POSITIVE
+                         else two_sided_p)
+        # np.mean of the SKU's own residuals, as a single-SKU fit takes it:
+        # a sum over the padded batch in row order would round differently.
+        mean_residual.append(np.mean(lift[b, :n]))
+    at = np.asarray(rows, dtype=np.intp)[fitted]
+    reports.ok[at] = True
+    reports.mean_residual[at] = mean_residual
+    reports.gamma10[at] = gamma10
+    reports.gamma10_se[at] = stage2.std_errors[fitted, ds_col]
+    reports.gamma10_t[at] = gamma10_t
+    reports.gamma10_p[at] = gamma10_p
+    reports.significant[at] = (gamma10 > 0.0) & (np.array(gamma10_p) < alpha)
 
 
 def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
-                    sidedness: Sidedness) -> list[SkuUpliftReport]:
+                    sidedness: Sidedness) -> StudyReports:
     """Both stages for a batch of panels, with one kernel call per stage.
 
     Stage 1 runs for every panel with discount-free days, then stage 2 for
@@ -288,49 +390,50 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     inference; each other panel gets the failed report a lone estimate
     would give it. Reports come back in the order of ``panels``.
     """
-    reports: list[SkuUpliftReport | None] = [None] * len(panels)
+    reports = StudyReports.failed(panels)
+    reasons = reports.failure_reason
     first = []
     for i, panel in enumerate(panels):
         try:
             _check_training_days(panel)
         except EmptyTrainingSet as exc:
-            reports[i] = _failed(panel, str(exc))
+            reasons[i] = str(exc)
         else:
             first.append(i)
     if not first:
         return reports
 
-    stage1 = dict(zip(first, _stage1([panels[i] for i in first])))
-    second = []
-    for i in first:
-        panel, fit = panels[i], stage1[i]
-        if fit.status is FitStatus.RANK_DEFICIENT:
-            reports[i] = _failed(panel, "stage 1 rank deficient; dependent "
-                                 "columns: " + ", ".join(fit.missing_columns),
-                                 stage1=fit)
+    stage1 = _stage1([panels[i] for i in first])
+    second, baseline = [], []
+    for row, (i, ok) in enumerate(zip(first, stage1.ok.tolist())):
+        panel = panels[i]
+        if not ok:
+            reasons[i] = ("stage 1 rank deficient; dependent columns: "
+                          + ", ".join(stage1.missing_columns[row]))
             continue
         try:
             _check_discount_days(panel)
             _check_inference(panel)
         except TwoStepError as exc:
-            reports[i] = _failed(panel, str(exc), stage1=fit)
+            reasons[i] = str(exc)
         else:
             second.append(i)
+            baseline.append(row)
     if not second:
         return reports
 
-    X, lift = _lift([panels[i] for i in second], [stage1[i] for i in second])
-    n_disc = [panels[i].n_disc for i in second]
-    stage2 = fit_ols_batch(X, lift, n_disc, UPLIFT_LABELS)
-    for row, i in enumerate(second):
-        reports[i] = _uplift_report(panels[i], lift[row, :n_disc[row]],
-                                    stage1[i], stage2[row], alpha, sidedness)
+    X, lift = _lift([panels[i] for i in second],
+                    stage1.coefficients[baseline])
+    stage2 = fit_ols_batch(X, lift, [panels[i].n_disc for i in second],
+                           UPLIFT_LABELS)
+    _set_uplift(reports, second, stage2, lift, alpha, sidedness)
     return reports
 
 
 def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
                  sidedness: Sidedness = Sidedness.TWO_SIDED) -> SkuUpliftReport:
-    """Run both stages for one panel, turning failures into a failed report.
+    """Run both stages for one panel, turning failures into a failed report:
+    row 0 of a one-panel study, so with no stage fits.
 
     An ``alpha`` outside (0, 1) or an unknown ``sidedness`` raises
     ``TwoStepError``.
@@ -362,29 +465,28 @@ def run_study(panels: Iterable[SkuPanel],
               rule: EligibilityRule = EligibilityRule(),
               alpha: float = 0.05,
               sidedness: Sidedness = Sidedness.TWO_SIDED,
-              threads: int | None = None) -> tuple[SkuUpliftReport, ...]:
+              threads: int | None = None) -> StudyReports:
     """Estimate every eligible panel; per-SKU failures never abort the study.
 
     The eligible panels are cut into batches of similar length (see
     ``_batches``), and ``threads`` workers estimate whole batches. A fit's
     bytes do not depend on its batch, so any thread count gives identical
-    reports, returned in ascending (sku, store) order. An unexpected
-    exception while estimating a batch marks each SKU of that batch, and
-    only of that batch, ``internal error: ...``. An ``alpha`` outside
-    (0, 1) or an unknown ``sidedness`` raises ``TwoStepError`` before any
-    fit.
+    reports, returned as columns in ascending (sku, store) order. Neither
+    stage's fit is kept. An unexpected exception while estimating a batch
+    marks each SKU of that batch, and only of that batch, ``internal error:
+    ...``. An ``alpha`` outside (0, 1) or an unknown ``sidedness`` raises
+    ``TwoStepError`` before any fit.
     """
     sidedness = _checked_t_test(alpha, sidedness)
     eligible, _ = filter_eligible(panels, rule)
     ordered = sorted(eligible, key=lambda p: p.key)
 
-    def one(batch: list[int]) -> list[SkuUpliftReport]:
+    def one(batch: list[int]) -> StudyReports:
         members = [ordered[i] for i in batch]
         try:
             return _estimate_batch(members, alpha, sidedness)
         except Exception as exc:  # records, never aborts the study
-            return [_failed(panel, f"internal error: {exc}")
-                    for panel in members]
+            return StudyReports.failed(members, f"internal error: {exc}")
 
     batches = _batches(ordered)
     if threads is not None and threads > 1 and len(batches) > 1:
@@ -392,8 +494,6 @@ def run_study(panels: Iterable[SkuPanel],
             done = list(pool.map(one, batches))
     else:
         done = [one(batch) for batch in batches]
-    reports: list[SkuUpliftReport | None] = [None] * len(ordered)
-    for batch, batch_reports in zip(batches, done):
-        for i, report in zip(batch, batch_reports):
-            reports[i] = report
-    return tuple(reports)
+    # Row k of the batches' rows is the panel at position order[k].
+    order = np.array([i for batch in batches for i in batch], dtype=np.intp)
+    return StudyReports.concatenate(done).take(np.argsort(order))

@@ -21,7 +21,7 @@ from conftest import build_panel, make_report
 from discount_uplift.aggregate import summarize, trim_central
 from discount_uplift.cli import main
 from discount_uplift.domain import observation_violations
-from discount_uplift.ols import fit_ols, t_critical, t_pvalue
+from discount_uplift.ols import UPLIFT_LABELS, fit_ols, t_critical, t_pvalue
 from discount_uplift.synth import CycleConfig, DgpConfig, cycle_summary, \
     generate_panel, generate_study, simulate_cycle
 from discount_uplift.two_step import (ReportStatus, estimate_sku, fit_baseline,
@@ -92,7 +92,8 @@ def test_criterion_3_parameter_recovery():
     for seed in range(n_seeds):
         report = estimate_sku(generate_panel(DgpConfig(seed=seed, **config), 1))
         assert report.ok
-        halfwidth = t_critical(0.05, report.stage2.dof) * report.gamma10_se
+        dof = report.n_disc - len(UPLIFT_LABELS)  # stage 2's
+        halfwidth = t_critical(0.05, dof) * report.gamma10_se
         covered += (report.gamma10 - halfwidth <= 0.6
                     <= report.gamma10 + halfwidth)
     coverage = covered / n_seeds

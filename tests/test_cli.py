@@ -812,6 +812,32 @@ def test_fit_buckets_print_the_library_issues(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_fit_checks_every_bucket_before_estimating(tmp_path, monkeypatch,
+                                                   capsys):
+    # A repeated key in the last of 4 buckets (sku 5's) exits 2 before any
+    # bucket is estimated; without it, each of the 4 buckets is estimated.
+    golden = (DATA / "golden_input.csv").read_bytes()
+    repeated = golden + golden.splitlines(keepends=True)[1 + 4 * 300]
+    studies: list[list[int]] = []
+    study = cli.run_study
+
+    def counting(panels, **kwargs):
+        studies.append(sorted(p.sku_id for p in panels))
+        return study(panels, **kwargs)
+
+    monkeypatch.setattr(cli, "run_study", counting)
+    for data, code, estimated in ((repeated, 2, 0), (golden, 0, 4)):
+        src = tmp_path / f"in-{code}.csv"
+        src.write_bytes(data)
+        made = _small_buckets(monkeypatch, len(data), 4)
+        studies.clear()
+        assert main(["fit", "--input", str(src),
+                     "--out-dir", str(tmp_path / f"out-{code}")]) == code
+        assert made == [4] and len(studies) == estimated
+    assert 5 in studies[-1]  # the repeated SKU's bucket is the last
+    assert "duplicate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case, code", [
     ("estimated", 0), ("row-error", 2), ("duplicate", 2),
     ("fault-in-second-bucket", 1), ("interrupted", None)])
@@ -847,7 +873,7 @@ def test_fit_removes_its_buckets(tmp_path, monkeypatch, case, code):
         assert main(argv) == code
     assert not list(work.glob(".uplift-fit-*"))
     assert out_dir.exists() == (code == 0)
-    if case != "row-error":
+    if case not in ("row-error", "duplicate"):
         assert seen and all(seen)  # the buckets were beside --out-dir
     if case == "duplicate":
-        assert len(seen) == 3  # buckets before the last SKU's were fitted
+        assert seen == []  # every bucket is checked before any is fitted

@@ -240,6 +240,19 @@ def _fit_bytes(fit: FitResult) -> tuple:
             fit.missing_columns, np.float64(fit.sigma2).tobytes()) + arrays
 
 
+def _batch_rows(X, y, lengths, labels) -> list[FitResult]:
+    """The fits of one fit_ols_batch call as FitResult rows. Asked without
+    residuals, the batch gives the same rows but for their residuals."""
+    batch = fit_ols_batch(X, y, lengths, labels, residuals=True)
+    plain = fit_ols_batch(X, y, lengths, labels)
+    assert plain.residuals is None
+    rows = [batch.row(b) for b in range(len(lengths))]
+    for b, row in enumerate(rows):
+        assert plain.row(b).residuals is None
+        assert _fit_bytes(plain.row(b))[:-1] == _fit_bytes(row)[:-1]
+    return rows
+
+
 def _padded_batch(designs, extra_rows):
     """Designs and responses zero-padded to a common row count plus
     ``extra_rows``: (fits, rows, columns) and (fits, rows)."""
@@ -273,14 +286,14 @@ def test_batch_rows_equal_lone_fits(seed):
         designs.append((X, rng.normal(size=n)))
     X, y = _padded_batch(designs, 3)
     labels = tuple(f"x{j}" for j in range(p))
-    batch = fit_ols_batch(X, y, lengths, labels)
+    batch = _batch_rows(X, y, lengths, labels)
     assert batch[deficient].status is FitStatus.RANK_DEFICIENT
     assert sum(fit.ok for fit in batch) == len(designs) - 1
     for fit, (Xb, yb) in zip(batch, designs):
         assert _fit_bytes(fit) == _fit_bytes(fit_ols(Xb, yb, labels))
     keep = [b for b in range(len(designs)) if b != deficient]
-    without = fit_ols_batch(X[keep], y[keep], [lengths[b] for b in keep],
-                            labels)
+    without = _batch_rows(X[keep], y[keep], [lengths[b] for b in keep],
+                          labels)
     assert [_fit_bytes(f) for f in without] == \
            [_fit_bytes(batch[b]) for b in keep]
 
@@ -301,7 +314,7 @@ def test_batch_inference_branches_equal_lone_fits():
                (line, -3.0 * np.arange(6.0))]
     X, y = _padded_batch(designs, 4)
     labels = ("a", "b")
-    fits = fit_ols_batch(X, y, [len(yb) for _, yb in designs], labels)
+    fits = _batch_rows(X, y, [len(yb) for _, yb in designs], labels)
     ordinary, deficient, saturated, rising, falling = fits
     assert ordinary.ok and np.isfinite(ordinary.t_stats).all()
     assert deficient.status is FitStatus.RANK_DEFICIENT
@@ -344,7 +357,7 @@ def test_kernel_bits_as_fits_leave_down_to_one():
         lengths = [len(yb) for _, yb in batch]
         R, qty, piv, rank = _householder_qr(X, y)
         assert rank.tolist() == list(ranks)
-        fits = fit_ols_batch(X, y, lengths, labels)
+        fits = _batch_rows(X, y, lengths, labels)
         for b, (Xb, yb) in enumerate(batch):
             R1, qty1, piv1, rank1 = _householder_qr(Xb[None], yb[None])
             assert rank[b] == rank1[0]
@@ -438,7 +451,7 @@ def test_kernel_equals_householder_oracle(seed):
                         rng.normal(size=n) * 10.0 ** rng.integers(-6, 7)))
     X, y = _padded_batch(designs, int(rng.integers(0, 9)))
     labels = tuple(f"x{j}" for j in range(p))
-    batch = fit_ols_batch(X, y, lengths, labels)
+    batch = _batch_rows(X, y, lengths, labels)
     for fit, (Xb, yb) in zip(batch, designs):
         oracle = householder_fit(Xb.tolist(), yb.tolist())
         assert oracle[0] == p

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import build_panel
+from discount_uplift.aggregate import summarize
 from discount_uplift.domain import EligibilityRule
-from discount_uplift.ols import (DimensionMismatch, FitStatus,
-                                 PredictOnFailedFit, t_pvalue)
+from discount_uplift.ols import (UPLIFT_LABELS, DimensionMismatch, FitStatus,
+                                 OlsError, PredictOnFailedFit, t_pvalue)
 from discount_uplift.synth import DgpConfig, generate_panel, generate_study
 from discount_uplift.two_step import (MIN_DISCOUNT_DAYS_FOR_INFERENCE,
                                       EmptyTrainingSet, ReportStatus,
@@ -104,7 +107,8 @@ def test_residual_lift_value():
 def test_residual_lift_rejects_a_stage2_fit():
     panel = generate_panel(DgpConfig(seed=17, n_days=300,
                                      discount_probability=0.3), sku_id=1)
-    report = estimate_sku(panel)
+    baseline = fit_baseline(panel)
+    report = fit_uplift(panel, residual_lift(panel, baseline), stage1=baseline)
     assert report.ok
     with pytest.raises(DimensionMismatch, match="do not match"):
         residual_lift(panel, report.stage2)
@@ -162,7 +166,7 @@ def test_fit_uplift_rejects_non_finite_residuals(bad):
 
 def test_fit_uplift_stage2_residuals_sum_to_zero():
     panel = generate_panel(DgpConfig(seed=13, n_days=900), sku_id=3)
-    report = estimate_sku(panel)
+    report = fit_uplift(panel, residual_lift(panel, fit_baseline(panel)))
     assert report.ok
     resid = report.stage2.residuals
     assert abs(resid.sum()) <= 1e-8 * (np.abs(resid).sum() + 1.0)
@@ -258,7 +262,8 @@ def test_run_study_records_failures_and_continues():
 
 
 def test_run_study_empty():
-    assert run_study([]) == ()
+    reports = run_study([])
+    assert len(reports) == 0 and list(reports) == []
 
 
 def test_run_study_applies_eligibility():
@@ -328,8 +333,21 @@ def _fit_arrays(fit):
 
 
 def _report_bytes(report):
-    return (_report_fields(report), report.store_id, report.failure_reason,
-            _fit_arrays(report.stage1), _fit_arrays(report.stage2))
+    """Every field of a report but its stage fits, floats as bytes."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in _report_fields(report)) + (
+        report.store_id, report.failure_reason)
+
+
+def _stage_fits(panel):
+    """The stage fits the public chain gives a panel, as far as it gets."""
+    fits = []
+    try:
+        fits.append(fit_baseline(panel))
+        fits.append(fit_uplift(panel, residual_lift(panel, fits[0])).stage2)
+    except (TwoStepError, OlsError):
+        pass
+    return fits
 
 
 def _mixed_panels():
@@ -367,13 +385,16 @@ def test_public_chain_equals_estimate_sku():
 
     for panel in _mixed_panels():
         lone = estimate_sku(panel)
+        assert lone.stage1 is None and lone.stage2 is None
         if panel.sku_id in errors:
             assert not lone.ok
             with pytest.raises(errors[panel.sku_id]):
                 chain(panel)
         else:
-            assert _report_bytes(chain(panel)) == _report_bytes(lone), \
-                panel.sku_id
+            report = chain(panel)
+            assert _report_bytes(report) == _report_bytes(lone), panel.sku_id
+            assert [_fit_arrays(report.stage1), _fit_arrays(report.stage2)] \
+                == [_fit_arrays(fit) for fit in _stage_fits(panel)]
 
 
 def test_batched_study_equals_lone_estimates(monkeypatch):
@@ -384,9 +405,10 @@ def test_batched_study_equals_lone_estimates(monkeypatch):
     reasons = {p.sku_id: estimate_sku(p).failure_reason for p in panels}
     assert "Sat" in reasons[7] and "need at least" in reasons[8]
     assert "no discount-free days" in reasons[10]
-    saturated = estimate_sku(panels[8])
-    assert saturated.ok and saturated.stage1.dof == 0
-    assert np.isnan(saturated.stage1.std_errors).all()
+    assert estimate_sku(panels[8]).ok
+    saturated = fit_baseline(panels[8])
+    assert saturated.ok and saturated.dof == 0
+    assert np.isnan(saturated.std_errors).all()
 
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     ordered = sorted(panels, key=lambda p: p.key)
@@ -481,15 +503,12 @@ def test_study_computes_one_p_value_per_reported_sku(monkeypatch):
     reports = run_study(_mixed_panels(), rule=LOW_RULE)
     ok = [r for r in reports if r.ok]
     assert len(ok) >= 5
-    assert sorted(calls) == sorted(r.stage2.dof for r in ok)
+    assert sorted(calls) == sorted(r.n_disc - len(UPLIFT_LABELS) for r in ok)
 
 
 def test_lazy_p_values_are_t_pvalue_of_each_t():
     for panel in _mixed_panels():
-        report = estimate_sku(panel)
-        for fit in (report.stage1, report.stage2):
-            if fit is None:
-                continue
+        for fit in _stage_fits(panel):
             if not fit.ok:
                 assert fit.p_values is None
             elif fit.dof == 0:
@@ -500,3 +519,84 @@ def test_lazy_p_values_are_t_pvalue_of_each_t():
                 assert fit.p_values is fit.p_values
                 assert [fit.p_value(j) for j in range(len(expected))] \
                     == expected
+
+
+def _weekday_discount_panel(sku_id):
+    """Discounts on alternate weekdays only: stage 1 sees every weekday,
+    stage 2 neither Saturday nor Sunday."""
+    import datetime as dt
+    start = dt.date(2024, 1, 1)
+    disc = [1 + d % 3 if d % 2 == 0
+            and (start + dt.timedelta(days=d)).isoweekday() <= 5 else 0
+            for d in range(140)]
+    return build_panel([4 + d % 3 for d in range(140)], disc, sku_id=sku_id)
+
+
+def test_study_rows_equal_lone_estimates_in_every_failure_class(monkeypatch):
+    import discount_uplift.ols as ols
+    import discount_uplift.two_step as two_step
+
+    # Panels of mixed lengths, each failure class among them; the marked
+    # panel's batch fails as a whole with an internal error.
+    panels = _mixed_panels() + [
+        _weekday_discount_panel(sku_id=11),
+        build_panel([3 + d % 5 for d in range(400)],
+                    [1 if d % 3 == 0 else 0 for d in range(400)],
+                    stock=[9999] * 400, sku_id=12)]
+    lone = {p.sku_id: estimate_sku(p) for p in panels}
+    kernel = ols._householder_qr
+
+    def faulty(A, y):
+        if (A[:, :, 8] == 9999.0).any():
+            raise RuntimeError("injected fault")
+        return kernel(A, y)
+
+    monkeypatch.setattr(ols, "_householder_qr", faulty)
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
+    ordered = sorted(panels, key=lambda p: p.key)
+    hit = {ordered[i].sku_id for b in two_step._batches(ordered)
+           if any(ordered[i].sku_id == 12 for i in b) for i in b}
+    reports = run_study(panels[::-1], rule=LOW_RULE)
+    assert isinstance(reports, two_step.StudyReports)
+    rows = list(reports)
+    assert [_report_bytes(reports[i]) for i in range(len(reports))] == \
+        [_report_bytes(r) for r in rows]
+    assert [r.sku_id for r in rows] == sorted(lone)
+    reasons = {}
+    for r in rows:
+        assert r.stage1 is None and r.stage2 is None
+        if r.sku_id in hit:
+            assert r.failure_reason == "internal error: injected fault"
+            assert r.gamma10 is None and r.significant_positive is None
+        else:
+            assert _report_bytes(r) == _report_bytes(lone[r.sku_id])
+            reasons[r.sku_id] = r.failure_reason
+    for sku, words in ((10, "no discount-free days"),
+                       (7, "stage 1 rank deficient; dependent columns: Sat, "
+                           "Sun"),
+                       (8, "need at least"),
+                       (11, "stage 2 rank deficient; dependent columns: Sat, "
+                            "Sun")):
+        assert words in reasons[sku], sku
+    assert 1 < len(hit) < len(panels) and sum(r.ok for r in rows) >= 5
+    assert summarize(reports) == summarize(rows)
+
+
+def test_study_holds_under_200_bytes_per_sku():
+    # A report is a row of columns: the study keeps neither stage's fit nor
+    # a copy of its residuals (3.5 KB per SKU when each report did).
+    panels = generate_study(DgpConfig(seed=201, n_days=180,
+                                      discount_probability=0.4), 200,
+                            gammas=(0.0, 0.3, 0.6, 1.0))
+    run_study(panels[:20])  # lazily made state of numpy and the interpreter
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = run_study(panels)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 200
+    assert held / len(reports) < 200, held
