@@ -76,8 +76,9 @@ def _check_makedirs(path: Path, flag: str, files: Sequence[str] = ()
                     ) -> Path:
     """Raises UserError unless ``path`` is a directory or can be made one,
     and none of ``files`` in it is a directory: the nearest of it and its
-    ancestors that exists must be a directory. Returns that nearest one."""
-    existing = next(p for p in (path, *path.parents) if p.exists())
+    ancestors that exists, a symbolic link to nothing included, must be a
+    directory. Returns that nearest one."""
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise UserError(f"{flag}: {existing} is not a directory")
     for name in files:

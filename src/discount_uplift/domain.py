@@ -1,11 +1,14 @@
 """Core data types, CSV ingestion and SKU-panel construction.
 
 A dataset is a flat collection of store/SKU/day records, held as one
-:class:`ObservationTable`: a numpy array per field. Panels are contiguous
-slices of the table sorted by SKU; each splits its days into discount-free
-days and days with at least one discounted sale, and is the unit of work
-for the two-step estimation. :class:`Observation` is the per-record view of
-a table row; it is built only when a caller asks for an element.
+:class:`ObservationTable`: a numpy array per field. CSV text comes in
+through one block loop (:func:`_blocks`), which :func:`parse_csv` and
+:func:`partition_csv` both run on a single read of their source. Panels are
+contiguous slices of a table sorted by SKU, built only from tables; each
+splits its days into discount-free days and days with at least one
+discounted sale, and is the unit of work for the two-step estimation.
+:class:`Observation` is the per-record view of a table row; it is built
+only when a caller asks for an element.
 """
 from __future__ import annotations
 
@@ -201,15 +204,6 @@ class ObservationView(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
-def _as_table(observations: Iterable[Observation] | ObservationTable
-              ) -> ObservationTable:
-    if isinstance(observations, ObservationTable):
-        return observations
-    if isinstance(observations, ObservationView):
-        return observations.table
-    return ObservationTable.from_observations(observations)
-
-
 # The record invariants, in the order a row's breaches are reported: (field,
 # breach test, message). A test reads its record's fields by name, so it
 # gives a bool for an Observation and a row mask for an ObservationTable; a
@@ -338,12 +332,11 @@ _MALFORMED = (
 
 
 class _Columns:
-    """Fills preallocated column arrays (in Observation field order, the date
-    as days since 1970-01-01) with converted blocks of CSV cells, plus the
-    line number of each row."""
+    """Fills column arrays of :data:`_PARSE_LINES` rows (in Observation
+    field order, the date as days since 1970-01-01) with one converted block
+    of CSV cells, plus the line number of each row."""
 
-    def __init__(self, position: Mapping[str, int], n_fields: int,
-                 rows: int) -> None:
+    def __init__(self, position: Mapping[str, int], n_fields: int) -> None:
         self.n_fields = n_fields
         self.shortest = max(position.values()) + 1
         days = _Distinct(_parse_day).__getitem__
@@ -358,9 +351,10 @@ class _Columns:
         converters[5] = (float, float)
         self.fields = [(name, position[column], *pair) for name, column, pair
                        in zip(_FIELDS, CSV_COLUMNS, converters)]
-        self.columns = [np.empty(rows, dtype=np.float64 if name == "forecast"
-                                 else np.int64) for name in _FIELDS]
-        self.lines = np.empty(rows, dtype=np.int64)
+        self.columns = [np.empty(_PARSE_LINES, dtype=np.float64
+                                 if name == "forecast" else np.int64)
+                        for name in _FIELDS]
+        self.lines = np.empty(_PARSE_LINES, dtype=np.int64)
         self.filled = 0
 
     def split(self, block: str, first: int, errors: list[RowIssue]) -> None:
@@ -400,9 +394,6 @@ class _Columns:
         converted again cell by cell, to find and word its bad cells."""
         start, n = self.filled, len(lines)
         end = start + n
-        if end > len(self.lines):
-            raise DomainError("more lines than the first pass counted: the "
-                              "input changed while it was read")
         failed: dict[tuple[int, str], ValueError] = {}
         for (name, _, native, strict), column, out in zip(
                 self.fields, cells, self.columns):
@@ -441,12 +432,11 @@ class _Columns:
         return ObservationTable(*columns), self.lines[:self.filled]
 
 
-def _newlines(source: BinaryIO, size: int = -1) -> int:
-    """Newlines in the next ``size`` bytes of ``source`` (all, if
-    negative), read in blocks of at most :data:`READ_BYTES`."""
+def _newlines(source: BinaryIO, size: int) -> int:
+    """Newlines in the next ``size`` bytes of ``source``, read in blocks of
+    at most :data:`READ_BYTES`."""
     newlines = 0
-    while size and (block := source.read(
-            READ_BYTES if size < 0 else min(size, READ_BYTES))):
+    while size and (block := source.read(min(size, READ_BYTES))):
         size -= len(block)
         newlines += block.count(b"\n")
     return newlines
@@ -509,14 +499,11 @@ def parse_csv(source: str | bytes | BinaryIO,
 
     ``source`` is the document as ``str`` or UTF-8 ``bytes``, or a seekable
     binary file of UTF-8 text, read from its current position, such as
-    ``open(path, "rb")`` or ``io.BytesIO``. A file is never held whole: a
-    first pass counts its newlines, then the file is sought back and a
-    second pass decodes it line by line, both in reads of at most
-    :data:`READ_BYTES`. A file that has more lines in the second pass than
-    in the first, because it grew in between, raises :class:`DomainError`
-    instead of overrunning the columns. So do bytes that are not UTF-8; the
-    message names the line and the byte offset of the first bad byte. The
-    file is left open, at the end of what was read.
+    ``open(path, "rb")`` or ``io.BytesIO``. A file is never held whole: it is
+    read once, in reads of at most :data:`READ_BYTES`, and decoded line by
+    line. Bytes that are not UTF-8 raise :class:`DomainError`; the message
+    names the line and the byte offset of the first bad byte. The file is
+    left open, at the end of what was read.
 
     ``schema`` maps the canonical column names (:data:`CSV_COLUMNS`) to the
     actual header names; omitted entries default to the canonical name.
@@ -525,19 +512,12 @@ def parse_csv(source: str | bytes | BinaryIO,
     order; a weekday column that disagrees with the calendar date is
     reported as a warning only, because the weekday column is authoritative.
 
-    The body is read in blocks of lines, and two tokenizers feed one
-    converter. A block in which every line has exactly one cell per header
-    field, with no quote, carriage return or NUL and no line longer than
-    ``csv.field_size_limit()``, is split on commas; any other block goes to
-    ``csv.reader``, which reads a quoted record whole even when it runs into
-    the following lines. The converter words short rows, drops blank ones
-    and converts every column at once; only a column that fails is converted
-    again cell by cell, which words its bad cells. The rows are written into
-    columns preallocated for the line count, and the table is a view of the
-    filled part. Invariants, duplicate keys and weekday mismatches are found
-    on whole columns and worded per offending row. A byte-order mark before
-    the header is ignored. :func:`partition_csv` runs the same block loop
-    and converter on a file read once.
+    The body goes through the block loop that :func:`partition_csv` runs
+    (see :func:`_blocks`). Each block's rows that keep the record
+    invariants are copied out per column, each column's copies are joined
+    once, and duplicate keys and weekday mismatches are then found on the
+    whole columns and worded per offending row. A byte-order mark before
+    the header is ignored.
     """
     colmap = dict(_CANONICAL)
     if schema:
@@ -545,34 +525,24 @@ def parse_csv(source: str | bytes | BinaryIO,
         if unknown:
             raise DomainError(f"unknown schema keys: {sorted(unknown)}")
         colmap.update(schema)
-    if isinstance(source, str):
-        return _parse_lines(io.StringIO(source), source.count("\n") + 1,
-                            colmap)
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    start = source.tell()
-    bound = _newlines(source) + 1
-    source.seek(start)
-    with _decoded(source) as text:
-        return _parse_lines(text, bound, colmap)
-
-
-def _parse_lines(text: Iterator[str], bound: int,
-                 colmap: Mapping[str, str]) -> ParseResult:
-    """:func:`parse_csv` of ``text``'s lines, at most ``bound`` of them, with
-    each canonical column read from the header column ``colmap`` names."""
     errors: list[RowIssue] = []
-    header = _read_header(text, colmap, errors)
-    if header is None:
-        return ParseResult(ObservationTable.empty(), tuple(errors), ())
-    position, n_fields, line = header
-    columns = _Columns(position, n_fields, bound)
-    for _ in _blocks(text, columns, line, errors):
-        pass
-    table, lines = columns.table()
+    # Per column (the fields, then the line numbers): its valid rows, a
+    # block at a time, after an empty part that gives the dtype.
+    parts = [[np.empty(0, dtype)] for dtype in (*_DTYPES.values(), np.int64)]
+    with (contextlib.nullcontext(io.StringIO(source))
+          if isinstance(source, str) else _decoded(source)) as text:
+        for table, lines, valid in _blocks(text, colmap, errors):
+            for part, column in zip(parts, (*table.columns(), lines)):
+                part.append(column[valid])
+    columns = []
+    for part in parts:  # one join per column, its blocks freed after it
+        columns.append(np.concatenate(part))
+        part.clear()
+    table, lines = ObservationTable(*columns[:-1]), columns[-1]
     warnings: list[RowIssue] = []
-    keep = _unique_rows(table, lines, _valid_rows(table, lines, errors),
-                        errors, warnings)
+    keep = _unique_rows(table, lines, errors, warnings)
     errors.sort(key=attrgetter("line"))  # stable: a line's errors keep order
     if not keep.all():
         table = table[keep]
@@ -605,16 +575,36 @@ def _read_header(text: Iterator[str], colmap: Mapping[str, str],
     return position, len(header), reader.line_num
 
 
-def _blocks(text: Iterator[str], columns: _Columns, line: int,
-            errors: list[RowIssue]) -> Iterator[None]:
-    """Adds the rows of ``text``, whose lines are numbered after ``line``,
-    to ``columns`` a block of :data:`_PARSE_LINES` lines at a time, and
-    yields after each block."""
-    commas = columns.n_fields - 1
+def _blocks(text: Iterator[str], colmap: Mapping[str, str],
+            errors: list[RowIssue]
+            ) -> Iterator[tuple[ObservationTable, np.ndarray, np.ndarray]]:
+    """The ingestion loop: reads the header of ``text``, with each canonical
+    column read from the header column ``colmap`` names, then converts the
+    body a block of :data:`_PARSE_LINES` lines at a time. Yields each
+    block's rows, their line numbers and the mask of the rows that keep
+    every record invariant; every issue found is added to ``errors``.
+
+    A block in which every line has exactly one cell per header field, with
+    no quote, carriage return or NUL and no line longer than
+    ``csv.field_size_limit()``, is split on commas; any other block goes to
+    ``csv.reader``, which reads a quoted record whole even when it runs into
+    the following lines. Both feed one :class:`_Columns` converter, which
+    words short rows, drops blank ones and converts every column at once;
+    only a column that fails is converted again cell by cell, which words
+    its bad cells. A block's rows are views into buffers that the next
+    block overwrites.
+    """
+    header = _read_header(text, colmap, errors)
+    if header is None:
+        return
+    position, n_fields, line = header
+    columns = _Columns(position, n_fields)
+    commas = n_fields - 1
     limit = csv.field_size_limit()
     while chunk := list(itertools.islice(text, _PARSE_LINES)):
         block = "".join(chunk)
         counts = list(map(str.count, chunk, itertools.repeat(",")))
+        columns.filled = 0
         if (min(counts) == max(counts) == commas and '"' not in block
                 and "\r" not in block and "\0" not in block
                 and max(map(len, chunk)) <= limit):
@@ -631,7 +621,8 @@ def _blocks(text: Iterator[str], columns: _Columns, line: int,
             columns.records(rows, line + np.array(ends, dtype=np.int64),
                             errors)
             line += reader.line_num
-        yield
+        table, lines = columns.table()
+        yield table, lines, _valid_rows(table, lines, errors)
 
 
 def _valid_rows(table: ObservationTable, lines: np.ndarray,
@@ -646,17 +637,15 @@ def _valid_rows(table: ObservationTable, lines: np.ndarray,
 
 
 def _unique_rows(table: ObservationTable, lines: np.ndarray,
-                 rows: np.ndarray, errors: list[RowIssue],
-                 warnings: list[RowIssue]) -> np.ndarray:
-    """Mask of the ``rows`` that repeat no earlier one's key. Each repeat is
+                 errors: list[RowIssue], warnings: list[RowIssue]
+                 ) -> np.ndarray:
+    """Mask of the rows that repeat no earlier one's key. Each repeat is
     added to ``errors``, and each row kept whose weekday column disagrees
     with its date to ``warnings``."""
-    duplicate = np.zeros(len(table), dtype=bool)
-    duplicate[rows] = _repeated_keys(table.store_id[rows],
-                                     table.sku_id[rows], table.date[rows])
+    duplicate = _repeated_keys(table.store_id, table.sku_id, table.date)
     for i in np.flatnonzero(duplicate).tolist():
         errors.append(_duplicate_issue(int(lines[i]), table.observation(i)))
-    keep = rows & ~duplicate
+    keep = ~duplicate
     days = table.date.view(np.int64)
     mismatch = keep & (table.weekday != (days + 3) % 7 + 1)  # 1970-01-01: Thu
     for i in np.flatnonzero(mismatch).tolist():
@@ -725,8 +714,7 @@ class Partition:
         :func:`parse_csv` words them, reading one bucket at a time."""
         for records in self._buckets():
             table = ObservationTable(*(records[name] for name in _FIELDS))
-            _unique_rows(table, records["line"],
-                         np.ones(len(table), dtype=bool), errors, warnings)
+            _unique_rows(table, records["line"], errors, warnings)
 
     def tables(self) -> Iterator[ObservationTable]:
         """Each bucket's rows as a table, in bucket order; the rows of a
@@ -751,9 +739,9 @@ def partition_csv(source: BinaryIO, directory: Path, digest,
     the digest covers exactly the bytes parsed. There is one bucket per
     :data:`BUCKET_BYTES` of the file, and at most :data:`MAX_BUCKETS`.
 
-    Lines are tokenized and converted by :func:`parse_csv`'s block loop and
-    converter, one block at a time, and each block's rows are checked
-    against the record invariants before they are spilled. Every issue
+    Lines are tokenized, converted and checked against the record
+    invariants by :func:`parse_csv`'s block loop (:func:`_blocks`), and each
+    block's valid rows are spilled before the next is read. Every issue
     found, here and by :meth:`Partition.check`, is appended to ``errors``
     or ``warnings`` with the line number and words :func:`parse_csv` gives
     it, though not in line order. A byte that is not UTF-8 raises
@@ -766,15 +754,8 @@ def partition_csv(source: BinaryIO, directory: Path, digest,
     partition = Partition(directory, min(MAX_BUCKETS,
                                          max(1, -(-size // BUCKET_BYTES))))
     with _decoded(source, digest) as text:
-        header = _read_header(text, _CANONICAL, errors)
-        if header is not None:
-            position, n_fields, line = header
-            columns = _Columns(position, n_fields, _PARSE_LINES)
-            for _ in _blocks(text, columns, line, errors):
-                table, lines = columns.table()
-                partition.append(table, lines,
-                                 _valid_rows(table, lines, errors))
-                columns.filled = 0
+        for block in _blocks(text, _CANONICAL, errors):
+            partition.append(*block)
     return partition
 
 
@@ -844,11 +825,14 @@ def serialize_csv(observations: Iterable[Observation] | ObservationTable
                   ) -> str:
     """Render observations in the canonical CSV schema (round-trip safe).
 
+    ``observations`` is a table or any iterable of :class:`Observation`.
     The text is the concatenation of :func:`csv_blocks` on the one table,
     which is rendered a block of rows at a time; writing those blocks as
     they come gives the same bytes without holding the whole text.
     """
-    return "".join(csv_blocks([_as_table(observations)]))
+    if not isinstance(observations, ObservationTable):
+        observations = ObservationTable.from_observations(observations)
+    return "".join(csv_blocks([observations]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -858,10 +842,9 @@ class SkuPanel:
     ``table`` holds the panel's rows in order. ``plain_index`` and
     ``disc_index`` are int64 row positions into it: a day belongs to
     ``disc_index`` iff it has at least one discounted sale.
-    ``observations``, ``t_plain`` and ``t_disc`` give the same as a
-    sequence of :class:`Observation` and tuples of ints. ``store_id`` is set
-    only when panels were grouped per store-SKU pair. Every weekday must lie
-    in 1..7, since it picks the row's weekday dummy.
+    ``observations`` gives the rows as a sequence of :class:`Observation`.
+    ``store_id`` is set only when panels were grouped per store-SKU pair.
+    Every weekday must lie in 1..7, since it picks the row's weekday dummy.
     """
 
     sku_id: int
@@ -885,14 +868,6 @@ class SkuPanel:
         return ObservationView(self.table)
 
     @property
-    def t_plain(self) -> tuple[int, ...]:
-        return tuple(self.plain_index.tolist())
-
-    @property
-    def t_disc(self) -> tuple[int, ...]:
-        return tuple(self.disc_index.tolist())
-
-    @property
     def n_obs(self) -> int:
         return len(self.table)
 
@@ -909,17 +884,9 @@ class SkuPanel:
         return (self.sku_id, -1 if self.store_id is None else self.store_id)
 
 
-def panel_from_observations(sku_id: int,
-                            observations: Iterable[Observation] | ObservationTable,
-                            store_id: int | None = None) -> SkuPanel:
-    """Build one panel from already-grouped observations (kept in order)."""
-    return SkuPanel(sku_id=sku_id, table=_as_table(observations),
-                    store_id=store_id)
-
-
-def build_panels(observations: Iterable[Observation] | ObservationTable,
-                 group_by: str = "sku") -> tuple[SkuPanel, ...]:
-    """Group observations into per-SKU (or per store-SKU) panels.
+def build_panels(table: ObservationTable, group_by: str = "sku"
+                 ) -> tuple[SkuPanel, ...]:
+    """Group a table's rows into per-SKU (or per store-SKU) panels.
 
     Observations within a panel are ordered by (date, store); panels are
     ordered by SKU id (then store id). Store-day rows of the same SKU are
@@ -929,7 +896,6 @@ def build_panels(observations: Iterable[Observation] | ObservationTable,
     """
     if group_by not in ("sku", "store-sku"):
         raise DomainError(f"group_by must be 'sku' or 'store-sku', got {group_by!r}")
-    table = _as_table(observations)
     if not len(table):
         return ()
     per_store = group_by == "store-sku"

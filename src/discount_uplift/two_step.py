@@ -82,8 +82,8 @@ class SkuUpliftReport:
     (items/day); ``gamma10`` the estimated uplift per discounted sale. On
     ``ESTIMATION_FAILED`` all estimate fields are None and
     ``failure_reason`` says why (naming missing weekday columns when a stage
-    was rank deficient). ``stage1`` and ``stage2`` are set only by
-    ``fit_uplift``; a row of a study carries no stage fits.
+    was rank deficient). ``stage2`` is set only by ``fit_uplift``; a row of
+    a study carries no stage fit.
     """
 
     sku_id: int
@@ -97,7 +97,6 @@ class SkuUpliftReport:
     gamma10_t: float | None = None
     gamma10_p: float | None = None
     significant_positive: bool | None = None
-    stage1: FitResult | None = None
     stage2: FitResult | None = None
     failure_reason: str | None = None
 
@@ -319,12 +318,11 @@ def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
 
 def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
                alpha: float = 0.05,
-               sidedness: Sidedness = Sidedness.TWO_SIDED,
-               stage1: FitResult | None = None) -> SkuUpliftReport:
+               sidedness: Sidedness = Sidedness.TWO_SIDED) -> SkuUpliftReport:
     """Regress baseline residuals on covariates plus the discounted-sales
     count and report the uplift coefficient with its significance verdict.
 
-    The report carries this stage-2 fit and the given ``stage1``.
+    The report carries this stage-2 fit, residuals included.
     Stage-2 rank deficiency yields an ``ESTIMATION_FAILED`` report rather
     than an exception.
     """
@@ -342,8 +340,7 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
                            residuals=True)
     reports = StudyReports.failed([panel])
     _set_uplift(reports, [0], stage2, residuals[None], alpha, sidedness)
-    return dataclasses.replace(reports[0], stage1=stage1,
-                               stage2=stage2.row(0))
+    return dataclasses.replace(reports[0], stage2=stage2.row(0))
 
 
 def _set_uplift(reports: StudyReports, rows: Sequence[int], stage2: BatchFit,

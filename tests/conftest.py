@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from discount_uplift.domain import Observation, SkuPanel, panel_from_observations
+from discount_uplift.domain import Observation, ObservationTable, SkuPanel
 from discount_uplift.two_step import ReportStatus, SkuUpliftReport
 
 
@@ -36,7 +36,7 @@ def build_panel(sales: Sequence[int], discounted: Sequence[int],
             store_id=1, sku_id=sku_id, date=date, weekday=date.isoweekday(),
             stock=int(stock[d]), forecast=float(forecast[d]),
             sales=int(sales[d]), discounted_sales=int(discounted[d])))
-    return panel_from_observations(sku_id, observations)
+    return SkuPanel(sku_id, ObservationTable.from_observations(observations))
 
 
 @pytest.fixture

@@ -362,6 +362,37 @@ def test_fit_out_dir_naming_a_file_exits_2_before_reading(tmp_path,
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", ["fit", "simulate", "cycle"])
+def test_dangling_symlink_as_output_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, command, below):
+    # A symbolic link to nothing exists as a name but not as a directory.
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere")
+    target = link / below
+    studies = []
+    study = cli.run_study
+
+    def counting(*args, **kwargs):
+        studies.append(1)
+        return study(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_study", counting)
+    flag, argv = {
+        "fit": ("--out-dir", ["--input", str(DATA / "golden_input.csv"),
+                              "--out-dir", str(target)]),
+        "simulate": ("--out", ["--skus", "3", "--days", "20",
+                               "--out", str(target / "s.csv")]),
+        "cycle": ("--out-dir", ["--days", "5", "--out-dir", str(target)]),
+    }[command]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag}: {link} is not a directory\n"  # and no traceback
+    assert studies == []
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+    assert link.is_symlink() and not link.exists()
+
+
 @pytest.mark.parametrize("name", cli.FIT_OUTPUTS)
 def test_fit_output_naming_a_directory_exits_2_before_reading(
         tmp_path, monkeypatch, capsys, name):

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 from discount_uplift import domain
 from discount_uplift.domain import (CSV_COLUMNS, WEEKDAY_NAMES, DomainError,
                                     EligibilityRule, ExclusionReason,
-                                    Observation, ObservationTable,
-                                    build_panels, filter_eligible,
-                                    panel_from_observations, parse_csv,
+                                    Observation, ObservationTable, SkuPanel,
+                                    build_panels, filter_eligible, parse_csv,
                                     serialize_csv)
 from discount_uplift.synth import DgpConfig, generate_study
 from oracles import csv_writer_text, parse_csv_rows
@@ -118,17 +117,17 @@ def test_build_panels_partition():
         "1,10,2024-09-23,Monday,5,0.5,1,0\n" \
         "1,10,2024-09-24,Tuesday,5,0.5,2,2\n" \
         "1,10,2024-09-25,Wednesday,5,0.5,1,0\n"
-    panels = build_panels(parse_csv(text).observations)
+    panels = build_panels(parse_csv(text).table)
     assert len(panels) == 1
     panel = panels[0]
     assert panel.n_plain == 2 and panel.n_disc == 1
-    assert panel.observations[panel.t_disc[0]].discounted_sales == 2
+    assert panel.observations[panel.disc_index[0]].discounted_sales == 2
 
 
 def test_build_panels_no_discounts():
-    obs = parse_csv(HEADER + "\n1,10,2024-09-23,Monday,5,0.5,1,0\n").observations
-    (panel,) = build_panels(obs)
-    assert panel.t_disc == ()
+    table = parse_csv(HEADER + "\n1,10,2024-09-23,Monday,5,0.5,1,0\n").table
+    (panel,) = build_panels(table)
+    assert panel.disc_index.tolist() == []
 
 
 def test_build_panels_one_per_sku():
@@ -136,7 +135,7 @@ def test_build_panels_one_per_sku():
         "1,10,2024-09-22,Friday,12,0.521,2,2\n" \
         "34,579,2024-09-25,Wednesday,5,0.736,1,0\n" \
         "676,842,2024-10-22,Tuesday,3,0.343,3,2\n"
-    panels = build_panels(parse_csv(text).observations)
+    panels = build_panels(parse_csv(text).table)
     assert [p.sku_id for p in panels] == [10, 579, 842]
     assert all(p.n_obs == 1 for p in panels)
 
@@ -145,13 +144,13 @@ def test_build_panels_store_grouping():
     text = HEADER + "\n" \
         "1,10,2024-09-23,Monday,5,0.5,1,0\n" \
         "2,10,2024-09-23,Monday,5,0.5,1,0\n"
-    pooled = build_panels(parse_csv(text).observations)
-    per_store = build_panels(parse_csv(text).observations, group_by="store-sku")
+    pooled = build_panels(parse_csv(text).table)
+    per_store = build_panels(parse_csv(text).table, group_by="store-sku")
     assert len(pooled) == 1 and pooled[0].n_obs == 2
     assert len(per_store) == 2
     assert [p.store_id for p in per_store] == [1, 2]
     with pytest.raises(DomainError):
-        build_panels([], group_by="city")
+        build_panels(ObservationTable.empty(), group_by="city")
 
 
 def _counting_panel(n_obs: int, n_disc: int, sku_id: int = 1):
@@ -220,12 +219,12 @@ def test_csv_round_trip(observations):
 @settings(max_examples=150, deadline=None)
 @given(observation_lists())
 def test_panel_partition_property(observations):
-    for panel in build_panels(observations):
-        assert sorted(panel.t_plain + panel.t_disc) == list(range(panel.n_obs))
-        assert all(panel.observations[i].discounted_sales >= 1
-                   for i in panel.t_disc)
-        assert all(panel.observations[i].discounted_sales == 0
-                   for i in panel.t_plain)
+    table = ObservationTable.from_observations(observations)
+    for panel in build_panels(table):
+        plain, disc = panel.plain_index.tolist(), panel.disc_index.tolist()
+        assert sorted(plain + disc) == list(range(panel.n_obs))
+        assert all(panel.observations[i].discounted_sales >= 1 for i in disc)
+        assert all(panel.observations[i].discounted_sales == 0 for i in plain)
         assert all(o.sku_id == panel.sku_id for o in panel.observations)
 
 
@@ -233,7 +232,7 @@ def test_panel_partition_property(observations):
 @given(observation_lists(), st.integers(1, 40), st.integers(1, 40))
 def test_filtering_monotone(observations, low, high):
     lo, hi = sorted((low, high))
-    panels = build_panels(observations)
+    panels = build_panels(ObservationTable.from_observations(observations))
     strict = {p.key for p in filter_eligible(panels, EligibilityRule(hi, 1))[0]}
     loose = {p.key for p in filter_eligible(panels, EligibilityRule(lo, 1))[0]}
     assert strict <= loose
@@ -400,23 +399,31 @@ def test_parse_rejects_integers_outside_int64():
 
 
 class _ReadSpy(io.BytesIO):
-    """A binary file that records the size asked of every read."""
+    """A binary file that records the size asked of every read and counts
+    the bytes its reads deliver."""
 
     def __init__(self, data: bytes) -> None:
         super().__init__(data)
         self.sizes: list[int | None] = []
+        self.delivered = 0
 
     def read(self, size=-1):
         self.sizes.append(size)
-        return super().read(size)
+        data = super().read(size)
+        self.delivered += len(data)
+        return data
 
     def read1(self, size=-1):
         self.sizes.append(size)
-        return super().read1(size)
+        data = super().read1(size)
+        self.delivered += len(data)
+        return data
 
     def readinto(self, buffer):
         self.sizes.append(len(buffer))
-        return super().readinto(buffer)
+        n = super().readinto(buffer)
+        self.delivered += n
+        return n
 
     def getvalue(self):
         raise AssertionError("the whole file was asked for")
@@ -433,6 +440,7 @@ def test_parse_reads_a_binary_file_in_bounded_reads():
     assert len(result.table) == 60 * 730 and not result.errors
     assert all(0 < size <= domain.READ_BYTES for size in spy.sizes), \
         sorted(set(spy.sizes), key=str)
+    assert spy.delivered == len(data)  # one pass over the file
     assert not spy.closed and spy.tell() == len(data)
 
 
@@ -477,15 +485,16 @@ def _grouped_by_dict(observations, per_store):
 @settings(max_examples=150, deadline=None)
 @given(observation_lists(), st.sampled_from(["sku", "store-sku"]))
 def test_build_panels_table_equals_observation_list(observations, group_by):
-    from_list = build_panels(observations, group_by=group_by)
     table = ObservationTable.from_observations(observations)
-    from_table = build_panels(table, group_by=group_by)
-    assert from_table == from_list
-    for a, b in zip(from_table, from_list):
-        assert a.t_plain == b.t_plain and a.t_disc == b.t_disc
+    panels = build_panels(table, group_by=group_by)
+    expected = _grouped_by_dict(observations, group_by == "store-sku")
     assert [(p.sku_id, -1 if p.store_id is None else p.store_id,
-             list(p.observations)) for p in from_table] \
-        == _grouped_by_dict(observations, group_by == "store-sku")
+             list(p.observations)) for p in panels] == expected
+    for panel, (_, _, rows) in zip(panels, expected):
+        assert panel.plain_index.tolist() == \
+            [i for i, o in enumerate(rows) if o.discounted_sales == 0]
+        assert panel.disc_index.tolist() == \
+            [i for i, o in enumerate(rows) if o.discounted_sales >= 1]
 
 
 def _design_by_rows(panel, indices, include_ds):
@@ -534,7 +543,7 @@ def test_views_construct_no_observation(monkeypatch):
 
     monkeypatch.setattr(Observation, "__init__", counting_init)
     assert len(result.observations) == 3
-    panels = build_panels(result.observations)
+    panels = build_panels(result.table)
     assert [p.n_obs for p in panels] == [2, 1]
     assert built == []
     assert result.observations[-1].store_id == 2
@@ -546,10 +555,11 @@ def test_panel_rejects_weekday_outside_range(weekday):
     obs = Observation(store_id=1, sku_id=1, date=dt.date(2024, 1, 7),
                       weekday=weekday, stock=5, forecast=1.0, sales=1,
                       discounted_sales=0)
+    table = ObservationTable.from_observations([obs])
     with pytest.raises(DomainError, match="outside 1..7"):
-        panel_from_observations(1, [obs])
+        SkuPanel(1, table)
     with pytest.raises(DomainError, match="outside 1..7"):
-        build_panels([obs])
+        build_panels(table)
 
 
 _INT64_EDGES = [-2**63, -2**63 + 1, -1, 0, 1, 9, 10, 2**31, 2**63 - 1]

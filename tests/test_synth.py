@@ -21,7 +21,7 @@ from oracles import generate_panel_rows
 def test_no_discounts_when_probability_zero():
     panel = generate_panel(DgpConfig(seed=1, n_days=200, gamma_true=0.0,
                                      discount_probability=0.0), sku_id=1)
-    assert panel.t_disc == () and panel.n_plain == 200
+    assert panel.disc_index.tolist() == [] and panel.n_plain == 200
 
 
 def test_deterministic_arithmetic_with_noise_off():

@@ -108,7 +108,7 @@ def test_residual_lift_rejects_a_stage2_fit():
     panel = generate_panel(DgpConfig(seed=17, n_days=300,
                                      discount_probability=0.3), sku_id=1)
     baseline = fit_baseline(panel)
-    report = fit_uplift(panel, residual_lift(panel, baseline), stage1=baseline)
+    report = fit_uplift(panel, residual_lift(panel, baseline))
     assert report.ok
     with pytest.raises(DimensionMismatch, match="do not match"):
         residual_lift(panel, report.stage2)
@@ -380,20 +380,19 @@ def test_public_chain_equals_estimate_sku():
 
     def chain(panel):
         baseline = fit_baseline(panel)
-        return fit_uplift(panel, residual_lift(panel, baseline),
-                          stage1=baseline)
+        return baseline, fit_uplift(panel, residual_lift(panel, baseline))
 
     for panel in _mixed_panels():
         lone = estimate_sku(panel)
-        assert lone.stage1 is None and lone.stage2 is None
+        assert lone.stage2 is None
         if panel.sku_id in errors:
             assert not lone.ok
             with pytest.raises(errors[panel.sku_id]):
                 chain(panel)
         else:
-            report = chain(panel)
+            baseline, report = chain(panel)
             assert _report_bytes(report) == _report_bytes(lone), panel.sku_id
-            assert [_fit_arrays(report.stage1), _fit_arrays(report.stage2)] \
+            assert [_fit_arrays(baseline), _fit_arrays(report.stage2)] \
                 == [_fit_arrays(fit) for fit in _stage_fits(panel)]
 
 
@@ -488,7 +487,7 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
         for r in reports:
             if r.sku_id in hit_ids:
                 assert r.failure_reason == "internal error: injected fault"
-                assert r.stage1 is None and r.gamma10 is None
+                assert r.stage2 is None and r.gamma10 is None
             else:
                 assert _report_bytes(r) == lone[r.sku_id]
 
@@ -564,7 +563,7 @@ def test_study_rows_equal_lone_estimates_in_every_failure_class(monkeypatch):
     assert [r.sku_id for r in rows] == sorted(lone)
     reasons = {}
     for r in rows:
-        assert r.stage1 is None and r.stage2 is None
+        assert r.stage2 is None
         if r.sku_id in hit:
             assert r.failure_reason == "internal error: injected fault"
             assert r.gamma10 is None and r.significant_positive is None
