@@ -1,7 +1,9 @@
 """Command-line front end: ``uplift fit``, ``uplift simulate``, ``uplift cycle``.
 
 ``fit`` runs the full pipeline on a CSV dataset and writes machine-readable
-reports plus plot-ready summaries; ``simulate`` writes a synthetic dataset
+reports plus plot-ready summaries, on ``--threads`` worker processes that
+parse pieces of the input and estimate buckets of its SKUs, with the same
+bytes for any count; ``simulate`` writes a synthetic dataset
 with known ground truth; ``cycle`` runs the replenishment feedback-loop
 demonstration. Every output directory gets a ``manifest.json`` sufficient to
 re-run the command; all data outputs are deterministic for fixed inputs, the
@@ -13,27 +15,32 @@ errors and zero eligible SKUs), 1 internal error.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
 import hashlib
 import heapq
 import io
+import itertools
 import json
 import math
 import os
+import signal
 import sys
 import tempfile
+import threading
 import traceback
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, domain
 from .aggregate import AggregateError, StudyAggregate, summarize
-from .domain import (DomainError, EligibilityRule, RowIssue, build_panels,
-                     csv_blocks, partition_csv)
+from .domain import (DomainError, EligibilityRule, Partition, Piece, RowIssue,
+                     build_panels, csv_blocks, read_pieces)
 from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
                     iter_study, simulate_cycle)
 # Unused here; perfbench/tracer.py wraps cli.generate_study, cli.parse_csv
@@ -110,6 +117,8 @@ def _resolve_threads(flag: int | None) -> int:
         if value < 1:
             raise UserError("UPLIFT_THREADS must be at least 1")
         return value
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -152,6 +161,19 @@ class _IssueLog:
             heapq.heappush(heap, item)
         else:
             heapq.heappushpop(heap, item)
+
+    def merge(self, other: _IssueLog) -> None:
+        """Adds the issues of ``other``, as if they were appended here in
+        the order they were appended there."""
+        base = len(self)
+        for field, items in other.first.items():
+            heap = self.first.setdefault(field, [])
+            for line, order, issue in items:
+                heapq.heappush(heap, (line, order - base, issue))
+                if len(heap) > ISSUES_SHOWN:
+                    heapq.heappop(heap)
+            self.counts[field] = self.counts.get(field, 0) + \
+                other.counts[field]
 
     def shown(self) -> list[RowIssue]:
         """The issues kept, in line order."""
@@ -222,6 +244,136 @@ def _parse_hist_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+@dataclasses.dataclass(frozen=True)
+class _Fit:
+    """What every process of one ``fit`` shares: the partition its input
+    is spilled to, and the study's settings."""
+
+    partition: Partition
+    group_by: str
+    rule: EligibilityRule
+    alpha: float
+    sidedness: Sidedness
+
+
+# The tasks of a fit, each run in the parent or in a worker: on consecutive
+# pieces of the input, then on one bucket at a time.
+
+def _spill(fit: _Fit, pieces: Iterable[Piece]) -> _IssueLog:
+    errors = _IssueLog()
+    fit.partition.spill(pieces, errors)
+    return errors
+
+
+def _check(fit: _Fit, bucket: int) -> tuple[_IssueLog, _IssueLog]:
+    errors, warnings = _IssueLog(), _IssueLog()
+    fit.partition.check(bucket, errors, warnings)
+    return errors, warnings
+
+
+def _estimate(fit: _Fit, bucket: int) -> tuple[StudyReports, int]:
+    panels = build_panels(fit.partition.table(bucket), group_by=fit.group_by)
+    return run_study(panels, rule=fit.rule, alpha=fit.alpha,
+                     sidedness=fit.sidedness), len(panels)
+
+
+# The fit a worker process serves, set as it starts.
+_WORKER_FIT: _Fit | None = None
+
+
+def _start_worker(fit: _Fit) -> None:
+    """Sets a worker process up to serve ``fit``. Ctrl-C is left to the main
+    process, which ends the workers once their tasks under way are done,
+    and a worker ends with the main process even if that is killed: the
+    workers hold its task queue open, so they would wait on it forever."""
+    global _WORKER_FIT
+    _WORKER_FIT = fit
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    import multiprocessing
+    threading.Thread(target=_end_with, daemon=True, args=(
+        multiprocessing.parent_process().sentinel,)).start()
+
+
+def _end_with(sentinel: int) -> None:
+    import multiprocessing.connection
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
+def _in_worker(task: Callable, item):
+    return task(_WORKER_FIT, item)
+
+
+class _Workers:
+    """Runs the tasks of ``fit`` on ``count`` worker processes, forked when
+    the first task is given, so that they share what this process has read
+    by then (the header's columns), or in this process when ``count`` is
+    below 2 or fork is not available. Closing waits for the tasks under
+    way, drops the others and ends the workers."""
+
+    def __init__(self, fit: _Fit, count: int) -> None:
+        self.fit, self.pool, self.ahead = fit, None, 2 * count
+        # Forking is safe here: `uplift fit` runs no other thread, and the
+        # executor starts its own only once its workers are forked.
+        if count > 1:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+                self.pool = ProcessPoolExecutor(
+                    count, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_start_worker, initargs=(fit,))
+
+    def map(self, task: Callable, items: Iterable) -> Iterator:
+        """``task(fit, item)`` for each of ``items``, in order; a task's
+        exception is raised in its turn. On workers, at most two items per
+        worker are in flight."""
+        if self.pool is None:
+            for item in items:
+                yield task(self.fit, item)
+            return
+        pending: collections.deque = collections.deque()
+        for item in items:
+            pending.append(self.pool.submit(_in_worker, task, item))
+            if len(pending) >= self.ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _read_input(workers: _Workers, pieces: Iterator[Piece],
+                errors: _IssueLog) -> None:
+    """Spills the rows of the input's ``pieces``, adding their row errors to
+    ``errors`` in line order. This process reads the header, and every
+    piece from the first that holds a quote, since ``csv.reader`` may read
+    a quoted record across lines; the workers parse the pieces between,
+    each on its own."""
+    head = next(pieces, None)
+    if workers.pool is None or head is None or b'"' in head.data:
+        errors.merge(_spill(workers.fit, itertools.chain(
+            [head] if head else [], pieces)))
+        return
+    errors.merge(_spill(workers.fit, [head]))
+    if workers.fit.partition.columns is None:  # a bad header
+        return
+    quoted: list[Piece] = []
+
+    def unquoted() -> Iterator[tuple[Piece]]:
+        for piece in pieces:
+            if b'"' in piece.data:
+                quoted.append(piece)
+                return
+            yield piece,
+
+    for log in workers.map(_spill, unquoted()):
+        errors.merge(log)
+    if quoted:
+        errors.merge(_spill(workers.fit, itertools.chain(quoted, pieces)))
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
@@ -252,22 +404,30 @@ def cmd_fit(args: argparse.Namespace) -> int:
     parts: list[StudyReports] = []
     n_panels = 0
     with tempfile.TemporaryDirectory(prefix=".uplift-fit-",
-                                     dir=existing) as spill:
-        with open(input_path, "rb") as handle:
+                                     dir=existing) as spill, \
+            open(input_path, "rb") as handle:
+        size = handle.seek(0, io.SEEK_END)
+        handle.seek(0)
+        fit = _Fit(Partition(Path(spill), size), args.group_by, rule,
+                   args.alpha, sidedness)
+        # No more workers than pieces: an input of one piece is fitted here.
+        with contextlib.closing(_Workers(
+                fit, min(threads, -(-size // domain.READ_BYTES)))) as workers:
             try:
-                partition = partition_csv(handle, Path(spill), digest,
-                                          errors)
+                _read_input(workers, read_pieces(handle, digest), errors)
             except (DomainError, csv.Error) as exc:
                 raise UserError(f"{input_path} is not a readable UTF-8 CSV "
                                 f"file: {exc}") from exc
-        # Every bucket is checked for repeated keys before the first is
-        # estimated, so that an error found late wastes no estimation.
-        partition.check(errors, warnings)
-        for table in () if errors else partition.tables():
-            panels = build_panels(table, group_by=args.group_by)
-            n_panels += len(panels)
-            parts.append(run_study(panels, rule=rule, alpha=args.alpha,
-                                   sidedness=sidedness, threads=threads))
+            # Every bucket is checked for repeated keys before the first is
+            # estimated, so that an error found late wastes no estimation.
+            filled = fit.partition.filled()
+            for found, doubtful in workers.map(_check, filled):
+                errors.merge(found)
+                warnings.merge(doubtful)
+            for reports, panels in workers.map(_estimate,
+                                               () if errors else filled):
+                parts.append(reports)
+                n_panels += panels
     warnings.print("warning: ", "warnings")
     if errors:
         errors.print("", "errors")
@@ -422,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--hist-bins", type=int, default=30)
     fit.add_argument("--group-by", choices=["sku", "store-sku"], default="sku")
     fit.add_argument("--threads", type=int, default=None,
-                     help="default: UPLIFT_THREADS or all cores")
+                     help="worker processes; default: UPLIFT_THREADS, else "
+                          "the CPUs this process may use")
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="write a synthetic dataset")

@@ -2,11 +2,12 @@
 
 A dataset is a flat collection of store/SKU/day records, held as one
 :class:`ObservationTable`: a numpy array per field. CSV text comes in
-through one block loop (:func:`_blocks`), which :func:`parse_csv` and
-:func:`partition_csv` both run on a single read of their source. Panels are
-contiguous slices of a table sorted by SKU, built only from tables; each
-splits its days into discount-free days and days with at least one
-discounted sale, and is the unit of work for the two-step estimation.
+through one block loop (:func:`_body`), which :func:`parse_csv` and
+:meth:`Partition.spill` both run; a binary source is read once, in pieces
+of whole lines (:func:`read_pieces`). Panels are contiguous slices of a
+table sorted by SKU, built only from tables; each splits its days into
+discount-free days and days with at least one discounted sale, and is the
+unit of work for the two-step estimation.
 :class:`Observation` is the per-record view of a table row; it is built
 only when a caller asks for an element.
 """
@@ -17,6 +18,7 @@ import csv
 import datetime as dt
 import io
 import itertools
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -38,15 +40,19 @@ _CANONICAL = {name: name for name in CSV_COLUMNS}
 _CHUNK_ROWS = 16384
 # Lines tokenized and converted per block in ingestion.
 _PARSE_LINES = 4096
-# Bytes per read when a binary source is counted, hashed or decoded.
-READ_BYTES = 1 << 20
-# partition_csv spills the rows of a file to one bucket per BUCKET_BYTES of
+# Bytes per read of a binary source, which read_pieces cuts into pieces of
+# whole lines of at most this size (unless a line is longer). Each piece is
+# decoded whole, so pieces are kept small: a worker of `uplift fit` holds
+# one at a time.
+READ_BYTES = 1 << 18
+# `uplift fit` spills the rows of a file to one bucket per BUCKET_BYTES of
 # it, and to at most MAX_BUCKETS; a Partition holds up to _SPILL_ROWS rows
 # (2.4 MB) before it writes them out. A MiB of the CSV that `uplift
 # simulate` writes is about 20,000 rows, 28 two-year panels: one study
-# batch (two_step.BATCH_FITS). `uplift fit` on 2 vCPUs then peaked at
-# 44-45 MB (child ru_maxrss) on 18.5 and 75 MB inputs (18 and 72 buckets),
-# against 34 MB for the interpreter and its imports alone.
+# batch (two_step.BATCH_FITS). On 18.5 and 75 MB inputs (18 and 72
+# buckets), `uplift fit` then peaks (ru_maxrss) near 44 MB in one process,
+# and near 37-39 MB in each process with 2 workers, which spill a piece at
+# a time; the interpreter and its imports alone take 34 MB.
 BUCKET_BYTES = 1 << 20
 MAX_BUCKETS = 256
 _SPILL_ROWS = 1 << 15
@@ -432,54 +438,74 @@ class _Columns:
         return ObservationTable(*columns), self.lines[:self.filled]
 
 
-def _newlines(source: BinaryIO, size: int) -> int:
-    """Newlines in the next ``size`` bytes of ``source``, read in blocks of
-    at most :data:`READ_BYTES`."""
-    newlines = 0
-    while size and (block := source.read(min(size, READ_BYTES))):
-        size -= len(block)
-        newlines += block.count(b"\n")
-    return newlines
+@dataclass(frozen=True, slots=True)
+class Piece:
+    """Consecutive whole lines of a document: their bytes, the number of
+    the first line and the offset of its first byte."""
+
+    data: bytes
+    line: int
+    byte: int
 
 
-class _Reader(io.RawIOBase):
-    """``source`` from its current position, as a raw stream that feeds the
-    bytes read to ``digest``, if one is given."""
-
-    def __init__(self, source: BinaryIO, digest=None) -> None:
-        super().__init__()
-        self.source, self.digest = source, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self.source.readinto(buffer)
-        if self.digest is not None:
-            self.digest.update(memoryview(buffer)[:n])
-        return n
+def read_pieces(source: BinaryIO, digest=None) -> Iterator[Piece]:
+    """The bytes of ``source`` from its current position to its end, as
+    pieces of whole lines: the first line alone, then as many lines as fit
+    in :data:`READ_BYTES` (or one longer line), and last whatever follows
+    the last newline. ``source`` is read in order, with ``readinto`` calls
+    of at most :data:`READ_BYTES`, each fed to ``digest`` (a :mod:`hashlib`
+    object) if one is given, so that the digest covers exactly the bytes
+    the pieces hold."""
+    buffer = bytearray(READ_BYTES)
+    read = memoryview(buffer)
+    # The bytes after the last newline so far; a read tops them up to
+    # READ_BYTES, or to a multiple of it while a line is longer.
+    held, line, byte = b"", 1, 0
+    while n := source.readinto(read[:READ_BYTES - len(held) % READ_BYTES]):
+        if digest is not None:
+            digest.update(read[:n])
+        if line == 1:
+            end = buffer.find(b"\n", 0, n) + 1
+        else:
+            end = buffer.rfind(b"\n", 0, n) + 1 \
+                if len(held) + n >= READ_BYTES else 0
+        if not end:
+            held += read[:n]
+            continue
+        piece = b"".join((held, read[:end]))
+        yield Piece(piece, line, byte)
+        # Four times the speed of bytes.count, which tests byte by byte.
+        line += int(np.count_nonzero(np.frombuffer(piece, np.uint8) == 10))
+        byte += len(piece)
+        held = bytes(read[end:n])
+    if held:
+        yield Piece(held, line, byte)
 
 
 @contextlib.contextmanager
-def _decoded(source: BinaryIO, digest=None) -> Iterator[io.TextIOWrapper]:
-    """The UTF-8 text of ``source`` from its current position, decoded from
-    reads of :data:`READ_BYTES` that are fed to ``digest``, if one is given.
-    A byte that is not UTF-8 raises :class:`DomainError` naming its line and
-    byte offset."""
-    start = source.tell()
-    text = io.TextIOWrapper(_Reader(source, digest), encoding="utf-8",
-                            newline="\n")
-    text._CHUNK_SIZE = READ_BYTES  # one read of ``source`` per decoded chunk
+def _decoded(pieces: Iterable[Piece]) -> Iterator[Iterator[str]]:
+    """The lines of consecutive ``pieces``, decoded from UTF-8 a piece at a
+    time. A byte that is not UTF-8 raises :class:`DomainError`, naming its
+    line and byte offset in the document, from the ``with`` block that
+    reads the lines."""
+    current: list = [None, None]  # the piece being decoded, and its reader
+
+    def decode(piece: Piece) -> io.TextIOWrapper:
+        current[:] = piece, io.BytesIO(piece.data)
+        text = io.TextIOWrapper(current[1], encoding="utf-8", newline="\n")
+        text._CHUNK_SIZE = READ_BYTES  # a piece in one or two decodes
+        return text
+
     try:
-        yield text
+        yield itertools.chain.from_iterable(map(decode, pieces))
     except UnicodeDecodeError as exc:
-        # The decoder's input ends where the last read ended.
-        offset = source.tell() - start - len(exc.object) + exc.start
-        source.seek(start)
-        line = _newlines(source, offset) + 1
-        raise DomainError(f"line {line}, byte {offset}: can't decode byte "
-                          f"0x{exc.object[exc.start]:02x}: {exc.reason}"
-                          ) from exc
+        piece, data = current
+        # The decoder's input ends where its last read ended.
+        at = data.tell() - len(exc.object) + exc.start
+        line = piece.line + piece.data.count(b"\n", 0, at)
+        raise DomainError(f"line {line}, byte {piece.byte + at}: can't "
+                          f"decode byte 0x{exc.object[exc.start]:02x}: "
+                          f"{exc.reason}") from exc
 
 
 def _repeated_keys(store: np.ndarray, sku: np.ndarray,
@@ -497,13 +523,14 @@ def parse_csv(source: str | bytes | BinaryIO,
               schema: Mapping[str, str] | None = None) -> ParseResult:
     """Parse a CSV of observations, collecting errors instead of failing fast.
 
-    ``source`` is the document as ``str`` or UTF-8 ``bytes``, or a seekable
-    binary file of UTF-8 text, read from its current position, such as
+    ``source`` is the document as ``str`` or UTF-8 ``bytes``, or a binary
+    file of UTF-8 text, read from its current position, such as
     ``open(path, "rb")`` or ``io.BytesIO``. A file is never held whole: it is
-    read once, in reads of at most :data:`READ_BYTES`, and decoded line by
-    line. Bytes that are not UTF-8 raise :class:`DomainError`; the message
-    names the line and the byte offset of the first bad byte. The file is
-    left open, at the end of what was read.
+    read once, in reads of at most :data:`READ_BYTES`, and decoded a piece
+    of whole lines at a time (:func:`read_pieces`). Bytes that are not UTF-8
+    raise :class:`DomainError`; the message names the line and the byte
+    offset of the first bad byte. The file is left open, at the end of what
+    was read.
 
     ``schema`` maps the canonical column names (:data:`CSV_COLUMNS`) to the
     actual header names; omitted entries default to the canonical name.
@@ -512,12 +539,12 @@ def parse_csv(source: str | bytes | BinaryIO,
     order; a weekday column that disagrees with the calendar date is
     reported as a warning only, because the weekday column is authoritative.
 
-    The body goes through the block loop that :func:`partition_csv` runs
-    (see :func:`_blocks`). Each block's rows that keep the record
-    invariants are copied out per column, each column's copies are joined
-    once, and duplicate keys and weekday mismatches are then found on the
-    whole columns and worded per offending row. A byte-order mark before
-    the header is ignored.
+    The body goes through the block loop that ``uplift fit`` runs (see
+    :func:`_body`). Each block's rows that keep the record invariants are
+    appended to one array per column, grown geometrically, and duplicate
+    keys and weekday mismatches are then found on the whole columns and
+    worded per offending row. A byte-order mark before the header is
+    ignored.
     """
     colmap = dict(_CANONICAL)
     if schema:
@@ -528,19 +555,26 @@ def parse_csv(source: str | bytes | BinaryIO,
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     errors: list[RowIssue] = []
-    # Per column (the fields, then the line numbers): its valid rows, a
-    # block at a time, after an empty part that gives the dtype.
-    parts = [[np.empty(0, dtype)] for dtype in (*_DTYPES.values(), np.int64)]
+    # Per column (the fields, then the line numbers): the valid rows so far,
+    # the first ``n`` of an array that doubles when full.
+    columns = [np.empty(_PARSE_LINES, dtype)
+               for dtype in (*_DTYPES.values(), np.int64)]
+    n = 0
     with (contextlib.nullcontext(io.StringIO(source))
-          if isinstance(source, str) else _decoded(source)) as text:
+          if isinstance(source, str) else
+          _decoded(read_pieces(source))) as text:
         for table, lines, valid in _blocks(text, colmap, errors):
-            for part, column in zip(parts, (*table.columns(), lines)):
-                part.append(column[valid])
-    columns = []
-    for part in parts:  # one join per column, its blocks freed after it
-        columns.append(np.concatenate(part))
-        part.clear()
-    table, lines = ObservationTable(*columns[:-1]), columns[-1]
+            end = n + int(np.count_nonzero(valid))
+            for i, column in enumerate((*table.columns(), lines)):
+                if end > len(columns[i]):  # one column copied at a time
+                    grown = np.empty(max(end, 2 * len(columns[i])),
+                                     column.dtype)
+                    grown[:n] = columns[i][:n]
+                    columns[i] = grown
+                columns[i][n:end] = column[valid]
+            n = end
+    table = ObservationTable(*(column[:n] for column in columns[:-1]))
+    lines = columns[-1][:n]
     warnings: list[RowIssue] = []
     keep = _unique_rows(table, lines, errors, warnings)
     errors.sort(key=attrgetter("line"))  # stable: a line's errors keep order
@@ -580,9 +614,21 @@ def _blocks(text: Iterator[str], colmap: Mapping[str, str],
             ) -> Iterator[tuple[ObservationTable, np.ndarray, np.ndarray]]:
     """The ingestion loop: reads the header of ``text``, with each canonical
     column read from the header column ``colmap`` names, then converts the
-    body a block of :data:`_PARSE_LINES` lines at a time. Yields each
-    block's rows, their line numbers and the mask of the rows that keep
-    every record invariant; every issue found is added to ``errors``.
+    body as :func:`_body` does."""
+    header = _read_header(text, colmap, errors)
+    if header is not None:
+        position, n_fields, line = header
+        yield from _body(text, _Columns(position, n_fields), line, errors)
+
+
+def _body(text: Iterator[str], columns: _Columns, line: int,
+          errors: list[RowIssue]
+          ) -> Iterator[tuple[ObservationTable, np.ndarray, np.ndarray]]:
+    """Converts the lines of ``text``, numbered from ``line + 1``, a block
+    of :data:`_PARSE_LINES` lines at a time, into the header's ``columns``.
+    Yields each block's rows, their line numbers and the mask of the rows
+    that keep every record invariant; every issue found is added to
+    ``errors``.
 
     A block in which every line has exactly one cell per header field, with
     no quote, carriage return or NUL and no line longer than
@@ -594,12 +640,7 @@ def _blocks(text: Iterator[str], colmap: Mapping[str, str],
     its bad cells. A block's rows are views into buffers that the next
     block overwrites.
     """
-    header = _read_header(text, colmap, errors)
-    if header is None:
-        return
-    position, n_fields, line = header
-    columns = _Columns(position, n_fields)
-    commas = n_fields - 1
+    commas = columns.n_fields - 1
     limit = csv.field_size_limit()
     while chunk := list(itertools.islice(text, _PARSE_LINES)):
         block = "".join(chunk)
@@ -654,26 +695,58 @@ def _unique_rows(table: ObservationTable, lines: np.ndarray,
 
 
 class Partition:
-    """The rows :func:`partition_csv` accepted, spilled to bucket files in a
-    directory: a row goes to the bucket its ``sku_id`` hashes to, so every
-    row of a SKU lands in one bucket, in the order the rows were read.
+    """The rows of a CSV of observations that ``uplift fit`` accepts,
+    spilled to bucket files in ``directory``: a row goes to the bucket its
+    ``sku_id`` hashes to, so every row of a SKU lands in one bucket. There is
+    one bucket per :data:`BUCKET_BYTES` of an input of ``size`` bytes, and
+    at most :data:`MAX_BUCKETS`.
 
-    Rows wait in memory until :data:`_SPILL_ROWS` of them do; then each
-    bucket's are appended to its file as raw records of the observation
-    fields and the line number (72 bytes a row), one write per bucket.
+    Any number of processes spill into one partition, each a run of pieces
+    of the input at a time (:meth:`spill`), to a part of each bucket of its
+    own (``bucket-{b}.{pid}``). Rows wait in memory until
+    :data:`_SPILL_ROWS` of them do, or the spill ends; then each bucket's
+    are appended to its part as raw records of the observation fields and
+    the line number (72 bytes a row), one write per bucket. Any process
+    reads a bucket back whole, its rows in line order.
     """
 
-    def __init__(self, directory: Path, buckets: int) -> None:
-        self.paths = [directory / f"bucket-{b}" for b in range(buckets)]
-        self.rows = [0] * buckets
+    def __init__(self, directory: Path, size: int) -> None:
+        self.directory = directory
+        self.buckets = min(MAX_BUCKETS, max(1, -(-size // BUCKET_BYTES)))
+        # The header's converter, once a spill has read the header; a
+        # process forked after that shares it.
+        self.columns: _Columns | None = None
         # Per block: its records in bucket order, and each bucket's bounds.
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
         self.held = 0
 
+    def spill(self, pieces: Iterable[Piece], errors: list[RowIssue]) -> None:
+        """Converts the lines of ``pieces``, consecutive pieces of the input
+        (:func:`read_pieces`), with :func:`parse_csv`'s block loop, and
+        spills the rows that keep every record invariant; every issue
+        found is added to ``errors``. Until a spill has read the header,
+        the pieces start with it; the input's columns are those of
+        :data:`CSV_COLUMNS`, named by the header in any order."""
+        pieces = iter(pieces)
+        first = next(pieces, None)
+        with _decoded(itertools.chain([first] if first else [],
+                                      pieces)) as text:
+            if self.columns is None:
+                header = _read_header(text, _CANONICAL, errors)
+                if header is None:
+                    return
+                position, n_fields, line = header
+                self.columns = _Columns(position, n_fields)
+            else:
+                line = first.line - 1 if first else 0
+            for block in _body(text, self.columns, line, errors):
+                self.append(*block)
+        self.flush()
+
     def append(self, table: ObservationTable, lines: np.ndarray,
                keep: np.ndarray) -> None:
         """Spills the ``keep`` rows of ``table``, numbered by ``lines``."""
-        buckets = len(self.paths)
+        buckets = self.buckets
         mixed = (table.sku_id.view(np.uint64) * _MIX) >> np.uint64(32)
         bucket = np.where(keep, mixed % np.uint64(buckets), buckets
                           ).astype(np.int64)
@@ -689,75 +762,46 @@ class Partition:
             self.flush()
 
     def flush(self) -> None:
-        """Appends the rows held to their bucket files."""
-        for b, path in enumerate(self.paths):
+        """Appends the rows held to this process's parts."""
+        for b in range(self.buckets):
             parts = [records[bounds[b]:bounds[b + 1]]
                      for records, bounds in self.pending]
-            rows = sum(map(len, parts))
-            if rows:
+            if sum(map(len, parts)):
+                path = self.directory / f"bucket-{b}.{os.getpid()}"
                 with open(path, "ab", buffering=0) as out:
                     out.write(b"".join(parts))
-                self.rows[b] += rows
         self.pending, self.held = [], 0
 
-    def _buckets(self) -> Iterator[np.ndarray]:
-        """Each non-empty bucket's records, in bucket order."""
-        self.flush()
-        for path, rows in zip(self.paths, self.rows):
-            if rows:
-                yield np.fromfile(path, dtype=_RECORD)
+    def filled(self) -> list[int]:
+        """The buckets that hold rows, in order."""
+        return sorted({int(name[len("bucket-"):].partition(".")[0])
+                       for name in os.listdir(self.directory)})
 
-    def check(self, errors: list[RowIssue], warnings: list[RowIssue]
-              ) -> None:
-        """Adds every row that repeats an earlier row's key to ``errors``,
-        and the weekday mismatches of the other rows to ``warnings``, as
-        :func:`parse_csv` words them, reading one bucket at a time."""
-        for records in self._buckets():
-            table = ObservationTable(*(records[name] for name in _FIELDS))
-            _unique_rows(table, records["line"], errors, warnings)
+    def _records(self, bucket: int) -> np.ndarray:
+        part = f"bucket-{bucket}."
+        parts = [np.fromfile(self.directory / name, dtype=_RECORD)
+                 for name in os.listdir(self.directory)
+                 if name.startswith(part)]
+        if len(parts) == 1:  # one process's rows, in line order
+            return parts[0]
+        records = np.concatenate(parts or [np.empty(0, _RECORD)])
+        return records[np.argsort(records["line"], kind="stable")]
 
-    def tables(self) -> Iterator[ObservationTable]:
-        """Each bucket's rows as a table, in bucket order; the rows of a
-        partition that :meth:`check` found no repeated key in are the rows
+    def check(self, bucket: int, errors: list[RowIssue],
+              warnings: list[RowIssue]) -> None:
+        """Adds each row of ``bucket`` that repeats an earlier row's key to
+        ``errors``, and the weekday mismatches of its other rows to
+        ``warnings``, as :func:`parse_csv` words them."""
+        records = self._records(bucket)
+        table = ObservationTable(*(records[name] for name in _FIELDS))
+        _unique_rows(table, records["line"], errors, warnings)
+
+    def table(self, bucket: int) -> ObservationTable:
+        """The rows of ``bucket``, in line order. When :meth:`check` finds no
+        repeated key in any bucket, the rows of all buckets are the rows
         :func:`parse_csv` keeps."""
-        for records in self._buckets():
-            table = ObservationTable(*(records[name].copy()
-                                       for name in _FIELDS))
-            del records  # the table holds copies
-            yield table
-
-
-def partition_csv(source: BinaryIO, directory: Path, digest,
-                  errors: list[RowIssue]) -> Partition:
-    """Reads a CSV of observations once and spills the rows it accepts to
-    bucket files in ``directory``, for :meth:`Partition.check` to check and
-    :meth:`Partition.tables` to give back one bucket at a time.
-
-    ``source`` is a seekable binary file of UTF-8 text in the canonical
-    schema, read from its current position to its end in reads of
-    :data:`READ_BYTES`, each fed to ``digest`` (a :mod:`hashlib` object), so
-    the digest covers exactly the bytes parsed. There is one bucket per
-    :data:`BUCKET_BYTES` of the file, and at most :data:`MAX_BUCKETS`.
-
-    Lines are tokenized, converted and checked against the record
-    invariants by :func:`parse_csv`'s block loop (:func:`_blocks`), and each
-    block's valid rows are spilled before the next is read. Every issue
-    found, here and by :meth:`Partition.check`, is appended to ``errors``
-    or ``warnings`` with the line number and words :func:`parse_csv` gives
-    it, though not in line order. A byte that is not UTF-8 raises
-    :class:`DomainError`, and a cell over ``csv.field_size_limit()`` raises
-    ``csv.Error``, as in :func:`parse_csv`.
-    """
-    start = source.tell()
-    size = source.seek(0, io.SEEK_END) - start
-    source.seek(start)
-    partition = Partition(directory, min(MAX_BUCKETS,
-                                         max(1, -(-size // BUCKET_BYTES))))
-    with _decoded(source, digest) as text:
-        for block in _blocks(text, _CANONICAL, errors):
-            partition.append(*block)
-    return partition
-
+        records = self._records(bucket)
+        return ObservationTable(*(records[name].copy() for name in _FIELDS))
 
 def _strings(column: np.ndarray, convert: Callable = str) -> list[str]:
     """``convert`` of every element of an int64 column, called once per

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -34,10 +33,10 @@ MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
 # 2,000 180-day panels runs within 10 % of the same time. Wider batches cost
 # memory, mostly on long panels, where a batch holds about four arrays of its
 # padded size at once (the stacked design, the kernel's working matrix, a
-# block temporary and the rank-1 update): a serial run_study on 500 two-year
-# panels (up to 594 rows) peaks at 4.9 MiB of traced allocations with 32
-# fits, 6.0 with 40 and 8.5 with 64. `uplift fit` estimates one bucket of
-# about 28 such SKUs at a time, one batch each, and peaks near 46 MB.
+# block temporary and the rank-1 update): run_study on 500 two-year panels
+# (up to 594 rows) peaks at 4.9 MiB of traced allocations with 32 fits, 6.0
+# with 40 and 8.5 with 64. `uplift fit` estimates one bucket of about 28
+# such SKUs at a time per worker process, one batch each.
 # Sorting by length keeps a long panel from padding short ones to its
 # length, and the row cap keeps a batch's working matrix near 3 MB (2**15
 # rows x 11 columns) however long the panels: 3,650-day panels go 11 to a
@@ -461,14 +460,13 @@ def _batches(panels: Sequence[SkuPanel]) -> list[list[int]]:
 def run_study(panels: Iterable[SkuPanel],
               rule: EligibilityRule = EligibilityRule(),
               alpha: float = 0.05,
-              sidedness: Sidedness = Sidedness.TWO_SIDED,
-              threads: int | None = None) -> StudyReports:
+              sidedness: Sidedness = Sidedness.TWO_SIDED) -> StudyReports:
     """Estimate every eligible panel; per-SKU failures never abort the study.
 
     The eligible panels are cut into batches of similar length (see
-    ``_batches``), and ``threads`` workers estimate whole batches. A fit's
-    bytes do not depend on its batch, so any thread count gives identical
-    reports, returned as columns in ascending (sku, store) order. Neither
+    ``_batches``), estimated one batch at a time. A fit's bytes do not
+    depend on its batch, so the reports, returned as columns in ascending
+    (sku, store) order, do not depend on the order of ``panels``. Neither
     stage's fit is kept. An unexpected exception while estimating a batch
     marks each SKU of that batch, and only of that batch, ``internal error:
     ...``. An ``alpha`` outside (0, 1) or an unknown ``sidedness`` raises
@@ -486,11 +484,7 @@ def run_study(panels: Iterable[SkuPanel],
             return StudyReports.failed(members, f"internal error: {exc}")
 
     batches = _batches(ordered)
-    if threads is not None and threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(one, batches))
-    else:
-        done = [one(batch) for batch in batches]
+    done = [one(batch) for batch in batches]
     # Row k of the batches' rows is the panel at position order[k].
     order = np.array([i for batch in batches for i in batch], dtype=np.intp)
     return StudyReports.concatenate(done).take(np.argsort(order))

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from discount_uplift import cli, domain
 from discount_uplift.domain import Observation, ObservationTable, SkuPanel
 from discount_uplift.two_step import ReportStatus, SkuUpliftReport
 
@@ -58,3 +59,19 @@ def make_report(sku_id, mean_residual=None, gamma10=None, significant=None,
                            gamma10_se=0.1, gamma10_t=gamma10 / 0.1,
                            gamma10_p=0.01,
                            significant_positive=bool(significant))
+
+
+def watch_forks(monkeypatch) -> list[bool]:
+    """Makes ``uplift fit`` cut the golden input into 8 pieces of 16 KiB and
+    spill it to 4 buckets; returns, per fit, whether it forked workers."""
+    monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
+    monkeypatch.setattr(domain, "BUCKET_BYTES", 1 << 15)
+    forked: list[bool] = []
+
+    class Watching(cli._Workers):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            forked.append(self.pool is not None)
+
+    monkeypatch.setattr(cli, "_Workers", Watching)
+    return forked

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_panel, make_report
+from conftest import build_panel, make_report, watch_forks
 from discount_uplift.aggregate import summarize, trim_central
 from discount_uplift.cli import main
 from discount_uplift.domain import observation_violations
@@ -205,8 +205,10 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
     """Byte-identical fit outputs across threads/runs; stable simulate digest."""
     import discount_uplift.two_step as two_step
 
-    # The 8 golden SKUs in several batches, so --threads 4 uses the pool.
+    # The 8 golden SKUs in several batches, pieces and buckets, so that
+    # --threads 4 forks workers that parse, check and estimate.
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
+    forked = watch_forks(monkeypatch)
     digests = []
     for run, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         out_dir = tmp_path / run
@@ -217,6 +219,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
             for name in ("reports.csv", "aggregate.json", "histogram.csv",
                          "boxplot.csv")))
     assert digests[0] == digests[1] == digests[2]
+    assert forked == [False, True, False]
     assert (tmp_path / "a" / "reports.csv").read_bytes() == \
         (DATA / "golden_reports.csv").read_bytes()
 

@@ -7,10 +7,13 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from discount_uplift.cli import main
 from discount_uplift.domain import (WEEKDAY_NAMES, ObservationTable,
                                     parse_csv, serialize_csv)
 from discount_uplift.synth import DgpConfig, generate_study
+from conftest import watch_forks
 from oracles import exact_sqrt, exact_two_step
 
 DATA = Path(__file__).parent / "data"
@@ -237,20 +241,26 @@ def test_fit_user_input_value_errors_exit_2(tmp_path, capsys):
     assert "central trimming" in capsys.readouterr().err
 
 
-def test_fit_names_the_line_and_byte_of_a_non_utf8_byte(tmp_path, capsys):
+def test_fit_names_the_line_and_byte_of_a_non_utf8_byte(tmp_path,
+                                                        monkeypatch, capsys):
     # Past the first 64 KiB, a position within the decoder's last read is
-    # not the byte's offset in the file.
+    # not the byte's offset in the file. In pieces of 16 KiB, the byte is in
+    # the last of several, which a worker decodes at --threads 2.
     golden = (DATA / "golden_input.csv").read_bytes()
     assert len(golden) > 1 << 16
     latin1 = tmp_path / "latin1.csv"
     row = "1,1,2024-01-01,Monday,5,0.5,1,0 café\n"
     latin1.write_bytes(golden + row.encode("latin-1"))
     line, offset = golden.count(b"\n") + 1, len(golden) + row.index("é")
-    assert main(["fit", "--input", str(latin1),
-                 "--out-dir", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {latin1} is not a readable UTF-8 CSV file: line {line}, "
-        f"byte {offset}: can't decode byte 0xe9: invalid continuation byte\n")
+    for read_bytes, threads in ((domain.READ_BYTES, "1"), (1 << 14, "1"),
+                                (1 << 14, "2")):
+        monkeypatch.setattr(domain, "READ_BYTES", read_bytes)
+        assert main(["fit", "--input", str(latin1), "--threads", threads,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {latin1} is not a readable UTF-8 CSV file: line {line}, "
+            f"byte {offset}: can't decode byte 0xe9: invalid continuation "
+            "byte\n")
 
 
 class _SpyReader(io.BufferedReader):
@@ -307,10 +317,10 @@ def test_fit_hashes_and_parses_one_handle_in_bounded_reads(tmp_path,
 def test_fit_input_growing_while_read_is_hashed_as_parsed(
         tmp_path, monkeypatch, capsys, extra, code):
     # The file grows after its first read: what fit parses and what it
-    # hashes are the same bytes, the grown file.
+    # hashes are the same bytes, the grown file. In pieces of 16 KiB, at
+    # --threads 2, workers parse the grown file's pieces.
     src = tmp_path / "growing.csv"
     golden = (DATA / "golden_input.csv").read_bytes()
-    src.write_bytes(golden)
 
     class Growing(io.BufferedReader):
         grown = False
@@ -323,26 +333,31 @@ def test_fit_input_growing_while_read_is_hashed_as_parsed(
                     handle.write(extra)
             return n
 
-    monkeypatch.setattr(cli, "open", lambda path, mode: Growing(
-        io.FileIO(path, mode)), raising=False)
-    out_dir = tmp_path / "o"
-    assert main(["fit", "--input", str(src), "--out-dir", str(out_dir)]) \
-        == code
-    monkeypatch.undo()
-    err = capsys.readouterr().err
-    grown = src.read_bytes()
-    assert grown == golden + extra.encode()
-    if code == 2:
-        line = golden.count(b"\n") + 2  # the second appended row
-        assert err.splitlines()[0] == (
-            f"line:{line} field:row duplicate entry for store 1 sku 999 "
-            "date 2024-01-01")
-        assert err.endswith(f"error: 4999 invalid rows in {src}\n")
-        assert not out_dir.exists()
-    else:
-        assert err == ""
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["input_digest"] == hashlib.sha256(grown).hexdigest()
+    for read_bytes, threads in ((domain.READ_BYTES, "1"), (1 << 14, "1"),
+                                (1 << 14, "2")):
+        src.write_bytes(golden)
+        monkeypatch.setattr(domain, "READ_BYTES", read_bytes)
+        monkeypatch.setattr(cli, "open", lambda path, mode: Growing(
+            io.FileIO(path, mode)), raising=False)
+        out_dir = tmp_path / f"o-{read_bytes}-{threads}"
+        assert main(["fit", "--input", str(src), "--out-dir", str(out_dir),
+                     "--threads", threads]) == code
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        grown = src.read_bytes()
+        assert grown == golden + extra.encode()
+        if code == 2:
+            line = golden.count(b"\n") + 2  # the second appended row
+            assert err.splitlines()[0] == (
+                f"line:{line} field:row duplicate entry for store 1 sku 999 "
+                "date 2024-01-01")
+            assert err.endswith(f"error: 4999 invalid rows in {src}\n")
+            assert not out_dir.exists()
+        else:
+            assert err == ""
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["input_digest"] == \
+                hashlib.sha256(grown).hexdigest()
 
 
 def test_fit_out_dir_naming_a_file_exits_2_before_reading(tmp_path,
@@ -353,7 +368,7 @@ def test_fit_out_dir_naming_a_file_exits_2_before_reading(tmp_path,
     def unread(*args, **kwargs):
         raise AssertionError("the input was read")
 
-    monkeypatch.setattr(cli, "partition_csv", unread)
+    monkeypatch.setattr(cli, "read_pieces", unread)
     for out_dir in (taken, taken / "sub"):
         assert main(["fit", "--input", str(DATA / "golden_input.csv"),
                      "--out-dir", str(out_dir)]) == 2
@@ -402,7 +417,7 @@ def test_fit_output_naming_a_directory_exits_2_before_reading(
     def unread(*args, **kwargs):
         raise AssertionError("the input was read")
 
-    monkeypatch.setattr(cli, "partition_csv", unread)
+    monkeypatch.setattr(cli, "read_pieces", unread)
     assert main(["fit", "--input", str(DATA / "golden_input.csv"),
                  "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == \
@@ -420,9 +435,18 @@ def test_fit_rejects_a_cell_over_the_field_size_limit(tmp_path, capsys):
         parse_csv(too_long.encode("utf-8"))
     src = tmp_path / "long.csv"
     src.write_text(too_long)
-    assert main(["fit", "--input", str(src),
-                 "--out-dir", str(tmp_path / "o")]) == 2
-    assert "not a readable UTF-8 CSV file" in capsys.readouterr().err
+    # In pieces of 16 KiB, the long line is a piece of its own, which a
+    # worker parses at --threads 2.
+    messages = set()
+    for read_bytes, threads in ((domain.READ_BYTES, "1"), (1 << 14, "1"),
+                                (1 << 14, "2")):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(domain, "READ_BYTES", read_bytes)
+            assert main(["fit", "--input", str(src), "--threads", threads,
+                         "--out-dir", str(tmp_path / "o")]) == 2
+        messages.add(capsys.readouterr().err)
+    (message,) = messages
+    assert "not a readable UTF-8 CSV file" in message
     # A line over the limit whose every cell is within it still parses.
     padded = " " * (limit // 2 + 1) + "5"
     result = parse_csv(header + f"1,10,2024-01-01,Monday,{padded},{padded},"
@@ -549,8 +573,10 @@ def test_fit_bytes_independent_of_openblas_kernel(tmp_path):
 def test_fit_outputs_identical_across_threads_and_runs(tmp_path, monkeypatch):
     import discount_uplift.two_step as two_step
 
-    # The 8 golden SKUs in several batches, so --threads 4 uses the pool.
+    # The 8 golden SKUs in several batches, pieces and buckets, so that
+    # --threads 4 forks workers that parse, check and estimate.
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
+    forked = watch_forks(monkeypatch)
     digests = []
     for run, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         out_dir = tmp_path / run
@@ -560,6 +586,7 @@ def test_fit_outputs_identical_across_threads_and_runs(tmp_path, monkeypatch):
             sha256(out_dir / name) for name in
             ("reports.csv", "aggregate.json", "histogram.csv", "boxplot.csv")))
     assert digests[0] == digests[1] == digests[2]
+    assert forked == [False, True, False]
 
 
 def test_fit_empty_input_exits_2(tmp_path, capsys):
@@ -591,6 +618,29 @@ def test_fit_malformed_rows_reported_with_line_numbers(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "line:1 field:store missing column",
         f"error: invalid header in {bad}"]
+
+
+def test_issue_log_merge_equals_appending_in_order():
+    # Lines 2..61 with up to three issues each. Pieces hold runs of lines
+    # and buckets hold lines in any pattern; runs of issues may also split
+    # a line's issues between logs.
+    rng = np.random.default_rng(5)
+    issues = [domain.RowIssue(line, str(rng.choice(["stock", "row"])),
+                              f"issue {k}")
+              for line in range(2, 62) for k in range(rng.integers(0, 4))]
+    whole = cli._IssueLog()
+    for issue in issues:
+        whole.append(issue)
+    for part_of in (lambda i: issues[i].line // 7,
+                    lambda i: issues[i].line % 3, lambda i: i // 5):
+        parts: dict[int, cli._IssueLog] = {}
+        for i, issue in enumerate(issues):
+            parts.setdefault(part_of(i), cli._IssueLog()).append(issue)
+        merged = cli._IssueLog()
+        for key in sorted(parts):
+            merged.merge(parts[key])
+        assert merged.shown() == whole.shown()
+        assert merged.counts == whole.counts and len(merged) == len(issues)
 
 
 def test_fit_prints_bounded_row_errors(tmp_path, capsys):
@@ -743,14 +793,20 @@ def _small_buckets(monkeypatch, size: int, buckets: int,
     monkeypatch.setattr(domain, "BUCKET_BYTES", -(-size // buckets))
     monkeypatch.setattr(domain, "_PARSE_LINES", lines)
     made: list[int] = []
-    partition = cli.partition_csv
 
-    def counting(*args, **kwargs):
-        made.append(len((result := partition(*args, **kwargs)).paths))
-        return result
+    class Counting(domain.Partition):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            made.append(self.buckets)
 
-    monkeypatch.setattr(cli, "partition_csv", counting)
+    monkeypatch.setattr(cli, "Partition", Counting)
     return made
+
+
+def _record(path: Path, text: str) -> None:
+    """Appends a line to ``path``, from whichever process runs it."""
+    with open(path, "a") as handle:
+        handle.write(text + "\n")
 
 
 @pytest.mark.parametrize("group_by", ["sku", "store-sku"])
@@ -822,24 +878,30 @@ def test_fit_buckets_print_the_library_issues(tmp_path, monkeypatch, capsys):
     assert "… and 4 more row errors" in expected
     assert "… and 5 more weekday warnings" in expected
 
-    held = []
+    # Each issue is appended once, in the process that finds it: the
+    # workers parse the pieces before the quoted cell's, and check buckets.
+    held = tmp_path / "held"
     append = cli._IssueLog.append
 
     def watching(self, issue):
         append(self, issue)
-        held.append(max(map(len, self.first.values())))
+        _record(held, str(max(map(len, self.first.values()))))
 
     monkeypatch.setattr(cli._IssueLog, "append", watching)
+    monkeypatch.setattr(domain, "READ_BYTES", 1 << 13)
     # In one block of 4,096 lines, each repeat shares a block and a bucket
     # with the row it repeats.
-    for buckets, lines in ((1, 7), (6, 7), (6, 4096)):
-        made = _small_buckets(monkeypatch, len(data), buckets, lines)
-        assert main(["fit", "--input", str(src),
-                     "--out-dir", str(tmp_path / "o")]) == 2
-        assert made == [buckets]
-        assert capsys.readouterr().err == expected
-    assert max(held) == cli.ISSUES_SHOWN
-    assert len(held) == 3 * (len(parsed.errors) + len(parsed.warnings))
+    for threads in ("1", "2"):
+        held.write_text("")
+        for buckets, lines in ((1, 7), (6, 7), (6, 4096)):
+            made = _small_buckets(monkeypatch, len(data), buckets, lines)
+            assert main(["fit", "--input", str(src), "--threads", threads,
+                         "--out-dir", str(tmp_path / "o")]) == 2
+            assert made == [buckets]
+            assert capsys.readouterr().err == expected
+        sizes = [int(size) for size in held.read_text().split()]
+        assert max(sizes) == cli.ISSUES_SHOWN
+        assert len(sizes) == 3 * (len(parsed.errors) + len(parsed.warnings))
     assert not (tmp_path / "o").exists()
 
 
@@ -862,11 +924,38 @@ def test_fit_checks_every_bucket_before_estimating(tmp_path, monkeypatch,
         src.write_bytes(data)
         made = _small_buckets(monkeypatch, len(data), 4)
         studies.clear()
-        assert main(["fit", "--input", str(src),
+        assert main(["fit", "--input", str(src), "--threads", "1",
                      "--out-dir", str(tmp_path / f"out-{code}")]) == code
         assert made == [4] and len(studies) == estimated
     assert 5 in studies[-1]  # the repeated SKU's bucket is the last
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_fit_workers_check_every_bucket_before_estimating(tmp_path,
+                                                          monkeypatch):
+    # As above, with the buckets checked and estimated by 2 workers, which
+    # record the SKUs of each study they run in a file.
+    golden = (DATA / "golden_input.csv").read_bytes()
+    repeated = golden + golden.splitlines(keepends=True)[1 + 4 * 300]
+    studies = tmp_path / "studies"
+    study = cli.run_study
+
+    def counting(panels, **kwargs):
+        _record(studies, f"{os.getpid()} {sorted(p.sku_id for p in panels)}")
+        return study(panels, **kwargs)
+
+    monkeypatch.setattr(cli, "run_study", counting)
+    monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
+    for data, code, estimated in ((repeated, 2, 0), (golden, 0, 4)):
+        src = tmp_path / f"in-{code}.csv"
+        src.write_bytes(data)
+        made = _small_buckets(monkeypatch, len(data), 4)
+        studies.write_text("")
+        assert main(["fit", "--input", str(src), "--threads", "2",
+                     "--out-dir", str(tmp_path / f"out-{code}")]) == code
+        lines = studies.read_text().splitlines()
+        assert made == [4] and len(lines) == estimated
+    assert str(os.getpid()) not in {line.split()[0] for line in lines}
 
 
 @pytest.mark.parametrize("case, code", [
@@ -896,7 +985,8 @@ def test_fit_removes_its_buckets(tmp_path, monkeypatch, case, code):
         return build(table, **kwargs)
 
     monkeypatch.setattr(cli, "build_panels", watching)
-    argv = ["fit", "--input", str(src), "--out-dir", str(out_dir)]
+    argv = ["fit", "--input", str(src), "--out-dir", str(out_dir),
+            "--threads", "1"]
     if code is None:
         with pytest.raises(KeyboardInterrupt):
             main(argv)
@@ -908,3 +998,150 @@ def test_fit_removes_its_buckets(tmp_path, monkeypatch, case, code):
         assert seen and all(seen)  # the buckets were beside --out-dir
     if case == "duplicate":
         assert seen == []  # every bucket is checked before any is fitted
+
+
+@pytest.mark.parametrize("case, code", [
+    ("estimated", 0), ("row-error", 2), ("duplicate", 2),
+    ("fault-in-second-bucket", 1), ("interrupted", None), ("killed", 1)])
+def test_fit_workers_leave_no_process_and_no_bucket(tmp_path, monkeypatch,
+                                                    case, code):
+    # test_fit_removes_its_buckets on 2 workers, which record what they see
+    # in a file; a worker that dies makes fit exit 1, and no exit leaves a
+    # worker running.
+    golden = (DATA / "golden_input.csv").read_bytes()
+    if case == "row-error":
+        golden += b"1,99,2024-01-01,Monday,5,0.5,6,0\n"  # sales over stock
+    elif case == "duplicate":  # sku 5, in the last of 4 buckets
+        golden += golden.splitlines(keepends=True)[1 + 4 * 300]
+    src = tmp_path / "in.csv"
+    src.write_bytes(golden)
+    work = tmp_path / "work"
+    work.mkdir()
+    out_dir = work / "a" / "b"
+    monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
+    assert _small_buckets(monkeypatch, len(golden), 4) is not None
+    seen = tmp_path / "seen"
+    build = cli.build_panels
+
+    def watching(table, **kwargs):
+        _record(seen, " ".join(sorted(
+            p.name for p in work.glob(".uplift-fit-*/*"))) or "-")
+        calls = len(seen.read_text().splitlines())
+        if case == "fault-in-second-bucket" and calls == 2:
+            raise RuntimeError("fault in the second bucket")
+        if case == "interrupted":
+            raise KeyboardInterrupt
+        if case == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return build(table, **kwargs)
+
+    monkeypatch.setattr(cli, "build_panels", watching)
+    argv = ["fit", "--input", str(src), "--out-dir", str(out_dir),
+            "--threads", "2"]
+    # A hang fails the test instead of stalling the suite.
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("fit hung"))
+    signal.alarm(120)
+    try:
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    assert multiprocessing.active_children() == []
+    assert not list(work.glob(".uplift-fit-*"))
+    assert out_dir.exists() == (code == 0)
+    views = seen.read_text().splitlines() if seen.exists() else []
+    if case in ("row-error", "duplicate"):
+        assert views == []  # every bucket is checked before any is fitted
+    else:
+        assert views and "-" not in views  # the buckets were beside it
+
+
+_SLOW_FIT = """
+import os, sys, time
+from discount_uplift import cli, domain
+domain.READ_BYTES = 1 << 14
+build = cli.build_panels
+
+def slow(table, **kwargs):
+    with open(sys.argv[1], "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    time.sleep(2)
+    return build(table, **kwargs)
+
+cli.build_panels = slow
+sys.exit(cli.main(["fit", "--input", sys.argv[2], "--out-dir", sys.argv[3],
+                   "--threads", "2"]))
+"""
+
+
+def _children(pid: int) -> list[int]:
+    """The processes whose parent is ``pid``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(") ", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _gone(pid: int) -> bool:
+    """Whether process ``pid`` has ended (a zombie has)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(") ", 1)[1][0] \
+            == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc")
+@pytest.mark.parametrize("how", ["main-killed", "ctrl-c"])
+def test_fit_workers_end_with_the_main_process(tmp_path, how):
+    # One worker estimates the input's one bucket, slowly, and the other
+    # waits for a task, when the main process is killed or the process
+    # group gets Ctrl-C. No worker outlives the main process; after Ctrl-C
+    # only the main process reports the interrupt, and the buckets go.
+    pids_file, work = tmp_path / "pids", tmp_path / "work"
+    work.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(discount_uplift.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_FIT, str(pids_file),
+         str(DATA / "golden_input.csv"), str(work / "out")],
+        env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    workers: list[int] = []
+    try:
+        for _ in range(600):  # a worker is estimating, or 60 s passed
+            if pids_file.exists() and pids_file.read_text():
+                break
+            time.sleep(0.1)
+        workers = _children(proc.pid)
+        assert len(workers) == 2 and proc.poll() is None
+        if how == "main-killed":
+            proc.kill()
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        for _ in range(300):
+            if all(map(_gone, workers)):
+                break
+            time.sleep(0.1)
+        assert all(map(_gone, workers))
+    finally:
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    if how == "ctrl-c":
+        assert proc.returncode == -signal.SIGINT
+        assert err.count("KeyboardInterrupt") == 1, err
+        assert not list(work.glob(".uplift-fit-*"))

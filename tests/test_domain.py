@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import io
+import itertools
 import tempfile
 from operator import attrgetter
 from pathlib import Path
@@ -335,42 +336,65 @@ def test_parse_matches_row_by_row_oracle(text, chunk_rows):
             assert [str(w) for w in result.warnings] == warnings
 
 
+def _spill_as_fit_does(partition, pieces, errors) -> None:
+    """Spills ``pieces`` as ``uplift fit`` splits them among processes: the
+    header alone, then each piece on its own up to the first that holds a
+    quote, and the rest together."""
+    partition.spill(itertools.islice(pieces, 1), errors)
+    rest = list(pieces)
+    quoted = next((i for i, piece in enumerate(rest) if b'"' in piece.data),
+                  len(rest))
+    for piece in rest[:quoted]:
+        partition.spill([piece], errors)
+    partition.spill(rest[quoted:], errors)
+
+
 @settings(max_examples=200, deadline=None)
 @given(faulty_csv_documents(), st.sampled_from([1, 2, 7, 16384]),
-       st.sampled_from([1, 50, 1 << 20]))
-def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes):
+       st.sampled_from([1, 50, 1 << 20]), st.sampled_from([1, 40, 1 << 18]))
+def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes,
+                                     read_bytes):
     # Bucket by bucket, the rows and issues of parse_csv, the issues in
     # another order: sorted by line, they are the same list.
     data = text.encode("utf-8")
     errors, warnings = [], []
     digest = hashlib.sha256()
+    # Each flush appends to the part of one of three processes in turn, as
+    # the parts of workers interleave.
+    pids = itertools.cycle([101, 102, 103])
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as spill:
         patch.setattr(domain, "_PARSE_LINES", chunk_rows)
         expected = parse_csv(data)
         patch.setattr(domain, "BUCKET_BYTES", bucket_bytes)
         patch.setattr(domain, "_SPILL_ROWS", 3)
+        patch.setattr(domain, "READ_BYTES", read_bytes)
         source = io.BytesIO(data)
-        partition = domain.partition_csv(source, Path(spill), digest, errors)
-        partition.check(errors, warnings)
-        tables = list(partition.tables())
-    assert len(partition.paths) == min(domain.MAX_BUCKETS,
-                                       -(-len(data) // bucket_bytes))
+        partition = domain.Partition(Path(spill), len(data))
+        with mock.patch.object(domain.os, "getpid", lambda: next(pids)):
+            _spill_as_fit_does(partition,
+                               domain.read_pieces(source, digest), errors)
+        filled = partition.filled()
+        for bucket in filled:
+            partition.check(bucket, errors, warnings)
+        tables = [partition.table(bucket) for bucket in filled]
+    assert partition.buckets == min(domain.MAX_BUCKETS,
+                                    -(-len(data) // bucket_bytes))
     assert digest.digest() == hashlib.sha256(data).digest()
     assert source.tell() == len(data)
     for found, issues in ((errors, expected.errors),
                           (warnings, expected.warnings)):
         found.sort(key=attrgetter("line"))  # stable
         assert found == list(issues)
-    def by_key(table):
-        return table[np.lexsort((table.date, table.sku_id, table.store_id))]
-
     # The buckets still hold the repeats that check reported; parse_csv
-    # keeps the first row of each key.
-    spilled = ObservationTable.concat(tables)
-    spilled = spilled[~domain._repeated_keys(spilled.store_id,
-                                             spilled.sku_id, spilled.date)]
-    assert by_key(spilled) == by_key(expected.table)
+    # keeps the first row of each key. A bucket's rows are in line order.
+    skus = expected.table.sku_id
+    for table in tables:
+        kept = table[~domain._repeated_keys(table.store_id, table.sku_id,
+                                            table.date)]
+        assert kept == expected.table[np.isin(skus, table.sku_id)]
+    assert set(skus.tolist()) <= {sku for t in tables
+                                  for sku in t.sku_id.tolist()}
     assert all(len(set(t.sku_id.tolist()) & set(u.sku_id.tolist())) == 0
                for i, t in enumerate(tables) for u in tables[i + 1:])
 
@@ -382,11 +406,11 @@ def test_partition_spreads_ids_sharing_a_factor_with_the_bucket_count(
             for sku in range(10, 1010, 10)]
     data = (HEADER + "\n" + "\n".join(rows) + "\n").encode()
     monkeypatch.setattr(domain, "BUCKET_BYTES", -(-len(data) // 10))
-    partition = domain.partition_csv(io.BytesIO(data), tmp_path,
-                                     hashlib.sha256(), [])
-    partition.flush()
-    assert len(partition.rows) == 10 and sum(partition.rows) == 100
-    assert max(partition.rows) <= 20
+    partition = domain.Partition(tmp_path, len(data))
+    partition.spill(domain.read_pieces(io.BytesIO(data)), [])
+    rows = [len(partition.table(bucket)) for bucket in range(10)]
+    assert partition.buckets == 10 and sum(rows) == 100
+    assert max(rows) <= 20
 
 
 def test_parse_rejects_integers_outside_int64():

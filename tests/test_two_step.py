@@ -291,19 +291,19 @@ def _report_fields(report):
             report.gamma10_t, report.gamma10_p, report.significant_positive)
 
 
-def test_run_study_deterministic_across_thread_counts(monkeypatch):
+def test_run_study_deterministic_across_input_orders(monkeypatch):
     import discount_uplift.two_step as two_step
 
     panels = generate_study(DgpConfig(seed=61, n_days=300,
                                       discount_probability=0.35), 12)
-    # Several batches, so that the threaded runs go through the pool.
+    # Several batches, which the shuffled orders fill differently.
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
-    serial = run_study(panels, threads=1)
-    threaded = run_study(panels, threads=4)
-    shuffled = run_study(panels[::-1], threads=3)
-    assert [_report_fields(r) for r in serial] == \
-           [_report_fields(r) for r in threaded] == \
-           [_report_fields(r) for r in shuffled]
+    rng = np.random.default_rng(61)
+    orders = [panels, panels[::-1],
+              [panels[i] for i in rng.permutation(len(panels))]]
+    fields = [[_report_fields(r) for r in run_study(order)]
+              for order in orders]
+    assert fields[0] == fields[1] == fields[2]
 
 
 def test_shifting_sales_leaves_uplift_t_statistic_invariant():
@@ -412,12 +412,11 @@ def test_batched_study_equals_lone_estimates(monkeypatch):
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     ordered = sorted(panels, key=lambda p: p.key)
     assert len(list(two_step._batches(ordered))) >= 4
-    for threads in (1, 2, 3):
-        for order in (panels, panels[::-1]):
-            reports = run_study(order, rule=LOW_RULE, threads=threads)
-            assert [r.sku_id for r in reports] == sorted(lone)
-            for r in reports:
-                assert _report_bytes(r) == lone[r.sku_id], (threads, r.sku_id)
+    for order in (panels, panels[::-1]):
+        reports = run_study(order, rule=LOW_RULE)
+        assert [r.sku_id for r in reports] == sorted(lone)
+        for r in reports:
+            assert _report_bytes(r) == lone[r.sku_id], r.sku_id
 
 
 def test_batches_group_panels_by_length(monkeypatch):
@@ -438,9 +437,8 @@ def test_batches_group_panels_by_length(monkeypatch):
         assert len({panels[i].n_obs for i in b}) == 1
         assert len(b) * max(rows[i] for i in b) <= 2000
     lone = [_report_bytes(estimate_sku(p)) for p in panels]
-    for threads in (1, 2):
-        reports = run_study(panels[::-1], rule=LOW_RULE, threads=threads)
-        assert [_report_bytes(r) for r in reports] == lone
+    reports = run_study(panels[::-1], rule=LOW_RULE)
+    assert [_report_bytes(r) for r in reports] == lone
 
 
 @pytest.mark.parametrize("n_plain, n_disc, sizes", [
@@ -482,14 +480,13 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
     hit = next(b for b in batches if marked in b)
     assert 1 < len(hit) < len(panels)
     hit_ids = {p.sku_id for p in hit}
-    for threads in (1, 2):
-        reports = run_study(panels, rule=LOW_RULE, threads=threads)
-        for r in reports:
-            if r.sku_id in hit_ids:
-                assert r.failure_reason == "internal error: injected fault"
-                assert r.stage2 is None and r.gamma10 is None
-            else:
-                assert _report_bytes(r) == lone[r.sku_id]
+    reports = run_study(panels, rule=LOW_RULE)
+    for r in reports:
+        if r.sku_id in hit_ids:
+            assert r.failure_reason == "internal error: injected fault"
+            assert r.stage2 is None and r.gamma10 is None
+        else:
+            assert _report_bytes(r) == lone[r.sku_id]
 
 
 def test_study_computes_one_p_value_per_reported_sku(monkeypatch):
