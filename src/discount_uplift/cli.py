@@ -122,23 +122,6 @@ def _resolve_threads(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _print_issues(issues: Sequence[RowIssue], prefix: str, noun: str,
-                  counts: dict[str, int] | None = None) -> None:
-    """The first ISSUES_SHOWN issues of each field, then one count line per
-    field for the rest. ``counts`` gives each field's number of issues when
-    ``issues`` holds only the first ones."""
-    seen: dict[str, int] = {}
-    for issue in issues:
-        seen[issue.field] = seen.get(issue.field, 0) + 1
-        if seen[issue.field] <= ISSUES_SHOWN:
-            print(f"{prefix}{issue}", file=sys.stderr)
-    for field in seen:
-        count = (counts or seen)[field]
-        if count > ISSUES_SHOWN:
-            print(f"{prefix}… and {count - ISSUES_SHOWN} more {field} {noun}",
-                  file=sys.stderr)
-
-
 class _IssueLog:
     """Issues of one kind, added in any order: per field, the ISSUES_SHOWN
     first ones in line order (a line's in the order they were added), and
@@ -182,7 +165,15 @@ class _IssueLog:
             reverse=True)]
 
     def print(self, prefix: str, noun: str) -> None:
-        _print_issues(self.shown(), prefix, noun, self.counts)
+        """The issues kept, then one count line per field for the rest, in
+        the order of each field's first issue shown."""
+        shown = self.shown()
+        for issue in shown:
+            print(f"{prefix}{issue}", file=sys.stderr)
+        for field in dict.fromkeys(issue.field for issue in shown):
+            if self.counts[field] > ISSUES_SHOWN:
+                print(f"{prefix}… and {self.counts[field] - ISSUES_SHOWN} "
+                      f"more {field} {noun}", file=sys.stderr)
 
 
 def _reports_csv(reports: StudyReports, with_store: bool) -> str:

@@ -1,10 +1,11 @@
 """Core data types, CSV ingestion and SKU-panel construction.
 
 A dataset is a flat collection of store/SKU/day records, held as one
-:class:`ObservationTable`: a numpy array per field. CSV text comes in
-through one block loop (:func:`_body`), which :func:`parse_csv` and
-:meth:`Partition.spill` both run; a binary source is read once, in pieces
-of whole lines (:func:`read_pieces`). Panels are contiguous slices of a
+:class:`ObservationTable`: a numpy array per field. A source of CSV
+text is read once, in pieces of whole lines (:func:`read_pieces`), each
+decoded whole (:func:`_lines`) and converted by one block loop
+(:func:`_body`), which :func:`parse_csv` and :meth:`Partition.spill` run.
+Panels are contiguous slices of a
 table sorted by SKU, built only from tables; each splits its days into
 discount-free days and days with at least one discounted sale, and is the
 unit of work for the two-step estimation.
@@ -13,7 +14,6 @@ only when a caller asks for an element.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime as dt
 import io
@@ -22,7 +22,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
@@ -482,30 +482,23 @@ def read_pieces(source: BinaryIO, digest=None) -> Iterator[Piece]:
         yield Piece(held, line, byte)
 
 
-@contextlib.contextmanager
-def _decoded(pieces: Iterable[Piece]) -> Iterator[Iterator[str]]:
-    """The lines of consecutive ``pieces``, decoded from UTF-8 a piece at a
-    time. A byte that is not UTF-8 raises :class:`DomainError`, naming its
-    line and byte offset in the document, from the ``with`` block that
-    reads the lines."""
-    current: list = [None, None]  # the piece being decoded, and its reader
-
-    def decode(piece: Piece) -> io.TextIOWrapper:
-        current[:] = piece, io.BytesIO(piece.data)
-        text = io.TextIOWrapper(current[1], encoding="utf-8", newline="\n")
-        text._CHUNK_SIZE = READ_BYTES  # a piece in one or two decodes
-        return text
-
-    try:
-        yield itertools.chain.from_iterable(map(decode, pieces))
-    except UnicodeDecodeError as exc:
-        piece, data = current
-        # The decoder's input ends where its last read ended.
-        at = data.tell() - len(exc.object) + exc.start
-        line = piece.line + piece.data.count(b"\n", 0, at)
-        raise DomainError(f"line {line}, byte {piece.byte + at}: can't "
-                          f"decode byte 0x{exc.object[exc.start]:02x}: "
-                          f"{exc.reason}") from exc
+def _lines(pieces: Iterable[Piece]) -> Iterator[str]:
+    """The lines of consecutive ``pieces``, each decoded from UTF-8 whole and
+    split after each newline only: ``str.splitlines`` would split at carriage
+    returns too, and shift line numbers. A byte that is not UTF-8 raises
+    :class:`DomainError`, naming its line and byte offset in the document."""
+    for piece in pieces:
+        try:
+            text = piece.data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = piece.line + piece.data.count(b"\n", 0, exc.start)
+            raise DomainError(
+                f"line {line}, byte {piece.byte + exc.start}: can't decode "
+                f"byte 0x{piece.data[exc.start]:02x}: {exc.reason}") from exc
+        *lines, last = text.split("\n")
+        yield from map(add, lines, itertools.repeat("\n"))
+        if last:
+            yield last
 
 
 def _repeated_keys(store: np.ndarray, sku: np.ndarray,
@@ -525,12 +518,13 @@ def parse_csv(source: str | bytes | BinaryIO,
 
     ``source`` is the document as ``str`` or UTF-8 ``bytes``, or a binary
     file of UTF-8 text, read from its current position, such as
-    ``open(path, "rb")`` or ``io.BytesIO``. A file is never held whole: it is
-    read once, in reads of at most :data:`READ_BYTES`, and decoded a piece
-    of whole lines at a time (:func:`read_pieces`). Bytes that are not UTF-8
-    raise :class:`DomainError`; the message names the line and the byte
-    offset of the first bad byte. The file is left open, at the end of what
-    was read.
+    ``open(path, "rb")`` or ``io.BytesIO``; a ``str`` is encoded to UTF-8
+    first, and read as a file is. A file is never held whole: it is read
+    once, in reads of at most :data:`READ_BYTES`, and decoded a piece of
+    whole lines at a time (:func:`read_pieces`). Bytes that are not UTF-8,
+    a lone surrogate's included, raise :class:`DomainError`; the message
+    names the line and the byte offset of the first bad byte. A file is
+    left open, at the end of what was read.
 
     ``schema`` maps the canonical column names (:data:`CSV_COLUMNS`) to the
     actual header names; omitted entries default to the canonical name.
@@ -552,6 +546,8 @@ def parse_csv(source: str | bytes | BinaryIO,
         if unknown:
             raise DomainError(f"unknown schema keys: {sorted(unknown)}")
         colmap.update(schema)
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     errors: list[RowIssue] = []
@@ -560,19 +556,17 @@ def parse_csv(source: str | bytes | BinaryIO,
     columns = [np.empty(_PARSE_LINES, dtype)
                for dtype in (*_DTYPES.values(), np.int64)]
     n = 0
-    with (contextlib.nullcontext(io.StringIO(source))
-          if isinstance(source, str) else
-          _decoded(read_pieces(source))) as text:
-        for table, lines, valid in _blocks(text, colmap, errors):
-            end = n + int(np.count_nonzero(valid))
-            for i, column in enumerate((*table.columns(), lines)):
-                if end > len(columns[i]):  # one column copied at a time
-                    grown = np.empty(max(end, 2 * len(columns[i])),
-                                     column.dtype)
-                    grown[:n] = columns[i][:n]
-                    columns[i] = grown
-                columns[i][n:end] = column[valid]
-            n = end
+    text = _lines(read_pieces(source))
+    header = _read_header(text, colmap, errors)
+    for table, lines, valid in _body(text, *header, errors) if header else ():
+        end = n + int(np.count_nonzero(valid))
+        for i, column in enumerate((*table.columns(), lines)):
+            if end > len(columns[i]):  # one column copied at a time
+                grown = np.empty(max(end, 2 * len(columns[i])), column.dtype)
+                grown[:n] = columns[i][:n]
+                columns[i] = grown
+            columns[i][n:end] = column[valid]
+        n = end
     table = ObservationTable(*(column[:n] for column in columns[:-1]))
     lines = columns[-1][:n]
     warnings: list[RowIssue] = []
@@ -584,12 +578,11 @@ def parse_csv(source: str | bytes | BinaryIO,
 
 
 def _read_header(text: Iterator[str], colmap: Mapping[str, str],
-                 errors: list[RowIssue]
-                 ) -> tuple[dict[str, int], int, int] | None:
-    """Reads the header from ``text``: the position of each column
-    ``colmap`` names, the number of fields and the header's last line.
-    Returns None, after adding the header's issues to ``errors``, if the
-    text is empty or a column is missing."""
+                 errors: list[RowIssue]) -> tuple[_Columns, int] | None:
+    """Reads the header from ``text``: the converter of the body, with each
+    canonical column read from the header column ``colmap`` names, and the
+    header's last line. Returns None, after adding the header's issues to
+    ``errors``, if the text is empty or a column is missing."""
     first = next(text, "").removeprefix("\ufeff")  # a byte-order mark
     reader = csv.reader(itertools.chain([first] if first else [], text))
     try:
@@ -606,19 +599,7 @@ def _read_header(text: Iterator[str], colmap: Mapping[str, str],
             errors.append(RowIssue(1, column, "missing column"))
     if len(position) < len(colmap):
         return None
-    return position, len(header), reader.line_num
-
-
-def _blocks(text: Iterator[str], colmap: Mapping[str, str],
-            errors: list[RowIssue]
-            ) -> Iterator[tuple[ObservationTable, np.ndarray, np.ndarray]]:
-    """The ingestion loop: reads the header of ``text``, with each canonical
-    column read from the header column ``colmap`` names, then converts the
-    body as :func:`_body` does."""
-    header = _read_header(text, colmap, errors)
-    if header is not None:
-        position, n_fields, line = header
-        yield from _body(text, _Columns(position, n_fields), line, errors)
+    return _Columns(position, len(header)), reader.line_num
 
 
 def _body(text: Iterator[str], columns: _Columns, line: int,
@@ -729,18 +710,16 @@ class Partition:
         :data:`CSV_COLUMNS`, named by the header in any order."""
         pieces = iter(pieces)
         first = next(pieces, None)
-        with _decoded(itertools.chain([first] if first else [],
-                                      pieces)) as text:
-            if self.columns is None:
-                header = _read_header(text, _CANONICAL, errors)
-                if header is None:
-                    return
-                position, n_fields, line = header
-                self.columns = _Columns(position, n_fields)
-            else:
-                line = first.line - 1 if first else 0
-            for block in _body(text, self.columns, line, errors):
-                self.append(*block)
+        text = _lines(itertools.chain([first] if first else [], pieces))
+        if self.columns is None:
+            header = _read_header(text, _CANONICAL, errors)
+            if header is None:
+                return
+            self.columns, line = header
+        else:
+            line = first.line - 1 if first else 0
+        for block in _body(text, self.columns, line, errors):
+            self.append(*block)
         self.flush()
 
     def append(self, table: ObservationTable, lines: np.ndarray,

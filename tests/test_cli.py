@@ -596,6 +596,44 @@ def test_fit_empty_input_exits_2(tmp_path, capsys):
     assert main(["fit", "--input", str(empty),
                  "--out-dir", str(tmp_path / "o")]) == 2
     assert "no eligible SKUs" in capsys.readouterr().err
+    empty.write_bytes(b"")  # not even a header
+    assert main(["fit", "--input", str(empty),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "line:1 field:header empty file", f"error: invalid header in {empty}"]
+    assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.glob(".uplift-fit-*"))
+
+
+def test_fit_workers_report_a_bad_header_as_one_process_does(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    # The main process reads the header; when it is bad, no piece goes to
+    # the workers.
+    golden = (DATA / "golden_input.csv").read_bytes()
+    src = tmp_path / "in.csv"
+    src.write_bytes(golden.replace(b"discounted_sales", b"discounted", 1))
+    forked = watch_forks(monkeypatch)
+    assert len(golden) > 2 * domain.READ_BYTES
+    spill = cli._spill
+    spills: list[int] = []
+
+    def counting(fit, pieces):
+        spills.append(os.getpid())
+        return spill(fit, pieces)
+
+    monkeypatch.setattr(cli, "_spill", counting)
+    for threads in ("1", "2"):
+        spills.clear()
+        assert main(["fit", "--input", str(src), "--threads", threads,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "line:1 field:discounted_sales missing column",
+            f"error: invalid header in {src}"]
+        assert spills == [os.getpid()]
+        assert not list(tmp_path.glob(".uplift-fit-*"))
+        assert not (tmp_path / "o").exists()
+    assert forked == [False, True]  # a pool at --threads 2, given no task
 
 
 def test_fit_missing_file_exits_2(tmp_path):
@@ -675,7 +713,28 @@ def test_fit_flag_validation(tmp_path):
                  "--min-entries", "10", "--min-discount-days", "20"]) == 2
     assert main(["fit", "--input", str(src), "--out-dir", out,
                  "--threads", "0"]) == 2
+    for flag, value in (("--trim", "0"), ("--trim", "1.5"),
+                        ("--hist-bins", "0")):
+        assert main(["fit", "--input", str(src), "--out-dir", out,
+                     flag, value]) == 2
     assert not Path(out).exists()
+
+
+def test_fit_exits_2_when_every_eligible_sku_fails(tmp_path, capsys):
+    # Discounted sales only on Mondays leave stage 1 no discount-free Monday
+    # to fit the Monday effect on, so the one eligible SKU fails.
+    days = [dt.date(2024, 1, 1) + dt.timedelta(days=i) for i in range(120)]
+    src = tmp_path / "mondays.csv"
+    src.write_text(",".join(domain.CSV_COLUMNS) + "\n" + "".join(
+        f"1,7,{day},{WEEKDAY_NAMES[day.weekday()]},10,5.0,4,"
+        f"{2 if day.weekday() == 0 else 0}\n" for day in days))
+    out_dir = tmp_path / "o"
+    assert main(["fit", "--input", str(src), "--out-dir", str(out_dir),
+                 "--min-entries", "100", "--min-discount-days", "10"]) == 2
+    assert capsys.readouterr().err == \
+        "error: estimation failed for every eligible SKU\n"
+    assert not out_dir.exists()
+    assert not list(tmp_path.glob(".uplift-fit-*"))
 
 
 def test_fit_negative_hist_range_as_one_word(tmp_path):
@@ -870,8 +929,12 @@ def test_fit_buckets_print_the_library_issues(tmp_path, monkeypatch, capsys):
     src.write_bytes(data)
     parsed = parse_csv(data)
     assert 2 * cli.ISSUES_SHOWN < len(parsed.errors)
-    cli._print_issues(parsed.warnings, "warning: ", "warnings")
-    cli._print_issues(parsed.errors, "", "errors")
+    for issues, prefix, noun in ((parsed.warnings, "warning: ", "warnings"),
+                                 (parsed.errors, "", "errors")):
+        log = cli._IssueLog()
+        for issue in issues:
+            log.append(issue)
+        log.print(prefix, noun)
     expected = capsys.readouterr().err + \
         f"error: {len(parsed.errors)} invalid rows in {src}\n"
     assert "… and 2 more stock errors" in expected

@@ -494,6 +494,16 @@ def test_parse_names_the_line_and_byte_of_invalid_utf8(at, bad):
         assert str(raised.value) == expected
 
 
+def test_parse_names_the_line_and_byte_of_a_lone_surrogate():
+    # A str is read as its UTF-8 bytes, and a lone surrogate encodes to
+    # bytes that are not UTF-8: the document is refused, as bytes would be.
+    text = HEADER + "\n1,1,2024-01-01,Monday,5,0.5\ud800,1,0\n"
+    with pytest.raises(DomainError) as raised:
+        parse_csv(text)
+    assert str(raised.value) == ("line 2, byte 88: can't decode byte 0xed: "
+                                 "invalid continuation byte")
+
+
 # --- columnar representation -------------------------------------------------
 
 def _grouped_by_dict(observations, per_store):
