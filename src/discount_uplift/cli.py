@@ -62,9 +62,7 @@ class UserError(Exception):
     """Input problem; reported without a traceback, exit code 2."""
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
+def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 

@@ -16,8 +16,11 @@ The kernel works on a (rows, columns, fits) copy: the fits lie on the
 innermost, contiguous axis, so each sum over rows is one reduce over the
 outer axis that adds the rows in order while its inner loop runs along every
 fit at once. Padding changes no bit of a fit, so a fit's bytes do not depend
-on the batch it was part of. The p-value's continued fraction runs on Python
-floats, which give the bits of numpy's float64 scalars at native speed.
+on the batch it was part of. Every fit stays in the batch from the first
+step to the last: one whose design loses rank is frozen, changes no further
+bit, and comes out with NaN coefficients and inference. The p-value's
+continued fraction runs on Python floats, which give the bits of numpy's
+float64 scalars at native speed.
 """
 from __future__ import annotations
 
@@ -109,8 +112,9 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
 
     The working matrix ``M`` is (rows, columns + 1, fits), with ``y`` as
     its last column and the fits on the innermost, contiguous axis; the copy
-    that builds it also transposes the batch. Every sum over rows is then a
-    reduce over axis 0 of a trailing block ``M[k:, k:]``, whose inner loop
+    that builds it also transposes the batch, and zero-pads it to at least
+    ``columns`` rows, so ``R`` is always square. Every sum over rows is then
+    a reduce over axis 0 of a trailing block ``M[k:, k:]``, whose inner loop
     runs along all its columns of all the fits at once, and numpy adds the
     rows one after another. That fixes the rounding independently of the
     BLAS kernel and leaves it unchanged by trailing all-zero rows. Two rules
@@ -121,62 +125,55 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
     outermost, never on an ``out=`` view into a scratch buffer, whose
     strides could put the rows innermost.
     Each fit picks its own pivots and sets its tolerance from its own first
-    pivot. A fit whose pivot falls to the tolerance stops there and leaves
-    the batch: the later steps neither read nor write it, and its R and Q'y
-    are the partial factorisation at the step where it stopped.
+    pivot. A fit whose pivot falls to the tolerance stops there but stays
+    in the batch, frozen: it swaps no column, its Householder vector is
+    +0.0, so its update subtracts +0.0 and changes no bit, and its diagonal
+    and subdiagonal are not written. Its pivots and rank stop changing, and
+    its R and Q'y stay the partial factorisation at the step where it
+    stopped, which the solve never reads.
     """
     count, n, p = A.shape
-    M = np.empty((n, p + 1, count))
-    M[:, :p] = A.transpose(1, 2, 0)
-    M[:, p] = y.T
-    R = np.empty((count, min(n, p), p))
-    qty = np.empty((count, n))
+    M = np.zeros((max(n, p), p + 1, count))
+    M[:n, :p] = A.transpose(1, 2, 0)
+    M[:n, p] = y.T
     piv = np.tile(np.arange(p), (count, 1))
     rank = np.zeros(count, dtype=np.intp)
-    live = np.arange(count)  # the fits still in M, in batch positions
+    live = np.ones(count, dtype=bool)
+    fits = np.arange(count)
     tol = None
-    for k in range(min(n, p)):
+    for k in range(p):
         norms = np.sqrt(np.add.reduce(M[k:, k:] ** 2, axis=0)[:p - k])
         j_rel = np.argmax(norms, axis=0)
-        pivot_norm = norms[j_rel, np.arange(live.size)]
+        pivot_norm = norms[j_rel, fits]
         if tol is None:
             tol = RANK_RTOL * pivot_norm
-        go = pivot_norm > tol[live]
-        if not go.all():
-            stop = ~go
-            R[live[stop]] = M[:p, :p, stop].transpose(2, 0, 1)
-            qty[live[stop]] = M[:, p, stop].T
-            M, live = M[:, :, go], live[go]
-            j_rel, pivot_norm = j_rel[go], pivot_norm[go]
-            if live.size == 0:
-                break
+        live &= pivot_norm > tol
+        j_rel[~live] = 0
         swap = np.flatnonzero(j_rel)
         if swap.size:
             j = k + j_rel[swap]
             column = M[:, k, swap]
             M[:, k, swap] = M[:, j, swap]
             M[:, j, swap] = column
-            fits = live[swap]
-            piv[fits, k], piv[fits, j] = piv[fits, j], piv[fits, k]
+            piv[swap, k], piv[swap, j] = piv[swap, j], piv[swap, k]
         x0 = M[k, k]
         alpha = np.where(x0 != 0.0, -np.copysign(pivot_norm, x0), -pivot_norm)
         v = M[k:, k].copy()
         v[0] -= alpha
+        v[:, ~live] = 0.0
         # w = v'[x, A, y]; v'v = v'x - alpha * v[0] since v = x - alpha e1.
         w = np.add.reduce(v[:, None] * M[k:, k:], axis=0)
+        w[:, ~live] = 0.0
         vtv = w[0] - alpha * v[0]
-        update = vtv > 0.0
-        if update.all():
-            M[k:, k + 1:] -= (2.0 / vtv * v)[:, None] * w[1:]
-        else:
-            u = np.flatnonzero(update)
-            M[k:, k + 1:, u] -= (2.0 / vtv[u] * v[:, u])[:, None] * w[1:, u]
-        M[k, k] = alpha
-        M[k + 1:, k] = 0.0
-        rank[live] += 1
-    R[live] = M[:p, :p].transpose(2, 0, 1)
-    qty[live] = M[:, p].T
-    return R, qty, piv, rank
+        # v'v is +0.0 for a frozen fit, and for a live one only if its
+        # squares underflow; either way its update is +0.0.
+        scale = np.divide(2.0, vtv, out=np.zeros(count), where=vtv > 0.0)
+        M[k:, k + 1:] -= (scale * v)[:, None] * w[1:]
+        M[k, k, live] = alpha[live]
+        M[k + 1:, k, live] = 0.0
+        rank += live
+    return (M[:p, :p].transpose(2, 0, 1).copy(), M[:, p].T.copy(), piv,
+            rank)
 
 
 def linear_combination(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -243,14 +240,6 @@ class BatchFit:
                          else self.residuals[b, :n_obs])
 
 
-def _scatter(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    """``values`` of the fits at ``rows`` placed in a NaN array of
-    ``count`` fits."""
-    out = np.full((count,) + values.shape[1:], math.nan)
-    out[rows] = values
-    return out
-
-
 def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
                   labels: Sequence[str], residuals: bool = False) -> BatchFit:
     """Least-squares fits of a batch of designs in one pass of the kernel.
@@ -260,10 +249,11 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     Every ``n_obs`` must lie in 1..rows, else ``DimensionMismatch``.
     Every sum over rows adds them in order and every other reduction runs
     within one fit, so each fit is bit-identical to ``fit_ols`` on that
-    fit's rows alone, whatever else shares the batch. The inference of all
-    full-rank fits (``sigma2``, standard errors, t statistics) is computed
-    as (fits, columns) arrays with elementwise operations, and returned as
-    such; the residuals are returned only when ``residuals`` is true.
+    fit's rows alone, whatever else shares the batch. The inference of
+    every fit (``sigma2``, standard errors, t statistics) is computed as
+    (fits, columns) arrays with elementwise operations, and returned as
+    such; a rank-deficient fit's rows are NaN. The residuals are returned
+    only when ``residuals`` is true.
     """
     names = tuple(labels)
     count, n, p = X.shape
@@ -278,41 +268,34 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
         raise DimensionMismatch("design columns do not match the labels")
 
     R, qty, piv, rank = _householder_qr(X, y)
+    deficient = rank < p
     missing: list[tuple[str, ...]] = [()] * count
-    for b in np.flatnonzero(rank < p).tolist():
+    for b in np.flatnonzero(deficient).tolist():
         # The unpivoted columns are linear combinations of the pivoted ones.
         missing[b] = tuple(names[j] for j in sorted(piv[b, rank[b]:]))
     dof = n_obs - p
-    full = np.flatnonzero(rank == p)
-    if full.size == 0:  # also whenever the batch has fewer rows than columns
-        return BatchFit(column_labels=names, n_obs=n_obs, rank=rank, dof=dof,
-                        coefficients=np.full((count, p), math.nan),
-                        std_errors=np.full((count, p), math.nan),
-                        t_stats=np.full((count, p), math.nan),
-                        sigma2=np.full(count, math.nan),
-                        missing_columns=tuple(missing),
-                        residuals=np.full((count, n), math.nan)
-                        if residuals else None)
-    if full.size < count:
-        X, y = X[full], y[full]
+    # A deficient fit solves the identity instead of its partial R and gets
+    # NaN coefficients, so every row derived from them is NaN.
+    R[deficient] = np.eye(p)
     # One solve gives the pivoted coefficients (column 0) and R^-1.
-    rhs = np.empty((full.size, p, p + 1))
-    rhs[:, :, 0] = qty[full, :p]
+    rhs = np.empty((count, p, p + 1))
+    rhs[:, :, 0] = qty[:, :p]
     rhs[:, :, 1:] = np.eye(p)
-    solved = _back_substitute(R[full], rhs)
-    beta = np.empty((full.size, p))
-    np.put_along_axis(beta, piv[full], solved[:, :, 0], axis=1)
+    solved = _back_substitute(R, rhs)
+    beta = np.empty((count, p))
+    np.put_along_axis(beta, piv, solved[:, :, 0], axis=1)
+    beta[deficient] = math.nan
     fitted = y - linear_combination(X, beta[:, None, :])
     # A running total adds the residuals in row order; a 1-D reduce would
     # sum them pairwise, whose rounding changes with trailing zero rows.
     rss = np.add.accumulate(fitted * fitted, axis=1)[:, -1]
     # A saturated fit (dof 0) has a NaN sigma2, so NaN errors and t's.
-    sigma2 = np.divide(rss, dof[full], out=np.full(full.size, math.nan),
-                       where=dof[full] != 0)
+    sigma2 = np.divide(rss, dof, out=np.full(count, math.nan),
+                       where=dof != 0)
     # diag((X'X)^-1) in pivoted order: squared row norms of R^-1.
     r_inv = solved[:, :, 1:]
-    variances = np.empty((full.size, p))
-    np.put_along_axis(variances, piv[full],
+    variances = np.empty((count, p))
+    np.put_along_axis(variances, piv,
                       sigma2[:, None] * np.add.reduce(r_inv * r_inv, axis=2),
                       axis=1)
     std_errors = np.sqrt(np.maximum(variances, 0.0))
@@ -320,15 +303,10 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     # in an exact fit (zero residual variance), an infinity of its sign.
     t_stats = np.where(beta == 0.0, 0.0, np.copysign(math.inf, beta))
     np.divide(beta, std_errors, out=t_stats, where=~(std_errors <= 0.0))
-    arrays = [beta, std_errors, t_stats, sigma2, fitted if residuals else None]
-    if full.size < count:
-        arrays = [None if a is None else _scatter(a, full, count)
-                  for a in arrays]
-    beta, std_errors, t_stats, sigma2, fitted = arrays
     return BatchFit(column_labels=names, n_obs=n_obs, rank=rank, dof=dof,
                     coefficients=beta, std_errors=std_errors, t_stats=t_stats,
                     sigma2=sigma2, missing_columns=tuple(missing),
-                    residuals=fitted)
+                    residuals=fitted if residuals else None)
 
 
 def fit_ols(X: np.ndarray, y: Sequence[float] | np.ndarray,

@@ -50,6 +50,8 @@ def test_trim_rejects_bad_input():
         trim_central([1.0], 0.0)
     with pytest.raises(AggregateError):
         trim_central([1.0], 1.5)
+    with pytest.raises(EmptyInput):
+        boxplot_stats([])
 
 
 def test_summarize_shares_and_mean():

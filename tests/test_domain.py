@@ -111,6 +111,15 @@ def test_parse_schema_remap():
         "1,10,2024-09-23,Monday,5,0.5,1,0\n"
     result = parse_csv(text, schema={"discounted_sales": "Discounted Sales"})
     assert not result.errors and len(result.observations) == 1
+    with pytest.raises(DomainError,
+                       match=r"^unknown schema keys: \['price'\]$"):
+        parse_csv("a\n", schema={"price": "x"})
+
+
+def test_table_rejects_columns_of_unequal_length():
+    with pytest.raises(DomainError,
+                       match="^table columns must be 1-D and equally long$"):
+        dataclasses.replace(ObservationTable.empty(), sales=np.zeros(1))
 
 
 def test_build_panels_partition():

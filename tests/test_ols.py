@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ def test_matches_normal_equations_oracle():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fit_ols(np.ones((3, 1)), [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="two-dimensional"):
+        fit_ols(np.ones(3), [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch, match="no columns"):
+        fit_ols(np.ones((3, 0)), [1.0, 2.0, 3.0])
+    X, y = np.ones((2, 3, 1)), np.ones((2, 3))
+    with pytest.raises(DimensionMismatch, match="batch shapes"):
+        fit_ols_batch(X, y[:, :2], [3, 3], ("a",))
+    with pytest.raises(DimensionMismatch, match="labels"):
+        fit_ols_batch(X, y, [3, 3], ("a", "b"))
 
 
 def test_rank_deficiency_lists_dependent_columns():
@@ -165,6 +175,17 @@ def test_t_pvalue_negative_symmetric():
 def test_t_pvalue_invalid_dof():
     with pytest.raises(InvalidDof):
         t_pvalue(1.0, 0)
+    with pytest.raises(InvalidDof):
+        t_critical(0.05, 0)
+
+
+def test_student_t_rejects_invalid_arguments():
+    with pytest.raises(OlsError, match="NaN"):
+        t_pvalue(math.nan, 5)
+    with pytest.raises(OlsError, match="alpha"):
+        t_critical(1.5, 5)
+    with pytest.raises(OlsError, match="positive"):
+        regularized_incomplete_beta(0.0, 1.0, 0.5)
 
 
 def test_t_critical_inverts_pvalue():
@@ -331,13 +352,14 @@ def test_batch_inference_branches_equal_lone_fits():
 
 
 def test_kernel_bits_as_fits_leave_down_to_one():
-    # Fit r has rank r, so one fit leaves the batch at each step and the
-    # full-rank fit runs the last step alone; a batch of one-column designs
-    # reduces two columns (x and y) at its only step. Each fit's partial
-    # factorisation, pivots, rank and result are the bits of the same fit
-    # alone, and every full-rank fit is the Python-float reference's: a
-    # reduce whose rows end up innermost (a single column, or a strided view
-    # into a scratch buffer) is summed pairwise and rounds differently.
+    # Fit r has rank r, so one fit is frozen at each step, staying in the
+    # batch without changing, and the full-rank fit is the only live one at
+    # the last step; a batch of one-column designs reduces two columns (x
+    # and y) at its only step. Each fit's partial factorisation, pivots,
+    # rank and result are the bits of the same fit alone, and every
+    # full-rank fit is the Python-float reference's: a reduce whose rows end
+    # up innermost (a single column, or a strided view into a scratch
+    # buffer) is summed pairwise and rounds differently.
     rng = np.random.default_rng(20261018)
     p = 6
     designs = []
@@ -370,6 +392,51 @@ def test_kernel_bits_as_fits_leave_down_to_one():
                 assert _oracle_bytes(fits[b].rank, fits[b].coefficients,
                                      fits[b].std_errors, fits[b].residuals) \
                     == _oracle_bytes(*oracle), b
+
+
+def test_batch_with_fewer_rows_than_columns():
+    # Four rows cannot carry six columns: every fit is rank deficient, with
+    # the rank and dependent columns it has alone, and every row of its
+    # inference is NaN.
+    rng = np.random.default_rng(11)
+    designs = [(rng.normal(size=(n, 6)), rng.normal(size=n)) for n in (4, 3)]
+    designs.append((np.column_stack([designs[0][0][:, :2]] * 3),
+                    rng.normal(size=4)))
+    X, y = _padded_batch(designs, 0)
+    labels = tuple(f"x{j}" for j in range(6))
+    batch = fit_ols_batch(X, y, [len(yb) for _, yb in designs], labels,
+                          residuals=True)
+    for a in (batch.coefficients, batch.std_errors, batch.t_stats,
+              batch.sigma2, batch.residuals):
+        assert np.isnan(a).all()
+    assert batch.rank.tolist() == [4, 3, 2]
+    for b, (Xb, yb) in enumerate(designs):
+        lone = fit_ols(Xb, yb, labels)
+        assert lone.status is FitStatus.RANK_DEFICIENT
+        assert batch.rank[b] == lone.rank <= 4
+        assert batch.missing_columns[b] == lone.missing_columns
+
+
+def test_batch_of_every_rank_class_raises_no_warning():
+    # A full-rank, a rank-deficient, an all-zero and a 1e-170-scaled design,
+    # whose squares underflow to zero so that its rank is 0 too, share one
+    # batch without a numpy warning, and each comes out as it does alone.
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(15, 2))
+    designs = [(rng.normal(size=(12, 5)), rng.normal(size=12)),
+               (base @ rng.normal(size=(2, 5)), rng.normal(size=15)),
+               (np.zeros((9, 5)), rng.normal(size=9)),
+               (1e-170 * rng.normal(size=(10, 5)), rng.normal(size=10))]
+    X, y = _padded_batch(designs, 2)
+    labels = tuple(f"x{j}" for j in range(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = _batch_rows(X, y, [len(yb) for _, yb in designs], labels)
+        lone = [fit_ols(Xb, yb, labels) for Xb, yb in designs]
+    assert [fit.rank for fit in fits] == [5, 2, 0, 0]
+    assert fits[0].ok and np.isfinite(fits[0].t_stats).all()
+    for fit, alone in zip(fits, lone):
+        assert _fit_bytes(fit) == _fit_bytes(alone)
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,7 +12,8 @@ from discount_uplift.domain import observation_violations, parse_csv, serialize_
 from discount_uplift.ols import fit_ols
 from discount_uplift.synth import (CycleConfig, DgpConfig, InvalidConfig,
                                    cycle_summary, generate_panel,
-                                   generate_study, simulate_cycle)
+                                   generate_study, iter_study,
+                                   simulate_cycle)
 from discount_uplift.two_step import estimate_sku
 
 from oracles import generate_panel_rows
@@ -95,6 +96,8 @@ def test_generate_study_cycles_gammas():
 def test_generate_study_rejects_empty_gammas():
     with pytest.raises(InvalidConfig, match="gammas"):
         generate_study(DgpConfig(n_days=10), 3, gammas=[])
+    with pytest.raises(InvalidConfig, match="n_skus"):
+        iter_study(DgpConfig(), -1)
 
 
 @pytest.mark.parametrize("bad", [
@@ -259,6 +262,7 @@ def test_cycle_summary_finite():
 
 
 @pytest.mark.parametrize("bad", [
+    {"n_days": -1},
     {"true_regular_share": -0.1},
     {"assumed_share": 1.2},
     {"smoothing_weight": 0.0},

@@ -70,6 +70,15 @@ def test_baseline_requires_training_days():
         fit_baseline(panel)
 
 
+def test_no_discount_days_fail_the_sku():
+    panel = build_panel([3, 4, 5] * 10, [0] * 30)
+    report = estimate_sku(panel)
+    assert not report.ok
+    assert report.failure_reason == "sku 1: no discount days"
+    with pytest.raises(TooFewDiscountDays, match="no discount days"):
+        residual_lift(panel, fit_baseline(panel))
+
+
 def test_baseline_training_residuals_sum_to_zero():
     panel = generate_panel(DgpConfig(seed=11, n_days=700), sku_id=4)
     fit = fit_baseline(panel)
