@@ -174,14 +174,17 @@ class _IssueLog:
                       f"more {field} {noun}", file=sys.stderr)
 
 
-def _reports_csv(reports: StudyReports, with_store: bool) -> str:
+def _csv_text(rows: Iterable[Sequence]) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _reports_csv(reports: StudyReports, with_store: bool) -> str:
     header = ["sku", "status", "n_plain", "n_disc", "mean_residual", "gamma10",
               "gamma10_se", "gamma10_t", "gamma10_p", "significant"]
     if with_store:
         header.insert(1, "store")
-    writer.writerow(header)
     ok = reports.ok.tolist()
     # A failed row leaves its estimates and its significance empty.
     columns = [reports.sku.tolist(),
@@ -197,29 +200,22 @@ def _reports_csv(reports: StudyReports, with_store: bool) -> str:
     if with_store:
         columns.insert(1, [store if has else "" for store, has in zip(
             reports.store.tolist(), reports.has_store.tolist())])
-    writer.writerows(zip(*columns))
-    return out.getvalue()
+    return _csv_text([header, *zip(*columns)])
 
 
 def _histogram_csv(aggregate: StudyAggregate) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["bin_left", "bin_right", "count"])
     edges = aggregate.histogram.edges
-    for i, count in enumerate(aggregate.histogram.counts):
-        writer.writerow([_fmt(edges[i]), _fmt(edges[i + 1]), count])
-    return out.getvalue()
+    return _csv_text([("bin_left", "bin_right", "count"), *(
+        (_fmt(edges[i]), _fmt(edges[i + 1]), count)
+        for i, count in enumerate(aggregate.histogram.counts))])
 
 
 def _boxplot_csv(aggregate: StudyAggregate) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["statistic", "value"])
     box = aggregate.boxplot
-    for name in ("minimum", "whisker_low", "q1", "median", "q3",
-                 "whisker_high", "maximum"):
-        writer.writerow([name, _fmt(getattr(box, name))])
-    return out.getvalue()
+    return _csv_text([("statistic", "value"), *(
+        (name, _fmt(getattr(box, name)))
+        for name in ("minimum", "whisker_low", "q1", "median", "q3",
+                     "whisker_high", "maximum"))])
 
 
 def _parse_hist_range(text: str) -> tuple[float, float]:
@@ -254,16 +250,17 @@ def _spill(fit: _Fit, pieces: Iterable[Piece]) -> _IssueLog:
     return errors
 
 
-def _check(fit: _Fit, bucket: int) -> tuple[_IssueLog, _IssueLog]:
+def _bucket(fit: _Fit, item: tuple[int, bool]
+            ) -> tuple[_IssueLog, _IssueLog, tuple[StudyReports, int] | None]:
+    """A bucket's issues, then its reports and panel count if estimated."""
+    bucket, estimate = item
     errors, warnings = _IssueLog(), _IssueLog()
-    fit.partition.check(bucket, errors, warnings)
-    return errors, warnings
-
-
-def _estimate(fit: _Fit, bucket: int) -> tuple[StudyReports, int]:
-    panels = build_panels(fit.partition.table(bucket), group_by=fit.group_by)
-    return run_study(panels, rule=fit.rule, alpha=fit.alpha,
-                     sidedness=fit.sidedness), len(panels)
+    table = fit.partition.table(bucket, errors, warnings)
+    if errors or not estimate:
+        return errors, warnings, None
+    panels = build_panels(table, group_by=fit.group_by)
+    return errors, warnings, (run_study(panels, rule=fit.rule, alpha=fit.alpha,
+                                        sidedness=fit.sidedness), len(panels))
 
 
 # The fit a worker process serves, set as it starts.
@@ -390,8 +387,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     # before the first is printed, and before any output is written.
     digest = hashlib.sha256()
     errors, warnings = _IssueLog(), _IssueLog()
-    parts: list[StudyReports] = []
-    n_panels = 0
+    studies: list[tuple[StudyReports, int]] = []  # and their panel counts
     with tempfile.TemporaryDirectory(prefix=".uplift-fit-",
                                      dir=existing) as spill, \
             open(input_path, "rb") as handle:
@@ -407,23 +403,23 @@ def cmd_fit(args: argparse.Namespace) -> int:
             except (DomainError, csv.Error) as exc:
                 raise UserError(f"{input_path} is not a readable UTF-8 CSV "
                                 f"file: {exc}") from exc
-            # Every bucket is checked for repeated keys before the first is
-            # estimated, so that an error found late wastes no estimation.
-            filled = fit.partition.filled()
-            for found, doubtful in workers.map(_check, filled):
+            # A bucket is estimated only if no error is known as it is handed
+            # out: a repeated key wastes the buckets handed out before it is
+            # found.
+            for found, doubtful, study in workers.map(_bucket, (
+                    (b, not errors) for b in fit.partition.filled())):
                 errors.merge(found)
                 warnings.merge(doubtful)
-            for reports, panels in workers.map(_estimate,
-                                               () if errors else filled):
-                parts.append(reports)
-                n_panels += panels
+                if study:
+                    studies.append(study)
     warnings.print("warning: ", "warnings")
     if errors:
         errors.print("", "errors")
         if errors.shown()[0].line == 1:  # the header's; no row was read
             raise UserError(f"invalid header in {input_path}")
         raise UserError(f"{len(errors)} invalid rows in {input_path}")
-    reports = StudyReports.concatenate(parts)
+    reports = StudyReports.concatenate([part for part, _ in studies])
+    ineligible = sum(panels for _, panels in studies) - len(reports)
     # Each SKU's rows are in one bucket; order them by (sku, store) as a
     # single study would.
     reports = reports.take(np.lexsort((reports.store, reports.sku)))
@@ -455,7 +451,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
          "threads": threads},
         digest.hexdigest()))
     print(f"estimated {len(reports) - n_failed} SKUs "
-          f"({n_failed} failed, {n_panels - len(reports)} ineligible); "
+          f"({n_failed} failed, {ineligible} ineligible); "
           f"reports in {out_dir}")
     return 0
 
@@ -527,15 +523,12 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     _check_makedirs(out_dir, "--out-dir", CYCLE_OUTPUTS)
     trace = simulate_cycle(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["day", "stock", "forecast", "stickered", "sales",
-                     "discounted_sales", "spoilage", "order_placed"])
-    for day in trace.days:
-        writer.writerow([day.day, day.stock, _fmt(day.forecast),
-                         day.stickered, day.sales, day.discounted_sales,
-                         day.spoilage, day.order_placed])
-    _write(out_dir / "trace.csv", out.getvalue())
+    _write(out_dir / "trace.csv", _csv_text([
+        ("day", "stock", "forecast", "stickered", "sales", "discounted_sales",
+         "spoilage", "order_placed"),
+        *((day.day, day.stock, _fmt(day.forecast), day.stickered, day.sales,
+           day.discounted_sales, day.spoilage, day.order_placed)
+          for day in trace.days)]))
     summary = cycle_summary(trace)
     _write_json(out_dir / "summary.json", summary)
     _write_json(out_dir / "manifest.json",

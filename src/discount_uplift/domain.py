@@ -392,27 +392,27 @@ class _Columns:
     def convert(self, cells: list[list[str]], lines: np.ndarray,
                 errors: list[RowIssue],
                 row: Callable[[int], Sequence[str]]) -> None:
-        """Appends the rows that convert; each other row, unless blank, gets
-        its line-numbered errors in ``errors``. ``cells`` holds each field's
+        """Fills the columns with the rows that convert, from row 0; each
+        other row, unless blank, gets its line-numbered errors in
+        ``errors``. ``cells`` holds each field's
         cells and ``row(i)`` every cell of row ``i``.
 
         Each column is converted at once; only a column that fails is
         converted again cell by cell, to find and word its bad cells."""
-        start, n = self.filled, len(lines)
-        end = start + n
+        n = end = len(lines)
         failed: dict[tuple[int, str], ValueError] = {}
         for (name, _, native, strict), column, out in zip(
                 self.fields, cells, self.columns):
             try:
-                out[start:end] = np.fromiter(map(native, column),
-                                             dtype=out.dtype, count=n)
+                out[:n] = np.fromiter(map(native, column), dtype=out.dtype,
+                                      count=n)
             except (ValueError, OverflowError):
                 for i, cell in enumerate(column):
                     try:
-                        out[start + i] = strict(cell.strip())
+                        out[i] = strict(cell.strip())
                     except ValueError as exc:
                         failed[i, name] = exc
-        self.lines[start:end] = lines
+        self.lines[:n] = lines
         if failed:
             bad = sorted({i for i, _ in failed})
             for i in bad:
@@ -428,7 +428,7 @@ class _Columns:
             keep[bad] = False
             end -= len(bad)
             for out in (*self.columns, self.lines):
-                out[start:end] = out[start:start + n][keep]
+                out[:end] = out[:n][keep]
         self.filled = end
 
     def table(self) -> tuple[ObservationTable, np.ndarray]:
@@ -626,7 +626,6 @@ def _body(text: Iterator[str], columns: _Columns, line: int,
     while chunk := list(itertools.islice(text, _PARSE_LINES)):
         block = "".join(chunk)
         counts = list(map(str.count, chunk, itertools.repeat(",")))
-        columns.filled = 0
         if (min(counts) == max(counts) == commas and '"' not in block
                 and "\r" not in block and "\0" not in block
                 and max(map(len, chunk)) <= limit):
@@ -756,31 +755,21 @@ class Partition:
         return sorted({int(name[len("bucket-"):].partition(".")[0])
                        for name in os.listdir(self.directory)})
 
-    def _records(self, bucket: int) -> np.ndarray:
-        part = f"bucket-{bucket}."
+    def table(self, bucket: int, errors: list[RowIssue],
+              warnings: list[RowIssue]) -> ObservationTable:
+        """The rows of ``bucket`` that :func:`parse_csv` keeps, in line order;
+        repeats go to ``errors`` and weekday mismatches to ``warnings``."""
         parts = [np.fromfile(self.directory / name, dtype=_RECORD)
                  for name in os.listdir(self.directory)
-                 if name.startswith(part)]
+                 if name.startswith(f"bucket-{bucket}.")]
         if len(parts) == 1:  # one process's rows, in line order
-            return parts[0]
-        records = np.concatenate(parts or [np.empty(0, _RECORD)])
-        return records[np.argsort(records["line"], kind="stable")]
-
-    def check(self, bucket: int, errors: list[RowIssue],
-              warnings: list[RowIssue]) -> None:
-        """Adds each row of ``bucket`` that repeats an earlier row's key to
-        ``errors``, and the weekday mismatches of its other rows to
-        ``warnings``, as :func:`parse_csv` words them."""
-        records = self._records(bucket)
+            records = parts[0]
+        else:
+            records = np.concatenate(parts or [np.empty(0, _RECORD)])
+            records = records[np.argsort(records["line"], kind="stable")]
         table = ObservationTable(*(records[name] for name in _FIELDS))
-        _unique_rows(table, records["line"], errors, warnings)
+        return table[_unique_rows(table, records["line"], errors, warnings)]
 
-    def table(self, bucket: int) -> ObservationTable:
-        """The rows of ``bucket``, in line order. When :meth:`check` finds no
-        repeated key in any bucket, the rows of all buckets are the rows
-        :func:`parse_csv` keeps."""
-        records = self._records(bucket)
-        return ObservationTable(*(records[name].copy() for name in _FIELDS))
 
 def _strings(column: np.ndarray, convert: Callable = str) -> list[str]:
     """``convert`` of every element of an int64 column, called once per

@@ -201,7 +201,7 @@ class BatchFit:
     and ``sigma2`` (fits,); their rows are NaN where a fit is rank
     deficient, and ``missing_columns`` names that fit's dependent columns
     (empty at full rank). ``residuals`` is (fits, rows), each fit's in its
-    first ``n_obs`` entries, when the caller asked for it, else None.
+    first ``n_obs`` entries.
     ``row`` gives one fit as a :class:`FitResult`.
     """
 
@@ -214,7 +214,7 @@ class BatchFit:
     t_stats: np.ndarray
     sigma2: np.ndarray
     missing_columns: tuple[tuple[str, ...], ...]
-    residuals: np.ndarray | None = None
+    residuals: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
@@ -236,12 +236,11 @@ class BatchFit:
                          std_errors=self.std_errors[b],
                          t_stats=self.t_stats[b],
                          sigma2=float(self.sigma2[b]),
-                         residuals=None if self.residuals is None
-                         else self.residuals[b, :n_obs])
+                         residuals=self.residuals[b, :n_obs])
 
 
 def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
-                  labels: Sequence[str], residuals: bool = False) -> BatchFit:
+                  labels: Sequence[str]) -> BatchFit:
     """Least-squares fits of a batch of designs in one pass of the kernel.
 
     ``X`` is (fits, rows, columns) and ``y`` (fits, rows); fit ``b`` uses
@@ -252,8 +251,7 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     fit's rows alone, whatever else shares the batch. The inference of
     every fit (``sigma2``, standard errors, t statistics) is computed as
     (fits, columns) arrays with elementwise operations, and returned as
-    such; a rank-deficient fit's rows are NaN. The residuals are returned
-    only when ``residuals`` is true.
+    such, with the residuals; a rank-deficient fit's rows are NaN.
     """
     names = tuple(labels)
     count, n, p = X.shape
@@ -306,7 +304,7 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     return BatchFit(column_labels=names, n_obs=n_obs, rank=rank, dof=dof,
                     coefficients=beta, std_errors=std_errors, t_stats=t_stats,
                     sigma2=sigma2, missing_columns=tuple(missing),
-                    residuals=fitted if residuals else None)
+                    residuals=fitted)
 
 
 def fit_ols(X: np.ndarray, y: Sequence[float] | np.ndarray,
@@ -333,8 +331,7 @@ def fit_ols(X: np.ndarray, y: Sequence[float] | np.ndarray,
     names = tuple(f"x{j}" for j in range(p)) if labels is None else labels
     if not (np.isfinite(values).all() and np.isfinite(yv).all()):
         raise OlsError("X and y must be finite")
-    return fit_ols_batch(values[None], yv[None], (n,), names,
-                         residuals=True).row(0)
+    return fit_ols_batch(values[None], yv[None], (n,), names).row(0)
 
 
 def predict(fit: FitResult, X_new: np.ndarray) -> np.ndarray:

@@ -39,8 +39,8 @@ _MASK64 = (1 << 64) - 1
 # Magnitudes below which the vectorised stock recursion is exact in int64.
 _EXACT = 1 << 52
 _CLIP = float(1 << 60)
-# Largest demand scale a config may set: far below where int64 demand or
-# numpy's Poisson draw overflows.
+# Largest demand scale or first order a config may set: far below where
+# int64 demand or numpy's Poisson draw overflows.
 _LARGEST = 1 << 53
 
 GAUSSIAN = "gaussian"
@@ -95,6 +95,8 @@ class DgpConfig:
             raise InvalidConfig("forecast_noise_sd must be non-negative")
         if self.order_up_to < 0:
             raise InvalidConfig("order_up_to must be non-negative")
+        if self.order_up_to >= 1 << 63:  # the stock column is int64
+            raise InvalidConfig("order_up_to must be below 2**63")
         if not 0.0 <= self.discount_probability <= 1.0:
             raise InvalidConfig("discount_probability must be in [0, 1]")
         if self.discount_intensity < 0:
@@ -134,6 +136,10 @@ def _sell(s_level: int, gamma: float, ds_raw: np.ndarray,
     day whose sales equal its free sales, after which the vectorised
     opening stock is exact again.
     """
+    # Beyond 2**64, an uplift per discounted sale decides nothing either:
+    # demand and stock are int64, so the day sells its opening stock or
+    # nothing. Clipped, gamma * ds stays finite.
+    gamma = min(max(gamma, -2.0 ** 64), 2.0 ** 64)
     n = len(ds_raw)
     exact = (n and s_level < _EXACT and -_EXACT < demand.min()
              and demand.max() < _EXACT)
@@ -279,10 +285,18 @@ class CycleConfig:
             raise InvalidConfig("smoothing_weight must be in (0, 1)")
         if self.shelf_life_days < 1:
             raise InvalidConfig("shelf_life_days must be at least 1")
+        for name in ("order_up_to_multiplier", "base_demand"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite")
+            if getattr(self, name) > _LARGEST:
+                raise InvalidConfig(f"{name} must be at most 2**53")
         if self.order_up_to_multiplier <= 0:
             raise InvalidConfig("order_up_to_multiplier must be positive")
         if self.base_demand < 0:
             raise InvalidConfig("base_demand must be non-negative")
+        if self.order_up_to_multiplier * self.base_demand > _LARGEST:
+            raise InvalidConfig("order_up_to_multiplier times base_demand, "
+                                "the first order, must be at most 2**53")
         if not 0.0 <= self.discount_sell_prob <= 1.0:
             raise InvalidConfig("discount_sell_prob must be in [0, 1]")
 
@@ -322,7 +336,8 @@ def simulate_cycle(config: CycleConfig) -> CycleTrace:
     exponentially smooths non-discounted sales plus ``assumed_share`` times
     discounted sales and orders up to ``order_up_to_multiplier`` times the
     forecast. Ordering on an inflated forecast enlarges tomorrow's stock,
-    tomorrow's stickering and hence tomorrow's discounted sales.
+    tomorrow's stickering and hence tomorrow's discounted sales. Stock that
+    feeds on itself grows geometrically; it stops at 2**63 - 1 units.
     """
     config.validate()
     rng_demand = _stream([config.seed, 1])
@@ -373,8 +388,9 @@ def simulate_cycle(config: CycleConfig) -> CycleTrace:
         forecast = ((1.0 - config.smoothing_weight) * forecast
                     + config.smoothing_weight * observed)
         position = sum(units for _, units in batches)
-        order = max(0, int(round(config.order_up_to_multiplier * forecast))
-                    - position)
+        level = min(int(round(config.order_up_to_multiplier * forecast)),
+                    (1 << 63) - 1)
+        order = max(0, level - position)
 
         trace.append(CycleDay(day=day, stock=stock, forecast=forecast,
                               stickered=stickered, sales=sales,

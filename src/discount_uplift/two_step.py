@@ -235,12 +235,11 @@ def _stack(panels: Sequence[SkuPanel], indices: Sequence[np.ndarray],
     return X, y
 
 
-def _stage1(panels: Sequence[SkuPanel], residuals: bool = False) -> BatchFit:
+def _stage1(panels: Sequence[SkuPanel]) -> BatchFit:
     """Stage 1 of each panel, in one kernel call: sales on weekday dummies,
     forecast and stock over its discount-free days."""
     X, y = _stack(panels, [p.plain_index for p in panels], BASELINE_LABELS)
-    return fit_ols_batch(X, y, [p.n_plain for p in panels], BASELINE_LABELS,
-                         residuals)
+    return fit_ols_batch(X, y, [p.n_plain for p in panels], BASELINE_LABELS)
 
 
 def _lift(panels: Sequence[SkuPanel], coefficients: np.ndarray
@@ -297,7 +296,7 @@ def fit_baseline(panel: SkuPanel) -> FitResult:
     the SKU cannot be estimated.
     """
     _check_training_days(panel)
-    return _stage1([panel], residuals=True).row(0)
+    return _stage1([panel]).row(0)
 
 
 def residual_lift(panel: SkuPanel, baseline: FitResult) -> np.ndarray:
@@ -335,8 +334,7 @@ def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
     if not np.isfinite(residuals).all():
         raise TwoStepError(f"sku {panel.sku_id}: non-finite residual")
     X, _ = _stack([panel], [panel.disc_index], UPLIFT_LABELS)
-    stage2 = fit_ols_batch(X, residuals[None], [panel.n_disc], UPLIFT_LABELS,
-                           residuals=True)
+    stage2 = fit_ols_batch(X, residuals[None], [panel.n_disc], UPLIFT_LABELS)
     reports = StudyReports.failed([panel])
     _set_uplift(reports, [0], stage2, residuals[None], alpha, sidedness)
     return dataclasses.replace(reports[0], stage2=stage2.row(0))

@@ -207,6 +207,40 @@ def test_simulate_rejects_non_finite_setting(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("simulate", ["--order-up-to", "10000000000000000000"], "order_up_to"),
+    ("simulate", ["--order-up-to", str(1 << 63)], "order_up_to"),
+    ("cycle", ["--base-demand", "nan"], "base_demand"),
+    ("cycle", ["--multiplier", "inf"], "order_up_to_multiplier"),
+    ("cycle", ["--base-demand", "1e300"], "base_demand"),
+    ("cycle", ["--multiplier", "1e300"], "order_up_to_multiplier"),
+    ("cycle", ["--base-demand", "1e9", "--multiplier", "1e8"],
+     "order_up_to_multiplier times base_demand, the first order,")])
+def test_out_of_range_setting_exits_2_naming_it(tmp_path, capsys, command,
+                                                 flags, field):
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "simulate" else \
+        ["--out-dir", str(out)]
+    assert main([command, "--days", "30", *flags, *target]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not out.exists()
+
+
+def test_settings_at_their_bounds_run(tmp_path):
+    # The largest order-up-to level and uplifts; a first order of 2**53
+    # units that grows a million-fold a day on a one-day shelf life.
+    for flags in (["--order-up-to", str((1 << 63) - 1)],
+                  ["--gamma", "1e308"], ["--gamma=-1e308"]):
+        assert main(["simulate", "--skus", "2", "--days", "30", *flags,
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["cycle", "--days", "5", "--shelf-life", "1",
+                 "--base-demand", "1", "--multiplier", str(2 ** 53),
+                 "--out-dir", str(tmp_path / "c")]) == 0
+    stock = [int(line.split(",")[1]) for line in
+             (tmp_path / "c" / "trace.csv").read_text().splitlines()[1:]]
+    assert stock[0] == 2 ** 53 and stock[-1] == (1 << 63) - 1
+
+
 def test_simulate_malformed_start_date_exits_2(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     assert main(["simulate", "--start-date", "2024-13-01",
@@ -968,10 +1002,11 @@ def test_fit_buckets_print_the_library_issues(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_fit_checks_every_bucket_before_estimating(tmp_path, monkeypatch,
+def test_fit_estimates_no_bucket_after_a_duplicate(tmp_path, monkeypatch,
                                                    capsys):
-    # A repeated key in the last of 4 buckets (sku 5's) exits 2 before any
-    # bucket is estimated; without it, each of the 4 buckets is estimated.
+    # A repeated key in the last of 4 buckets (sku 5's) exits 2, and stops
+    # the estimation there: only the 3 buckets before it are estimated.
+    # Without it, each of the 4 buckets is estimated.
     golden = (DATA / "golden_input.csv").read_bytes()
     repeated = golden + golden.splitlines(keepends=True)[1 + 4 * 300]
     studies: list[list[int]] = []
@@ -982,7 +1017,7 @@ def test_fit_checks_every_bucket_before_estimating(tmp_path, monkeypatch,
         return study(panels, **kwargs)
 
     monkeypatch.setattr(cli, "run_study", counting)
-    for data, code, estimated in ((repeated, 2, 0), (golden, 0, 4)):
+    for data, code, estimated in ((repeated, 2, 3), (golden, 0, 4)):
         src = tmp_path / f"in-{code}.csv"
         src.write_bytes(data)
         made = _small_buckets(monkeypatch, len(data), 4)
@@ -990,14 +1025,16 @@ def test_fit_checks_every_bucket_before_estimating(tmp_path, monkeypatch,
         assert main(["fit", "--input", str(src), "--threads", "1",
                      "--out-dir", str(tmp_path / f"out-{code}")]) == code
         assert made == [4] and len(studies) == estimated
-    assert 5 in studies[-1]  # the repeated SKU's bucket is the last
+        assert (5 in studies[-1]) == (code == 0)
     assert "duplicate" in capsys.readouterr().err
+    assert not (tmp_path / "out-2").exists()
 
 
-def test_fit_workers_check_every_bucket_before_estimating(tmp_path,
+def test_fit_workers_estimate_no_bucket_after_a_duplicate(tmp_path,
                                                           monkeypatch):
     # As above, with the buckets checked and estimated by 2 workers, which
-    # record the SKUs of each study they run in a file.
+    # record the SKUs of each study they run in a file. Those handed out
+    # before the duplicate is found may be estimated; its own is not.
     golden = (DATA / "golden_input.csv").read_bytes()
     repeated = golden + golden.splitlines(keepends=True)[1 + 4 * 300]
     studies = tmp_path / "studies"
@@ -1009,7 +1046,7 @@ def test_fit_workers_check_every_bucket_before_estimating(tmp_path,
 
     monkeypatch.setattr(cli, "run_study", counting)
     monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
-    for data, code, estimated in ((repeated, 2, 0), (golden, 0, 4)):
+    for data, code, most in ((repeated, 2, 3), (golden, 0, 4)):
         src = tmp_path / f"in-{code}.csv"
         src.write_bytes(data)
         made = _small_buckets(monkeypatch, len(data), 4)
@@ -1017,8 +1054,31 @@ def test_fit_workers_check_every_bucket_before_estimating(tmp_path,
         assert main(["fit", "--input", str(src), "--threads", "2",
                      "--out-dir", str(tmp_path / f"out-{code}")]) == code
         lines = studies.read_text().splitlines()
-        assert made == [4] and len(lines) == estimated
+        assert made == [4] and len(lines) <= most
+        assert any(5 in json.loads(line.split(" ", 1)[1])
+                   for line in lines) == (code == 0)
+    assert len(lines) == 4
     assert str(os.getpid()) not in {line.split()[0] for line in lines}
+
+
+def test_fit_reads_each_bucket_once(tmp_path, monkeypatch):
+    # Each bucket's file is read once, to word its issues and estimate it.
+    golden = (DATA / "golden_input.csv").read_bytes()
+    src = tmp_path / "in.csv"
+    src.write_bytes(golden)
+    made = _small_buckets(monkeypatch, len(golden), 4)
+    reads: list[str] = []
+    fromfile = np.fromfile
+
+    def counting(file, *args, **kwargs):
+        reads.append(Path(file).name)
+        return fromfile(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", counting)
+    assert main(["fit", "--input", str(src), "--threads", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert made == [4]
+    assert sorted(reads) == [f"bucket-{b}.{os.getpid()}" for b in range(4)]
 
 
 @pytest.mark.parametrize("case, code", [
@@ -1037,10 +1097,12 @@ def test_fit_removes_its_buckets(tmp_path, monkeypatch, case, code):
     out_dir = work / "a" / "b"
     assert _small_buckets(monkeypatch, len(golden), 4) is not None
     seen: list[list[str]] = []
+    skus: list[set[int]] = []
     build = cli.build_panels
 
     def watching(table, **kwargs):
         seen.append(sorted(p.name for p in work.glob(".uplift-fit-*/*")))
+        skus.append(set(table.sku_id.tolist()))
         if case == "fault-in-second-bucket" and len(seen) == 2:
             raise RuntimeError("fault in the second bucket")
         if case == "interrupted":
@@ -1057,10 +1119,13 @@ def test_fit_removes_its_buckets(tmp_path, monkeypatch, case, code):
         assert main(argv) == code
     assert not list(work.glob(".uplift-fit-*"))
     assert out_dir.exists() == (code == 0)
-    if case not in ("row-error", "duplicate"):
-        assert seen and all(seen)  # the buckets were beside --out-dir
-    if case == "duplicate":
-        assert seen == []  # every bucket is checked before any is fitted
+    assert all(seen)  # the buckets were beside --out-dir
+    if case == "row-error":
+        assert seen == []  # a row error stops every estimation
+    elif case == "duplicate":  # only the buckets before its own are fitted
+        assert len(seen) <= 3 and not any(5 in found for found in skus)
+    else:
+        assert seen
 
 
 @pytest.mark.parametrize("case, code", [
@@ -1083,12 +1148,13 @@ def test_fit_workers_leave_no_process_and_no_bucket(tmp_path, monkeypatch,
     out_dir = work / "a" / "b"
     monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
     assert _small_buckets(monkeypatch, len(golden), 4) is not None
-    seen = tmp_path / "seen"
+    seen, skus = tmp_path / "seen", tmp_path / "skus"
     build = cli.build_panels
 
     def watching(table, **kwargs):
         _record(seen, " ".join(sorted(
             p.name for p in work.glob(".uplift-fit-*/*"))) or "-")
+        _record(skus, " ".join(map(str, set(table.sku_id.tolist()))))
         calls = len(seen.read_text().splitlines())
         if case == "fault-in-second-bucket" and calls == 2:
             raise RuntimeError("fault in the second bucket")
@@ -1117,10 +1183,14 @@ def test_fit_workers_leave_no_process_and_no_bucket(tmp_path, monkeypatch,
     assert not list(work.glob(".uplift-fit-*"))
     assert out_dir.exists() == (code == 0)
     views = seen.read_text().splitlines() if seen.exists() else []
-    if case in ("row-error", "duplicate"):
-        assert views == []  # every bucket is checked before any is fitted
+    assert "-" not in views  # the buckets were beside --out-dir
+    if case == "row-error":
+        assert views == []  # a row error stops every estimation
+    elif case == "duplicate":  # only the buckets before its own are fitted
+        assert len(views) <= 3
+        assert views == [] or "5" not in skus.read_text().split()
     else:
-        assert views and "-" not in views  # the buckets were beside it
+        assert views
 
 
 _SLOW_FIT = """

@@ -383,10 +383,8 @@ def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes,
         with mock.patch.object(domain.os, "getpid", lambda: next(pids)):
             _spill_as_fit_does(partition,
                                domain.read_pieces(source, digest), errors)
-        filled = partition.filled()
-        for bucket in filled:
-            partition.check(bucket, errors, warnings)
-        tables = [partition.table(bucket) for bucket in filled]
+        tables = [partition.table(bucket, errors, warnings)
+                  for bucket in partition.filled()]
     assert partition.buckets == min(domain.MAX_BUCKETS,
                                     -(-len(data) // bucket_bytes))
     assert digest.digest() == hashlib.sha256(data).digest()
@@ -395,13 +393,11 @@ def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes,
                           (warnings, expected.warnings)):
         found.sort(key=attrgetter("line"))  # stable
         assert found == list(issues)
-    # The buckets still hold the repeats that check reported; parse_csv
-    # keeps the first row of each key. A bucket's rows are in line order.
+    # A bucket's table keeps the first row of each key, as parse_csv does,
+    # in line order.
     skus = expected.table.sku_id
     for table in tables:
-        kept = table[~domain._repeated_keys(table.store_id, table.sku_id,
-                                            table.date)]
-        assert kept == expected.table[np.isin(skus, table.sku_id)]
+        assert table == expected.table[np.isin(skus, table.sku_id)]
     assert set(skus.tolist()) <= {sku for t in tables
                                   for sku in t.sku_id.tolist()}
     assert all(len(set(t.sku_id.tolist()) & set(u.sku_id.tolist())) == 0
@@ -417,7 +413,7 @@ def test_partition_spreads_ids_sharing_a_factor_with_the_bucket_count(
     monkeypatch.setattr(domain, "BUCKET_BYTES", -(-len(data) // 10))
     partition = domain.Partition(tmp_path, len(data))
     partition.spill(domain.read_pieces(io.BytesIO(data)), [])
-    rows = [len(partition.table(bucket)) for bucket in range(10)]
+    rows = [len(partition.table(bucket, [], [])) for bucket in range(10)]
     assert partition.buckets == 10 and sum(rows) == 100
     assert max(rows) <= 20
 

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discount_uplift.domain import observation_violations, parse_csv, serialize_csv
@@ -275,3 +276,86 @@ def test_cycle_summary_finite():
 def test_cycle_config_validation(bad):
     with pytest.raises(InvalidConfig):
         dataclasses.replace(CycleConfig(), **bad).validate()
+
+
+
+def _field(valid: st.SearchStrategy, *bounds) -> st.SearchStrategy:
+    """A value from ``valid``, or one of ``bounds`` or its neighbour on
+    either side, or for a float field nan, an infinity or the largest
+    finite float of either sign."""
+    if isinstance(bounds[0], int):
+        return st.one_of(valid, st.sampled_from(
+            [b + d for b in bounds for d in (-1, 0, 1)]))
+    near = [math.nextafter(b, to) for b in bounds
+            for to in (-math.inf, math.inf)]
+    return st.one_of(valid, st.sampled_from(
+        [*bounds, *near, math.nan, math.inf, -math.inf, sys.float_info.max,
+         -sys.float_info.max]))
+
+
+def _config(default, **fields: st.SearchStrategy) -> st.SearchStrategy:
+    """``default`` with any of ``fields`` drawn from its strategy."""
+    return st.fixed_dictionaries({}, optional=fields).map(
+        lambda drawn: dataclasses.replace(default, **drawn))
+
+
+_LARGEST = 2.0 ** 53
+_INT64 = (1 << 63) - 1
+_SEEDS = _field(st.integers(-1 << 70, 1 << 70), 0, 1 << 64)
+_SHARES = _field(st.floats(0.0, 1.0), 0.0, 1.0)
+_DAYS = st.integers(-1, 6)
+_CONFIGS = st.one_of(
+    _config(
+        DgpConfig(n_days=6), seed=_SEEDS, n_days=_DAYS,
+        weekday_effects=st.lists(_field(st.floats(0.0, _LARGEST), 0.0,
+                                        _LARGEST),
+                                 min_size=6, max_size=8).map(tuple),
+        forecast_noise_sd=_field(st.floats(0.0, 1e308), 0.0),
+        order_up_to=_field(st.integers(0, _INT64), 0, _INT64),
+        discount_probability=_SHARES,
+        discount_intensity=_field(st.floats(0.0, _LARGEST), 0.0, _LARGEST),
+        gamma_true=_field(st.floats(allow_nan=False, allow_infinity=False),
+                          -2.0 ** 64, 0.0, 2.0 ** 64),
+        demand_noise=st.sampled_from(["gaussian", "poisson", "uniform"]),
+        demand_noise_sd=_field(st.floats(0.0, _LARGEST), 0.0, _LARGEST),
+        start_date=st.dates()),
+    _config(
+        CycleConfig(n_days=6), seed=_SEEDS,
+        n_days=_DAYS, true_regular_share=_SHARES,
+        assumed_share=_SHARES, smoothing_weight=_field(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            0.0, 1.0),
+        shelf_life_days=_field(st.integers(1, 1 << 70), 1),
+        order_up_to_multiplier=_field(st.floats(0.0, _LARGEST,
+                                                exclude_min=True),
+                                      0.0, 1.0, _LARGEST),
+        base_demand=_field(st.floats(0.0, _LARGEST), 0.0, 1.0, _LARGEST),
+        discount_sell_prob=_SHARES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_CONFIGS, st.integers(0, _INT64))
+# The largest uplift, whose product with a count of discounted sales is
+# not a float; a base demand past its bound, and a first order whose
+# multiplier and base demand are each at their bound. Last, a first order
+# at its bound, which grows a million-fold a day on a shelf life of one
+# day.
+@example(DgpConfig(n_days=6, gamma_true=sys.float_info.max), 0)
+@example(CycleConfig(n_days=1, base_demand=1e300,
+                     order_up_to_multiplier=1e-300), 0)
+@example(CycleConfig(n_days=1, shelf_life_days=1, base_demand=_LARGEST,
+                     order_up_to_multiplier=_LARGEST), 0)
+@example(CycleConfig(n_days=3, shelf_life_days=1, base_demand=1.0,
+                     order_up_to_multiplier=_LARGEST), 0)
+def test_every_config_that_validates_runs(config, sku_id):
+    # Each field at valid values, its bounds, just past them, nan and
+    # +-inf, with at most 6 days: a config is refused by validate, or
+    # generates without error.
+    try:
+        config.validate()
+    except InvalidConfig:
+        return
+    if isinstance(config, DgpConfig):
+        generate_panel(config, sku_id)
+    else:
+        simulate_cycle(config)
