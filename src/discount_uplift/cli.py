@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -36,6 +37,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # no flock: fit neither locks nor sweeps its buckets
+    fcntl = None
 
 from . import __version__, domain
 from .aggregate import AggregateError, StudyAggregate, summarize
@@ -330,6 +336,32 @@ class _Workers:
             self.pool.shutdown(wait=True, cancel_futures=True)
 
 
+@contextlib.contextmanager
+def _spill_directory(parent: Path) -> Iterator[Path]:
+    """A new ``.uplift-fit-*`` directory in ``parent`` for the buckets of a
+    fit, removed on exit. Until then it holds a ``lock`` file that this
+    process, and the workers it forks, hold flocked. First, every such
+    directory whose lock no process holds, left by a fit that was killed,
+    is removed; one with no ``lock`` file may be one that another fit is
+    making, and is left alone."""
+    for stale in parent.glob(".uplift-fit-*") if fcntl else ():
+        # OSError: no lock file, or a running fit holds it.
+        with contextlib.suppress(OSError), \
+                os.fdopen(os.open(stale / "lock", os.O_RDONLY)) as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            shutil.rmtree(stale, ignore_errors=True)
+    spill = Path(tempfile.mkdtemp(prefix=".uplift-fit-", dir=parent))
+    with os.fdopen(os.open(spill / "lock.new", os.O_CREAT | os.O_WRONLY,
+                           0o600), "wb") as lock:
+        try:
+            if fcntl:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+            os.rename(spill / "lock.new", spill / "lock")  # once it is held
+            yield spill
+        finally:
+            shutil.rmtree(spill, ignore_errors=True)
+
+
 def _read_input(workers: _Workers, pieces: Iterator[Piece],
                 errors: _IssueLog) -> None:
     """Spills the rows of the input's ``pieces``, adding their row errors to
@@ -388,12 +420,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     digest = hashlib.sha256()
     errors, warnings = _IssueLog(), _IssueLog()
     studies: list[tuple[StudyReports, int]] = []  # and their panel counts
-    with tempfile.TemporaryDirectory(prefix=".uplift-fit-",
-                                     dir=existing) as spill, \
+    with _spill_directory(existing) as spill, \
             open(input_path, "rb") as handle:
         size = handle.seek(0, io.SEEK_END)
         handle.seek(0)
-        fit = _Fit(Partition(Path(spill), size), args.group_by, rule,
+        fit = _Fit(Partition(spill, size), args.group_by, rule,
                    args.alpha, sidedness)
         # No more workers than pieces: an input of one piece is fitted here.
         with contextlib.closing(_Workers(

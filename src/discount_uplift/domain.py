@@ -2,9 +2,10 @@
 
 A dataset is a flat collection of store/SKU/day records, held as one
 :class:`ObservationTable`: a numpy array per field. A source of CSV
-text is read once, in pieces of whole lines (:func:`read_pieces`), each
-decoded whole (:func:`_lines`) and converted by one block loop
-(:func:`_body`), which :func:`parse_csv` and :meth:`Partition.spill` run.
+text is read once, in pieces of whole lines (:func:`read_pieces`), and
+converted by one loop (:func:`_body`), which :func:`parse_csv` and
+:meth:`Partition.spill` run: a piece at a time from its bytes, or, where
+that path declines, decoded (:func:`_lines`) and read by ``csv.reader``.
 Panels are contiguous slices of a
 table sorted by SKU, built only from tables; each splits its days into
 discount-free days and days with at least one discounted sale, and is the
@@ -38,11 +39,11 @@ _CANONICAL = {name: name for name in CSV_COLUMNS}
 
 # Rows converted per block in serialisation and row views.
 _CHUNK_ROWS = 16384
-# Lines tokenized and converted per block in ingestion.
+# Lines that csv.reader reads and converts per block in ingestion.
 _PARSE_LINES = 4096
 # Bytes per read of a binary source, which read_pieces cuts into pieces of
 # whole lines of at most this size (unless a line is longer). Each piece is
-# decoded whole, so pieces are kept small: a worker of `uplift fit` holds
+# converted whole, so pieces are kept small: a worker of `uplift fit` holds
 # one at a time.
 READ_BYTES = 1 << 18
 # `uplift fit` spills the rows of a file to one bucket per BUCKET_BYTES of
@@ -338,13 +339,19 @@ _MALFORMED = (
 
 
 class _Columns:
-    """Fills column arrays of :data:`_PARSE_LINES` rows (in Observation
-    field order, the date as days since 1970-01-01) with one converted block
-    of CSV cells, plus the line number of each row."""
+    """Converts the body of a CSV of observations into columns in
+    Observation field order (the date as days since 1970-01-01), each field
+    read from its header position: a piece at a time from its bytes
+    (:meth:`from_bytes`), or a block of records that ``csv.reader`` read
+    (:meth:`records`) into buffers of :data:`_PARSE_LINES` rows, plus the
+    line number of each row."""
 
     def __init__(self, position: Mapping[str, int], n_fields: int) -> None:
         self.n_fields = n_fields
         self.shortest = max(position.values()) + 1
+        # The delimiters of a line on the byte path: a comma after each
+        # cell, a newline after the last.
+        self.delimiters = np.array([44] * (n_fields - 1) + [10], np.uint8)
         days = _Distinct(_parse_day).__getitem__
         weekdays = _Distinct(_parse_weekday).__getitem__
         # Per field: cell position, then the converter run at native speed
@@ -363,19 +370,48 @@ class _Columns:
         self.lines = np.empty(_PARSE_LINES, dtype=np.int64)
         self.filled = 0
 
-    def split(self, block: str, first: int, errors: list[RowIssue]) -> None:
-        """Adds the lines of ``block``, numbered from ``first``: each has
-        exactly ``n_fields`` cells, no quote and no carriage return."""
-        flat = block.replace("\n", ",").split(",")
+    def from_bytes(self, piece: Piece
+                   ) -> tuple[ObservationTable, np.ndarray] | None:
+        """The rows of ``piece`` and their line numbers, converted from its
+        bytes with numpy; or None, declining the piece, unless its bytes
+        are ASCII with no quote, CR or NUL, each line holds one cell per
+        header field and is no longer than ``csv.field_size_limit()``, and
+        each cell converts as :data:`_FROM_BYTES` reads its field. What is
+        converted equals what :meth:`records` gives for the same lines."""
+        data = piece.data if piece.data.endswith(b"\n") else \
+            piece.data + b"\n"
+        if (not data.isascii() or b'"' in data or b"\r" in data
+                or b"\0" in data):
+            return None
+        data = np.frombuffer(data, np.uint8)
         n = self.n_fields
-        self.convert([flat[at::n] for _, at, _, _ in self.fields],
-                     np.arange(first, first + len(flat) // n), errors,
-                     lambda i: flat[i * n:(i + 1) * n])
+        stop = np.flatnonzero((data == 44) | (data == 10))  # after each cell
+        if len(stop) % n or (data[stop].reshape(-1, n)
+                             != self.delimiters).any():
+            return None
+        ends = stop[n - 1::n]  # each line's newline
+        if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+            return None
+        columns = []
+        for name, at, _, _ in self.fields:
+            before = stop[at - 1::n] if at else \
+                np.concatenate(([-1], ends[:-1]))  # the last line's newline
+            column = _FROM_BYTES[name](data, before + 1, stop[at::n])
+            if column is None:
+                return None
+            columns.append(column)
+        columns[2] = columns[2].view(_DTYPES["date"])
+        return ObservationTable(*columns), piece.line + np.arange(len(ends))
 
     def records(self, rows: list[list[str]], lines: np.ndarray,
                 errors: list[RowIssue]) -> None:
-        """Adds records read by ``csv.reader``: a short row is worded, unless
-        blank, and dropped."""
+        """Fills the buffers, from row 0, with the records read by
+        ``csv.reader`` that convert. A short row is worded, unless blank,
+        and dropped; each other row that does not convert, unless blank,
+        gets its line-numbered errors in ``errors``.
+
+        Each column is converted at once; only a column that fails is
+        converted again cell by cell, to find and word its bad cells."""
         if min(map(len, rows)) < self.shortest:
             full = np.fromiter(map(len, rows), np.int64) >= self.shortest
             for i in np.flatnonzero(~full).tolist():
@@ -385,29 +421,15 @@ class _Columns:
                                            f"{len(rows[i])}"))
             rows = list(itertools.compress(rows, full))
             lines = lines[full]
-        self.convert([list(map(itemgetter(at), rows))
-                      for _, at, _, _ in self.fields],
-                     lines, errors, rows.__getitem__)
-
-    def convert(self, cells: list[list[str]], lines: np.ndarray,
-                errors: list[RowIssue],
-                row: Callable[[int], Sequence[str]]) -> None:
-        """Fills the columns with the rows that convert, from row 0; each
-        other row, unless blank, gets its line-numbered errors in
-        ``errors``. ``cells`` holds each field's
-        cells and ``row(i)`` every cell of row ``i``.
-
-        Each column is converted at once; only a column that fails is
-        converted again cell by cell, to find and word its bad cells."""
         n = end = len(lines)
         failed: dict[tuple[int, str], ValueError] = {}
-        for (name, _, native, strict), column, out in zip(
-                self.fields, cells, self.columns):
+        for (name, at, native, strict), out in zip(self.fields, self.columns):
+            cells = list(map(itemgetter(at), rows))
             try:
-                out[:n] = np.fromiter(map(native, column), dtype=out.dtype,
+                out[:n] = np.fromiter(map(native, cells), dtype=out.dtype,
                                       count=n)
             except (ValueError, OverflowError):
-                for i, cell in enumerate(column):
+                for i, cell in enumerate(cells):
                     try:
                         out[i] = strict(cell.strip())
                     except ValueError as exc:
@@ -416,7 +438,7 @@ class _Columns:
         if failed:
             bad = sorted({i for i, _ in failed})
             for i in bad:
-                if not any(map(str.strip, row(i))):
+                if not any(map(str.strip, rows[i])):
                     continue  # a blank row
                 for name, reported, words, stops in _MALFORMED:
                     if (i, name) in failed:
@@ -436,6 +458,98 @@ class _Columns:
         columns = [column[:self.filled] for column in self.columns]
         columns[2] = columns[2].view(_DTYPES["date"])
         return ObservationTable(*columns), self.lines[:self.filled]
+
+
+# The byte path's converters, one per field: each takes the bytes of a
+# piece and the bounds of a column's cells (the offset of each cell's first
+# byte and of the delimiter after it), and gives the column, or None unless
+# every cell is one that the reader path converts to the same value.
+
+def _integers(data: np.ndarray, start: np.ndarray, stop: np.ndarray
+              ) -> np.ndarray | None:
+    """Cells of 1 to 18 ASCII digits, as int64."""
+    size = stop - start
+    if size.min() < 1 or size.max() > 18:
+        return None
+    value = np.zeros(len(size), np.int64)
+    for j in range(int(size.max())):  # the j-th digit from the right
+        digit = np.where(j < size, data[np.maximum(stop - 1 - j, start)]
+                         - np.uint8(48), 0)
+        if digit.max() > 9:
+            return None
+        value += digit * _TENS[j]
+    return value
+
+
+def _days(data: np.ndarray, start: np.ndarray, stop: np.ndarray
+          ) -> np.ndarray | None:
+    """Dates ``DDDD-DD-DD`` of a real calendar day from year 1 on, as days
+    since 1970-01-01: the days are converted back to their month, which
+    must be the one read."""
+    if (stop - start != 10).any() or (data[start + 4] != 45).any() \
+            or (data[start + 7] != 45).any():
+        return None
+    digit = [data[start + k] - np.uint8(48) for k in (0, 1, 2, 3, 5, 6, 8, 9)]
+    if max(d.max() for d in digit) > 9:
+        return None
+    year, month, day = (np.dot(_TENS[k - 1::-1], digit[i:i + k])
+                        for i, k in ((0, 4), (4, 2), (6, 2)))
+    months = (year - 1970) * 12 + month - 1
+    days = months.astype("M8[M]").astype("M8[D]").view(np.int64) + day - 1
+    back = days.view("M8[D]").astype("M8[M]").view(np.int64)
+    if not ((year >= 1) & (month >= 1) & (month <= 12)
+            & (back == months)).all():
+        return None
+    return days
+
+
+def _weekdays(data: np.ndarray, start: np.ndarray, stop: np.ndarray
+              ) -> np.ndarray | None:
+    """Weekday names in any ASCII case, or digits 1 to 7, as 1..7."""
+    size = stop - start
+    if size.max() > 9:
+        return None
+    keys = np.zeros((len(size), 9), np.uint8)  # NUL past each cell's end
+    for j in range(int(size.max())):
+        keys[:, j] = np.where(j < size,
+                              _LOWER[data[np.minimum(start + j, stop)]], 0)
+    keys = keys.view("S9")[:, 0]
+    at = np.searchsorted(_DAY_KEYS, keys).clip(max=len(_DAY_KEYS) - 1)
+    if (_DAY_KEYS[at] != keys).any():
+        return None
+    return _DAY_OF_KEY[at]
+
+
+def _floats(data: np.ndarray, start: np.ndarray, stop: np.ndarray
+            ) -> np.ndarray | None:
+    """Cells that ``float`` converts, as float64: the cells' bytes are
+    gathered, each with its delimiter, and split there."""
+    # Per cell, the bytes since the last cell's delimiter, then the cell
+    # and its delimiter.
+    runs = np.empty((len(start), 2), np.int64)
+    runs[:, 0] = start
+    runs[1:, 0] -= stop[:-1] + 1
+    runs[:, 1] = stop + 1 - start
+    inside = np.repeat(np.tile([False, True], len(start)), runs.ravel())
+    cells = data[:len(inside)][inside].tobytes()
+    try:
+        return np.fromiter(map(float, cells.split(bytes([data[stop[0]]]))),
+                           np.float64, count=len(start))
+    except ValueError:
+        return None
+
+
+_FROM_BYTES = dict.fromkeys(_FIELDS, _integers)
+_FROM_BYTES.update(date=_days, weekday=_weekdays, forecast=_floats)
+# The weekday cells of the byte path, lower-cased and sorted, and the day
+# of each; the ASCII lower case of each byte; and the powers of ten below
+# 10**18.
+_DAY_CELLS = {**_WEEKDAY_BY_NAME, **{str(day): day for day in range(1, 8)}}
+_DAY_KEYS = np.array(sorted(_DAY_CELLS), dtype="S9")
+_DAY_OF_KEY = np.array([_DAY_CELLS[key] for key in sorted(_DAY_CELLS)])
+_LOWER = np.arange(256, dtype=np.uint8)
+_LOWER[ord("A"):ord("Z") + 1] += 32
+_TENS = 10 ** np.arange(18, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -501,6 +615,11 @@ def _lines(pieces: Iterable[Piece]) -> Iterator[str]:
             yield last
 
 
+# A block of converted rows: the rows, their line numbers and the mask of
+# those that keep every record invariant.
+_Block = tuple[ObservationTable, np.ndarray, np.ndarray]
+
+
 def _repeated_keys(store: np.ndarray, sku: np.ndarray,
                    date: np.ndarray) -> np.ndarray:
     """Mask of rows repeating an earlier row's (store, sku, date) key."""
@@ -520,7 +639,7 @@ def parse_csv(source: str | bytes | BinaryIO,
     file of UTF-8 text, read from its current position, such as
     ``open(path, "rb")`` or ``io.BytesIO``; a ``str`` is encoded to UTF-8
     first, and read as a file is. A file is never held whole: it is read
-    once, in reads of at most :data:`READ_BYTES`, and decoded a piece of
+    once, in reads of at most :data:`READ_BYTES`, and converted a piece of
     whole lines at a time (:func:`read_pieces`). Bytes that are not UTF-8,
     a lone surrogate's included, raise :class:`DomainError`; the message
     names the line and the byte offset of the first bad byte. A file is
@@ -533,7 +652,7 @@ def parse_csv(source: str | bytes | BinaryIO,
     order; a weekday column that disagrees with the calendar date is
     reported as a warning only, because the weekday column is authoritative.
 
-    The body goes through the block loop that ``uplift fit`` runs (see
+    The body goes through the loop that ``uplift fit`` runs (see
     :func:`_body`). Each block's rows that keep the record invariants are
     appended to one array per column, grown geometrically, and duplicate
     keys and weekday mismatches are then found on the whole columns and
@@ -556,9 +675,8 @@ def parse_csv(source: str | bytes | BinaryIO,
     columns = [np.empty(_PARSE_LINES, dtype)
                for dtype in (*_DTYPES.values(), np.int64)]
     n = 0
-    text = _lines(read_pieces(source))
-    header = _read_header(text, colmap, errors)
-    for table, lines, valid in _body(text, *header, errors) if header else ():
+    header = _read_header(read_pieces(source), colmap, errors)
+    for table, lines, valid in header[1] if header else ():
         end = n + int(np.count_nonzero(valid))
         for i, column in enumerate((*table.columns(), lines)):
             if end > len(columns[i]):  # one column copied at a time
@@ -577,12 +695,20 @@ def parse_csv(source: str | bytes | BinaryIO,
     return ParseResult(table, tuple(errors), tuple(warnings))
 
 
-def _read_header(text: Iterator[str], colmap: Mapping[str, str],
-                 errors: list[RowIssue]) -> tuple[_Columns, int] | None:
-    """Reads the header from ``text``: the converter of the body, with each
-    canonical column read from the header column ``colmap`` names, and the
-    header's last line. Returns None, after adding the header's issues to
-    ``errors``, if the text is empty or a column is missing."""
+def _read_header(pieces: Iterator[Piece], colmap: Mapping[str, str],
+                 errors: list[RowIssue]
+                 ) -> tuple[_Columns, Iterator[_Block]] | None:
+    """Reads the header from the first of ``pieces``, consecutive pieces of
+    a document (:func:`read_pieces`): returns the converter of the body,
+    with each canonical column read from the header column ``colmap``
+    names, and the blocks of the body (:func:`_body`). Returns None, after
+    adding the header's issues to ``errors``, if the text is empty or a
+    column is missing. A header that holds a quote may run into the next
+    lines, so its body is read from the same text by :func:`_records`."""
+    head = next(pieces, None)
+    quoted = head is not None and b'"' in head.data
+    text = _lines(itertools.chain([head] if head else [],
+                                  pieces if quoted else []))
     first = next(text, "").removeprefix("\ufeff")  # a byte-order mark
     reader = csv.reader(itertools.chain([first] if first else [], text))
     try:
@@ -599,49 +725,56 @@ def _read_header(text: Iterator[str], colmap: Mapping[str, str],
             errors.append(RowIssue(1, column, "missing column"))
     if len(position) < len(colmap):
         return None
-    return _Columns(position, len(header)), reader.line_num
+    columns = _Columns(position, len(header))
+    if quoted:
+        return columns, _records(text, columns, reader.line_num, errors)
+    return columns, _body(pieces, columns, errors)
 
 
-def _body(text: Iterator[str], columns: _Columns, line: int,
-          errors: list[RowIssue]
-          ) -> Iterator[tuple[ObservationTable, np.ndarray, np.ndarray]]:
-    """Converts the lines of ``text``, numbered from ``line + 1``, a block
-    of :data:`_PARSE_LINES` lines at a time, into the header's ``columns``.
-    Yields each block's rows, their line numbers and the mask of the rows
-    that keep every record invariant; every issue found is added to
-    ``errors``.
+def _body(pieces: Iterable[Piece], columns: _Columns,
+          errors: list[RowIssue]) -> Iterator[_Block]:
+    """Converts the lines of ``pieces``, consecutive pieces of the body of a
+    document (:func:`read_pieces`), into the header's ``columns``. Yields
+    the rows of each piece, or of each block of a piece, their line numbers
+    and the mask of the rows that keep every record invariant; every issue
+    found is added to ``errors``.
 
-    A block in which every line has exactly one cell per header field, with
-    no quote, carriage return or NUL and no line longer than
-    ``csv.field_size_limit()``, is split on commas; any other block goes to
-    ``csv.reader``, which reads a quoted record whole even when it runs into
-    the following lines. Both feed one :class:`_Columns` converter, which
-    words short rows, drops blank ones and converts every column at once;
-    only a column that fails is converted again cell by cell, which words
-    its bad cells. A block's rows are views into buffers that the next
-    block overwrites.
-    """
-    commas = columns.n_fields - 1
-    limit = csv.field_size_limit()
-    while chunk := list(itertools.islice(text, _PARSE_LINES)):
-        block = "".join(chunk)
-        counts = list(map(str.count, chunk, itertools.repeat(",")))
-        if (min(counts) == max(counts) == commas and '"' not in block
-                and "\r" not in block and "\0" not in block
-                and max(map(len, chunk)) <= limit):
-            columns.split(block.removesuffix("\n"), line + 1, errors)
-            line += len(chunk)
+    A piece is converted whole from its bytes if :meth:`_Columns.from_bytes`
+    takes it. One it declines goes alone to :func:`_records`, since no
+    record runs across a line without a quote; from the first piece that
+    holds a quote, the rest of the body does, since a quoted record may
+    run into the next pieces."""
+    pieces = iter(pieces)
+    for piece in pieces:
+        if b'"' in piece.data:
+            yield from _records(_lines(itertools.chain([piece], pieces)),
+                                columns, piece.line - 1, errors)
+        elif (block := columns.from_bytes(piece)) is not None:
+            yield *block, _valid_rows(*block, errors)
         else:
-            reader = csv.reader(itertools.chain(chunk, text))
-            rows, ends = [], []
-            for row in reader:
-                rows.append(row)
-                ends.append(reader.line_num)
-                if reader.line_num >= len(chunk):
-                    break
-            columns.records(rows, line + np.array(ends, dtype=np.int64),
-                            errors)
-            line += reader.line_num
+            yield from _records(_lines([piece]), columns, piece.line - 1,
+                                errors)
+
+
+def _records(text: Iterator[str], columns: _Columns, line: int,
+             errors: list[RowIssue]) -> Iterator[_Block]:
+    """Converts the lines of ``text``, numbered from ``line + 1``, with
+    ``csv.reader``, a block of :data:`_PARSE_LINES` lines at a time, as
+    :func:`_body` does; ``csv.reader`` reads a quoted record whole even
+    when it runs into the following lines. :meth:`_Columns.records` words
+    short rows, drops blank ones and words the cells that do not convert.
+    A block's rows are views into buffers that the next block overwrites.
+    """
+    while chunk := list(itertools.islice(text, _PARSE_LINES)):
+        reader = csv.reader(itertools.chain(chunk, text))
+        rows, ends = [], []
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
+            if reader.line_num >= len(chunk):
+                break
+        columns.records(rows, line + np.array(ends, dtype=np.int64), errors)
+        line += reader.line_num
         table, lines = columns.table()
         yield table, lines, _valid_rows(table, lines, errors)
 
@@ -702,22 +835,21 @@ class Partition:
 
     def spill(self, pieces: Iterable[Piece], errors: list[RowIssue]) -> None:
         """Converts the lines of ``pieces``, consecutive pieces of the input
-        (:func:`read_pieces`), with :func:`parse_csv`'s block loop, and
-        spills the rows that keep every record invariant; every issue
-        found is added to ``errors``. Until a spill has read the header,
-        the pieces start with it; the input's columns are those of
-        :data:`CSV_COLUMNS`, named by the header in any order."""
+        (:func:`read_pieces`), with the loop of :func:`parse_csv`
+        (:func:`_body`), and spills the rows that keep every record
+        invariant; every issue found is added to ``errors``. Until a spill
+        has read the header, the pieces start with it; the input's columns
+        are those of :data:`CSV_COLUMNS`, named by the header in any
+        order."""
         pieces = iter(pieces)
-        first = next(pieces, None)
-        text = _lines(itertools.chain([first] if first else [], pieces))
         if self.columns is None:
-            header = _read_header(text, _CANONICAL, errors)
+            header = _read_header(pieces, _CANONICAL, errors)
             if header is None:
                 return
-            self.columns, line = header
+            self.columns, blocks = header
         else:
-            line = first.line - 1 if first else 0
-        for block in _body(text, self.columns, line, errors):
+            blocks = _body(pieces, self.columns, errors)
+        for block in blocks:
             self.append(*block)
         self.flush()
 
@@ -753,7 +885,8 @@ class Partition:
     def filled(self) -> list[int]:
         """The buckets that hold rows, in order."""
         return sorted({int(name[len("bucket-"):].partition(".")[0])
-                       for name in os.listdir(self.directory)})
+                       for name in os.listdir(self.directory)
+                       if name.startswith("bucket-")})
 
     def table(self, bucket: int, errors: list[RowIssue],
               warnings: list[RowIssue]) -> ObservationTable:

@@ -85,8 +85,8 @@ class DgpConfig:
                      "discount_intensity", "gamma_true", "demand_noise_sd"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite")
-        for name in ("weekday_effects", "demand_noise_sd",
-                     "discount_intensity"):
+        for name in ("weekday_effects", "forecast_noise_sd",
+                     "demand_noise_sd", "discount_intensity"):
             if np.max(getattr(self, name)) > _LARGEST:
                 raise InvalidConfig(f"{name} must be at most 2**53")
         if any(v < 0 for v in self.weekday_effects):

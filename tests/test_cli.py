@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -1278,3 +1279,199 @@ def test_fit_workers_end_with_the_main_process(tmp_path, how):
         assert proc.returncode == -signal.SIGINT
         assert err.count("KeyboardInterrupt") == 1, err
         assert not list(work.glob(".uplift-fit-*"))
+
+
+# --- a killed fit's buckets --------------------------------------------------
+
+_WAITING_FIT = """
+import os, sys, time
+from pathlib import Path
+from discount_uplift import cli, domain
+domain.READ_BYTES = 1 << 14
+build = cli.build_panels
+
+def waiting(table, **kwargs):
+    with open(sys.argv[1], "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    while not Path(sys.argv[1] + ".go").exists():
+        time.sleep(0.05)
+    return build(table, **kwargs)
+
+cli.build_panels = waiting
+sys.exit(cli.main(["fit", "--input", sys.argv[2], "--out-dir", sys.argv[3],
+                   "--threads", "2"]))
+"""
+
+
+def _fit_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(discount_uplift.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+
+
+def _waiting_fit(tmp_path: Path, out_dir: Path) -> subprocess.Popen:
+    """A fit on 2 workers, started once one of them is estimating; it
+    waits until ``tmp_path / "pids.go"`` exists."""
+    pids = tmp_path / "pids"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WAITING_FIT, str(pids),
+         str(DATA / "golden_input.csv"), str(out_dir)],
+        env=_fit_env(), stderr=subprocess.PIPE, text=True)
+    while not (pids.exists() and pids.read_text()):
+        assert proc.poll() is None, proc.communicate()
+        time.sleep(0.05)
+    return proc
+
+
+def _fit_beside(out_dir: Path) -> None:
+    """A fit of the golden input, in a process of its own."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "discount_uplift.cli", "fit", "--input",
+         str(DATA / "golden_input.csv"), "--out-dir", str(out_dir)],
+        env=_fit_env(), capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert (out_dir / "reports.csv").read_bytes() == \
+        (DATA / "golden_reports.csv").read_bytes()
+
+
+needs_flock = pytest.mark.skipif(importlib.util.find_spec("fcntl") is None,
+                                 reason="no fcntl")
+
+
+@pytest.fixture
+def alarm():
+    """Fails the test, instead of stalling the suite, if it hangs."""
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("a fit hung"))
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+@needs_flock
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc")
+def test_fit_removes_the_buckets_of_a_killed_fit(tmp_path, alarm):
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = _waiting_fit(tmp_path, work / "a")
+    workers = _children(proc.pid)
+    proc.kill()
+    proc.communicate()
+    while not all(map(_gone, workers)):
+        time.sleep(0.05)
+    (left,) = work.glob(".uplift-fit-*")
+    assert (left / "lock").exists() and len(list(left.iterdir())) > 1
+    _fit_beside(work / "b")
+    assert not list(work.glob(".uplift-fit-*"))
+
+
+@needs_flock
+def test_fits_side_by_side_keep_each_others_buckets(tmp_path, alarm):
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = _waiting_fit(tmp_path, work / "a")
+    try:
+        (running,) = work.glob(".uplift-fit-*")
+        _fit_beside(work / "b")
+        assert list(work.glob(".uplift-fit-*")) == [running]
+        (tmp_path / "pids.go").touch()
+        _, err = proc.communicate()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert (work / "a" / "reports.csv").read_bytes() == \
+        (DATA / "golden_reports.csv").read_bytes()
+    assert not list(work.glob(".uplift-fit-*"))
+
+
+def test_fit_leaves_a_directory_without_a_lock_file(tmp_path, alarm):
+    # Another fit may be making it, between its mkdir and its lock file.
+    work = tmp_path / "work"
+    making = work / ".uplift-fit-making"
+    making.mkdir(parents=True)
+    (making / "bucket-0.1").write_bytes(b"")
+    _fit_beside(work / "out")
+    assert list(work.glob(".uplift-fit-*")) == [making]
+    assert [p.name for p in making.iterdir()] == ["bucket-0.1"]
+
+
+# --- cells the byte path declines, in the workers ----------------------------
+
+@pytest.mark.parametrize("field, cell", [
+    ("stock", "+5"), ("stock", "5_0"), ("stock", " 5 "),
+    ("date", "2023-02-29"), ("date", "2024-2-01"), ("weekday", "0"),
+    ("stock", "1234567890123456789")])
+def test_fit_workers_read_a_declined_piece_as_one_process_does(
+        tmp_path, monkeypatch, capsys, field, cell):
+    # One near-valid cell in the middle of the golden input's 4th piece of
+    # 8 sends that piece to csv.reader, in a worker at --threads 2.
+    forked = watch_forks(monkeypatch)
+    golden = (DATA / "golden_input.csv").read_bytes()
+    middle = list(domain.read_pieces(io.BytesIO(golden)))[4]
+    lines = golden.splitlines(keepends=True)
+    cells = lines[middle.line + 10].decode().split(",")
+    cells[domain.CSV_COLUMNS.index(field)] = cell
+    lines[middle.line + 10] = ",".join(cells).encode()
+    src = tmp_path / "in.csv"
+    src.write_bytes(b"".join(lines))
+    pieces = list(domain.read_pieces(io.BytesIO(src.read_bytes())))
+    columns, _ = domain._read_header(iter(pieces), domain._CANONICAL, [])
+    assert len(pieces) == 1 + 8
+    assert [p.line for p in pieces[1:] if columns.from_bytes(p) is None] == \
+        [middle.line]
+    spills = tmp_path / "spills"
+    spill = domain.Partition.spill
+
+    def recording(self, run, errors):
+        _record(spills, str(os.getpid()))
+        return spill(self, run, errors)
+
+    monkeypatch.setattr(domain.Partition, "spill", recording)
+    runs = []
+    for threads in ("1", "2"):
+        spills.write_text("")
+        out_dir = tmp_path / threads
+        code = main(["fit", "--input", str(src), "--threads", threads,
+                     "--out-dir", str(out_dir)])
+        runs.append((code, capsys.readouterr().err, {
+            name: (out_dir / name).read_bytes()
+            for name in cli.FIT_OUTPUTS[:-1] if (out_dir / name).exists()}))
+    assert forked == [False, True]
+    assert set(spills.read_text().split()) - {str(os.getpid())}
+    assert runs[0] == runs[1]
+    code, err, outputs = runs[0]
+    expected = parse_csv(src.read_bytes())
+    assert code == (2 if expected.errors else 0)
+    assert [line for line in err.splitlines() if line.startswith("line:")] \
+        == [str(e) for e in expected.errors]
+    if not expected.errors:
+        library = _library_files(src.read_bytes(), "sku")
+        assert {name: value.decode() for name, value in outputs.items()} == \
+            {name: library[name] for name in outputs}
+
+
+# --- the W500 input ----------------------------------------------------------
+
+# Digests of what `uplift fit` writes for `uplift simulate --seed 3 --skus
+# 500 --days 730` (365,000 rows, 72 pieces, 18 buckets).
+W500_DIGESTS = {
+    "reports.csv":
+        "2536e7b01c5e55cb855970f8a4f5687b04907eb2720d4fe25844e66ce06a7d8b",
+    "aggregate.json":
+        "0dee03dff7eaf2ca160ee1ad9f6c047189848fd6a4d5d88ed9b2ef15a158416d"}
+
+
+def test_fit_w500_digests(tmp_path, capsys):
+    src = tmp_path / "w500.csv"
+    assert main(["simulate", "--seed", "3", "--skus", "500", "--days", "730",
+                 "--out", str(src)]) == 0
+    capsys.readouterr()
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        assert main(["fit", "--input", str(src), "--threads", threads,
+                     "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {name: sha256(out_dir / name) for name in W500_DIGESTS} == \
+            W500_DIGESTS

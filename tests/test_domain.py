@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -402,6 +403,155 @@ def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes,
                                   for sku in t.sku_id.tolist()}
     assert all(len(set(t.sku_id.tolist()) & set(u.sku_id.tolist())) == 0
                for i, t in enumerate(tables) for u in tables[i + 1:])
+
+
+def _any_case(text: str) -> st.SearchStrategy:
+    return st.lists(st.booleans(), min_size=len(text), max_size=len(text)
+                    ).map(lambda upper: "".join(
+                        c.upper() if u else c.lower()
+                        for c, u in zip(text, upper)))
+
+
+# Cells of each field for the byte path: valid ones, which it must read, and
+# near-valid ones, which csv.reader words, reads otherwise or reads alike.
+_INTEGER = (st.integers(0, 10 ** 18 - 1).map(str),
+            ["+5", "5_0", " 5 ", "٣", "５", "1" * 19, "0" * 18, "-1", "3:",
+             "/1", "", "x"])
+_CELLS = {
+    "store": _INTEGER, "sku": _INTEGER, "stock": _INTEGER,
+    "sales": _INTEGER, "discounted_sales": _INTEGER,
+    "date": (st.dates().map(dt.date.isoformat),
+             ["2023-02-29", "2024-2-01", "0000-01-01", "2024-02-30",
+              "2024-13-01", "2024-00-10", "2024-01-00", "2024-01-0:",
+              "20240101", " 2024-01-01", "2024/01/01", "2024/01-01",
+              "2024-01/01", "2024-W01-1", ""]),
+    "weekday": (st.one_of(st.sampled_from(WEEKDAY_NAMES).flatmap(_any_case),
+                          st.integers(1, 7).map(str)),
+                ["MONDAY", "0", "8", "07", " 1", "Mon", "Mondays", "Noday",
+                 "\x11", "ｍonday", "", "wednesdays"]),
+    "forecast": (st.floats().map(repr),
+                 ["nan", "1_0.5", " 1.5 ", "", "1e400", "0x10", "+1.5",
+                  "١.٥", "1.5.", "Infinity"]),
+    "note": (st.sampled_from(["", "x", "1", " "]), ["é", "a b"]),
+}
+# Structural faults, each put at any byte of a line.
+_INSERTED = {"cr": b"\r", "quote": b'"', "nul": b"\0", "invalid": b"\xff"}
+
+
+@st.composite
+def byte_path_pieces(draw):
+    """A header, with the columns in any order and maybe one more, and a
+    piece of its body of valid cells, maybe with no final newline. A piece
+    is valid, or has one or two faults: a near-valid cell, a blank, short
+    or long line, a CR, a quote, a NUL or a byte that is not UTF-8, or a
+    small field size limit. Returns the header, the piece, whether it is
+    valid and the field size limit to set, if any."""
+    names = list(CSV_COLUMNS) + (["note"] if draw(st.booleans()) else [])
+    names = draw(st.permutations(names))
+    rows = [[draw(_CELLS[name][0]) for name in names]
+            for _ in range(draw(st.integers(1, 8)))]
+    lines = [",".join(row).encode() for row in rows]
+    faults = draw(st.lists(st.sampled_from(
+        ["cell", "blank", "short", "extra", "limit", *_INSERTED]),
+        max_size=2))
+    limit = None
+    for fault in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "cell":
+            at = draw(st.integers(0, len(names) - 1))
+            rows[i][at] = draw(st.sampled_from(_CELLS[names[at]][1]))
+            lines[i] = ",".join(rows[i]).encode("utf-8")
+        elif fault == "blank":
+            lines[i] = b""
+        elif fault == "short":
+            lines[i] = lines[i].rpartition(b",")[0]
+        elif fault == "extra":
+            lines[i] += b",1"
+        elif fault == "limit":
+            limit = draw(st.integers(1, max(1, *map(len, lines))))
+        else:
+            k = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:k] + _INSERTED[fault] + lines[i][k:]
+    data = b"".join(line + b"\n" for line in lines)
+    if data != b"\n" and draw(st.booleans()):
+        data = data.removesuffix(b"\n")
+    return (",".join(names) + "\n").encode(), data, not faults, limit
+
+
+def _reader_path(columns, piece):
+    """The rows, line numbers and issues of ``piece`` on the reader path,
+    or None if csv.reader or the UTF-8 decoder refuses it."""
+    errors = []
+    try:
+        blocks = [(table[np.arange(len(table))], lines.copy())
+                  for table, lines, _ in domain._records(
+                      domain._lines([piece]), columns, piece.line - 1,
+                      errors)]
+    except (csv.Error, DomainError):
+        return None
+    return (ObservationTable.concat(table for table, _ in blocks),
+            np.concatenate([lines for _, lines in blocks]), errors)
+
+
+def _check_byte_path(header: bytes, data: bytes, line: int,
+                     limit: int | None = None) -> bool:
+    """Whether the byte path reads ``data``, a piece of the body under
+    ``header`` from ``line`` on, at field size limit ``limit``; if it does,
+    it must give the reader path's columns, line numbers and issues."""
+    columns, _ = domain._read_header(iter([domain.Piece(header, 1, 0)]),
+                                     domain._CANONICAL, [])
+    piece = domain.Piece(data, line, 0)
+    old = csv.field_size_limit(limit or csv.field_size_limit())
+    try:
+        converted = columns.from_bytes(piece)
+        expected = _reader_path(columns, piece)
+    finally:
+        csv.field_size_limit(old)
+    if converted is None:
+        return False
+    assert expected is not None
+    table, lines = converted
+    errors = []
+    domain._valid_rows(table, lines, errors)
+    expected_table, expected_lines, expected_errors = expected
+    for a, b in zip(table.columns(), expected_table.columns()):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert np.array_equal(lines, expected_lines)
+    assert errors == expected_errors
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(byte_path_pieces(), st.integers(2, 1000))
+@example((HEADER.encode() + b"\n", b"1,2,2024-02-29,thursday,3,0.5,1,0",
+          True, None), 2)
+def test_byte_path_equals_the_reader_path_or_declines(drawn, line):
+    header, data, valid, limit = drawn
+    assert _check_byte_path(header, data, line, limit) or not valid
+
+
+@pytest.mark.parametrize("field, cell", [
+    *((field, cell.encode()) for field, (_, near) in _CELLS.items()
+      for cell in near),
+    # A CR, NUL, quote or non-UTF-8 byte where float, the weekday key or
+    # an unread column would let it pass.
+    ("forecast", b"0.5\r"), ("weekday", b"Monday\0"), ("note", b"\xff"),
+    ("note", b"a\rb"), ("note", b'"a"'), ("note", b"\0")])
+def test_byte_path_reads_each_near_valid_cell_as_the_reader_path(field,
+                                                                 cell):
+    # The cell on the middle line of three valid ones.
+    cells = dict(zip([*CSV_COLUMNS, "note"], [
+        b"1", b"10", b"2024-09-23", b"Monday", b"5", b"0.5", b"1", b"0",
+        b"x"]))
+    lines = [b",".join(cells.values())] * 3
+    cells[field] = cell
+    lines[1] = b",".join(cells.values())
+    data = b"".join(line + b"\n" for line in lines)
+    read = _check_byte_path(HEADER.encode() + b",note\n", data, 2)
+    assert read == (cell in (b"MONDAY", b"0" * 18, b"nan", b"1_0.5",
+                             b" 1.5 ", b"1e400", b"+1.5", b"Infinity",
+                             b"a b"))
 
 
 def test_partition_spreads_ids_sharing_a_factor_with_the_bucket_count(

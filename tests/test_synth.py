@@ -310,7 +310,7 @@ _CONFIGS = st.one_of(
         weekday_effects=st.lists(_field(st.floats(0.0, _LARGEST), 0.0,
                                         _LARGEST),
                                  min_size=6, max_size=8).map(tuple),
-        forecast_noise_sd=_field(st.floats(0.0, 1e308), 0.0),
+        forecast_noise_sd=_field(st.floats(0.0, _LARGEST), 0.0, _LARGEST),
         order_up_to=_field(st.integers(0, _INT64), 0, _INT64),
         discount_probability=_SHARES,
         discount_intensity=_field(st.floats(0.0, _LARGEST), 0.0, _LARGEST),
@@ -341,6 +341,8 @@ _CONFIGS = st.one_of(
 # at its bound, which grows a million-fold a day on a shelf life of one
 # day.
 @example(DgpConfig(n_days=6, gamma_true=sys.float_info.max), 0)
+# A forecast noise whose draws for sku 5 are not all finite.
+@example(DgpConfig(n_days=6, forecast_noise_sd=1e308), 5)
 @example(CycleConfig(n_days=1, base_demand=1e300,
                      order_up_to_multiplier=1e-300), 0)
 @example(CycleConfig(n_days=1, shelf_life_days=1, base_demand=_LARGEST,
@@ -350,12 +352,13 @@ _CONFIGS = st.one_of(
 def test_every_config_that_validates_runs(config, sku_id):
     # Each field at valid values, its bounds, just past them, nan and
     # +-inf, with at most 6 days: a config is refused by validate, or
-    # generates without error.
+    # generates without error, and a panel's forecasts are finite.
     try:
         config.validate()
     except InvalidConfig:
         return
     if isinstance(config, DgpConfig):
-        generate_panel(config, sku_id)
+        panel = generate_panel(config, sku_id)
+        assert np.isfinite(panel.table.forecast).all()
     else:
         simulate_cycle(config)
