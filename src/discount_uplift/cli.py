@@ -2,12 +2,13 @@
 
 ``fit`` runs the full pipeline on a CSV dataset and writes machine-readable
 reports plus plot-ready summaries, on ``--threads`` worker processes that
-parse pieces of the input and estimate buckets of its SKUs, with the same
-bytes for any count; ``simulate`` writes a synthetic dataset
-with known ground truth; ``cycle`` runs the replenishment feedback-loop
-demonstration. Every output directory gets a ``manifest.json`` sufficient to
-re-run the command; all data outputs are deterministic for fixed inputs, the
-manifest alone carries the timestamp.
+parse pieces of the input and estimate buckets of its SKUs; ``simulate``
+writes a synthetic dataset with known ground truth, on one worker process
+per usable CPU that generates and renders runs of consecutive SKUs; both
+write the same bytes for any worker count. ``cycle`` runs the
+replenishment feedback-loop demonstration. Every output directory gets a
+``manifest.json`` sufficient to re-run the command; all data outputs are
+deterministic for fixed inputs, the manifest alone carries the timestamp.
 
 Exit codes: 0 success, 2 invalid input or configuration (including parse
 errors and zero eligible SKUs), 1 internal error.
@@ -43,12 +44,12 @@ try:
 except ImportError:  # no flock: fit neither locks nor sweeps its buckets
     fcntl = None
 
-from . import __version__, domain
+from . import __version__, domain, synth
 from .aggregate import AggregateError, StudyAggregate, summarize
 from .domain import (DomainError, EligibilityRule, Partition, Piece, RowIssue,
                      build_panels, csv_blocks, read_pieces)
 from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
-                    iter_study, simulate_cycle)
+                    simulate_cycle)
 # Unused here; perfbench/tracer.py wraps cli.generate_study, cli.parse_csv
 # and cli.serialize_csv until its stage recorder replaces them (ROADMAP
 # item 6).
@@ -121,6 +122,10 @@ def _resolve_threads(flag: int | None) -> int:
         if value < 1:
             raise UserError("UPLIFT_THREADS must be at least 1")
         return value
+    return _usable_cpus()
+
+
+def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -269,17 +274,30 @@ def _bucket(fit: _Fit, item: tuple[int, bool]
                                         sidedness=fit.sidedness), len(panels))
 
 
-# The fit a worker process serves, set as it starts.
-_WORKER_FIT: _Fit | None = None
+# The task of a simulate, run in the parent or in a worker.
+
+def _rows(config: DgpConfig, skus: range) -> bytes:
+    """The CSV rows of SKUs ``skus``, header skipped, as UTF-8."""
+    # generate_panel is looked up per panel, so a wrapper on the module
+    # attribute sees every call.
+    blocks = csv_blocks(synth.generate_panel(config, sku_id=sku).table
+                        for sku in skus)
+    next(blocks)  # the header
+    return "".join(blocks).encode("utf-8")
 
 
-def _start_worker(fit: _Fit) -> None:
-    """Sets a worker process up to serve ``fit``. Ctrl-C is left to the main
-    process, which ends the workers once their tasks under way are done,
-    and a worker ends with the main process even if that is killed: the
-    workers hold its task queue open, so they would wait on it forever."""
-    global _WORKER_FIT
-    _WORKER_FIT = fit
+# What the tasks of a worker process share, set as it starts: the _Fit of a
+# fit or the DgpConfig of a simulate.
+_WORKER_CONTEXT: _Fit | DgpConfig | None = None
+
+
+def _start_worker(context: _Fit | DgpConfig) -> None:
+    """Sets a worker process up to run tasks on ``context``. Ctrl-C is left
+    to the main process, which ends the workers, and a worker ends with the
+    main process even if that is killed: the workers hold its task queue
+    open, so they would wait on it forever."""
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     import multiprocessing
     threading.Thread(target=_end_with, daemon=True, args=(
@@ -293,35 +311,38 @@ def _end_with(sentinel: int) -> None:
 
 
 def _in_worker(task: Callable, item):
-    return task(_WORKER_FIT, item)
+    return task(_WORKER_CONTEXT, item)
 
 
 class _Workers:
-    """Runs the tasks of ``fit`` on ``count`` worker processes, forked when
-    the first task is given, so that they share what this process has read
-    by then (the header's columns), or in this process when ``count`` is
-    below 2 or fork is not available. Closing waits for the tasks under
-    way, drops the others and ends the workers."""
+    """Runs tasks on ``context`` (a ``_Fit`` or a ``DgpConfig``) on
+    ``count`` worker processes, forked when the first task is given, so
+    that they share what this process has read by then (a fit's header
+    columns), or in this process when ``count`` is below 2 or fork is not
+    available. Leaving the ``with`` block normally waits for the workers to
+    end; leaving it by an exception drops the tasks not yet done and ends
+    and reaps the workers at once, without waiting on the executor, which
+    may never finish (a task that cannot be pickled leaves it waiting)."""
 
-    def __init__(self, fit: _Fit, count: int) -> None:
-        self.fit, self.pool, self.ahead = fit, None, 2 * count
-        # Forking is safe here: `uplift fit` runs no other thread, and the
-        # executor starts its own only once its workers are forked.
+    def __init__(self, context: _Fit | DgpConfig, count: int) -> None:
+        self.context, self.pool, self.ahead = context, None, 2 * count
+        # Forking is safe here: neither command runs another thread, and
+        # the executor starts its own only once its workers are forked.
         if count > 1:
             import multiprocessing
             if "fork" in multiprocessing.get_all_start_methods():
                 from concurrent.futures import ProcessPoolExecutor
                 self.pool = ProcessPoolExecutor(
                     count, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_start_worker, initargs=(fit,))
+                    initializer=_start_worker, initargs=(context,))
 
     def map(self, task: Callable, items: Iterable) -> Iterator:
-        """``task(fit, item)`` for each of ``items``, in order; a task's
+        """``task(context, item)`` for each of ``items``, in order; a task's
         exception is raised in its turn. On workers, at most two items per
         worker are in flight."""
         if self.pool is None:
             for item in items:
-                yield task(self.fit, item)
+                yield task(self.context, item)
             return
         pending: collections.deque = collections.deque()
         for item in items:
@@ -331,9 +352,20 @@ class _Workers:
         while pending:
             yield pending.popleft().result()
 
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=True, cancel_futures=True)
+    def __enter__(self) -> _Workers:
+        return self
+
+    def __exit__(self, failed, *_) -> None:
+        if self.pool is None:
+            return
+        # The executor has no public way to end its workers.
+        processes = list((self.pool._processes or {}).values())
+        self.pool.shutdown(wait=failed is None, cancel_futures=True)
+        if failed is not None:
+            for process in processes:
+                process.terminate()
+            for process in processes:
+                process.join()
 
 
 @contextlib.contextmanager
@@ -370,12 +402,13 @@ def _read_input(workers: _Workers, pieces: Iterator[Piece],
     a quoted record across lines; the workers parse the pieces between,
     each on its own."""
     head = next(pieces, None)
+    fit = workers.context
     if workers.pool is None or head is None or b'"' in head.data:
-        errors.merge(_spill(workers.fit, itertools.chain(
+        errors.merge(_spill(fit, itertools.chain(
             [head] if head else [], pieces)))
         return
-    errors.merge(_spill(workers.fit, [head]))
-    if workers.fit.partition.columns is None:  # a bad header
+    errors.merge(_spill(fit, [head]))
+    if fit.partition.columns is None:  # a bad header
         return
     quoted: list[Piece] = []
 
@@ -389,7 +422,7 @@ def _read_input(workers: _Workers, pieces: Iterator[Piece],
     for log in workers.map(_spill, unquoted()):
         errors.merge(log)
     if quoted:
-        errors.merge(_spill(workers.fit, itertools.chain(quoted, pieces)))
+        errors.merge(_spill(fit, itertools.chain(quoted, pieces)))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -427,8 +460,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fit = _Fit(Partition(spill, size), args.group_by, rule,
                    args.alpha, sidedness)
         # No more workers than pieces: an input of one piece is fitted here.
-        with contextlib.closing(_Workers(
-                fit, min(threads, -(-size // domain.READ_BYTES)))) as workers:
+        with _Workers(fit, min(threads, -(-size // domain.READ_BYTES))
+                      ) as workers:
             try:
                 _read_input(workers, read_pieces(handle, digest), errors)
             except (DomainError, csv.Error) as exc:
@@ -516,12 +549,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     (out_path.name, manifest_path.name))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     part = out_path.with_name(f".{out_path.name}.{os.getpid()}.part")
+    # Runs of consecutive SKUs that fill at most one block of rows each (one
+    # SKU if it fills more), rendered on one worker per usable CPU: the
+    # bytes do not depend on how many.
+    per_run = max(1, domain._CHUNK_ROWS // max(1, config.n_days))
+    runs = [range(first, min(first + per_run, args.skus + 1))
+            for first in range(1, args.skus + 1, per_run)]
+    (header,) = csv_blocks(())  # no rows: the header alone
     digest = hashlib.sha256()
     try:
-        with open(part, "wb") as out:
-            for text in csv_blocks(p.table for p in iter_study(config,
-                                                                args.skus)):
-                data = text.encode("utf-8")
+        with _Workers(config, min(_usable_cpus(), len(runs))) as workers, \
+                open(part, "wb") as out:
+            for data in itertools.chain([header.encode("utf-8")],
+                                        workers.map(_rows, runs)):
                 digest.update(data)
                 out.write(data)
         os.replace(part, out_path)

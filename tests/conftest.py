@@ -63,7 +63,8 @@ def make_report(sku_id, mean_residual=None, gamma10=None, significant=None,
 
 def watch_forks(monkeypatch) -> list[bool]:
     """Makes ``uplift fit`` cut the golden input into 8 pieces of 16 KiB and
-    spill it to 4 buckets; returns, per fit, whether it forked workers."""
+    spill it to 4 buckets; returns, per ``fit`` or ``simulate``, whether it
+    forked workers."""
     monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
     monkeypatch.setattr(domain, "BUCKET_BYTES", 1 << 15)
     forked: list[bool] = []

@@ -7,7 +7,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import math
 import multiprocessing
 import os
 import platform
@@ -92,36 +91,90 @@ def test_simulate_streams_the_library_bytes(tmp_path, monkeypatch,
     assert manifest["input_digest"] == hashlib.sha256(expected).hexdigest()
 
 
+def _cpus(monkeypatch, count: int) -> None:
+    """Makes the CLI see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
 def test_simulate_generates_at_most_one_block_ahead(tmp_path, monkeypatch):
-    # Panels come from synth.generate_panel (the name the benchmark traces),
-    # and no more of them than one block needs exist when it is written.
+    # Panels come from synth.generate_panel (the name the benchmark traces).
+    # A task renders a run of SKUs that fills at most one block, and in one
+    # process no run is generated before the runs ahead of it are written.
     chunk, days = 50, 20
     monkeypatch.setattr(domain, "_CHUNK_ROWS", chunk)
-    generate, render = synth.generate_panel, cli.csv_blocks
+    _cpus(monkeypatch, 1)
+    generate, rows = synth.generate_panel, cli._rows
     generated: list[int] = []
-    at_block: list[int] = []  # panels generated as each block is yielded
+    runs: list[tuple[int, range]] = []  # panels generated before each run
 
     def counting(*args, **kwargs):
         generated.append(1)
         return generate(*args, **kwargs)
 
-    def watching(tables):
-        for text in render(tables):
-            at_block.append(len(generated))
-            yield text
+    def watching(config, skus):
+        runs.append((len(generated), skus))
+        return rows(config, skus)
 
     monkeypatch.setattr(synth, "generate_panel", counting)
-    monkeypatch.setattr(cli, "csv_blocks", watching)
+    monkeypatch.setattr(cli, "_rows", watching)
     assert main(["simulate", "--skus", "12", "--days", str(days),
                  "--out", str(tmp_path / "s.csv")]) == 0
     assert len(generated) == 12
-    assert at_block[0] == 0  # the header
-    assert at_block[1] <= math.ceil(chunk / days) + 1
+    assert [sku for _, skus in runs for sku in skus] == list(range(1, 13))
+    assert [before for before, _ in runs] == \
+        [skus[0] - 1 for _, skus in runs]
+    assert max(len(skus) for _, skus in runs) == chunk // days
 
 
+@pytest.mark.parametrize("skus, days", [
+    (12, 20),  # 6 runs of 2 SKUs
+    (120, 0),  # 3 runs of empty panels: the header alone
+    (0, 30),  # no run: the header alone
+    (2, 20),  # one run, which no worker renders
+])
+def test_simulate_bytes_independent_of_the_worker_count(tmp_path,
+                                                        monkeypatch, alarm,
+                                                        skus, days):
+    chunk = 50
+    monkeypatch.setattr(domain, "_CHUNK_ROWS", chunk)
+    expected = _library_csv(5, skus, days)
+    runs = -(-skus // max(1, chunk // max(1, days)))
+    forked = watch_forks(monkeypatch)
+    pids = tmp_path / "pids"
+    generate = synth.generate_panel
+
+    def recording(config, sku_id):
+        _record(pids, str(os.getpid()))
+        return generate(config, sku_id=sku_id)
+
+    monkeypatch.setattr(synth, "generate_panel", recording)
+    outputs, workers = set(), []
+    for cpus in (1, 2, 4):
+        _cpus(monkeypatch, cpus)
+        pids.write_text("")
+        out = tmp_path / f"{cpus}.csv"
+        assert main(["simulate", "--seed", "5", "--skus", str(skus),
+                     "--days", str(days), "--out", str(out)]) == 0
+        manifest = json.loads(
+            out.with_name(out.name + ".manifest.json").read_text())
+        outputs.add((out.read_bytes(), manifest["input_digest"]))
+        workers.append(bool(set(pids.read_text().split()) -
+                            {str(os.getpid())}))
+    assert outputs == {(expected, hashlib.sha256(expected).hexdigest())}
+    assert forked == [False, runs > 1, runs > 1]
+    assert workers == [False, runs > 1, runs > 1]
+    if not skus * days:
+        assert expected == (",".join(domain.CSV_COLUMNS) + "\n").encode()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("earlier", [None, b"an earlier dataset\n"])
 def test_simulate_failure_leaves_no_partial_file(tmp_path, monkeypatch,
-                                                 earlier):
+                                                 alarm, earlier, cpus):
+    # On 2 CPUs, the failure is raised in a worker.
+    _cpus(monkeypatch, cpus)
+    forked = watch_forks(monkeypatch)
     generate = synth.generate_panel
 
     def failing(config, sku_id):
@@ -136,6 +189,8 @@ def test_simulate_failure_leaves_no_partial_file(tmp_path, monkeypatch,
         out.write_bytes(earlier)
     assert main(["simulate", "--skus", "5", "--days", "20",
                  "--out", str(out)]) == 1
+    assert forked == [cpus > 1]
+    assert multiprocessing.active_children() == []
     assert [p.name for p in tmp_path.iterdir()] == \
         ([] if earlier is None else ["s.csv"])
     if earlier is not None:
@@ -1341,7 +1396,7 @@ needs_flock = pytest.mark.skipif(importlib.util.find_spec("fcntl") is None,
 @pytest.fixture
 def alarm():
     """Fails the test, instead of stalling the suite, if it hangs."""
-    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("a fit hung"))
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("a run hung"))
     signal.alarm(120)
     yield
     signal.alarm(0)
@@ -1395,6 +1450,99 @@ def test_fit_leaves_a_directory_without_a_lock_file(tmp_path, alarm):
     _fit_beside(work / "out")
     assert list(work.glob(".uplift-fit-*")) == [making]
     assert [p.name for p in making.iterdir()] == ["bucket-0.1"]
+
+
+# --- simulate's workers, and a task no worker can take -----------------------
+
+# The executor's own threads may each still try to fail a task the other
+# has failed (InvalidStateError) as the workers are ended; that is noise.
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_a_task_that_cannot_be_pickled_exits_1(tmp_path, monkeypatch, alarm,
+                                               command):
+    # A nested function cannot be sent to a worker. The run exits 1 all the
+    # same, and leaves no worker, bucket directory or partial file.
+    forked = watch_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(domain, "_CHUNK_ROWS", 50)
+    name = {"fit": "_spill", "simulate": "_rows"}[command]
+    task = getattr(cli, name)
+
+    def nested(context, item):
+        return task(context, item)
+
+    monkeypatch.setattr(cli, name, nested)
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = {"fit": ["--input", str(DATA / "golden_input.csv"),
+                    "--out-dir", str(work / "o")],
+            "simulate": ["--skus", "12", "--days", "20",
+                         "--out", str(work / "s.csv")]}[command]
+    assert main([command, *argv]) == 1
+    assert forked == [True]
+    assert multiprocessing.active_children() == []
+    assert list(work.iterdir()) == []
+
+
+_SLOW_SIMULATE = """
+import os, sys, time
+from discount_uplift import cli, domain, synth
+os.sched_getaffinity = lambda pid: {0, 1}
+domain._CHUNK_ROWS = 20
+generate = synth.generate_panel
+
+def slow(config, sku_id):
+    with open(sys.argv[1], "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    time.sleep(2)
+    return generate(config, sku_id=sku_id)
+
+synth.generate_panel = slow
+sys.exit(cli.main(["simulate", "--skus", "6", "--days", "20",
+                   "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc")
+@pytest.mark.parametrize("how", ["main-killed", "ctrl-c"])
+def test_simulate_workers_end_with_the_main_process(tmp_path, alarm, how):
+    # Two workers each render a run of one SKU, slowly, when the main
+    # process is killed or the process group gets Ctrl-C. No worker
+    # outlives it; after Ctrl-C no partial file is left either.
+    pids, work = tmp_path / "pids", tmp_path / "work"
+    work.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_SIMULATE, str(pids),
+         str(work / "s.csv")],
+        env=_fit_env(), stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    workers: list[int] = []
+    try:
+        while not (pids.exists() and pids.read_text()):
+            assert proc.poll() is None, proc.communicate()
+            time.sleep(0.05)
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+        if how == "main-killed":
+            proc.kill()
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate()
+        while not all(map(_gone, workers)):
+            time.sleep(0.05)
+    finally:
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert set(pids.read_text().split()) <= set(map(str, workers))
+    if how == "ctrl-c":
+        assert proc.returncode == -signal.SIGINT
+        assert err.count("KeyboardInterrupt") == 1, err
+        assert list(work.iterdir()) == []
 
 
 # --- cells the byte path declines, in the workers ----------------------------
