@@ -19,8 +19,7 @@ from .ols import FitResult, FitStatus, fit_ols, predict, t_critical, t_pvalue
 from .synth import (CycleConfig, CycleTrace, DgpConfig, cycle_summary,
                     generate_panel, generate_study, simulate_cycle)
 from .two_step import (ReportStatus, Sidedness, SkuUpliftReport, StudyReports,
-                       estimate_sku, fit_baseline, fit_uplift, residual_lift,
-                       run_study)
+                       estimate_sku, run_study)
 
 __all__ = [
     "__version__",
@@ -35,6 +34,5 @@ __all__ = [
     "CycleConfig", "CycleTrace", "DgpConfig", "cycle_summary",
     "generate_panel", "generate_study", "simulate_cycle",
     "ReportStatus", "Sidedness", "SkuUpliftReport", "StudyReports",
-    "estimate_sku",
-    "fit_baseline", "fit_uplift", "residual_lift", "run_study",
+    "estimate_sku", "run_study",
 ]

@@ -41,7 +41,7 @@ import numpy as np
 
 try:
     import fcntl
-except ImportError:  # no flock: fit neither locks nor sweeps its buckets
+except ImportError:  # no flock: no run locks or sweeps scratch directories
     fcntl = None
 
 from . import __version__, domain, synth
@@ -369,29 +369,30 @@ class _Workers:
 
 
 @contextlib.contextmanager
-def _spill_directory(parent: Path) -> Iterator[Path]:
-    """A new ``.uplift-fit-*`` directory in ``parent`` for the buckets of a
-    fit, removed on exit. Until then it holds a ``lock`` file that this
-    process, and the workers it forks, hold flocked. First, every such
-    directory whose lock no process holds, left by a fit that was killed,
-    is removed; one with no ``lock`` file may be one that another fit is
-    making, and is left alone."""
-    for stale in parent.glob(".uplift-fit-*") if fcntl else ():
-        # OSError: no lock file, or a running fit holds it.
+def _scratch_directory(parent: Path, command: str) -> Iterator[Path]:
+    """A new ``.uplift-<command>-*`` directory in ``parent`` for what a run
+    of ``command`` writes before it is done (the buckets of a fit, the
+    dataset of a simulate), removed on exit. Until then it holds a ``lock``
+    file that this process, and the workers it forks, hold flocked. First,
+    every ``.uplift-*`` directory whose lock no process holds, left by a
+    run that was killed, is removed; one with no ``lock`` file may be one
+    that another run is making, and is left alone."""
+    for stale in parent.glob(".uplift-*") if fcntl else ():
+        # OSError: no lock file, or a running process holds it.
         with contextlib.suppress(OSError), \
                 os.fdopen(os.open(stale / "lock", os.O_RDONLY)) as lock:
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
             shutil.rmtree(stale, ignore_errors=True)
-    spill = Path(tempfile.mkdtemp(prefix=".uplift-fit-", dir=parent))
-    with os.fdopen(os.open(spill / "lock.new", os.O_CREAT | os.O_WRONLY,
+    scratch = Path(tempfile.mkdtemp(prefix=f".uplift-{command}-", dir=parent))
+    with os.fdopen(os.open(scratch / "lock.new", os.O_CREAT | os.O_WRONLY,
                            0o600), "wb") as lock:
         try:
             if fcntl:
                 fcntl.flock(lock, fcntl.LOCK_EX)
-            os.rename(spill / "lock.new", spill / "lock")  # once it is held
-            yield spill
+            os.rename(scratch / "lock.new", scratch / "lock")  # once held
+            yield scratch
         finally:
-            shutil.rmtree(spill, ignore_errors=True)
+            shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _read_input(workers: _Workers, pieces: Iterator[Piece],
@@ -453,7 +454,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     digest = hashlib.sha256()
     errors, warnings = _IssueLog(), _IssueLog()
     studies: list[tuple[StudyReports, int]] = []  # and their panel counts
-    with _spill_directory(existing) as spill, \
+    with _scratch_directory(existing, "fit") as spill, \
             open(input_path, "rb") as handle:
         size = handle.seek(0, io.SEEK_END)
         handle.seek(0)
@@ -541,14 +542,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except InvalidConfig as exc:
         raise UserError(str(exc)) from exc
 
-    # The file is written under a temporary name in the same directory and
-    # renamed when complete, so a failed run leaves no partial dataset.
+    # The file is written in a scratch directory beside it and renamed when
+    # complete, so a failed run leaves no partial dataset, and a killed one
+    # a directory that the next run in the same directory removes.
     out_path = Path(args.out)
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     _check_makedirs(out_path.parent, "--out",
                     (out_path.name, manifest_path.name))
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    part = out_path.with_name(f".{out_path.name}.{os.getpid()}.part")
     # Runs of consecutive SKUs that fill at most one block of rows each (one
     # SKU if it fills more), rendered on one worker per usable CPU: the
     # bytes do not depend on how many.
@@ -557,7 +558,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for first in range(1, args.skus + 1, per_run)]
     (header,) = csv_blocks(())  # no rows: the header alone
     digest = hashlib.sha256()
-    try:
+    with _scratch_directory(out_path.parent, "simulate") as scratch:
+        part = scratch / out_path.name
         with _Workers(config, min(_usable_cpus(), len(runs))) as workers, \
                 open(part, "wb") as out:
             for data in itertools.chain([header.encode("utf-8")],
@@ -565,9 +567,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 digest.update(data)
                 out.write(data)
         os.replace(part, out_path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
     config_dict = dataclasses.asdict(config)
     config_dict["start_date"] = config.start_date.isoformat()
     config_dict["skus"] = args.skus

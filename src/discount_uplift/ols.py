@@ -10,17 +10,18 @@ summing a short contiguous row (fitted values, squared row norms of R^-1):
 eight interleaved lanes added pairwise, which
 ``tests/oracles.py::_short_row_sum`` models.
 
-There is one kernel: ``fit_ols_batch`` fits many designs at once on
-zero-padded (fits, rows, columns) arrays, and ``fit_ols`` is a batch of one.
-The kernel works on a (rows, columns, fits) copy: the fits lie on the
-innermost, contiguous axis, so each sum over rows is one reduce over the
-outer axis that adds the rows in order while its inner loop runs along every
-fit at once. Padding changes no bit of a fit, so a fit's bytes do not depend
-on the batch it was part of. Every fit stays in the batch from the first
-step to the last: one whose design loses rank is frozen, changes no further
-bit, and comes out with NaN coefficients and inference. The p-value's
-continued fraction runs on Python floats, which give the bits of numpy's
-float64 scalars at native speed.
+There is one kernel: ``solve_ols_batch`` solves many designs at once on
+zero-padded (fits, rows, columns) arrays, with no inference;
+``fit_ols_batch`` is that solve followed by the inference, and ``fit_ols``
+is a batch of one. The kernel works on a (rows, columns, fits) copy: the
+fits lie on the innermost, contiguous axis, so each sum over rows is one
+reduce over the outer axis that adds the rows in order while its inner loop
+runs along every fit at once. Padding changes no bit of a fit, so a fit's
+bytes do not depend on the batch it was part of. Every fit stays in the
+batch from the first step to the last: one whose design loses rank is
+frozen, changes no further bit, and comes out with NaN coefficients and
+inference. The p-value's continued fraction runs on Python floats, which
+give the bits of numpy's float64 scalars at native speed.
 """
 from __future__ import annotations
 
@@ -65,13 +66,12 @@ class FitStatus(Enum):
 class FitResult:
     """Coefficients and Student-t inference for one least-squares fit.
 
-    ``fit_ols``, ``fit_baseline`` and ``fit_uplift`` return one, as a row of
-    a :class:`BatchFit`; a study keeps none. When the design is rank
-    deficient no coefficients are reported and ``missing_columns`` names a
-    set of columns that are linear combinations of the pivoted ones. A
-    saturated fit (``dof == 0``) reports coefficients with NaN standard
-    errors, t statistics and p-values. The p-values are computed on first
-    access.
+    ``fit_ols`` returns one, as a row of a :class:`BatchFit`; a study keeps
+    none. When the design is rank deficient no coefficients are reported
+    and ``missing_columns`` names a set of columns that are linear
+    combinations of the pivoted ones. A saturated fit (``dof == 0``)
+    reports coefficients with NaN standard errors, t statistics and
+    p-values. The p-values are computed on first access.
     """
 
     status: FitStatus
@@ -194,32 +194,47 @@ def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BatchFit:
-    """The fits of one ``fit_ols_batch`` call as arrays, one row per fit.
+class BatchSolve:
+    """The coefficients of the fits of one ``solve_ols_batch`` call, one row
+    per fit, with no inference.
 
-    ``coefficients``, ``std_errors`` and ``t_stats`` are (fits, columns)
-    and ``sigma2`` (fits,); their rows are NaN where a fit is rank
-    deficient, and ``missing_columns`` names that fit's dependent columns
-    (empty at full rank). ``residuals`` is (fits, rows), each fit's in its
-    first ``n_obs`` entries.
-    ``row`` gives one fit as a :class:`FitResult`.
+    ``coefficients`` is (fits, columns), NaN in the rows of the
+    rank-deficient fits, and ``missing_columns`` names each such fit's
+    dependent columns (empty at full rank). ``r`` and ``pivots`` are each
+    fit's triangular factor, the identity where it is rank deficient, and
+    its column order, from which ``fit_ols_batch`` forms the inference.
     """
 
     column_labels: tuple[str, ...]
     n_obs: np.ndarray
     rank: np.ndarray
-    dof: np.ndarray
     coefficients: np.ndarray
-    std_errors: np.ndarray
-    t_stats: np.ndarray
-    sigma2: np.ndarray
     missing_columns: tuple[tuple[str, ...], ...]
-    residuals: np.ndarray
+    r: np.ndarray
+    pivots: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
         """Mask of the full-rank fits."""
         return self.rank == len(self.column_labels)
+
+
+@dataclass(frozen=True, eq=False)
+class BatchFit(BatchSolve):
+    """The fits of one ``fit_ols_batch`` call as arrays, one row per fit:
+    a :class:`BatchSolve` with its inference.
+
+    ``std_errors`` and ``t_stats`` are (fits, columns) and ``sigma2``
+    (fits,); their rows are NaN where a fit is rank deficient.
+    ``residuals`` is (fits, rows), each fit's in its first ``n_obs``
+    entries. ``row`` gives one fit as a :class:`FitResult`.
+    """
+
+    dof: np.ndarray
+    std_errors: np.ndarray
+    t_stats: np.ndarray
+    sigma2: np.ndarray
+    residuals: np.ndarray
 
     def row(self, b: int) -> FitResult:
         """Fit ``b`` as a :class:`FitResult` whose arrays are views of the
@@ -239,19 +254,17 @@ class BatchFit:
                          residuals=self.residuals[b, :n_obs])
 
 
-def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
-                  labels: Sequence[str]) -> BatchFit:
-    """Least-squares fits of a batch of designs in one pass of the kernel.
+def solve_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
+                    labels: Sequence[str]) -> BatchSolve:
+    """Least-squares coefficients of a batch of designs in one pass of the
+    kernel, with no inference.
 
     ``X`` is (fits, rows, columns) and ``y`` (fits, rows); fit ``b`` uses
     its first ``n_obs[b]`` rows, and its remaining rows must be zero in both.
     Every ``n_obs`` must lie in 1..rows, else ``DimensionMismatch``.
     Every sum over rows adds them in order and every other reduction runs
     within one fit, so each fit is bit-identical to ``fit_ols`` on that
-    fit's rows alone, whatever else shares the batch. The inference of
-    every fit (``sigma2``, standard errors, t statistics) is computed as
-    (fits, columns) arrays with elementwise operations, and returned as
-    such, with the residuals; a rank-deficient fit's rows are NaN.
+    fit's rows alone, whatever else shares the batch.
     """
     names = tuple(labels)
     count, n, p = X.shape
@@ -271,18 +284,33 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     for b in np.flatnonzero(deficient).tolist():
         # The unpivoted columns are linear combinations of the pivoted ones.
         missing[b] = tuple(names[j] for j in sorted(piv[b, rank[b]:]))
-    dof = n_obs - p
     # A deficient fit solves the identity instead of its partial R and gets
     # NaN coefficients, so every row derived from them is NaN.
     R[deficient] = np.eye(p)
-    # One solve gives the pivoted coefficients (column 0) and R^-1.
-    rhs = np.empty((count, p, p + 1))
-    rhs[:, :, 0] = qty[:, :p]
-    rhs[:, :, 1:] = np.eye(p)
-    solved = _back_substitute(R, rhs)
+    pivoted = _back_substitute(R, qty[:, :p, None])[:, :, 0]
     beta = np.empty((count, p))
-    np.put_along_axis(beta, piv, solved[:, :, 0], axis=1)
+    np.put_along_axis(beta, piv, pivoted, axis=1)
     beta[deficient] = math.nan
+    return BatchSolve(column_labels=names, n_obs=n_obs, rank=rank,
+                      coefficients=beta, missing_columns=tuple(missing), r=R,
+                      pivots=piv)
+
+
+def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
+                  labels: Sequence[str]) -> BatchFit:
+    """``solve_ols_batch`` followed by the inference of every fit
+    (``sigma2``, standard errors, t statistics), computed as (fits,
+    columns) arrays with elementwise operations and returned as such, with
+    the residuals; a rank-deficient fit's rows are NaN.
+
+    ``R^-1`` comes from a back-substitution of its own. Each right-hand
+    column is updated only from itself and ``R``, so the coefficients are
+    the bits they would be if solved together with it.
+    """
+    solved = solve_ols_batch(X, y, n_obs, labels)
+    beta, piv = solved.coefficients, solved.pivots
+    count, p = beta.shape
+    dof = solved.n_obs - p
     fitted = y - linear_combination(X, beta[:, None, :])
     # A running total adds the residuals in row order; a 1-D reduce would
     # sum them pairwise, whose rounding changes with trailing zero rows.
@@ -291,7 +319,8 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     sigma2 = np.divide(rss, dof, out=np.full(count, math.nan),
                        where=dof != 0)
     # diag((X'X)^-1) in pivoted order: squared row norms of R^-1.
-    r_inv = solved[:, :, 1:]
+    r_inv = _back_substitute(solved.r, np.broadcast_to(np.eye(p),
+                                                        (count, p, p)))
     variances = np.empty((count, p))
     np.put_along_axis(variances, piv,
                       sigma2[:, None] * np.add.reduce(r_inv * r_inv, axis=2),
@@ -301,10 +330,8 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     # in an exact fit (zero residual variance), an infinity of its sign.
     t_stats = np.where(beta == 0.0, 0.0, np.copysign(math.inf, beta))
     np.divide(beta, std_errors, out=t_stats, where=~(std_errors <= 0.0))
-    return BatchFit(column_labels=names, n_obs=n_obs, rank=rank, dof=dof,
-                    coefficients=beta, std_errors=std_errors, t_stats=t_stats,
-                    sigma2=sigma2, missing_columns=tuple(missing),
-                    residuals=fitted)
+    return BatchFit(**vars(solved), dof=dof, std_errors=std_errors,
+                    t_stats=t_stats, sigma2=sigma2, residuals=fitted)
 
 
 def fit_ols(X: np.ndarray, y: Sequence[float] | np.ndarray,

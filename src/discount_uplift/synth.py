@@ -29,7 +29,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -218,27 +218,6 @@ def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
     return SkuPanel(sku_id=sku_id, table=table)
 
 
-def iter_study(config: DgpConfig, n_skus: int,
-               gammas: Sequence[float] | None = None) -> Iterator[SkuPanel]:
-    """The panels of :func:`generate_study`, generated one at a time as the
-    iterator is consumed, so that only the panels a caller keeps stay in
-    memory. The arguments are checked when this is called."""
-    if n_skus < 0:
-        raise InvalidConfig("n_skus must be non-negative")
-    if gammas is not None and len(gammas) == 0:
-        raise InvalidConfig("gammas must be None or non-empty")
-
-    def panels() -> Iterator[SkuPanel]:
-        for i in range(n_skus):
-            cfg = config if gammas is None else replace(
-                config, gamma_true=float(gammas[i % len(gammas)]))
-            # Looked up per panel, so a wrapper on the module attribute
-            # sees every call.
-            yield generate_panel(cfg, sku_id=i + 1)
-
-    return panels()
-
-
 def generate_study(config: DgpConfig, n_skus: int,
                    gammas: Sequence[float] | None = None
                    ) -> tuple[SkuPanel, ...]:
@@ -247,10 +226,19 @@ def generate_study(config: DgpConfig, n_skus: int,
     ``gammas`` is cycled over the SKUs; None keeps ``config.gamma_true``
     everywhere, and an empty sequence raises ``InvalidConfig``. SKU ids run
     from 1 upward and fix each SKU's random stream together with the seed.
-    This holds every panel at once; :func:`iter_study` yields the same
-    panels one at a time.
     """
-    return tuple(iter_study(config, n_skus, gammas))
+    if n_skus < 0:
+        raise InvalidConfig("n_skus must be non-negative")
+    if gammas is not None and len(gammas) == 0:
+        raise InvalidConfig("gammas must be None or non-empty")
+    panels = []
+    for i in range(n_skus):
+        cfg = config if gammas is None else replace(
+            config, gamma_true=float(gammas[i % len(gammas)]))
+        # Looked up per panel, so a wrapper on the module attribute sees
+        # every call.
+        panels.append(generate_panel(cfg, sku_id=i + 1))
+    return tuple(panels)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ coefficient on that count is the per-unit uplift.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -16,9 +15,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .domain import EligibilityRule, SkuPanel, filter_eligible
-from .ols import (BASELINE_LABELS, UPLIFT_LABELS, BatchFit, DimensionMismatch,
-                  FitResult, PredictOnFailedFit, fit_ols_batch,
-                  linear_combination, p_value)
+from .ols import (BASELINE_LABELS, UPLIFT_LABELS, BatchFit, fit_ols_batch,
+                  linear_combination, p_value, solve_ols_batch)
 # Unused here; perfbench/tracer.py wraps two_step.fit_ols and two_step.predict.
 from .ols import fit_ols, predict  # noqa: F401
 
@@ -49,14 +47,6 @@ class TwoStepError(ValueError):
     pass
 
 
-class EmptyTrainingSet(TwoStepError):
-    pass
-
-
-class TooFewDiscountDays(TwoStepError):
-    pass
-
-
 class Sidedness(str, Enum):
     """t-test reading for the uplift coefficient.
 
@@ -81,8 +71,7 @@ class SkuUpliftReport:
     (items/day); ``gamma10`` the estimated uplift per discounted sale. On
     ``ESTIMATION_FAILED`` all estimate fields are None and
     ``failure_reason`` says why (naming missing weekday columns when a stage
-    was rank deficient). ``stage2`` is set only by ``fit_uplift``; a row of
-    a study carries no stage fit.
+    was rank deficient).
     """
 
     sku_id: int
@@ -96,7 +85,6 @@ class SkuUpliftReport:
     gamma10_t: float | None = None
     gamma10_p: float | None = None
     significant_positive: bool | None = None
-    stage2: FitResult | None = None
     failure_reason: str | None = None
 
     @property
@@ -123,7 +111,7 @@ class StudyReports:
     ``gamma10_t`` and ``gamma10_p``, NaN where the estimation failed; and
     ``significant``, false there. ``failure_reason`` is a list holding
     each failed row's reason and None elsewhere. Indexing or iterating
-    gives rows as :class:`SkuUpliftReport` with no stage fits.
+    gives rows as :class:`SkuUpliftReport`.
     """
 
     sku: np.ndarray
@@ -235,13 +223,6 @@ def _stack(panels: Sequence[SkuPanel], indices: Sequence[np.ndarray],
     return X, y
 
 
-def _stage1(panels: Sequence[SkuPanel]) -> BatchFit:
-    """Stage 1 of each panel, in one kernel call: sales on weekday dummies,
-    forecast and stock over its discount-free days."""
-    X, y = _stack(panels, [p.plain_index for p in panels], BASELINE_LABELS)
-    return fit_ols_batch(X, y, [p.n_plain for p in panels], BASELINE_LABELS)
-
-
 def _lift(panels: Sequence[SkuPanel], coefficients: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """The stage-2 designs of the panels' discount days, (panels, rows,
@@ -251,23 +232,6 @@ def _lift(panels: Sequence[SkuPanel], coefficients: np.ndarray
     X, sales = _stack(panels, [p.disc_index for p in panels], UPLIFT_LABELS)
     return X, sales - linear_combination(X[:, :, :len(BASELINE_LABELS)],
                                          coefficients[:, None, :])
-
-
-def _check_training_days(panel: SkuPanel) -> None:
-    if panel.n_plain == 0:
-        raise EmptyTrainingSet(f"sku {panel.sku_id}: no discount-free days")
-
-
-def _check_discount_days(panel: SkuPanel) -> None:
-    if panel.n_disc == 0:
-        raise TooFewDiscountDays(f"sku {panel.sku_id}: no discount days")
-
-
-def _check_inference(panel: SkuPanel) -> None:
-    if panel.n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE:
-        raise TooFewDiscountDays(
-            f"sku {panel.sku_id}: {panel.n_disc} discount days, need at least "
-            f"{MIN_DISCOUNT_DAYS_FOR_INFERENCE} for stage-2 inference")
 
 
 def _checked_t_test(alpha: float, sidedness: Sidedness | str) -> Sidedness:
@@ -287,77 +251,28 @@ def _checked_t_test(alpha: float, sidedness: Sidedness | str) -> Sidedness:
             f"{sidedness!r}") from None
 
 
-def fit_baseline(panel: SkuPanel) -> FitResult:
-    """OLS of sales on weekday dummies, forecast and stock over the
-    discount-free days only.
-
-    The fit comes back rank deficient when some weekday never occurs among
-    the discount-free days (its dummy column is all zeros), in which case
-    the SKU cannot be estimated.
-    """
-    _check_training_days(panel)
-    return _stage1([panel]).row(0)
-
-
-def residual_lift(panel: SkuPanel, baseline: FitResult) -> np.ndarray:
-    """Actual minus predicted sales on each discount day (in disc_index order)."""
-    _check_discount_days(panel)
-    if not baseline.ok or baseline.coefficients is None:
-        raise PredictOnFailedFit("cannot predict from a rank-deficient fit")
-    if baseline.column_labels != BASELINE_LABELS:
-        raise DimensionMismatch(f"columns {BASELINE_LABELS} do not match fit "
-                                f"columns {baseline.column_labels}")
-    return _lift([panel], baseline.coefficients[None])[1][0]
-
-
 def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
     return 0.5 * two_sided_p if t > 0 else 1.0 - 0.5 * two_sided_p
 
 
-def fit_uplift(panel: SkuPanel, residuals: np.ndarray,
-               alpha: float = 0.05,
-               sidedness: Sidedness = Sidedness.TWO_SIDED) -> SkuUpliftReport:
-    """Regress baseline residuals on covariates plus the discounted-sales
-    count and report the uplift coefficient with its significance verdict.
-
-    The report carries this stage-2 fit, residuals included.
-    Stage-2 rank deficiency yields an ``ESTIMATION_FAILED`` report rather
-    than an exception.
-    """
-    sidedness = _checked_t_test(alpha, sidedness)
-    residuals = np.asarray(residuals, dtype=np.float64).ravel()
-    if residuals.shape[0] != panel.n_disc:
-        raise TwoStepError(
-            f"sku {panel.sku_id}: {residuals.shape[0]} residuals for "
-            f"{panel.n_disc} discount days")
-    _check_inference(panel)
-    if not np.isfinite(residuals).all():
-        raise TwoStepError(f"sku {panel.sku_id}: non-finite residual")
-    X, _ = _stack([panel], [panel.disc_index], UPLIFT_LABELS)
-    stage2 = fit_ols_batch(X, residuals[None], [panel.n_disc], UPLIFT_LABELS)
-    reports = StudyReports.failed([panel])
-    _set_uplift(reports, [0], stage2, residuals[None], alpha, sidedness)
-    return dataclasses.replace(reports[0], stage2=stage2.row(0))
-
-
-def _set_uplift(reports: StudyReports, rows: Sequence[int], stage2: BatchFit,
+def _set_uplift(reports: StudyReports, rows: Sequence[int], fits: BatchFit,
                 lift: np.ndarray, alpha: float, sidedness: Sidedness) -> None:
-    """Fill the ``rows`` of ``reports`` from their stage 2, fitted in that
-    order to the padded residuals ``lift``, reading each array of the batch
-    once."""
-    for b in np.flatnonzero(~stage2.ok).tolist():
+    """Fill the ``rows`` of ``reports`` from their stage-2 ``fits``, fitted
+    in that order to the padded residuals ``lift``, reading each array of
+    the batch once."""
+    for b in np.flatnonzero(~fits.ok).tolist():
         reports.failure_reason[rows[b]] = (
             "stage 2 rank deficient; dependent columns: "
-            + ", ".join(stage2.missing_columns[b]))
-    fitted = np.flatnonzero(stage2.ok)
+            + ", ".join(fits.missing_columns[b]))
+    fitted = np.flatnonzero(fits.ok)
     ds_col = len(UPLIFT_LABELS) - 1
-    gamma10 = stage2.coefficients[fitted, ds_col]
-    gamma10_t = stage2.t_stats[fitted, ds_col]
+    gamma10 = fits.coefficients[fitted, ds_col]
+    gamma10_t = fits.t_stats[fitted, ds_col]
     gamma10_p = []
     mean_residual = []
     for b, t, dof, n in zip(fitted.tolist(), gamma10_t.tolist(),
-                            stage2.dof[fitted].tolist(),
-                            stage2.n_obs[fitted].tolist()):
+                            fits.dof[fitted].tolist(),
+                            fits.n_obs[fitted].tolist()):
         two_sided_p = p_value(t, dof)
         gamma10_p.append(_one_sided_positive_p(t, two_sided_p)
                          if sidedness is Sidedness.ONE_SIDED_POSITIVE
@@ -369,7 +284,7 @@ def _set_uplift(reports: StudyReports, rows: Sequence[int], stage2: BatchFit,
     reports.ok[at] = True
     reports.mean_residual[at] = mean_residual
     reports.gamma10[at] = gamma10
-    reports.gamma10_se[at] = stage2.std_errors[fitted, ds_col]
+    reports.gamma10_se[at] = fits.std_errors[fitted, ds_col]
     reports.gamma10_t[at] = gamma10_t
     reports.gamma10_p[at] = gamma10_p
     reports.significant[at] = (gamma10 > 0.0) & (np.array(gamma10_p) < alpha)
@@ -379,37 +294,41 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
                     sidedness: Sidedness) -> StudyReports:
     """Both stages for a batch of panels, with one kernel call per stage.
 
-    Stage 1 runs for every panel with discount-free days, then stage 2 for
-    every panel whose stage 1 succeeded and whose discount days allow
-    inference; each other panel gets the failed report a lone estimate
-    would give it. Reports come back in the order of ``panels``.
+    Stage 1, sales on weekday dummies, forecast and stock, is solved with
+    no inference for every panel with discount-free days, over those days.
+    Stage 2 runs for every panel whose stage 1 has full rank and whose
+    discount days allow inference; each other panel gets the failed report
+    a lone estimate would give it. Reports come back in the order of
+    ``panels``.
     """
     reports = StudyReports.failed(panels)
     reasons = reports.failure_reason
     first = []
     for i, panel in enumerate(panels):
-        try:
-            _check_training_days(panel)
-        except EmptyTrainingSet as exc:
-            reasons[i] = str(exc)
-        else:
+        if panel.n_plain:
             first.append(i)
+        else:
+            reasons[i] = f"sku {panel.sku_id}: no discount-free days"
     if not first:
         return reports
 
-    stage1 = _stage1([panels[i] for i in first])
+    plain = [panels[i] for i in first]
+    stage1 = solve_ols_batch(
+        *_stack(plain, [p.plain_index for p in plain], BASELINE_LABELS),
+        [p.n_plain for p in plain], BASELINE_LABELS)
     second, baseline = [], []
     for row, (i, ok) in enumerate(zip(first, stage1.ok.tolist())):
         panel = panels[i]
         if not ok:
             reasons[i] = ("stage 1 rank deficient; dependent columns: "
                           + ", ".join(stage1.missing_columns[row]))
-            continue
-        try:
-            _check_discount_days(panel)
-            _check_inference(panel)
-        except TwoStepError as exc:
-            reasons[i] = str(exc)
+        elif panel.n_disc == 0:
+            reasons[i] = f"sku {panel.sku_id}: no discount days"
+        elif panel.n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE:
+            reasons[i] = (f"sku {panel.sku_id}: {panel.n_disc} discount "
+                          f"days, need at least "
+                          f"{MIN_DISCOUNT_DAYS_FOR_INFERENCE} for stage-2 "
+                          "inference")
         else:
             second.append(i)
             baseline.append(row)
@@ -418,16 +337,17 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
 
     X, lift = _lift([panels[i] for i in second],
                     stage1.coefficients[baseline])
-    stage2 = fit_ols_batch(X, lift, [panels[i].n_disc for i in second],
-                           UPLIFT_LABELS)
-    _set_uplift(reports, second, stage2, lift, alpha, sidedness)
+    _set_uplift(reports, second,
+                fit_ols_batch(X, lift, [panels[i].n_disc for i in second],
+                              UPLIFT_LABELS),
+                lift, alpha, sidedness)
     return reports
 
 
 def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
                  sidedness: Sidedness = Sidedness.TWO_SIDED) -> SkuUpliftReport:
     """Run both stages for one panel, turning failures into a failed report:
-    row 0 of a one-panel study, so with no stage fits.
+    row 0 of a one-panel study.
 
     An ``alpha`` outside (0, 1) or an unknown ``sidedness`` raises
     ``TwoStepError``.

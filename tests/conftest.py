@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -38,6 +39,29 @@ def build_panel(sales: Sequence[int], discounted: Sequence[int],
             stock=int(stock[d]), forecast=float(forecast[d]),
             sales=int(sales[d]), discounted_sales=int(discounted[d])))
     return SkuPanel(sku_id, ObservationTable.from_observations(observations))
+
+
+# The columns of the two stages, in the estimator's order.
+BASELINE = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun", "Forecast",
+            "Stock")
+UPLIFT = BASELINE + ("DS",)
+
+
+def stage_design(panel: SkuPanel, discounted: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Design, sales and column labels of a panel's discount-free days
+    (stage 1) or, with ``discounted``, of its discount days (stage 2): a
+    dummy per weekday, forecast, stock and, on discount days, the
+    discounted-sales count."""
+    t = panel.table
+    rows = t.discounted_sales > 0 if discounted else t.discounted_sales == 0
+    columns = [t.weekday[rows] == day for day in range(1, 8)]
+    columns += [t.forecast[rows], t.stock[rows]]
+    if discounted:
+        columns.append(t.discounted_sales[rows])
+    return (np.column_stack(columns).astype(np.float64),
+            t.sales[rows].astype(np.float64),
+            UPLIFT if discounted else BASELINE)
 
 
 @pytest.fixture

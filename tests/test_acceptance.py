@@ -17,15 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_panel, make_report, watch_forks
+from conftest import build_panel, make_report, stage_design, watch_forks
 from discount_uplift.aggregate import summarize, trim_central
 from discount_uplift.cli import main
 from discount_uplift.domain import observation_violations
 from discount_uplift.ols import UPLIFT_LABELS, fit_ols, t_critical, t_pvalue
 from discount_uplift.synth import CycleConfig, DgpConfig, cycle_summary, \
     generate_panel, generate_study, simulate_cycle
-from discount_uplift.two_step import (ReportStatus, estimate_sku, fit_baseline,
-                                      run_study)
+from discount_uplift.two_step import ReportStatus, estimate_sku, run_study
 from oracles import (matrix_with_condition, normal_equations_fit,
                      quantile_order_statistic, t_pvalue_quadrature)
 
@@ -145,8 +144,8 @@ def _panel_without_plain_wednesdays(sku_id: int):
 def test_criterion_5_failure_mode_fidelity():
     """A missing weekday fails that SKU by name without aborting the rest."""
     broken = _panel_without_plain_wednesdays(sku_id=2)
-    stage1 = fit_baseline(broken)
-    assert stage1.missing_columns == ("Wed",)
+    assert estimate_sku(broken).failure_reason == \
+        "stage 1 rank deficient; dependent columns: Wed"
 
     good_config = DgpConfig(seed=42, n_days=280, discount_probability=0.35)
     panels = [generate_panel(good_config, 1), broken,
@@ -260,7 +259,7 @@ def test_criterion_9b_stage1_residuals_sum_to_zero(seed):
     rng = np.random.default_rng(seed)
     config = DgpConfig(seed=seed, n_days=int(rng.integers(150, 500)),
                        discount_probability=float(rng.uniform(0.0, 0.5)))
-    fit = fit_baseline(generate_panel(config, sku_id=1))
+    fit = fit_ols(*stage_design(generate_panel(config, sku_id=1)))
     assume(fit.ok)  # tiny horizons can miss a weekday
     scale = float(np.abs(fit.residuals).sum()) + 1.0
     assert abs(float(fit.residuals.sum())) <= 1e-8 * scale

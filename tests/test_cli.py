@@ -1364,18 +1364,51 @@ def _fit_env() -> dict:
          os.environ.get("PYTHONPATH", "")]))
 
 
-def _waiting_fit(tmp_path: Path, out_dir: Path) -> subprocess.Popen:
-    """A fit on 2 workers, started once one of them is estimating; it
-    waits until ``tmp_path / "pids.go"`` exists."""
+_WAITING_SIMULATE = """
+import os, sys, time
+from pathlib import Path
+from discount_uplift import cli, domain, synth
+os.sched_getaffinity = lambda pid: {0, 1}
+domain._CHUNK_ROWS = 20
+generate = synth.generate_panel
+
+def waiting(config, sku_id):
+    with open(sys.argv[1], "a") as handle:
+        handle.write(f"{os.getpid()}\\n")
+    while not Path(sys.argv[1] + ".go").exists():
+        time.sleep(0.05)
+    return generate(config, sku_id=sku_id)
+
+synth.generate_panel = waiting
+sys.exit(cli.main(["simulate", "--skus", "4", "--days", "20",
+                   "--out", sys.argv[2]]))
+"""
+
+
+def _waiting(tmp_path: Path, script: str, *args: Path) -> subprocess.Popen:
+    """``script`` run with ``tmp_path / "pids"`` and ``args``, started once
+    one of its workers is at work; it waits until ``tmp_path / "pids.go"``
+    exists."""
     pids = tmp_path / "pids"
     proc = subprocess.Popen(
-        [sys.executable, "-c", _WAITING_FIT, str(pids),
-         str(DATA / "golden_input.csv"), str(out_dir)],
+        [sys.executable, "-c", script, str(pids), *map(str, args)],
         env=_fit_env(), stderr=subprocess.PIPE, text=True)
     while not (pids.exists() and pids.read_text()):
         assert proc.poll() is None, proc.communicate()
         time.sleep(0.05)
     return proc
+
+
+def _waiting_fit(tmp_path: Path, out_dir: Path) -> subprocess.Popen:
+    """A fit on 2 workers, started once one of them is estimating."""
+    return _waiting(tmp_path, _WAITING_FIT, DATA / "golden_input.csv",
+                    out_dir)
+
+
+def _waiting_simulate(tmp_path: Path, out: Path) -> subprocess.Popen:
+    """A simulate of 4 SKUs on 2 workers, started once one of them is
+    generating."""
+    return _waiting(tmp_path, _WAITING_SIMULATE, out)
 
 
 def _fit_beside(out_dir: Path) -> None:
@@ -1387,6 +1420,15 @@ def _fit_beside(out_dir: Path) -> None:
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert (out_dir / "reports.csv").read_bytes() == \
         (DATA / "golden_reports.csv").read_bytes()
+
+
+def _simulate_beside(out: Path) -> None:
+    """A simulate of 3 SKUs, in a process of its own."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "discount_uplift.cli", "simulate", "--skus",
+         "3", "--days", "20", "--out", str(out)],
+        env=_fit_env(), capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 needs_flock = pytest.mark.skipif(importlib.util.find_spec("fcntl") is None,
@@ -1450,6 +1492,51 @@ def test_fit_leaves_a_directory_without_a_lock_file(tmp_path, alarm):
     _fit_beside(work / "out")
     assert list(work.glob(".uplift-fit-*")) == [making]
     assert [p.name for p in making.iterdir()] == ["bucket-0.1"]
+
+
+@needs_flock
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc")
+def test_simulate_removes_the_leftover_of_a_killed_simulate(tmp_path, alarm):
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = _waiting_simulate(tmp_path, work / "s.csv")
+    workers = _children(proc.pid)
+    proc.kill()
+    proc.communicate()
+    while not all(map(_gone, workers)):
+        time.sleep(0.05)
+    (left,) = work.glob(".uplift-simulate-*")
+    assert sorted(p.name for p in left.iterdir()) == ["lock", "s.csv"]
+    _simulate_beside(work / "s.csv")
+    assert sorted(p.name for p in work.iterdir()) == \
+        ["s.csv", "s.csv.manifest.json"]
+
+
+@needs_flock
+@pytest.mark.parametrize("first", ["fit", "simulate"])
+def test_simulate_and_fit_side_by_side_keep_each_others_directory(
+        tmp_path, alarm, first):
+    work = tmp_path / "work"
+    work.mkdir()
+    if first == "fit":
+        proc = _waiting_fit(tmp_path, work / "a")
+    else:
+        proc = _waiting_simulate(tmp_path, work / "s.csv")
+    try:
+        (running,) = work.glob(".uplift-*")
+        if first == "fit":
+            _simulate_beside(work / "t.csv")
+        else:
+            _fit_beside(work / "b")
+        assert list(work.glob(".uplift-*")) == [running]
+        (tmp_path / "pids.go").touch()
+        _, err = proc.communicate()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert not list(work.glob(".uplift-*"))
 
 
 # --- simulate's workers, and a task no worker can take -----------------------

@@ -12,7 +12,7 @@ from discount_uplift.ols import (DimensionMismatch, FitResult, FitStatus,
                                  InvalidDof, OlsError, PredictOnFailedFit,
                                  _householder_qr, fit_ols, fit_ols_batch,
                                  predict, regularized_incomplete_beta,
-                                 t_critical, t_pvalue)
+                                 solve_ols_batch, t_critical, t_pvalue)
 from oracles import (householder_fit, matrix_with_condition,
                      normal_equations_fit, t_pvalue_quadrature)
 
@@ -318,6 +318,8 @@ def test_batch_inference_branches_equal_lone_fits():
     # own rows: an ordinary fit, a rank-deficient one, a saturated one
     # (n == p: NaN sigma2, errors and t's) and exact fits (zero residuals:
     # t of +0.0 for the -0.0 intercept and an infinity of the slope's sign).
+    # The solve alone gives the batch's coefficients, NaN rows included,
+    # and dependent columns.
     rng = np.random.default_rng(7)
     x = rng.normal(size=12)
     line = np.column_stack([np.ones(6), np.arange(6.0)])
@@ -342,6 +344,13 @@ def test_batch_inference_branches_equal_lone_fits():
         assert math.copysign(1.0, fit.t_stats[0]) == 1.0
     for fit, (Xb, yb) in zip(fits, designs):
         assert _fit_bytes(fit) == _fit_bytes(fit_ols(Xb, yb, labels))
+    lengths = [len(yb) for _, yb in designs]
+    batch = fit_ols_batch(X, y, lengths, labels)
+    solved = solve_ols_batch(X, y, lengths, labels)
+    assert np.isnan(solved.coefficients[1]).all()
+    assert solved.coefficients.tobytes() == batch.coefficients.tobytes()
+    assert solved.missing_columns == batch.missing_columns == \
+        ((), ("a",), (), (), ())
 
 
 def test_kernel_bits_as_fits_leave_down_to_one():
@@ -499,7 +508,8 @@ def _oracle_bytes(rank, beta, std_errors, residuals) -> tuple:
 def test_kernel_equals_householder_oracle(seed):
     # Every sum over rows adds them in order, so coefficients, standard
     # errors and residuals equal a Python-float Householder reference bit
-    # for bit, alone, zero-padded in a batch, and at scales 1e-6 to 1e6.
+    # for bit, alone, zero-padded in a batch, and at scales 1e-6 to 1e6;
+    # so do the coefficients of the solve alone.
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 11))
     lengths = [int(rng.integers(p + 1, 70)) for _ in range(4)]
@@ -511,13 +521,16 @@ def test_kernel_equals_householder_oracle(seed):
     X, y = _padded_batch(designs, int(rng.integers(0, 9)))
     labels = tuple(f"x{j}" for j in range(p))
     batch = _batch_rows(X, y, lengths, labels)
-    for fit, (Xb, yb) in zip(batch, designs):
+    solved = solve_ols_batch(X, y, lengths, labels)
+    for b, (fit, (Xb, yb)) in enumerate(zip(batch, designs)):
         oracle = householder_fit(Xb.tolist(), yb.tolist())
         assert oracle[0] == p
         lone = fit_ols(Xb, yb, labels)
         for got in (fit, lone):
             assert _oracle_bytes(got.rank, got.coefficients, got.std_errors,
                                  got.residuals) == _oracle_bytes(*oracle)
+        assert _oracle_bytes(solved.rank[b], solved.coefficients[b], [], []) \
+            == _oracle_bytes(*oracle[:2], [], [])
 
 
 @pytest.mark.parametrize("n_obs", [10, 0])

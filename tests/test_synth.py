@@ -13,8 +13,7 @@ from discount_uplift.domain import observation_violations, parse_csv, serialize_
 from discount_uplift.ols import fit_ols
 from discount_uplift.synth import (CycleConfig, DgpConfig, InvalidConfig,
                                    cycle_summary, generate_panel,
-                                   generate_study, iter_study,
-                                   simulate_cycle)
+                                   generate_study, simulate_cycle)
 from discount_uplift.two_step import estimate_sku
 
 from oracles import generate_panel_rows
@@ -98,7 +97,7 @@ def test_generate_study_rejects_empty_gammas():
     with pytest.raises(InvalidConfig, match="gammas"):
         generate_study(DgpConfig(n_days=10), 3, gammas=[])
     with pytest.raises(InvalidConfig, match="n_skus"):
-        iter_study(DgpConfig(), -1)
+        generate_study(DgpConfig(), -1)
 
 
 @pytest.mark.parametrize("bad", [

@@ -7,17 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import build_panel
+from conftest import build_panel, stage_design
 from discount_uplift.aggregate import summarize
 from discount_uplift.domain import EligibilityRule
 from discount_uplift.ols import (UPLIFT_LABELS, DimensionMismatch, FitStatus,
-                                 OlsError, PredictOnFailedFit, t_pvalue)
+                                 PredictOnFailedFit, fit_ols, predict,
+                                 t_pvalue)
 from discount_uplift.synth import DgpConfig, generate_panel, generate_study
 from discount_uplift.two_step import (MIN_DISCOUNT_DAYS_FOR_INFERENCE,
-                                      EmptyTrainingSet, ReportStatus,
-                                      Sidedness, TooFewDiscountDays,
-                                      TwoStepError, estimate_sku, fit_baseline,
-                                      fit_uplift, residual_lift, run_study)
+                                      ReportStatus, Sidedness, TwoStepError,
+                                      estimate_sku, run_study)
 
 
 def weekend_discount_panel(n_days=280, sku_id=1):
@@ -33,8 +32,27 @@ def weekend_discount_panel(n_days=280, sku_id=1):
     return build_panel(sales, disc, sku_id=sku_id)
 
 
+def _lift(panel, baseline):
+    """Sales minus their prediction by ``baseline`` on each discount day."""
+    X, sales, _ = stage_design(panel, discounted=True)
+    return sales - predict(baseline, X[:, :9])
+
+
+def _lone_fits(panel):
+    """``fit_ols`` of each stage a panel reaches, on the test's own designs:
+    stage 1 over its discount-free days and, after a full-rank stage 1,
+    stage 2 of the residual lift over its discount days."""
+    fits = []
+    if panel.n_plain:
+        fits.append(fit_ols(*stage_design(panel)))
+        if fits[0].ok and panel.n_disc:
+            X, _, labels = stage_design(panel, discounted=True)
+            fits.append(fit_ols(X, _lift(panel, fits[0]), labels))
+    return fits
+
+
 def test_baseline_missing_weekdays_is_rank_deficient():
-    fit = fit_baseline(weekend_discount_panel())
+    fit = fit_ols(*stage_design(weekend_discount_panel()))
     assert fit.status is FitStatus.RANK_DEFICIENT
     assert set(fit.missing_columns) == {"Sat", "Sun"}
 
@@ -44,7 +62,7 @@ def test_baseline_exact_linear_signal():
     forecast = [1.0 + 0.5 * (d % 6) for d in range(n)]
     sales = [int(2 * f) for f in forecast]
     panel = build_panel(sales, [0] * n, forecast=forecast)
-    fit = fit_baseline(panel)
+    fit = fit_ols(*stage_design(panel))
     assert fit.ok
     assert fit.coefficients[7] == pytest.approx(2.0, abs=1e-9)
     others = np.delete(fit.coefficients, 7)
@@ -55,7 +73,7 @@ def test_baseline_exact_linear_signal():
 def test_baseline_recovers_dgp_coefficients():
     config = DgpConfig(seed=7, n_days=2000)
     panel = generate_panel(config, sku_id=1)
-    fit = fit_baseline(panel)
+    fit = fit_ols(*stage_design(panel))
     assert fit.ok
     for w in range(7):
         err = abs(fit.coefficients[w] - config.weekday_effects[w])
@@ -66,8 +84,9 @@ def test_baseline_recovers_dgp_coefficients():
 
 def test_baseline_requires_training_days():
     panel = build_panel([2, 2], [1, 1])
-    with pytest.raises(EmptyTrainingSet):
-        fit_baseline(panel)
+    report = estimate_sku(panel)
+    assert not report.ok
+    assert report.failure_reason == "sku 1: no discount-free days"
 
 
 def test_no_discount_days_fail_the_sku():
@@ -75,13 +94,11 @@ def test_no_discount_days_fail_the_sku():
     report = estimate_sku(panel)
     assert not report.ok
     assert report.failure_reason == "sku 1: no discount days"
-    with pytest.raises(TooFewDiscountDays, match="no discount days"):
-        residual_lift(panel, fit_baseline(panel))
 
 
 def test_baseline_training_residuals_sum_to_zero():
     panel = generate_panel(DgpConfig(seed=11, n_days=700), sku_id=4)
-    fit = fit_baseline(panel)
+    fit = fit_ols(*stage_design(panel))
     scale = np.abs(fit.residuals).sum() + 1.0
     assert abs(fit.residuals.sum()) <= 1e-8 * scale
 
@@ -92,15 +109,15 @@ def test_residual_lift_direct_subtraction():
     sales = [int(2 * f) for f in forecast]
     disc = [1 if d % 5 == 0 else 0 for d in range(n)]
     panel = build_panel(sales, disc, forecast=forecast)
-    fit = fit_baseline(panel)
-    deltas = residual_lift(panel, fit)
+    fit = fit_ols(*stage_design(panel))
+    deltas = _lift(panel, fit)
     # Baseline reproduces sales exactly, so every residual is zero.
     assert np.abs(deltas).max() <= 1e-8
 
     bumped_sales = [s + (3 if d % 5 == 0 else 0) for d, s in enumerate(sales)]
     panel2 = build_panel(bumped_sales, disc, forecast=forecast)
-    fit2 = fit_baseline(panel2)  # same plain days, same exact baseline
-    deltas2 = residual_lift(panel2, fit2)
+    fit2 = fit_ols(*stage_design(panel2))  # same plain days, exact baseline
+    deltas2 = _lift(panel2, fit2)
     assert np.allclose(deltas2, 3.0, atol=1e-8)
 
 
@@ -108,19 +125,18 @@ def test_residual_lift_value():
     # sales 3, prediction 1.2 -> residual 1.8
     assert 3.0 - 1.2 == pytest.approx(1.8)
     panel = weekend_discount_panel()
-    fit = fit_baseline(panel)
+    fit = fit_ols(*stage_design(panel))
     with pytest.raises(PredictOnFailedFit):
-        residual_lift(panel, fit)
+        _lift(panel, fit)
 
 
 def test_residual_lift_rejects_a_stage2_fit():
     panel = generate_panel(DgpConfig(seed=17, n_days=300,
                                      discount_probability=0.3), sku_id=1)
-    baseline = fit_baseline(panel)
-    report = fit_uplift(panel, residual_lift(panel, baseline))
-    assert report.ok
+    baseline, stage2 = _lone_fits(panel)
+    assert stage2.ok
     with pytest.raises(DimensionMismatch, match="do not match"):
-        residual_lift(panel, report.stage2)
+        _lift(panel, stage2)
 
 
 def test_residual_lift_dgp_expectation():
@@ -128,56 +144,68 @@ def test_residual_lift_dgp_expectation():
     # residual lift should be close to 0.8 * 1.5 = 1.2.
     config = DgpConfig(seed=5, n_days=2000, gamma_true=0.8,
                        discount_intensity=0.874, discount_probability=0.3)
-    panel = generate_panel(config, sku_id=2)
-    deltas = residual_lift(panel, fit_baseline(panel))
-    assert np.mean(deltas) == pytest.approx(1.2, abs=0.15)
+    report = estimate_sku(generate_panel(config, sku_id=2))
+    assert report.mean_residual == pytest.approx(1.2, abs=0.15)
 
 
 def test_fit_uplift_exact_signal():
-    import datetime as dt
     n = 140
-    start = dt.date(2024, 1, 1)
     ds = [1 + (d * 3) % 5 for d in range(n)]
     forecast = [1.0 + 0.25 * (d % 11) for d in range(n)]
     panel = build_panel([10] * n, ds, forecast=forecast,
                         stock=[20 + d % 6 for d in range(n)])
+    X, _, labels = stage_design(panel, discounted=True)
     residuals = 0.6 * np.array(ds, dtype=float)
-    report = fit_uplift(panel, residuals)
-    assert report.ok
-    assert report.gamma10 == pytest.approx(0.6, abs=1e-9)
-    assert report.stage2.sigma2 <= 1e-18
-    assert report.significant_positive
-    assert report.mean_residual == pytest.approx(residuals.mean())
+    fit = fit_ols(X, residuals, labels)
+    assert fit.ok
+    assert fit.coefficients[9] == pytest.approx(0.6, abs=1e-9)
+    assert fit.sigma2 <= 1e-18
+    assert fit.p_value(9) < 0.05
 
 
 def test_fit_uplift_needs_enough_discount_days():
     n = MIN_DISCOUNT_DAYS_FOR_INFERENCE - 1
     panel = build_panel([5] * 120, [1] * n + [0] * (120 - n))
-    with pytest.raises(TooFewDiscountDays):
-        fit_uplift(panel, np.zeros(n))
+    report = estimate_sku(panel)
+    assert not report.ok
+    assert report.failure_reason == \
+        "sku 1: 10 discount days, need at least 11 for stage-2 inference"
 
 
 def test_fit_uplift_residual_alignment_checked():
     panel = build_panel([5] * 120, [1] * 60 + [0] * 60)
-    with pytest.raises(TwoStepError):
-        fit_uplift(panel, np.zeros(10))
+    X, _, labels = stage_design(panel, discounted=True)
+    with pytest.raises(DimensionMismatch):
+        fit_ols(X, np.zeros(10), labels)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fit_uplift_rejects_non_finite_residuals(bad):
-    panel = generate_panel(DgpConfig(seed=17, n_days=300,
-                                     discount_probability=0.3), sku_id=1)
-    residuals = residual_lift(panel, fit_baseline(panel))
-    residuals[4] = bad
-    with pytest.raises(TwoStepError, match="non-finite"):
-        fit_uplift(panel, residuals)
+    # A hand-built panel skips the parser's finiteness check. A non-finite
+    # forecast on a discount day makes that SKU's stage-2 design, and so
+    # its residual lift, non-finite: the SKU fails, and no other.
+    good = generate_panel(DgpConfig(seed=17, n_days=300,
+                                    discount_probability=0.3), sku_id=1)
+    t = good.table
+    forecast = t.forecast.copy()
+    forecast[good.disc_index[4]] = bad
+    panel = build_panel(t.sales, t.discounted_sales, forecast=forecast,
+                        stock=t.stock, sku_id=2)
+    report = estimate_sku(panel)
+    assert not report.ok and report.gamma10 is None
+    assert report.failure_reason == ("stage 2 rank deficient; dependent "
+                                     "columns: " + ", ".join(UPLIFT_LABELS))
+    study = run_study([good, panel])
+    assert [r.ok for r in study] == [True, False]
+    assert study[1].failure_reason == report.failure_reason
 
 
 def test_fit_uplift_stage2_residuals_sum_to_zero():
     panel = generate_panel(DgpConfig(seed=13, n_days=900), sku_id=3)
-    report = fit_uplift(panel, residual_lift(panel, fit_baseline(panel)))
-    assert report.ok
-    resid = report.stage2.residuals
+    _, stage2 = _lone_fits(panel)
+    assert stage2.ok
+    resid = stage2.residuals
     assert abs(resid.sum()) <= 1e-8 * (np.abs(resid).sum() + 1.0)
 
 
@@ -224,16 +252,11 @@ def test_sidedness_given_as_its_string_value():
     assert estimate_sku(panel, sidedness="one-positive").gamma10_p == \
         one.gamma10_p
     assert estimate_sku(panel, sidedness="two").gamma10_p == two.gamma10_p
-    lift = residual_lift(panel, fit_baseline(panel))
-    assert fit_uplift(panel, lift, sidedness="one-positive").gamma10_p == \
-        one.gamma10_p
     for bad in ("one", "ONE-POSITIVE", None):
         with pytest.raises(TwoStepError, match="sidedness"):
             run_study([panel], sidedness=bad)
         with pytest.raises(TwoStepError, match="sidedness"):
             estimate_sku(panel, sidedness=bad)
-        with pytest.raises(TwoStepError, match="sidedness"):
-            fit_uplift(panel, lift, sidedness=bad)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.0, 1.0, -0.1, float("nan")])
@@ -243,6 +266,7 @@ def test_bad_alpha_raises_before_any_fit(monkeypatch, alpha):
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted before alpha was checked")
 
+    monkeypatch.setattr(two_step, "solve_ols_batch", no_fit)
     monkeypatch.setattr(two_step, "fit_ols_batch", no_fit)
     monkeypatch.setattr(two_step, "fit_ols", no_fit)
     panel = generate_panel(DgpConfig(seed=2, n_days=600), sku_id=1)
@@ -250,8 +274,6 @@ def test_bad_alpha_raises_before_any_fit(monkeypatch, alpha):
         run_study([panel], alpha=alpha)
     with pytest.raises(TwoStepError, match="alpha"):
         estimate_sku(panel, alpha=alpha)
-    with pytest.raises(TwoStepError, match="alpha"):
-        fit_uplift(panel, np.zeros(panel.n_disc), alpha=alpha)
 
 
 def test_run_study_records_failures_and_continues():
@@ -331,32 +353,11 @@ def test_shifting_sales_leaves_uplift_t_statistic_invariant():
     assert moved.gamma10_t == pytest.approx(base.gamma10_t, rel=1e-6)
 
 
-def _fit_arrays(fit):
-    if fit is None:
-        return None
-    return (fit.status, fit.missing_columns,
-            np.float64(fit.sigma2).tobytes()) + tuple(
-        None if a is None else a.tobytes()
-        for a in (fit.coefficients, fit.std_errors, fit.p_values,
-                  fit.residuals))
-
-
 def _report_bytes(report):
-    """Every field of a report but its stage fits, floats as bytes."""
+    """Every field of a report, floats as bytes."""
     return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
                  for v in _report_fields(report)) + (
         report.store_id, report.failure_reason)
-
-
-def _stage_fits(panel):
-    """The stage fits the public chain gives a panel, as far as it gets."""
-    fits = []
-    try:
-        fits.append(fit_baseline(panel))
-        fits.append(fit_uplift(panel, residual_lift(panel, fits[0])).stage2)
-    except (TwoStepError, OlsError):
-        pass
-    return fits
 
 
 def _mixed_panels():
@@ -382,29 +383,6 @@ def _mixed_panels():
 LOW_RULE = EligibilityRule(min_entries=10, min_discount_days=1)
 
 
-def test_public_chain_equals_estimate_sku():
-    # The error each public step raises where estimate_sku reports failure.
-    errors = {7: PredictOnFailedFit, 8: TooFewDiscountDays,
-              10: EmptyTrainingSet}
-
-    def chain(panel):
-        baseline = fit_baseline(panel)
-        return baseline, fit_uplift(panel, residual_lift(panel, baseline))
-
-    for panel in _mixed_panels():
-        lone = estimate_sku(panel)
-        assert lone.stage2 is None
-        if panel.sku_id in errors:
-            assert not lone.ok
-            with pytest.raises(errors[panel.sku_id]):
-                chain(panel)
-        else:
-            baseline, report = chain(panel)
-            assert _report_bytes(report) == _report_bytes(lone), panel.sku_id
-            assert [_fit_arrays(baseline), _fit_arrays(report.stage2)] \
-                == [_fit_arrays(fit) for fit in _stage_fits(panel)]
-
-
 def test_batched_study_equals_lone_estimates(monkeypatch):
     import discount_uplift.two_step as two_step
 
@@ -414,7 +392,7 @@ def test_batched_study_equals_lone_estimates(monkeypatch):
     assert "Sat" in reasons[7] and "need at least" in reasons[8]
     assert "no discount-free days" in reasons[10]
     assert estimate_sku(panels[8]).ok
-    saturated = fit_baseline(panels[8])
+    saturated = fit_ols(*stage_design(panels[8]))
     assert saturated.ok and saturated.dof == 0
     assert np.isnan(saturated.std_errors).all()
 
@@ -493,7 +471,7 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
     for r in reports:
         if r.sku_id in hit_ids:
             assert r.failure_reason == "internal error: injected fault"
-            assert r.stage2 is None and r.gamma10 is None
+            assert r.gamma10 is None
         else:
             assert _report_bytes(r) == lone[r.sku_id]
 
@@ -513,7 +491,7 @@ def test_study_computes_one_p_value_per_reported_sku(monkeypatch):
 
 def test_lazy_p_values_are_t_pvalue_of_each_t():
     for panel in _mixed_panels():
-        for fit in _stage_fits(panel):
+        for fit in _lone_fits(panel):
             if not fit.ok:
                 assert fit.p_values is None
             elif fit.dof == 0:
@@ -569,7 +547,6 @@ def test_study_rows_equal_lone_estimates_in_every_failure_class(monkeypatch):
     assert [r.sku_id for r in rows] == sorted(lone)
     reasons = {}
     for r in rows:
-        assert r.stage2 is None
         if r.sku_id in hit:
             assert r.failure_reason == "internal error: injected fault"
             assert r.gamma10 is None and r.significant_positive is None
