@@ -34,6 +34,7 @@ import sys
 import tempfile
 import threading
 import traceback
+import zlib
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -242,9 +243,10 @@ def _parse_hist_range(text: str) -> tuple[float, float]:
 
 @dataclasses.dataclass(frozen=True)
 class _Fit:
-    """What every process of one ``fit`` shares: the partition its input
-    is spilled to, and the study's settings."""
+    """What every process of one ``fit`` shares: its input's descriptor,
+    the partition the input is spilled to, and the study's settings."""
 
+    source: int
     partition: Partition
     group_by: str
     rule: EligibilityRule
@@ -259,6 +261,17 @@ def _spill(fit: _Fit, pieces: Iterable[Piece]) -> _IssueLog:
     errors = _IssueLog()
     fit.partition.spill(pieces, errors)
     return errors
+
+
+def _spill_at(fit: _Fit, at: tuple[int, int, int, int]) -> _IssueLog:
+    """Spills the piece of the input at ``at`` (first line, first byte,
+    length and CRC-32), read again; DomainError if it has changed."""
+    line, byte, length, crc = at
+    data = os.pread(fit.source, length, byte)
+    if len(data) != length or zlib.crc32(data) != crc:
+        raise DomainError(f"it changed while it was read (the {length} "
+                          f"bytes from line {line}, byte {byte})")
+    return _spill(fit, [Piece(data, line, byte)])
 
 
 def _bucket(fit: _Fit, item: tuple[int, bool]
@@ -401,7 +414,8 @@ def _read_input(workers: _Workers, pieces: Iterator[Piece],
     ``errors`` in line order. This process reads the header, and every
     piece from the first that holds a quote, since ``csv.reader`` may read
     a quoted record across lines; the workers parse the pieces between,
-    each on its own."""
+    each on its own, read again from the input (:func:`_spill_at`), which
+    must not change after this process read it into its digest."""
     head = next(pieces, None)
     fit = workers.context
     if workers.pool is None or head is None or b'"' in head.data:
@@ -413,14 +427,15 @@ def _read_input(workers: _Workers, pieces: Iterator[Piece],
         return
     quoted: list[Piece] = []
 
-    def unquoted() -> Iterator[tuple[Piece]]:
+    def unquoted() -> Iterator[tuple[int, int, int, int]]:
         for piece in pieces:
             if b'"' in piece.data:
                 quoted.append(piece)
                 return
-            yield piece,
+            yield (piece.line, piece.byte, len(piece.data),
+                   zlib.crc32(piece.data))
 
-    for log in workers.map(_spill, unquoted()):
+    for log in workers.map(_spill_at, unquoted()):
         errors.merge(log)
     if quoted:
         errors.merge(_spill(fit, itertools.chain(quoted, pieces)))
@@ -458,8 +473,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             open(input_path, "rb") as handle:
         size = handle.seek(0, io.SEEK_END)
         handle.seek(0)
-        fit = _Fit(Partition(spill, size), args.group_by, rule,
-                   args.alpha, sidedness)
+        fit = _Fit(handle.fileno(), Partition(spill, size), args.group_by,
+                   rule, args.alpha, sidedness)
         # No more workers than pieces: an input of one piece is fitted here.
         with _Workers(fit, min(threads, -(-size // domain.READ_BYTES))
                       ) as workers:

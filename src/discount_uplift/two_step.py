@@ -298,14 +298,22 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     no inference for every panel with discount-free days, over those days.
     Stage 2 runs for every panel whose stage 1 has full rank and whose
     discount days allow inference; each other panel gets the failed report
-    a lone estimate would give it. Reports come back in the order of
+    a lone estimate would give it, and a panel with a non-finite forecast
+    fails before either stage. Reports come back in the order of
     ``panels``.
     """
     reports = StudyReports.failed(panels)
     reasons = reports.failure_reason
+    # The parser rejects a non-finite forecast; a hand-built panel may not.
+    bad = np.flatnonzero(~np.isfinite(
+        np.concatenate([p.table.forecast for p in panels])))
+    non_finite = set(np.searchsorted(np.cumsum([p.n_obs for p in panels]),
+                                     bad, "right").tolist()) if len(bad) else ()
     first = []
     for i, panel in enumerate(panels):
-        if panel.n_plain:
+        if i in non_finite:
+            reasons[i] = f"sku {panel.sku_id}: non-finite forecast"
+        elif panel.n_plain:
             first.append(i)
         else:
             reasons[i] = f"sku {panel.sku_id}: no discount-free days"

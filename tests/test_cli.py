@@ -1539,6 +1539,44 @@ def test_simulate_and_fit_side_by_side_keep_each_others_directory(
     assert not list(work.glob(".uplift-*"))
 
 
+@pytest.mark.parametrize("change", ["rewritten", "truncated"])
+def test_fit_input_changed_under_its_workers_exits_2(tmp_path, monkeypatch,
+                                                     capsys, alarm, change):
+    # A worker reads its piece from the input again, by offset. Here the
+    # input changes after the main process read a piece and before the
+    # worker does: a digit is rewritten, or the file cut short. The run
+    # exits 2 naming the input, and leaves no output, bucket directory or
+    # worker.
+    src = tmp_path / "in.csv"
+    src.write_bytes((DATA / "golden_input.csv").read_bytes())
+    forked = watch_forks(monkeypatch)
+    read = cli.read_pieces
+
+    def changing(source, digest):
+        for piece in read(source, digest):
+            if piece.line > 1 and piece.byte < 3 * domain.READ_BYTES <= \
+                    piece.byte + len(piece.data):
+                with open(src, "r+b") as handle:
+                    if change == "rewritten":
+                        handle.seek(piece.byte)
+                        handle.write(b"9" if piece.data[:1] != b"9" else b"8")
+                    else:
+                        handle.truncate(piece.byte + 1)
+            yield piece
+
+    monkeypatch.setattr(cli, "read_pieces", changing)
+    out_dir = tmp_path / "o"
+    assert main(["fit", "--input", str(src), "--out-dir", str(out_dir),
+                 "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src} ") and \
+        "changed while it was read" in err, err
+    assert forked == [True]
+    assert multiprocessing.active_children() == []
+    assert not list(tmp_path.glob(".uplift-fit-*"))
+    assert not out_dir.exists()
+
+
 # --- simulate's workers, and a task no worker can take -----------------------
 
 # The executor's own threads may each still try to fail a task the other
@@ -1553,7 +1591,7 @@ def test_a_task_that_cannot_be_pickled_exits_1(tmp_path, monkeypatch, alarm,
     forked = watch_forks(monkeypatch)
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(domain, "_CHUNK_ROWS", 50)
-    name = {"fit": "_spill", "simulate": "_rows"}[command]
+    name = {"fit": "_spill_at", "simulate": "_rows"}[command]
     task = getattr(cli, name)
 
     def nested(context, item):
@@ -1689,8 +1727,13 @@ def test_fit_workers_read_a_declined_piece_as_one_process_does(
 
 # --- the W500 input ----------------------------------------------------------
 
-# Digests of what `uplift fit` writes for `uplift simulate --seed 3 --skus
-# 500 --days 730` (365,000 rows, 72 pieces, 18 buckets).
+# The benchmark's fit-csv input, W500: the digest of `uplift simulate --seed
+# 3 --skus 500 --days 730` (365,000 rows, 72 pieces, 18 buckets), and of
+# what `uplift fit` writes for it. Like the golden files, the fit digests
+# hold for numpy's present order of adding a short contiguous row (see the
+# ols module docstring; ROADMAP item 14).
+W500_SHA256 = \
+    "b139679842cd6edeb01742e4546120ae0655f6372e641f99093c6a5323a82667"
 W500_DIGESTS = {
     "reports.csv":
         "2536e7b01c5e55cb855970f8a4f5687b04907eb2720d4fe25844e66ce06a7d8b",
@@ -1702,6 +1745,7 @@ def test_fit_w500_digests(tmp_path, capsys):
     src = tmp_path / "w500.csv"
     assert main(["simulate", "--seed", "3", "--skus", "500", "--days", "730",
                  "--out", str(src)]) == 0
+    assert sha256(src) == W500_SHA256
     capsys.readouterr()
     for threads in ("1", "2"):
         out_dir = tmp_path / threads

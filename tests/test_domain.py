@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import tempfile
+from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 from unittest import mock
@@ -26,6 +27,7 @@ from discount_uplift.synth import DgpConfig, generate_study
 from oracles import csv_writer_text, parse_csv_rows
 
 HEADER = ",".join(CSV_COLUMNS)
+DATA = Path(__file__).parent / "data"
 
 
 def test_parse_sample_rows():
@@ -412,6 +414,40 @@ def _any_case(text: str) -> st.SearchStrategy:
                         for c, u in zip(text, upper)))
 
 
+def _decimal(value: Fraction, places: int) -> str:
+    """``value`` rounded to ``places`` digits after the point, written out
+    with no exponent."""
+    digits = round(value * 10 ** places)
+    text = str(abs(digits)).rjust(places + 1, "0")
+    if places:
+        text = f"{text[:-places]}.{text[-places:]}"
+    return "-" * (digits < 0) + text
+
+
+# Forecast cells at the edges of _floats's numpy conversion: decimals of
+# float64 midpoints (odd multiples of half an ulp), exact where the places
+# allow and else rounded near them; mantissas of 1 to 20 digits with up to
+# 28 after the point; and cells at the edges of its grammar.
+_SIGN = st.sampled_from([1, -1])
+_MIDPOINTS = st.builds(
+    lambda odd, scale, places, exact, sign: _decimal(
+        sign * Fraction(2 * odd + 1) * Fraction(2) ** scale,
+        max(0, -scale) if exact else places),
+    st.integers(2 ** 52, 2 ** 53 - 1), st.integers(-40, 12),
+    st.integers(0, 28), st.booleans(), _SIGN)
+_MANTISSAS = st.builds(
+    lambda digits, places, sign: _decimal(
+        Fraction(sign * digits, 10 ** places), places),
+    st.integers(1, 20).flatmap(
+        lambda n: st.integers(10 ** (n - 1), 10 ** n - 1)),
+    st.integers(0, 28), _SIGN)
+_EDGE_FLOATS = ["-0.0", "0.", ".5", "-.5", "0", "-0", "007.50",
+                "9" * 18, "9" * 19, "9" * 20, str(2 ** 64 - 1), str(2 ** 64),
+                "0." + "0" * 26 + "1", "0." + "0" * 27 + "1",
+                "." + "0" * 27 + "1", "-." + "1" * 28,
+                "-." + "9" * 27, "1." + "0" * 27, "9007199254740993",
+                "75424.4686779525"]
+
 # Cells of each field for the byte path: valid ones, which it must read, and
 # near-valid ones, which csv.reader words, reads otherwise or reads alike.
 _INTEGER = (st.integers(0, 10 ** 18 - 1).map(str),
@@ -429,9 +465,11 @@ _CELLS = {
                           st.integers(1, 7).map(str)),
                 ["MONDAY", "0", "8", "07", " 1", "Mon", "Mondays", "Noday",
                  "\x11", "ｍonday", "", "wednesdays"]),
-    "forecast": (st.floats().map(repr),
+    "forecast": (st.one_of(st.floats().map(repr), _MIDPOINTS, _MANTISSAS,
+                           st.sampled_from(_EDGE_FLOATS)),
                  ["nan", "1_0.5", " 1.5 ", "", "1e400", "0x10", "+1.5",
-                  "١.٥", "1.5.", "Infinity"]),
+                  "١.٥", "1.5.", "Infinity", "-", ".", "1.2.3", "+1",
+                  " 1.5", "1e5", "inf", "--1", "1-"]),
     "note": (st.sampled_from(["", "x", "1", " "]), ["é", "a b"]),
 }
 # Structural faults, each put at any byte of a line.
@@ -551,7 +589,60 @@ def test_byte_path_reads_each_near_valid_cell_as_the_reader_path(field,
     read = _check_byte_path(HEADER.encode() + b",note\n", data, 2)
     assert read == (cell in (b"MONDAY", b"0" * 18, b"nan", b"1_0.5",
                              b" 1.5 ", b"1e400", b"+1.5", b"Infinity",
-                             b"a b"))
+                             b"a b", b"+1", b" 1.5", b"1e5", b"inf"))
+
+
+def _floats_of(cells: list[bytes]) -> np.ndarray | None:
+    """``_floats`` of a piece that holds one cell a line."""
+    data = np.frombuffer(b"".join(cell + b"\n" for cell in cells), np.uint8)
+    stop = np.flatnonzero(data == 10)
+    return domain._floats(data, np.concatenate(([0], stop[:-1] + 1)), stop)
+
+
+@pytest.mark.parametrize("cell", [*_EDGE_FLOATS, "-", ".", "1.2.3", "1_0.5",
+                                  "+1", " 1.5", "1e5", "nan", "inf", "--1",
+                                  "1-", "", "0" * 40 + "1.5", "1" * 40])
+@pytest.mark.parametrize("extended", [True, False])
+def test_floats_give_the_bits_of_float_or_decline(monkeypatch, cell,
+                                                  extended):
+    # The cell between two that convert in numpy, with the longdouble
+    # route on (where the platform has it) and off: either way the column
+    # holds float's bits, or the piece is declined if float refuses.
+    monkeypatch.setattr(domain, "_EXTENDED", extended and domain._EXTENDED)
+    cells = [b"2.5", cell.encode(), b"-12.345678901234567"]
+    try:
+        expected = np.array([float(c) for c in cells])
+    except ValueError:
+        assert _floats_of(cells) is None
+    else:
+        assert np.array_equal(_floats_of(cells).view(np.int64),
+                              expected.view(np.int64))
+
+
+@pytest.mark.skipif(not domain._EXTENDED,
+                    reason="np.longdouble has no 64-bit significand")
+def test_floats_send_a_float64_midpoint_quotient_to_float():
+    # 754244686779525 / 10**10 rounds, in 64 bits, to a float64 midpoint,
+    # which the cast then rounds to even: one ulp off the value float
+    # gives. The cell is sent to float instead.
+    cell = b"75424.4686779525"
+    naive = float(np.longdouble(754244686779525) / domain._LONG_TENS[10])
+    assert naive != float(cell)
+    assert _floats_of([cell]).view(np.int64)[0] == \
+        np.float64(float(cell)).view(np.int64)
+
+
+def test_floats_without_extended_precision_give_the_same_bits(monkeypatch):
+    # Every cell goes to float where np.longdouble is not x87 extended
+    # precision; the columns are the same bits.
+    data = (DATA / "golden_input.csv").read_bytes()
+    data += b"".join(f"9,9,2024-01-{day:02d},1,5,{cell},1,0\n".encode()
+                     for day, cell in enumerate(_EDGE_FLOATS, 1))
+    on = parse_csv(data).table.forecast
+    monkeypatch.setattr(domain, "_EXTENDED", False)
+    off = parse_csv(data).table.forecast
+    assert len(on) > 1000
+    assert np.array_equal(on.view(np.int64), off.view(np.int64))
 
 
 def test_partition_spreads_ids_sharing_a_factor_with_the_bucket_count(

@@ -179,26 +179,27 @@ def test_fit_uplift_residual_alignment_checked():
         fit_ols(X, np.zeros(10), labels)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fit_uplift_rejects_non_finite_residuals(bad):
     # A hand-built panel skips the parser's finiteness check. A non-finite
-    # forecast on a discount day makes that SKU's stage-2 design, and so
-    # its residual lift, non-finite: the SKU fails, and no other.
+    # forecast, on a discount day or a discount-free one, fails its SKU
+    # before either stage is fitted, with no numpy warning, and no other
+    # SKU.
     good = generate_panel(DgpConfig(seed=17, n_days=300,
                                     discount_probability=0.3), sku_id=1)
     t = good.table
-    forecast = t.forecast.copy()
-    forecast[good.disc_index[4]] = bad
-    panel = build_panel(t.sales, t.discounted_sales, forecast=forecast,
-                        stock=t.stock, sku_id=2)
-    report = estimate_sku(panel)
-    assert not report.ok and report.gamma10 is None
-    assert report.failure_reason == ("stage 2 rank deficient; dependent "
-                                     "columns: " + ", ".join(UPLIFT_LABELS))
-    study = run_study([good, panel])
-    assert [r.ok for r in study] == [True, False]
-    assert study[1].failure_reason == report.failure_reason
+    for day in (good.disc_index[4], good.plain_index[4]):
+        forecast = t.forecast.copy()
+        forecast[day] = bad
+        panel = build_panel(t.sales, t.discounted_sales, forecast=forecast,
+                            stock=t.stock, sku_id=2)
+        report = estimate_sku(panel)
+        assert not report.ok and report.gamma10 is None
+        assert report.failure_reason == "sku 2: non-finite forecast"
+        study = run_study([good, panel])
+        assert [r.ok for r in study] == [True, False]
+        assert study[1].failure_reason == report.failure_reason
 
 
 def test_fit_uplift_stage2_residuals_sum_to_zero():
