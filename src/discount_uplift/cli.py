@@ -5,7 +5,9 @@ reports plus plot-ready summaries, on ``--threads`` worker processes that
 parse pieces of the input and estimate buckets of its SKUs; ``simulate``
 writes a synthetic dataset with known ground truth, on one worker process
 per usable CPU that generates and renders runs of consecutive SKUs; both
-write the same bytes for any worker count. ``cycle`` runs the
+write the same bytes for any worker count. The workers are forked and fed
+over pipes (:class:`_Workers`); they end with the main process, and one
+that dies makes the run exit 1. ``cycle`` runs the
 replenishment feedback-loop demonstration. Every output directory gets a
 ``manifest.json`` sufficient to re-run the command; all data outputs are
 deterministic for fixed inputs, the manifest alone carries the timestamp.
@@ -28,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import shutil
 import signal
 import sys
@@ -36,7 +39,7 @@ import threading
 import traceback
 import zlib
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -299,86 +302,167 @@ def _rows(config: DgpConfig, skus: range) -> bytes:
     return "".join(blocks).encode("utf-8")
 
 
-# What the tasks of a worker process share, set as it starts: the _Fit of a
-# fit or the DgpConfig of a simulate.
-_WORKER_CONTEXT: _Fit | DgpConfig | None = None
+def _send(fd: int, data: bytes) -> None:
+    """Writes ``data`` to ``fd`` as a frame: its length in 8 bytes, then it."""
+    for part in (len(data).to_bytes(8, "little"), memoryview(data)):
+        while part:
+            part = part[os.write(fd, part):]
 
 
-def _start_worker(context: _Fit | DgpConfig) -> None:
-    """Sets a worker process up to run tasks on ``context``. Ctrl-C is left
-    to the main process, which ends the workers, and a worker ends with the
-    main process even if that is killed: the workers hold its task queue
-    open, so they would wait on it forever."""
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    import multiprocessing
-    threading.Thread(target=_end_with, daemon=True, args=(
-        multiprocessing.parent_process().sentinel,)).start()
+def _receive(source: BinaryIO) -> bytes | None:
+    """The data of the next frame from ``source``; None if it ends first."""
+    head = source.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = source.read(size)
+    return data if len(data) == size else None
 
 
-def _end_with(sentinel: int) -> None:
-    import multiprocessing.connection
-    multiprocessing.connection.wait([sentinel])
-    os._exit(1)
+class _WorkerTraceback(Exception):
+    """A worker's traceback, the cause of its exception raised here."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
-def _in_worker(task: Callable, item):
-    return task(_WORKER_CONTEXT, item)
+def _serve(context: _Fit | DgpConfig, tasks: BinaryIO, results: int) -> None:
+    """Runs each ``(task, item)`` frame read from ``tasks`` as ``task(context,
+    item)``, until ``tasks`` ends, writing to ``results`` one frame per
+    task: ``(True, result)``, or ``(False, exception, traceback)``, or a
+    RuntimeError in place of a result or exception that cannot be
+    pickled."""
+    while (frame := _receive(tasks)) is not None:
+        try:
+            task, item = pickle.loads(frame)
+            reply = (True, task(context, item))
+        except BaseException as exc:  # KeyboardInterrupt included
+            reply = (False, exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            what = "result" if reply[0] else "exception"
+            data = pickle.dumps((False, RuntimeError(
+                f"a worker's {what} cannot be pickled: {exc!r}"),
+                traceback.format_exc() if reply[0] else reply[2]))
+        _send(results, data)
 
 
 class _Workers:
     """Runs tasks on ``context`` (a ``_Fit`` or a ``DgpConfig``) on
-    ``count`` worker processes, forked when the first task is given, so
-    that they share what this process has read by then (a fit's header
-    columns), or in this process when ``count`` is below 2 or fork is not
-    available. Leaving the ``with`` block normally waits for the workers to
-    end; leaving it by an exception drops the tasks not yet done and ends
-    and reaps the workers at once, without waiting on the executor, which
-    may never finish (a task that cannot be pickled leaves it waiting)."""
+    ``count`` worker processes, or in this process when ``count`` is below
+    2 or ``os.fork`` is not available.
+
+    The workers are forked at the first task, not spawned, so that they
+    share what this process has read by then (a fit's header columns, its
+    input's descriptor, the flocked lock of its scratch directory) and do
+    not import numpy again. Forking is safe: neither command runs a thread
+    in this process. Each worker reads frames (an 8-byte length, then a
+    pickle) of tasks from one pipe and writes their results to another.
+    Items go to the workers in turn and their results are read in order,
+    one at a time, so a worker writing a large result waits for its turn.
+
+    A worker ignores Ctrl-C, which this process handles, and leaves only
+    through ``os._exit``, so it never unwinds what this process was doing
+    when it forked (the removal of a scratch directory). A thread in each
+    worker ends it when this process ends, even if killed outright: it
+    waits on a pipe that only this process holds open for writing. A
+    worker that dies ends its result pipe, which fails the run. Leaving
+    the ``with`` block closes the task pipes, which ends the workers, and
+    reaps them; leaving it by an exception kills them first."""
 
     def __init__(self, context: _Fit | DgpConfig, count: int) -> None:
-        self.context, self.pool, self.ahead = context, None, 2 * count
-        # Forking is safe here: neither command runs another thread, and
-        # the executor starts its own only once its workers are forked.
-        if count > 1:
-            import multiprocessing
-            if "fork" in multiprocessing.get_all_start_methods():
-                from concurrent.futures import ProcessPoolExecutor
-                self.pool = ProcessPoolExecutor(
-                    count, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_start_worker, initargs=(context,))
+        self.context = context
+        self.forks = count if count > 1 and hasattr(os, "fork") else 0
+        # Per worker: its pid, the write end of its task pipe and the read
+        # end of its result pipe; and the write end of the workers' lifeline.
+        self.workers: list[tuple[int, int, BinaryIO]] = []
+        self.lifeline: int | None = None
+
+    def _fork(self) -> None:
+        lifeline, self.lifeline = os.pipe()
+        for _ in range(self.forks):
+            tasks, to_tasks = os.pipe()
+            from_results, results = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker
+                code = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    for _, sibling, replies in self.workers:
+                        os.close(sibling)
+                        os.close(replies.fileno())
+                    for end in (self.lifeline, to_tasks, from_results):
+                        os.close(end)
+
+                    def orphaned() -> None:
+                        os.read(lifeline, 1)  # EOF: the main process ended
+                        os._exit(1)
+
+                    threading.Thread(target=orphaned, daemon=True).start()
+                    _serve(self.context, open(tasks, "rb"), results)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(tasks)
+            os.close(results)
+            self.workers.append((pid, to_tasks, open(from_results, "rb")))
+        os.close(lifeline)
+
+    def _give(self, worker: int, task: Callable, item) -> None:
+        pid, to_tasks, _ = self.workers[worker]
+        frame = pickle.dumps((task, item), pickle.HIGHEST_PROTOCOL)
+        try:
+            _send(to_tasks, frame)
+        except BrokenPipeError:
+            raise RuntimeError(f"worker process {pid} ended unexpectedly"
+                               ) from None
+
+    def _result(self, worker: int):
+        pid, _, replies = self.workers[worker]
+        frame = _receive(replies)
+        if frame is None:
+            raise RuntimeError(f"worker process {pid} ended unexpectedly")
+        ok, value, *remote = pickle.loads(frame)
+        if ok:
+            return value
+        value.__cause__ = _WorkerTraceback(*remote)
+        raise value
 
     def map(self, task: Callable, items: Iterable) -> Iterator:
         """``task(context, item)`` for each of ``items``, in order; a task's
         exception is raised in its turn. On workers, at most two items per
         worker are in flight."""
-        if self.pool is None:
+        if not self.forks:
             for item in items:
                 yield task(self.context, item)
             return
+        if not self.workers:
+            self._fork()
         pending: collections.deque = collections.deque()
-        for item in items:
-            pending.append(self.pool.submit(_in_worker, task, item))
-            if len(pending) >= self.ahead:
-                yield pending.popleft().result()
+        for k, item in enumerate(items):
+            worker = k % self.forks
+            self._give(worker, task, item)
+            pending.append(worker)
+            if len(pending) >= 2 * self.forks:
+                yield self._result(pending.popleft())
         while pending:
-            yield pending.popleft().result()
+            yield self._result(pending.popleft())
 
     def __enter__(self) -> _Workers:
         return self
 
     def __exit__(self, failed, *_) -> None:
-        if self.pool is None:
-            return
-        # The executor has no public way to end its workers.
-        processes = list((self.pool._processes or {}).values())
-        self.pool.shutdown(wait=failed is None, cancel_futures=True)
         if failed is not None:
-            for process in processes:
-                process.terminate()
-            for process in processes:
-                process.join()
+            for pid, _, _ in self.workers:
+                os.kill(pid, signal.SIGKILL)
+        for _, to_tasks, replies in self.workers:
+            os.close(to_tasks)
+            replies.close()
+        if self.lifeline is not None:
+            os.close(self.lifeline)
+        for pid, _, _ in self.workers:
+            os.waitpid(pid, 0)
 
 
 @contextlib.contextmanager
@@ -418,7 +502,7 @@ def _read_input(workers: _Workers, pieces: Iterator[Piece],
     must not change after this process read it into its digest."""
     head = next(pieces, None)
     fit = workers.context
-    if workers.pool is None or head is None or b'"' in head.data:
+    if not workers.forks or head is None or b'"' in head.data:
         errors.merge(_spill(fit, itertools.chain(
             [head] if head else [], pieces)))
         return

@@ -96,7 +96,7 @@ def watch_forks(monkeypatch) -> list[bool]:
     class Watching(cli._Workers):
         def __init__(self, *args) -> None:
             super().__init__(*args)
-            forked.append(self.pool is not None)
+            forked.append(self.forks > 0)
 
     monkeypatch.setattr(cli, "_Workers", Watching)
     return forked

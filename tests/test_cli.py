@@ -7,7 +7,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import multiprocessing
 import os
 import platform
 import signal
@@ -97,6 +96,15 @@ def _cpus(monkeypatch, count: int) -> None:
                         lambda pid: set(range(count)), raising=False)
 
 
+def _childless() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_simulate_generates_at_most_one_block_ahead(tmp_path, monkeypatch):
     # Panels come from synth.generate_panel (the name the benchmark traces).
     # A task renders a run of SKUs that fills at most one block, and in one
@@ -168,17 +176,23 @@ def test_simulate_bytes_independent_of_the_worker_count(tmp_path,
         assert expected == (",".join(domain.CSV_COLUMNS) + "\n").encode()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus, how", [(1, "raised"), (2, "raised"),
+                                       (2, "killed")],
+                         ids=["1", "2", "2-killed"])
 @pytest.mark.parametrize("earlier", [None, b"an earlier dataset\n"])
 def test_simulate_failure_leaves_no_partial_file(tmp_path, monkeypatch,
-                                                 alarm, earlier, cpus):
-    # On 2 CPUs, the failure is raised in a worker.
+                                                 alarm, earlier, cpus, how):
+    # On 2 CPUs, the failure is raised in a worker, or the worker kills
+    # itself.
     _cpus(monkeypatch, cpus)
     forked = watch_forks(monkeypatch)
     generate = synth.generate_panel
+    parent = os.getpid()
 
     def failing(config, sku_id):
         if sku_id == 3:
+            if how == "killed" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("generator failed")
         return generate(config, sku_id=sku_id)
 
@@ -190,7 +204,7 @@ def test_simulate_failure_leaves_no_partial_file(tmp_path, monkeypatch,
     assert main(["simulate", "--skus", "5", "--days", "20",
                  "--out", str(out)]) == 1
     assert forked == [cpus > 1]
-    assert multiprocessing.active_children() == []
+    assert _childless()
     assert [p.name for p in tmp_path.iterdir()] == \
         ([] if earlier is None else ["s.csv"])
     if earlier is not None:
@@ -723,7 +737,7 @@ def test_fit_workers_report_a_bad_header_as_one_process_does(tmp_path,
         assert spills == [os.getpid()]
         assert not list(tmp_path.glob(".uplift-fit-*"))
         assert not (tmp_path / "o").exists()
-    assert forked == [False, True]  # a pool at --threads 2, given no task
+    assert forked == [False, True]  # workers at --threads 2, given no task
 
 
 def test_fit_missing_file_exits_2(tmp_path):
@@ -1235,7 +1249,7 @@ def test_fit_workers_leave_no_process_and_no_bucket(tmp_path, monkeypatch,
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
-    assert multiprocessing.active_children() == []
+    assert _childless()
     assert not list(work.glob(".uplift-fit-*"))
     assert out_dir.exists() == (code == 0)
     views = seen.read_text().splitlines() if seen.exists() else []
@@ -1572,17 +1586,13 @@ def test_fit_input_changed_under_its_workers_exits_2(tmp_path, monkeypatch,
     assert err.startswith(f"error: {src} ") and \
         "changed while it was read" in err, err
     assert forked == [True]
-    assert multiprocessing.active_children() == []
+    assert _childless()
     assert not list(tmp_path.glob(".uplift-fit-*"))
     assert not out_dir.exists()
 
 
 # --- simulate's workers, and a task no worker can take -----------------------
 
-# The executor's own threads may each still try to fail a task the other
-# has failed (InvalidStateError) as the workers are ended; that is noise.
-@pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
 @pytest.mark.parametrize("command", ["fit", "simulate"])
 def test_a_task_that_cannot_be_pickled_exits_1(tmp_path, monkeypatch, alarm,
                                                command):
@@ -1606,8 +1616,85 @@ def test_a_task_that_cannot_be_pickled_exits_1(tmp_path, monkeypatch, alarm,
                          "--out", str(work / "s.csv")]}[command]
     assert main([command, *argv]) == 1
     assert forked == [True]
-    assert multiprocessing.active_children() == []
+    assert _childless()
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("picklable", [True, False])
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_a_worker_traceback_reaches_stderr(tmp_path, monkeypatch, capsys,
+                                           alarm, command, picklable):
+    # A task fails in a worker: the run exits 1 and prints the worker's
+    # traceback as the cause of the exception the main process raises,
+    # which is a RuntimeError if the task's cannot be pickled.
+    forked = watch_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(domain, "_CHUNK_ROWS", 50)
+
+    def failing_in_a_worker(*args, **kwargs):
+        if picklable:
+            raise RuntimeError("worker fault")
+        raise RuntimeError("worker fault", lambda: None)
+
+    module, name, task = {"fit": (cli, "build_panels", "_bucket"),
+                          "simulate": (synth, "generate_panel", "_rows")
+                          }[command]
+    monkeypatch.setattr(module, name, failing_in_a_worker)
+    argv = {"fit": ["--input", str(DATA / "golden_input.csv"),
+                    "--out-dir", str(tmp_path / "o")],
+            "simulate": ["--skus", "12", "--days", "20",
+                         "--out", str(tmp_path / "s.csv")]}[command]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert forked == [True]
+    assert _childless()
+    remote, _, local = err.partition("The above exception was the direct "
+                                     "cause of the following exception")
+    assert f", in {task}\n" in remote, err
+    assert ", in failing_in_a_worker\n" in remote, err
+    assert f", in {task}\n" not in local, err
+    assert local.rstrip().splitlines()[-1].startswith(
+        "RuntimeError: worker fault" if picklable else
+        "RuntimeError: a worker's exception cannot be pickled: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+_FORKS = """
+import json, os, sys, threading
+from discount_uplift import cli, domain
+os.sched_getaffinity = lambda pid: {0, 1}
+domain.READ_BYTES = 1 << 14
+domain._CHUNK_ROWS = 50
+threads = []
+fork = os.fork
+
+def counting():
+    threads.append(threading.active_count())
+    return fork()
+
+os.fork = counting
+work = sys.argv[2]
+assert cli.main(["simulate", "--skus", "12", "--days", "20",
+                 "--out", os.path.join(work, "s.csv")]) == 0
+assert cli.main(["fit", "--input", sys.argv[1], "--threads", "2",
+                 "--out-dir", os.path.join(work, "o")]) == 0
+print(json.dumps({"threads": threads, "modules": [
+    name for name in ("multiprocessing", "concurrent.futures")
+    if name in sys.modules]}))
+"""
+
+
+def test_workers_fork_from_one_thread_without_a_pool_module(tmp_path):
+    # In a fresh interpreter, simulate on 2 CPUs and fit --threads 2 each
+    # fork 2 workers while this process runs no other thread, and neither
+    # imports multiprocessing or concurrent.futures.
+    done = subprocess.run(
+        [sys.executable, "-c", _FORKS, str(DATA / "golden_input.csv"),
+         str(tmp_path)], env=_fit_env(), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"threads": [1, 1, 1, 1], "modules": []}
 
 
 _SLOW_SIMULATE = """
