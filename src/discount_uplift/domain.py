@@ -6,7 +6,9 @@ text is read once, in pieces of whole lines (:func:`read_pieces`), and
 converted by one loop (:func:`_body`), which :func:`parse_csv` and
 :meth:`Partition.spill` run: a piece at a time from its bytes, or, where
 that path declines, decoded (:func:`_lines`) and read by ``csv.reader``.
-Panels are contiguous slices of a
+Each converted block is a fresh table that goes straight to its user, and
+:func:`csv_blocks` renders a table a slice of rows at a time; no buffer
+regroups rows in between. Panels are contiguous slices of a
 table sorted by SKU, built only from tables; each splits its days into
 discount-free days and days with at least one discounted sale, and is the
 unit of work for the two-step estimation.
@@ -47,16 +49,11 @@ _PARSE_LINES = 4096
 # one at a time.
 READ_BYTES = 1 << 18
 # `uplift fit` spills the rows of a file to one bucket per BUCKET_BYTES of
-# it, and to at most MAX_BUCKETS; a Partition holds up to _SPILL_ROWS rows
-# (2.4 MB) before it writes them out. A MiB of the CSV that `uplift
-# simulate` writes is about 20,000 rows, 28 two-year panels: one study
-# batch (two_step.BATCH_FITS). On 18.5 and 75 MB inputs (18 and 72
-# buckets), `uplift fit` then peaks (ru_maxrss) near 44 MB in one process,
-# and near 37-39 MB in each process with 2 workers, which spill a piece at
-# a time; the interpreter and its imports alone take 34 MB.
+# it, and to at most MAX_BUCKETS. A MiB of the CSV that `uplift simulate`
+# writes is about 20,000 rows, 28 two-year panels: one study batch
+# (two_step.BATCH_FITS).
 BUCKET_BYTES = 1 << 20
 MAX_BUCKETS = 256
-_SPILL_ROWS = 1 << 15
 # A row's bucket is the high half of sku_id * _MIX (mod 2**64), modulo the
 # bucket count: a multiplicative hash, so that ids sharing a factor with
 # the count, such as multiples of 10 or 100, still fill every bucket.
@@ -339,12 +336,10 @@ _MALFORMED = (
 
 
 class _Columns:
-    """Converts the body of a CSV of observations into columns in
-    Observation field order (the date as days since 1970-01-01), each field
-    read from its header position: a piece at a time from its bytes
-    (:meth:`from_bytes`), or a block of records that ``csv.reader`` read
-    (:meth:`records`) into buffers of :data:`_PARSE_LINES` rows, plus the
-    line number of each row."""
+    """Converts the body of a CSV of observations into a table and the line
+    number of each row, each field read from its header position: a piece
+    at a time from its bytes (:meth:`from_bytes`), or a block of records
+    that ``csv.reader`` read (:meth:`records`)."""
 
     def __init__(self, position: Mapping[str, int], n_fields: int) -> None:
         self.n_fields = n_fields
@@ -364,11 +359,6 @@ class _Columns:
         converters[5] = (float, float)
         self.fields = [(name, position[column], *pair) for name, column, pair
                        in zip(_FIELDS, CSV_COLUMNS, converters)]
-        self.columns = [np.empty(_PARSE_LINES, dtype=np.float64
-                                 if name == "forecast" else np.int64)
-                        for name in _FIELDS]
-        self.lines = np.empty(_PARSE_LINES, dtype=np.int64)
-        self.filled = 0
 
     def from_bytes(self, piece: Piece
                    ) -> tuple[ObservationTable, np.ndarray] | None:
@@ -406,11 +396,12 @@ class _Columns:
         return ObservationTable(*columns), piece.line + np.arange(len(ends))
 
     def records(self, rows: list[list[str]], lines: np.ndarray,
-                errors: list[RowIssue]) -> None:
-        """Fills the buffers, from row 0, with the records read by
-        ``csv.reader`` that convert. A short row is worded, unless blank,
-        and dropped; each other row that does not convert, unless blank,
-        gets its line-numbered errors in ``errors``.
+                errors: list[RowIssue]
+                ) -> tuple[ObservationTable, np.ndarray]:
+        """The records read by ``csv.reader``, numbered by ``lines``, that
+        convert, and their line numbers. A short row is worded, unless
+        blank, and dropped; each other row that does not convert, unless
+        blank, gets its line-numbered errors in ``errors`` and is dropped.
 
         Each column is converted at once; only a column that fails is
         converted again cell by cell, to find and word its bad cells."""
@@ -423,20 +414,24 @@ class _Columns:
                                            f"{len(rows[i])}"))
             rows = list(itertools.compress(rows, full))
             lines = lines[full]
-        n = end = len(lines)
+        n = len(lines)
         failed: dict[tuple[int, str], ValueError] = {}
-        for (name, at, native, strict), out in zip(self.fields, self.columns):
+        columns = []
+        for name, at, native, strict in self.fields:
             cells = list(map(itemgetter(at), rows))
+            dtype = np.float64 if name == "forecast" else np.int64
             try:
-                out[:n] = np.fromiter(map(native, cells), dtype=out.dtype,
-                                      count=n)
+                column = np.fromiter(map(native, cells), dtype, count=n)
             except (ValueError, OverflowError):
+                column = np.zeros(n, dtype)
                 for i, cell in enumerate(cells):
                     try:
-                        out[i] = strict(cell.strip())
+                        column[i] = strict(cell.strip())
                     except ValueError as exc:
                         failed[i, name] = exc
-        self.lines[:n] = lines
+            columns.append(column)
+        columns[2] = columns[2].view(_DTYPES["date"])
+        table = ObservationTable(*columns)
         if failed:
             bad = sorted({i for i, _ in failed})
             for i in bad:
@@ -450,16 +445,8 @@ class _Columns:
                             break
             keep = np.ones(n, dtype=bool)
             keep[bad] = False
-            end -= len(bad)
-            for out in (*self.columns, self.lines):
-                out[:end] = out[:n][keep]
-        self.filled = end
-
-    def table(self) -> tuple[ObservationTable, np.ndarray]:
-        """The filled rows as a table of views, and their line numbers."""
-        columns = [column[:self.filled] for column in self.columns]
-        columns[2] = columns[2].view(_DTYPES["date"])
-        return ObservationTable(*columns), self.lines[:self.filled]
+            table, lines = table[keep], lines[keep]
+        return table, lines
 
 
 # The byte path's converters, one per field: each takes the bytes of a
@@ -717,10 +704,10 @@ def parse_csv(source: str | bytes | BinaryIO,
 
     The body goes through the loop that ``uplift fit`` runs (see
     :func:`_body`). Each block's rows that keep the record invariants are
-    appended to one array per column, grown geometrically, and duplicate
-    keys and weekday mismatches are then found on the whole columns and
-    worded per offending row. A byte-order mark before the header is
-    ignored.
+    appended to one array per column, grown geometrically and cut to its
+    rows at the end; duplicate keys and weekday mismatches are then found
+    on the whole columns and worded per offending row. A byte-order mark
+    before the header is ignored.
     """
     colmap = dict(_CANONICAL)
     if schema:
@@ -748,8 +735,10 @@ def parse_csv(source: str | bytes | BinaryIO,
                 columns[i] = grown
             columns[i][n:end] = column[valid]
         n = end
-    table = ObservationTable(*(column[:n] for column in columns[:-1]))
-    lines = columns[-1][:n]
+    for i in range(len(columns)):  # one at a time, each without its slack
+        columns[i] = columns[i][:n].copy()
+    table = ObservationTable(*columns[:-1])
+    lines = columns[-1]
     warnings: list[RowIssue] = []
     keep = _unique_rows(table, lines, errors, warnings)
     errors.sort(key=attrgetter("line"))  # stable: a line's errors keep order
@@ -826,7 +815,6 @@ def _records(text: Iterator[str], columns: _Columns, line: int,
     :func:`_body` does; ``csv.reader`` reads a quoted record whole even
     when it runs into the following lines. :meth:`_Columns.records` words
     short rows, drops blank ones and words the cells that do not convert.
-    A block's rows are views into buffers that the next block overwrites.
     """
     while chunk := list(itertools.islice(text, _PARSE_LINES)):
         reader = csv.reader(itertools.chain(chunk, text))
@@ -836,9 +824,9 @@ def _records(text: Iterator[str], columns: _Columns, line: int,
             ends.append(reader.line_num)
             if reader.line_num >= len(chunk):
                 break
-        columns.records(rows, line + np.array(ends, dtype=np.int64), errors)
+        table, lines = columns.records(
+            rows, line + np.array(ends, dtype=np.int64), errors)
         line += reader.line_num
-        table, lines = columns.table()
         yield table, lines, _valid_rows(table, lines, errors)
 
 
@@ -879,10 +867,9 @@ class Partition:
 
     Any number of processes spill into one partition, each a run of pieces
     of the input at a time (:meth:`spill`), to a part of each bucket of its
-    own (``bucket-{b}.{pid}``). Rows wait in memory until
-    :data:`_SPILL_ROWS` of them do, or the spill ends; then each bucket's
-    are appended to its part as raw records of the observation fields and
-    the line number (72 bytes a row), one write per bucket. Any process
+    own (``bucket-{b}.{pid}``). Each block of converted rows is appended as
+    it comes, as raw records of the observation fields and the line number
+    (72 bytes a row), one write per bucket it has rows for. Any process
     reads a bucket back whole, its rows in line order.
     """
 
@@ -892,9 +879,6 @@ class Partition:
         # The header's converter, once a spill has read the header; a
         # process forked after that shares it.
         self.columns: _Columns | None = None
-        # Per block: its records in bucket order, and each bucket's bounds.
-        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self.held = 0
 
     def spill(self, pieces: Iterable[Piece], errors: list[RowIssue]) -> None:
         """Converts the lines of ``pieces``, consecutive pieces of the input
@@ -914,11 +898,11 @@ class Partition:
             blocks = _body(pieces, self.columns, errors)
         for block in blocks:
             self.append(*block)
-        self.flush()
 
     def append(self, table: ObservationTable, lines: np.ndarray,
                keep: np.ndarray) -> None:
-        """Spills the ``keep`` rows of ``table``, numbered by ``lines``."""
+        """Appends the ``keep`` rows of ``table``, numbered by ``lines``, to
+        this process's parts."""
         buckets = self.buckets
         mixed = (table.sku_id.view(np.uint64) * _MIX) >> np.uint64(32)
         bucket = np.where(keep, mixed % np.uint64(buckets), buckets
@@ -929,21 +913,11 @@ class Partition:
         for name, column in zip(_FIELDS, table.columns()):
             records[name] = column[order]
         records["line"] = lines[order]
-        self.pending.append((records, np.cumsum(counts) - counts))
-        self.held += len(records)
-        if self.held >= _SPILL_ROWS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Appends the rows held to this process's parts."""
-        for b in range(self.buckets):
-            parts = [records[bounds[b]:bounds[b + 1]]
-                     for records, bounds in self.pending]
-            if sum(map(len, parts)):
-                path = self.directory / f"bucket-{b}.{os.getpid()}"
-                with open(path, "ab", buffering=0) as out:
-                    out.write(b"".join(parts))
-        self.pending, self.held = [], 0
+        start = (np.cumsum(counts) - counts).tolist()
+        for b in np.flatnonzero(counts[:-1]).tolist():
+            path = self.directory / f"bucket-{b}.{os.getpid()}"
+            with open(path, "ab", buffering=0) as out:
+                out.write(records[start[b]:start[b + 1]])
 
     def filled(self) -> list[int]:
         """The buckets that hold rows, in order."""
@@ -985,33 +959,10 @@ def _iso_day(day: int) -> str:
     return (_EPOCH + dt.timedelta(days=day)).isoformat()
 
 
-def _row_blocks(tables: Iterable[ObservationTable]
-                ) -> Iterator[ObservationTable]:
-    """The rows of ``tables`` in order, in blocks of ``_CHUNK_ROWS`` rows
-    and a shorter last one. Tables are read only as far as the next block
-    needs, so at most one block plus one table's rows are held."""
-    pending: list[ObservationTable] = []
-    held = 0
-    for table in tables:
-        if not len(table):
-            continue
-        pending.append(table)
-        held += len(table)
-        if held < _CHUNK_ROWS:
-            continue
-        rows = pending[0] if len(pending) == 1 else \
-            ObservationTable.concat(pending)
-        full = held - held % _CHUNK_ROWS
-        for start in range(0, full, _CHUNK_ROWS):
-            yield rows[start:start + _CHUNK_ROWS]
-        pending, held = [rows[full:]], held - full
-    if held:
-        yield ObservationTable.concat(pending)
-
-
 def csv_blocks(tables: Iterable[ObservationTable]) -> Iterator[str]:
     """The canonical CSV of the rows of ``tables``, lazily: the header line,
-    then the text of each block of at most ``_CHUNK_ROWS`` rows.
+    then the text of each block of at most ``_CHUNK_ROWS`` rows. The tables
+    are read after the header, and joined into one unless there is one.
 
     The text is what ``csv.writer`` writes with newline line endings: no
     integer, ISO date, weekday name or float ``repr`` needs quoting. A block
@@ -1020,7 +971,10 @@ def csv_blocks(tables: Iterable[ObservationTable]) -> Iterator[str]:
     """
     names = np.array(WEEKDAY_NAMES, dtype=object)
     yield ",".join(CSV_COLUMNS) + "\n"
-    for block in _row_blocks(tables):
+    tables = list(tables)
+    rows = tables[0] if len(tables) == 1 else ObservationTable.concat(tables)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[start:start + _CHUNK_ROWS]
         columns = (_strings(block.store_id), _strings(block.sku_id),
                    _strings(block.date.view(np.int64), _iso_day),
                    names[block.weekday - 1].tolist(), _strings(block.stock),

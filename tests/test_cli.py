@@ -693,6 +693,31 @@ def test_fit_outputs_identical_across_threads_and_runs(tmp_path, monkeypatch):
     assert forked == [False, True, False]
 
 
+def test_fit_reads_crlf_pieces_with_the_reader_on_workers(tmp_path,
+                                                          monkeypatch):
+    # With CRLF line ends, from_bytes declines every piece of 16 KiB, so
+    # each goes through csv.reader and _Columns.records: in one process,
+    # and in the workers at --threads 2.
+    src = tmp_path / "crlf.csv"
+    src.write_bytes((DATA / "golden_input.csv").read_bytes()
+                    .replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
+    log, records = tmp_path / "records", domain._Columns.records
+
+    def logged(self, *args):
+        _record(log, str(os.getpid()))
+        return records(self, *args)
+
+    monkeypatch.setattr(domain._Columns, "records", logged)
+    for threads in ("1", "2"):
+        log.write_text("")
+        files = _fit_files(src, tmp_path / threads, "--threads", threads)
+        assert files["reports.csv"] == \
+            (DATA / "golden_reports.csv").read_bytes()
+        workers = set(log.read_text().split()) - {str(os.getpid())}
+        assert bool(workers) == (threads == "2")
+
+
 def test_fit_empty_input_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("store,sku,date,weekday,stock,forecast,sales,"
@@ -1264,7 +1289,9 @@ def test_fit_workers_leave_no_process_and_no_bucket(tmp_path, monkeypatch,
 
 
 _SLOW_FIT = """
-import os, sys, time
+import os, signal, sys, time
+# Ctrl-C interrupts even if pytest was started with SIGINT ignored.
+signal.signal(signal.SIGINT, signal.default_int_handler)
 from discount_uplift import cli, domain
 domain.READ_BYTES = 1 << 14
 build = cli.build_panels
@@ -1698,7 +1725,9 @@ def test_workers_fork_from_one_thread_without_a_pool_module(tmp_path):
 
 
 _SLOW_SIMULATE = """
-import os, sys, time
+import os, signal, sys, time
+# Ctrl-C interrupts even if pytest was started with SIGINT ignored.
+signal.signal(signal.SIGINT, signal.default_int_handler)
 from discount_uplift import cli, domain, synth
 os.sched_getaffinity = lambda pid: {0, 1}
 domain._CHUNK_ROWS = 20

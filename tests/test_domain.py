@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -371,15 +372,14 @@ def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes,
     data = text.encode("utf-8")
     errors, warnings = [], []
     digest = hashlib.sha256()
-    # Each flush appends to the part of one of three processes in turn, as
-    # the parts of workers interleave.
+    # Each bucket write goes to the part of one of three processes in turn,
+    # as the parts of workers interleave.
     pids = itertools.cycle([101, 102, 103])
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as spill:
         patch.setattr(domain, "_PARSE_LINES", chunk_rows)
         expected = parse_csv(data)
         patch.setattr(domain, "BUCKET_BYTES", bucket_bytes)
-        patch.setattr(domain, "_SPILL_ROWS", 3)
         patch.setattr(domain, "READ_BYTES", read_bytes)
         source = io.BytesIO(data)
         partition = domain.Partition(Path(spill), len(data))
@@ -712,6 +712,25 @@ def test_parse_reads_a_binary_file_in_bounded_reads():
         sorted(set(spy.sizes), key=str)
     assert spy.delivered == len(data)  # one pass over the file
     assert not spy.closed and spy.tell() == len(data)
+
+
+def test_parse_result_holds_no_growth_slack():
+    # 5,000 rows grow the columns to 8,192 rows; the result holds only the
+    # bytes of its rows.
+    panels = generate_study(DgpConfig(seed=4, n_days=100), 50)
+    data = serialize_csv(ObservationTable.concat(p.table for p in panels)
+                         ).encode("utf-8")
+    tracemalloc.start()
+    try:
+        result = parse_csv(data)
+        rows = sum(column.nbytes for column in result.table.columns())
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows == 5000 * 64
+    assert rows <= held <= rows + 4096, held
 
 
 GOLDEN_INPUT = Path(__file__).parent / "data" / "golden_input.csv"
