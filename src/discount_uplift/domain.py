@@ -365,13 +365,15 @@ class _Columns:
         """The rows of ``piece`` and their line numbers, converted from its
         bytes with numpy (a forecast with ``float`` where :func:`_floats`
         cannot be sure of ``float``'s bits); or None, declining the piece,
-        unless its bytes are ASCII with no quote, CR or NUL, each line holds
-        one cell per header field and is no longer than
-        ``csv.field_size_limit()``, and each cell converts as
+        unless its bytes, each CRLF read as LF, are ASCII with no quote,
+        lone CR or NUL, each line holds one cell per header field and is no
+        longer than ``csv.field_size_limit()``, and each cell converts as
         :data:`_FROM_BYTES` reads its field. What is converted equals what
         :meth:`records` gives for the same lines."""
-        data = piece.data if piece.data.endswith(b"\n") else \
-            piece.data + b"\n"
+        data = piece.data
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+        data = data if data.endswith(b"\n") else data + b"\n"
         if (not data.isascii() or b'"' in data or b"\r" in data
                 or b"\0" in data):
             return None
@@ -1006,7 +1008,8 @@ class SkuPanel:
     ``disc_index`` iff it has at least one discounted sale.
     ``observations`` gives the rows as a sequence of :class:`Observation`.
     ``store_id`` is set only when panels were grouped per store-SKU pair.
-    Every weekday must lie in 1..7, since it picks the row's weekday dummy.
+    Every weekday must lie in 1..7, since the estimator groups each stage's
+    rows by weekday.
     """
 
     sku_id: int

@@ -297,11 +297,13 @@ def solve_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
 
 
 def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
-                  labels: Sequence[str]) -> BatchFit:
+                  labels: Sequence[str], absorbed: int = 0) -> BatchFit:
     """``solve_ols_batch`` followed by the inference of every fit
     (``sigma2``, standard errors, t statistics), computed as (fits,
     columns) arrays with elementwise operations and returned as such, with
-    the residuals; a rank-deficient fit's rows are NaN.
+    the residuals; a rank-deficient fit's rows are NaN. ``absorbed`` counts
+    parameters already projected out of ``X`` and ``y`` (such as
+    demeaned-away group effects), which each ``dof`` also loses.
 
     ``R^-1`` comes from a back-substitution of its own. Each right-hand
     column is updated only from itself and ``R``, so the coefficients are
@@ -310,7 +312,7 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     solved = solve_ols_batch(X, y, n_obs, labels)
     beta, piv = solved.coefficients, solved.pivots
     count, p = beta.shape
-    dof = solved.n_obs - p
+    dof = solved.n_obs - p - absorbed
     fitted = y - linear_combination(X, beta[:, None, :])
     # A running total adds the residuals in row order; a 1-D reduce would
     # sum them pairwise, whose rounding changes with trailing zero rows.

@@ -4,6 +4,31 @@ Step 1 fits baseline sales on discount-free days (weekday dummies, forecast,
 stock). Step 2 takes the baseline's prediction residuals on discount days and
 regresses them on the same covariates plus the discounted-sales count; the
 coefficient on that count is the per-unit uplift.
+
+The code computes an equal form of both steps. Step 2's covariates include
+step 1's, so regressing the residuals gives the coefficients of regressing
+raw discount-day sales, less step 1's, with the same residuals: stage 2 is
+fitted to raw sales, and its estimates do not depend on stage 1, which
+enters only ``mean_residual`` and the order of failures. In each stage the
+weekday dummies are absorbed (Frisch-Waugh-Lovell): the covariates'
+coefficients and standard errors are those of the covariates and sales
+demeaned within each weekday, so the kernel fits 2 and 3 columns instead of
+9 and 10, and stage 2's dof stays ``n - 10``. ``mean_residual`` is the
+discount-day mean of ``y - a_d - b.x``, where ``a_d`` is ``mean(y) -
+b.mean(x)`` over the discount-free days of weekday ``d``. Every sum over
+rows is a ``bincount`` per (SKU, weekday). No weekday coefficient is formed.
+
+Rank rule. A stage is rank deficient, and names its dependent columns in
+the order Mon..Sun, Forecast, Stock, DS, when:
+
+- a weekday has no row in that stage;
+- a covariate's demeaned norm is at most ``RANK_RTOL`` times its raw norm,
+  so that it is, to that tolerance, a combination of the weekday dummies;
+- the kernel finds a demeaned covariate dependent on the others.
+
+A SKU fails on the first of: a non-finite forecast, no discount-free days,
+stage 1 rank deficient, no or too few discount days, stage 2 rank
+deficient.
 """
 from __future__ import annotations
 
@@ -15,29 +40,31 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .domain import EligibilityRule, SkuPanel, filter_eligible
-from .ols import (BASELINE_LABELS, UPLIFT_LABELS, BatchFit, fit_ols_batch,
-                  linear_combination, p_value, solve_ols_batch)
+from .ols import (BASELINE_LABELS, RANK_RTOL, UPLIFT_LABELS, BatchFit,
+                  BatchSolve, fit_ols_batch, p_value, solve_ols_batch)
 # Unused here; perfbench/tracer.py wraps two_step.fit_ols and two_step.predict.
 from .ols import fit_ols, predict  # noqa: F401
 
-# Stage 2 estimates 10 parameters; one extra day gives a nonzero dof.
+# Stage 2 estimates 10 parameters (7 of them absorbed); one extra day gives
+# a nonzero dof.
 MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
 
 # run_study sorts the SKUs by length (the rows of their longer stage) and cuts
 # them into runs of at most BATCH_FITS SKUs and BATCH_ROWS padded rows. The
 # kernel keeps the fits on its innermost axis, so each of its numpy loops
 # runs over (columns left) x fits contiguous elements, and numpy's per-call
-# overhead is spread over the fits of a batch; from 32 to 64 fits a study of
-# 2,000 180-day panels runs within 10 % of the same time. Wider batches cost
-# memory, mostly on long panels, where a batch holds about four arrays of its
-# padded size at once (the stacked design, the kernel's working matrix, a
-# block temporary and the rank-1 update): run_study on 500 two-year panels
-# (up to 594 rows) peaks at 4.9 MiB of traced allocations with 32 fits, 6.0
-# with 40 and 8.5 with 64. `uplift fit` estimates one bucket of about 28
-# such SKUs at a time per worker process, one batch each.
+# overhead is spread over the fits of a batch: a study of 2,000 180-day
+# panels takes 0.121 s with 32 fits, 0.109 with 40 and 0.101 with 64 (best
+# of 3). Wider batches cost memory, mostly on long panels, where a batch
+# holds its joined columns and about four arrays of its padded size at once
+# (the demeaned design, the kernel's working matrix, a block temporary and
+# the rank-1 update): run_study on 500 two-year panels (up to 594 rows)
+# peaks at 3.3 MiB of traced allocations with 32 fits, 4.0 with 40 and 5.7
+# with 64. `uplift fit` estimates one bucket of about 28 such SKUs at a time
+# per worker process, one batch each.
 # Sorting by length keeps a long panel from padding short ones to its
-# length, and the row cap keeps a batch's working matrix near 3 MB (2**15
-# rows x 11 columns) however long the panels: 3,650-day panels go 11 to a
+# length, and the row cap keeps a batch's working matrix near 1 MB (2**15
+# rows x 4 columns) however long the panels: 3,650-day panels go 11 to a
 # batch.
 BATCH_FITS = 40
 BATCH_ROWS = 1 << 15
@@ -70,7 +97,7 @@ class SkuUpliftReport:
     ``mean_residual`` is the average baseline residual over discount days
     (items/day); ``gamma10`` the estimated uplift per discounted sale. On
     ``ESTIMATION_FAILED`` all estimate fields are None and
-    ``failure_reason`` says why (naming missing weekday columns when a stage
+    ``failure_reason`` says why (naming the dependent columns when a stage
     was rank deficient).
     """
 
@@ -193,45 +220,61 @@ def _report_row(sku, store, has_store, ok, n_plain, n_disc, mean_residual,
         gamma10_p=gamma10_p, significant_positive=significant)
 
 
-_WEEKDAY_ONE_HOT = np.eye(7)
+def _absorb(fit: np.ndarray, count: int, weekday: np.ndarray,
+            columns: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One stage's design for ``count`` fits with the weekday dummies
+    absorbed, from the stage's rows: each row's ``fit`` (ascending),
+    ``weekday`` and ``columns`` (the covariates, then sales).
+
+    Returns each fit's row count, (fits,); the columns demeaned within each
+    of the fit's weekdays and zero-padded to a common row count, (columns,
+    fits, rows); each (fit, weekday)'s row count, (fits, 7), and the
+    columns' means, (columns, fits, 7), 0 where a weekday has no row; and
+    the (fits, covariates) mask of covariates whose demeaned norm is at
+    most RANK_RTOL times their raw norm. Every sum over rows is a
+    ``bincount``, which adds a bin's rows in index order.
+    """
+    lengths = np.bincount(fit, minlength=count)
+    code = 7 * fit + weekday - 1
+    counts = np.bincount(code, minlength=7 * count)
+    # Row r of fit f goes to f * rows + r in each column's padded block.
+    at = np.arange(len(fit)) + (lengths.max() * np.arange(count)
+                                - np.cumsum(lengths) + lengths)[fit]
+    padded = np.zeros((len(columns), count, lengths.max()))
+    means = np.zeros((len(columns), 7 * count))
+    squares = np.empty((len(columns) - 1, count))
+    for j, column in enumerate(columns):
+        np.divide(np.bincount(code, weights=column, minlength=7 * count),
+                  counts, out=means[j], where=counts > 0)
+        demeaned = column - means[j, code]
+        padded[j].reshape(-1)[at] = demeaned
+        if j < len(squares):
+            squares[j] = np.bincount(fit, weights=demeaned * demeaned,
+                                     minlength=count)
+    means = means.reshape(len(columns), count, 7)
+    # A column's squared norm is its demeaned one plus, per weekday, the
+    # row count times the squared mean.
+    raw = squares + (counts.reshape(count, 7) * means[:-1] ** 2).sum(axis=2)
+    return (lengths, padded, counts.reshape(count, 7), means,
+            (np.sqrt(squares) <= RANK_RTOL * np.sqrt(raw)).T)
 
 
-def _fill_design(out: np.ndarray, panel: SkuPanel,
-                 indices: np.ndarray) -> None:
-    """Write weekday dummies, forecast, stock (and, when ``out`` has a tenth
-    column, the discounted-sales count) of the panel rows at ``indices``
-    into the leading rows of ``out``. The panel guarantees weekdays in 1..7."""
-    table = panel.table
-    m = len(indices)
-    out[:m, :7] = _WEEKDAY_ONE_HOT[table.weekday[indices] - 1]
-    out[:m, 7] = table.forecast[indices]
-    out[:m, 8] = table.stock[indices]
-    if out.shape[1] == len(UPLIFT_LABELS):
-        out[:m, 9] = table.discounted_sales[indices]
+def _dependent(counts: np.ndarray, fits: BatchSolve,
+               flat: np.ndarray) -> np.ndarray:
+    """The (fits, 7 + covariates) mask of each fit's dependent columns, in
+    label order: its weekdays with no row, then the covariates that are
+    ``flat`` or that the kernel left unpivoted."""
+    unpivoted = np.zeros_like(flat)
+    np.put_along_axis(unpivoted, fits.pivots,
+                      np.arange(flat.shape[1]) >= fits.rank[:, None], axis=1)
+    return np.concatenate([counts == 0, flat | unpivoted], axis=1)
 
 
-def _stack(panels: Sequence[SkuPanel], indices: Sequence[np.ndarray],
-           labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Designs and sales of many panels, zero-padded to a common row count:
-    (panels, rows, columns) and (panels, rows)."""
-    rows = max(len(i) for i in indices)
-    X = np.zeros((len(panels), rows, len(labels)))
-    y = np.zeros((len(panels), rows))
-    for b, (panel, index) in enumerate(zip(panels, indices)):
-        _fill_design(X[b], panel, index)
-        y[b, :len(index)] = panel.table.sales[index]
-    return X, y
-
-
-def _lift(panels: Sequence[SkuPanel], coefficients: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """The stage-2 designs of the panels' discount days, (panels, rows,
-    columns), and each day's sales minus its prediction by the panel's row
-    of stage-1 ``coefficients``, (panels, rows); padded rows come out +0.0
-    in both."""
-    X, sales = _stack(panels, [p.disc_index for p in panels], UPLIFT_LABELS)
-    return X, sales - linear_combination(X[:, :, :len(BASELINE_LABELS)],
-                                         coefficients[:, None, :])
+def _rank_deficient(stage: int, labels: tuple[str, ...],
+                    dependent: np.ndarray) -> str:
+    names = [label for label, dead in zip(labels, dependent.tolist()) if dead]
+    return f"stage {stage} rank deficient; dependent columns: " \
+        + ", ".join(names)
 
 
 def _checked_t_test(alpha: float, sidedness: Sidedness | str) -> Sidedness:
@@ -256,35 +299,29 @@ def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
 
 
 def _set_uplift(reports: StudyReports, rows: Sequence[int], fits: BatchFit,
-                lift: np.ndarray, alpha: float, sidedness: Sidedness) -> None:
-    """Fill the ``rows`` of ``reports`` from their stage-2 ``fits``, fitted
-    in that order to the padded residuals ``lift``, reading each array of
-    the batch once."""
-    for b in np.flatnonzero(~fits.ok).tolist():
-        reports.failure_reason[rows[b]] = (
-            "stage 2 rank deficient; dependent columns: "
-            + ", ".join(fits.missing_columns[b]))
-    fitted = np.flatnonzero(fits.ok)
-    ds_col = len(UPLIFT_LABELS) - 1
-    gamma10 = fits.coefficients[fitted, ds_col]
-    gamma10_t = fits.t_stats[fitted, ds_col]
+                dependent: np.ndarray, mean_residual: np.ndarray,
+                alpha: float, sidedness: Sidedness) -> None:
+    """Fill the ``rows`` of ``reports`` from their stage-2 ``fits``, with
+    each fit's ``dependent`` columns and ``mean_residual``, reading each
+    array of the batch once."""
+    failed = dependent.any(axis=1)
+    for b in np.flatnonzero(failed).tolist():
+        reports.failure_reason[rows[b]] = _rank_deficient(2, UPLIFT_LABELS,
+                                                          dependent[b])
+    fitted = np.flatnonzero(~failed)
+    gamma10 = fits.coefficients[fitted, -1]
+    gamma10_t = fits.t_stats[fitted, -1]
     gamma10_p = []
-    mean_residual = []
-    for b, t, dof, n in zip(fitted.tolist(), gamma10_t.tolist(),
-                            fits.dof[fitted].tolist(),
-                            fits.n_obs[fitted].tolist()):
+    for t, dof in zip(gamma10_t.tolist(), fits.dof[fitted].tolist()):
         two_sided_p = p_value(t, dof)
         gamma10_p.append(_one_sided_positive_p(t, two_sided_p)
                          if sidedness is Sidedness.ONE_SIDED_POSITIVE
                          else two_sided_p)
-        # np.mean of the SKU's own residuals, as a single-SKU fit takes it:
-        # a sum over the padded batch in row order would round differently.
-        mean_residual.append(np.mean(lift[b, :n]))
     at = np.asarray(rows, dtype=np.intp)[fitted]
     reports.ok[at] = True
-    reports.mean_residual[at] = mean_residual
+    reports.mean_residual[at] = mean_residual[fitted]
     reports.gamma10[at] = gamma10
-    reports.gamma10_se[at] = fits.std_errors[fitted, ds_col]
+    reports.gamma10_se[at] = fits.std_errors[fitted, -1]
     reports.gamma10_t[at] = gamma10_t
     reports.gamma10_p[at] = gamma10_p
     reports.significant[at] = (gamma10 > 0.0) & (np.array(gamma10_p) < alpha)
@@ -296,22 +333,28 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
 
     Stage 1, sales on weekday dummies, forecast and stock, is solved with
     no inference for every panel with discount-free days, over those days.
-    Stage 2 runs for every panel whose stage 1 has full rank and whose
-    discount days allow inference; each other panel gets the failed report
-    a lone estimate would give it, and a panel with a non-finite forecast
-    fails before either stage. Reports come back in the order of
-    ``panels``.
+    Stage 2, raw sales on weekday dummies, forecast, stock and the
+    discounted-sales count over the discount days, runs for every panel
+    whose stage 1 has full rank and whose discount days allow inference;
+    each other panel gets the failed report a lone estimate would give it,
+    and a panel with a non-finite forecast fails before either stage.
+    Both stages absorb the weekday dummies (see the module docstring).
+    Reports come back in the order of ``panels``.
     """
     reports = StudyReports.failed(panels)
     reasons = reports.failure_reason
+    tables = [p.table for p in panels]
+    owner = np.repeat(np.arange(len(panels)), [p.n_obs for p in panels])
+    weekday, forecast, stock, ds, sales = (
+        np.concatenate([getattr(t, name) for t in tables])
+        for name in ("weekday", "forecast", "stock", "discounted_sales",
+                     "sales"))
     # The parser rejects a non-finite forecast; a hand-built panel may not.
-    bad = np.flatnonzero(~np.isfinite(
-        np.concatenate([p.table.forecast for p in panels])))
-    non_finite = set(np.searchsorted(np.cumsum([p.n_obs for p in panels]),
-                                     bad, "right").tolist()) if len(bad) else ()
+    finite = np.ones(len(panels), dtype=bool)
+    finite[owner[~np.isfinite(forecast)]] = False
     first = []
     for i, panel in enumerate(panels):
-        if i in non_finite:
+        if not finite[i]:
             reasons[i] = f"sku {panel.sku_id}: non-finite forecast"
         elif panel.n_plain:
             first.append(i)
@@ -320,16 +363,25 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     if not first:
         return reports
 
-    plain = [panels[i] for i in first]
-    stage1 = solve_ols_batch(
-        *_stack(plain, [p.plain_index for p in plain], BASELINE_LABELS),
-        [p.n_plain for p in plain], BASELINE_LABELS)
+    def absorbed(members: list[int], rows: np.ndarray, *columns: np.ndarray):
+        """_absorb of the ``rows`` (a mask) of the panels at ``members``."""
+        fit = np.full(len(panels), -1)
+        fit[members] = np.arange(len(members))
+        at = np.flatnonzero(rows & (fit[owner] >= 0))
+        return _absorb(fit[owner[at]], len(members), weekday[at],
+                       [c[at] for c in columns])
+
+    n_plain, design, counts, plain_means, flat = absorbed(
+        first, ds == 0, forecast, stock, sales)
+    stage1 = solve_ols_batch(design[:-1].transpose(1, 2, 0), design[-1],
+                             n_plain, BASELINE_LABELS[7:])
+    dependent = _dependent(counts, stage1, flat)
     second, baseline = [], []
-    for row, (i, ok) in enumerate(zip(first, stage1.ok.tolist())):
+    for row, (i, failed) in enumerate(zip(first,
+                                          dependent.any(axis=1).tolist())):
         panel = panels[i]
-        if not ok:
-            reasons[i] = ("stage 1 rank deficient; dependent columns: "
-                          + ", ".join(stage1.missing_columns[row]))
+        if failed:
+            reasons[i] = _rank_deficient(1, BASELINE_LABELS, dependent[row])
         elif panel.n_disc == 0:
             reasons[i] = f"sku {panel.sku_id}: no discount days"
         elif panel.n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE:
@@ -343,12 +395,20 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     if not second:
         return reports
 
-    X, lift = _lift([panels[i] for i in second],
-                    stage1.coefficients[baseline])
-    _set_uplift(reports, second,
-                fit_ols_batch(X, lift, [panels[i].n_disc for i in second],
-                              UPLIFT_LABELS),
-                lift, alpha, sidedness)
+    n_disc, design, counts, disc_means, flat = absorbed(
+        second, ds >= 1, forecast, stock, ds, sales)
+    stage2 = fit_ols_batch(design[:-1].transpose(1, 2, 0), design[-1],
+                           n_disc, UPLIFT_LABELS[7:], absorbed=7)
+    # Each discount day's residual is y - a_d - b.x, with a_d = mean(y) -
+    # b.mean(x) over the discount-free days of its weekday d; summed per
+    # weekday, that is its count times the gap between the weekday's means.
+    b = stage1.coefficients[baseline].T[:, :, None]
+    gap = disc_means[[0, 1, 3]] - plain_means[:, baseline]
+    sums = counts * (gap[2] - b[0] * gap[0] - b[1] * gap[1])
+    mean_residual = np.bincount(np.repeat(np.arange(len(second)), 7),
+                                weights=sums.ravel()) / n_disc
+    _set_uplift(reports, second, stage2, _dependent(counts, stage2, flat),
+                mean_residual, alpha, sidedness)
     return reports
 
 

@@ -695,12 +695,16 @@ def test_fit_outputs_identical_across_threads_and_runs(tmp_path, monkeypatch):
 
 def test_fit_reads_crlf_pieces_with_the_reader_on_workers(tmp_path,
                                                           monkeypatch):
-    # With CRLF line ends, from_bytes declines every piece of 16 KiB, so
-    # each goes through csv.reader and _Columns.records: in one process,
-    # and in the workers at --threads 2.
-    src = tmp_path / "crlf.csv"
-    src.write_bytes((DATA / "golden_input.csv").read_bytes()
-                    .replace(b"\n", b"\r\n"))
+    # from_bytes reads CRLF pieces itself. With each store id zero-padded
+    # to 19 digits, one more than it takes, it declines every piece of
+    # 16 KiB, so each goes through csv.reader and _Columns.records: in one
+    # process, and in the workers at --threads 2.
+    golden = (DATA / "golden_input.csv").read_bytes()
+    crlf = golden.replace(b"\n", b"\r\n")
+    header, _, body = crlf.partition(b"\r\n")
+    padded = header + b"\r\n" + b"\r\n".join(
+        line.rjust(len(line) + 19 - line.index(b","), b"0")
+        for line in body.split(b"\r\n") if line) + b"\r\n"
     monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
     log, records = tmp_path / "records", domain._Columns.records
 
@@ -709,13 +713,19 @@ def test_fit_reads_crlf_pieces_with_the_reader_on_workers(tmp_path,
         return records(self, *args)
 
     monkeypatch.setattr(domain._Columns, "records", logged)
-    for threads in ("1", "2"):
+    for name, data, threads, reader in (
+            ("crlf", crlf, "1", False), ("padded", padded, "1", True),
+            ("padded", padded, "2", True)):
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(data)
         log.write_text("")
-        files = _fit_files(src, tmp_path / threads, "--threads", threads)
+        files = _fit_files(src, tmp_path / f"{name}{threads}",
+                           "--threads", threads)
         assert files["reports.csv"] == \
             (DATA / "golden_reports.csv").read_bytes()
-        workers = set(log.read_text().split()) - {str(os.getpid())}
-        assert bool(workers) == (threads == "2")
+        pids = set(log.read_text().split())
+        assert bool(pids) == reader
+        assert bool(pids - {str(os.getpid())}) == (threads == "2")
 
 
 def test_fit_empty_input_exits_2(tmp_path, capsys):
@@ -1852,9 +1862,9 @@ W500_SHA256 = \
     "b139679842cd6edeb01742e4546120ae0655f6372e641f99093c6a5323a82667"
 W500_DIGESTS = {
     "reports.csv":
-        "2536e7b01c5e55cb855970f8a4f5687b04907eb2720d4fe25844e66ce06a7d8b",
+        "b52bdf52f85410c32ee6f4f68a7346117a42a7d984f4b9ca44d1fece69547a35",
     "aggregate.json":
-        "0dee03dff7eaf2ca160ee1ad9f6c047189848fd6a4d5d88ed9b2ef15a158416d"}
+        "75c46b3c8a2d417bd749bab005a5ac3415035a1aa0d880f1962a97bba71f7d8b"}
 
 
 def test_fit_w500_digests(tmp_path, capsys):

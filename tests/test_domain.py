@@ -479,11 +479,12 @@ _INSERTED = {"cr": b"\r", "quote": b'"', "nul": b"\0", "invalid": b"\xff"}
 @st.composite
 def byte_path_pieces(draw):
     """A header, with the columns in any order and maybe one more, and a
-    piece of its body of valid cells, maybe with no final newline. A piece
-    is valid, or has one or two faults: a near-valid cell, a blank, short
-    or long line, a CR, a quote, a NUL or a byte that is not UTF-8, or a
-    small field size limit. Returns the header, the piece, whether it is
-    valid and the field size limit to set, if any."""
+    piece of its body of valid cells, with LF or CRLF line ends, maybe with
+    no final line end or, after CRLF, a final CR with no LF. A piece is
+    valid, or has one or two faults: a near-valid cell, a blank, short or
+    long line, a CR, a quote, a NUL or a byte that is not UTF-8, or a small
+    field size limit. Returns the header, the piece, whether it is valid
+    (the final lone CR included) and the field size limit to set, if any."""
     names = list(CSV_COLUMNS) + (["note"] if draw(st.booleans()) else [])
     names = draw(st.permutations(names))
     rows = [[draw(_CELLS[name][0]) for name in names]
@@ -510,10 +511,12 @@ def byte_path_pieces(draw):
         else:
             k = draw(st.integers(0, len(lines[i])))
             lines[i] = lines[i][:k] + _INSERTED[fault] + lines[i][k:]
-    data = b"".join(line + b"\n" for line in lines)
-    if data != b"\n" and draw(st.booleans()):
-        data = data.removesuffix(b"\n")
-    return (",".join(names) + "\n").encode(), data, not faults, limit
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    data = b"".join(line + newline for line in lines)
+    if data != newline:
+        data = data[:len(data) - draw(st.integers(0, len(newline)))]
+    valid = not faults and not data.endswith(b"\r")
+    return (",".join(names) + "\n").encode(), data, valid, limit
 
 
 def _reader_path(columns, piece):
@@ -560,13 +563,27 @@ def _check_byte_path(header: bytes, data: bytes, line: int,
     return True
 
 
+# Two CRLF lines; the examples end them with a final CR and put a lone CR
+# inside a forecast cell.
+_CRLF_ROWS = (b"1,2,2024-02-29,thursday,3,0.5,1,0\r\n"
+              b"1,3,2024-03-01,Friday,4,1.25,2,1")
+
+
 @settings(max_examples=400, deadline=None)
 @given(byte_path_pieces(), st.integers(2, 1000))
 @example((HEADER.encode() + b"\n", b"1,2,2024-02-29,thursday,3,0.5,1,0",
           True, None), 2)
+@example((HEADER.encode() + b"\n", _CRLF_ROWS, True, None), 2)
+@example((HEADER.encode() + b"\n", _CRLF_ROWS + b"\r", False, None), 2)
+@example((HEADER.encode() + b"\n", _CRLF_ROWS.replace(b"0.5", b"0.\r5", 1),
+          False, None), 2)
 def test_byte_path_equals_the_reader_path_or_declines(drawn, line):
     header, data, valid, limit = drawn
-    assert _check_byte_path(header, data, line, limit) or not valid
+    read = _check_byte_path(header, data, line, limit)
+    assert read or not valid
+    # CRLF line ends stay on the byte path; a lone CR never does.
+    if b"\r" in data.replace(b"\r\n", b""):
+        assert not read
 
 
 @pytest.mark.parametrize("field, cell", [
@@ -796,35 +813,51 @@ def test_build_panels_table_equals_observation_list(observations, group_by):
             [i for i, o in enumerate(rows) if o.discounted_sales >= 1]
 
 
-def _design_by_rows(panel, indices, include_ds):
-    rows = np.zeros((len(indices), 10 if include_ds else 9))
-    for r, i in enumerate(indices):
-        obs = panel.observations[i]
-        rows[r, obs.weekday - 1] = 1.0
-        rows[r, 7] = obs.forecast
-        rows[r, 8] = obs.stock
-        if include_ds:
-            rows[r, 9] = obs.discounted_sales
-    return rows
+def _absorbed_by_rows(panel, indices, names):
+    """The named fields of the panel's rows at ``indices``, each minus its
+    mean over those rows of the same weekday: the weekday's values added one
+    after another from 0.0, then divided by their count."""
+    rows = [panel.observations[i] for i in indices]
+    totals, counts = {}, {}
+    for obs in rows:
+        counts[obs.weekday] = counts.get(obs.weekday, 0) + 1
+        for name in names:
+            key = obs.weekday, name
+            totals[key] = totals.get(key, 0.0) + float(getattr(obs, name))
+    return np.array([[float(getattr(obs, name))
+                      - totals[obs.weekday, name] / counts[obs.weekday]
+                      for name in names] for obs in rows]), counts
 
 
 def test_design_bytes_equal_per_row_reference():
-    from discount_uplift.ols import BASELINE_LABELS, UPLIFT_LABELS
     from discount_uplift.synth import DgpConfig, generate_panel
-    from discount_uplift.two_step import _stack
+    from discount_uplift.two_step import _absorb
 
-    panel = generate_panel(DgpConfig(seed=5, n_days=120), sku_id=3)
-    for indices in (panel.plain_index, panel.disc_index):
-        for include_ds in (False, True):
-            labels = UPLIFT_LABELS if include_ds else BASELINE_LABELS
-            X, y = _stack([panel], [indices], labels)
-            expected = _design_by_rows(panel, indices.tolist(), include_ds)
-            assert X[0].dtype == expected.dtype
-            assert X[0].shape == expected.shape
-            assert X[0].tobytes() == expected.tobytes()
-        sales = np.array([panel.observations[i].sales for i in indices],
-                         dtype=np.float64)
-        assert y[0].tobytes() == sales.tobytes()
+    # Two panels of different lengths in one batch: the shorter one's
+    # design is zero-padded to the longer one's rows.
+    panels = [generate_panel(DgpConfig(seed=5, n_days=days), sku_id=3)
+              for days in (120, 90)]
+    for stage in ("plain_index", "disc_index"):
+        for names in (("forecast", "stock", "sales"),
+                      ("forecast", "stock", "discounted_sales", "sales")):
+            indices = [getattr(p, stage) for p in panels]
+            fit = np.repeat([0, 1], [len(i) for i in indices])
+            lengths, design, counts, _, _ = _absorb(
+                fit, 2, np.concatenate([p.table.weekday[i] for p, i
+                                        in zip(panels, indices)]),
+                [np.concatenate([getattr(p.table, name)[i] for p, i
+                                 in zip(panels, indices)]) for name in names])
+            assert design.dtype == np.float64
+            assert design.shape == (len(names), 2, len(indices[0]))
+            assert lengths.tolist() == [len(i) for i in indices]
+            for b, (panel, index) in enumerate(zip(panels, indices)):
+                expected, by_weekday = _absorbed_by_rows(
+                    panel, index.tolist(), names)
+                rows = np.ascontiguousarray(design[:, b, :len(index)].T)
+                assert rows.tobytes() == expected.tobytes()
+                assert not design[:, b, len(index):].any()
+                assert counts[b].tolist() == [by_weekday.get(day, 0)
+                                              for day in range(1, 8)]
 
 
 def test_views_construct_no_observation(monkeypatch):

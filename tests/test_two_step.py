@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import datetime as dt
 import gc
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import build_panel, stage_design
+from oracles import exact_sqrt, exact_two_step
 from discount_uplift.aggregate import summarize
 from discount_uplift.domain import EligibilityRule
 from discount_uplift.ols import (UPLIFT_LABELS, DimensionMismatch, FitStatus,
@@ -23,7 +26,6 @@ def weekend_discount_panel(n_days=280, sku_id=1):
     """Panel whose Saturdays and Sundays all carry a discounted sale, so the
     discount-free days span only five weekdays."""
     sales, disc = [], []
-    import datetime as dt
     start = dt.date(2024, 1, 1)
     for d in range(n_days):
         weekend = (start + dt.timedelta(days=d)).isoweekday() >= 6
@@ -453,13 +455,16 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
     kernel = ols._householder_qr
 
     def faulty(A, y):
-        if (A[:, :, 8] == 9999.0).any():
+        # Column 1 is Stock, demeaned within weekdays: near +-5,000 only
+        # on the marked panel, whose stock alternates 0 and 9,999.
+        if (np.abs(A[:, :, 1]) > 4000.0).any():
             raise RuntimeError("injected fault")
         return kernel(A, y)
 
     marked = build_panel([3 + d % 5 for d in range(150)],
                          [1 if d % 3 == 0 else 0 for d in range(150)],
-                         stock=[9999] * 150, sku_id=3)
+                         stock=[9999 * (d % 2) for d in range(150)],
+                         sku_id=3)
     panels[2] = marked
     monkeypatch.setattr(ols, "_householder_qr", faulty)
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
@@ -508,7 +513,6 @@ def test_lazy_p_values_are_t_pvalue_of_each_t():
 def _weekday_discount_panel(sku_id):
     """Discounts on alternate weekdays only: stage 1 sees every weekday,
     stage 2 neither Saturday nor Sunday."""
-    import datetime as dt
     start = dt.date(2024, 1, 1)
     disc = [1 + d % 3 if d % 2 == 0
             and (start + dt.timedelta(days=d)).isoweekday() <= 5 else 0
@@ -526,12 +530,15 @@ def test_study_rows_equal_lone_estimates_in_every_failure_class(monkeypatch):
         _weekday_discount_panel(sku_id=11),
         build_panel([3 + d % 5 for d in range(400)],
                     [1 if d % 3 == 0 else 0 for d in range(400)],
-                    stock=[9999] * 400, sku_id=12)]
+                    stock=[9999 * (d % 2) for d in range(400)],
+                    sku_id=12)]
     lone = {p.sku_id: estimate_sku(p) for p in panels}
     kernel = ols._householder_qr
 
     def faulty(A, y):
-        if (A[:, :, 8] == 9999.0).any():
+        # Column 1 is Stock, demeaned within weekdays: near +-5,000 only
+        # on the marked panel, whose stock alternates 0 and 9,999.
+        if (np.abs(A[:, :, 1]) > 4000.0).any():
             raise RuntimeError("injected fault")
         return kernel(A, y)
 
@@ -583,3 +590,115 @@ def test_study_holds_under_200_bytes_per_sku():
         tracemalloc.stop()
     assert len(reports) == 200
     assert held / len(reports) < 200, held
+
+
+@pytest.mark.parametrize("seed, n_days, probability", [
+    (111, 120, 0.25), (112, 120, 0.5), (113, 400, 0.25), (114, 400, 0.5)])
+def test_generated_panels_match_exact_oracle(seed, n_days, probability):
+    # As the golden reports are checked: each estimate within 8 ulps of the
+    # paper's literal two steps in exact rational arithmetic.
+    panel = generate_panel(DgpConfig(seed=seed, n_days=n_days,
+                                     discount_probability=probability,
+                                     gamma_true=0.6), sku_id=1)
+    report = estimate_sku(panel)
+    assert report.ok
+    t = panel.table
+    mean_residual, gamma10, variance = exact_two_step(zip(
+        t.weekday.tolist(), t.forecast.tolist(), t.stock.tolist(),
+        t.sales.tolist(), t.discounted_sales.tolist()))
+    bound = Fraction(8, 2**52)
+    for field, exact in (("mean_residual", mean_residual),
+                         ("gamma10", gamma10),
+                         ("gamma10_se", exact_sqrt(variance))):
+        error = abs(Fraction(getattr(report, field)) - exact)
+        assert error <= bound * abs(exact), field
+
+
+def _weekday_of(day):
+    return (dt.date(2024, 1, 1) + dt.timedelta(days=day)).isoweekday()
+
+
+def _rank_panel(stage, **fields):
+    """A 140-day panel discounted every third day, so that both stages see
+    every weekday. Each function of (day, weekday) given for ``forecast``,
+    ``stock`` or ``discounted`` sets that field on the days of ``stage``
+    (1: discount-free, 2: discount days)."""
+    disc = [d % 3 == 0 for d in range(140)]
+    values = {"forecast": [1.0 + 0.1 * (d % 9) for d in range(140)],
+              "stock": [7 + d % 4 for d in range(140)],
+              "discounted": [1 + d % 2 if x else 0
+                             for d, x in enumerate(disc)]}
+    for name, value in fields.items():
+        values[name] = [value(d, _weekday_of(d)) if x == (stage == 2) else v
+                        for d, (x, v) in enumerate(zip(disc, values[name]))]
+    return build_panel([4 + d % 5 for d in range(140)], values["discounted"],
+                       forecast=values["forecast"], stock=values["stock"])
+
+
+def _by_weekday(d, w):
+    return 1.0 + 0.1 * w
+
+
+def _stock_by_weekday(d, w):
+    return 10 + w
+
+
+def _hair(d, w):
+    # Demeaned within weekdays, 5e-13 of its raw norm and far below
+    # demeaned stock, so the kernel also leaves it unpivoted.
+    return 100.0 + 0.5 * w + (1e-10 if d % 2 else 0.0)
+
+
+def _high_stock(d, w):
+    # Demeaned, 5e-13 of its raw norm, but as large as demeaned forecast:
+    # only the norm rule finds it dependent.
+    return 10**12 + d % 2
+
+
+def _mid_stock(d, w):
+    return 10**8 + d % 2  # demeaned, 5e-9 of its raw norm: independent
+
+
+def _weekend(d, w):
+    return int(w >= 6)  # weekends discounted, other days not
+
+
+@pytest.mark.parametrize("stage, fields, dependent", [
+    (1, dict(forecast=_by_weekday, stock=_stock_by_weekday),
+     "Forecast, Stock"),
+    (1, dict(forecast=_by_weekday), "Forecast"),
+    (1, dict(stock=_stock_by_weekday), "Stock"),
+    (1, dict(forecast=_hair), "Forecast"),
+    (1, dict(stock=_high_stock), "Stock"),
+    (1, dict(stock=_mid_stock), None),
+    (2, dict(forecast=_by_weekday, stock=_stock_by_weekday),
+     "Forecast, Stock"),
+    (2, dict(forecast=_by_weekday), "Forecast"),
+    (2, dict(stock=_stock_by_weekday), "Stock"),
+    (2, dict(discounted=lambda d, w: 1 + w % 3), "DS"),
+    (2, dict(forecast=_hair), "Forecast"),
+    (2, dict(stock=_high_stock), "Stock"),
+    (2, dict(stock=_mid_stock), None),
+    # Weekend days moved out of the stage: its weekdays with no row come
+    # first, in label order.
+    (1, dict(discounted=_weekend), "Sat, Sun"),
+    (1, dict(discounted=_weekend, forecast=_by_weekday), "Sat, Sun, Forecast"),
+    (2, dict(discounted=lambda d, w: 0 if w >= 6 else 1 + d % 2),
+     "Sat, Sun"),
+], ids=["1-forecast-stock", "1-forecast", "1-stock", "1-hair",
+        "1-high-stock", "1-mid-stock", "2-forecast-stock", "2-forecast",
+        "2-stock", "2-ds", "2-hair", "2-high-stock", "2-mid-stock",
+        "1-weekend", "1-weekend-forecast", "2-weekend"])
+def test_rank_rule_names_dependent_columns(stage, fields, dependent):
+    # A weekday with no row in a stage is dependent; so is a covariate
+    # whose demeaned norm is at most RANK_RTOL times its raw norm, or that
+    # the kernel leaves unpivoted.
+    panel = _rank_panel(stage, **fields)
+    report = estimate_sku(panel)
+    if dependent is None:
+        assert report.ok
+    else:
+        assert report.failure_reason == (
+            f"stage {stage} rank deficient; dependent columns: {dependent}")
+    (row,) = run_study([panel], rule=LOW_RULE)
+    assert _report_bytes(row) == _report_bytes(report)
