@@ -50,8 +50,9 @@ _PARSE_LINES = 4096
 READ_BYTES = 1 << 18
 # `uplift fit` spills the rows of a file to one bucket per BUCKET_BYTES of
 # it, and to at most MAX_BUCKETS. A MiB of the CSV that `uplift simulate`
-# writes is about 20,000 rows, 28 two-year panels: one study batch
-# (two_step.BATCH_FITS).
+# writes is about 20,000 rows, 28 two-year panels (24 to 34 per bucket of
+# a 500-SKU file): one study batch, which holds up to 55 such panels
+# (two_step.BATCH_FITS and BATCH_ROWS).
 BUCKET_BYTES = 1 << 20
 MAX_BUCKETS = 256
 # A row's bucket is the high half of sku_id * _MIX (mod 2**64), modulo the

@@ -20,8 +20,11 @@ runs along every fit at once. Padding changes no bit of a fit, so a fit's
 bytes do not depend on the batch it was part of. Every fit stays in the
 batch from the first step to the last: one whose design loses rank is
 frozen, changes no further bit, and comes out with NaN coefficients and
-inference. The p-value's continued fraction runs on Python floats, which
-give the bits of numpy's float64 scalars at native speed.
+inference. A lone p-value's continued fraction runs on Python floats,
+which give the bits of numpy's float64 scalars at native speed;
+``t_pvalues`` gives a study's p-values in one pass, with each front factor
+on Python floats and the continued fractions on float64 arrays, in the
+same operations, so the same bits.
 """
 from __future__ import annotations
 
@@ -424,6 +427,51 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     return h
 
 
+def _beta_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray
+                   ) -> np.ndarray:
+    """``_beta_cf`` of each element: the same operations in the same order
+    on float64 arrays, so the same bits, each element leaving the loop at
+    its own convergence."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d[np.abs(d) < _CF_TINY] = _CF_TINY
+    d = 1.0 / d
+    h = d
+    out = np.empty_like(x)
+    live = np.arange(len(x))
+    for m in range(1, _CF_MAX_ITER + 1):
+        if not live.size:
+            break
+        m2 = 2 * m
+        # The even and then the odd step, as in _beta_cf.
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d[np.abs(d) < _CF_TINY] = _CF_TINY
+            c = 1.0 + aa / c
+            c[np.abs(c) < _CF_TINY] = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if done.any():
+            out[live[done]] = h[done]
+            going = ~done
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                v[going] for v in (live, a, b, x, qab, qap, qam, c, d, h))
+    out[live] = h
+    return out
+
+
+def _front(a: float, b: float, x: float) -> float:
+    """``x**a * (1 - x)**b / B(a, b)``, the factor before the continued
+    fraction, on Python floats."""
+    return math.exp(a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b))
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     # Python floats: the continued fraction's scalar arithmetic then runs
@@ -435,8 +483,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b))
-    front = math.exp(ln_front)
+    front = _front(a, b, x)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
@@ -457,6 +504,39 @@ def t_pvalue(t: float, dof: int) -> float:
 def p_value(t: float, dof: int) -> float:
     """``t_pvalue(t, dof)``, or NaN for a saturated fit (``dof == 0``)."""
     return math.nan if dof == 0 else t_pvalue(t, dof)
+
+
+def t_pvalues(t: np.ndarray, dof: np.ndarray) -> np.ndarray:
+    """``p_value`` of each element of ``t`` at its ``dof``, bit for bit.
+
+    Each front factor is ``_front`` on Python floats, one element at a
+    time, and the continued fractions run together as ``_beta_cf_array``.
+    A negative ``dof`` raises ``InvalidDof``, and a NaN ``t`` at a nonzero
+    ``dof`` raises ``OlsError``, as ``t_pvalue`` does.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    dof = np.asarray(dof, dtype=np.int64)
+    if (dof < 0).any():
+        raise InvalidDof(f"dof must be >= 1, got {dof.min()}")
+    p = np.full(t.shape, math.nan)
+    tested = np.flatnonzero(dof != 0)
+    t, dof = t[tested], dof[tested]
+    if np.isnan(t).any():
+        raise OlsError("t statistic is NaN")
+    # x is 0 for an infinite t, whose p-value is 0.0, and 1 for t = 0.
+    with np.errstate(over="ignore"):  # t * t is inf, as on Python floats
+        x = dof / (dof + t * t)
+    p[tested] = np.where(x <= 0.0, 0.0, 1.0)
+    inner = (x > 0.0) & (x < 1.0)
+    a, b, x = dof[inner] / 2.0, 0.5, x[inner]
+    front = np.array([_front(ai, b, xi)
+                      for ai, xi in zip(a.tolist(), x.tolist())])
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    first = np.where(lower, a, b)
+    tail = front * _beta_cf_array(first, np.where(lower, b, a),
+                                  np.where(lower, x, 1.0 - x)) / first
+    p[tested[inner]] = np.where(lower, tail, 1.0 - tail)
+    return p
 
 
 def t_critical(alpha: float, dof: int) -> float:

@@ -39,9 +39,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import ols
 from .domain import EligibilityRule, SkuPanel, filter_eligible
-from .ols import (BASELINE_LABELS, RANK_RTOL, UPLIFT_LABELS, BatchFit,
-                  BatchSolve, fit_ols_batch, p_value, solve_ols_batch)
+from .ols import (BASELINE_LABELS, RANK_RTOL, UPLIFT_LABELS, BatchSolve,
+                  OlsError, fit_ols_batch, solve_ols_batch)
 # Unused here; perfbench/tracer.py wraps two_step.fit_ols and two_step.predict.
 from .ols import fit_ols, predict  # noqa: F401
 
@@ -53,20 +54,22 @@ MIN_DISCOUNT_DAYS_FOR_INFERENCE = 11
 # them into runs of at most BATCH_FITS SKUs and BATCH_ROWS padded rows. The
 # kernel keeps the fits on its innermost axis, so each of its numpy loops
 # runs over (columns left) x fits contiguous elements, and numpy's per-call
-# overhead is spread over the fits of a batch: a study of 2,000 180-day
-# panels takes 0.121 s with 32 fits, 0.109 with 40 and 0.101 with 64 (best
-# of 3). Wider batches cost memory, mostly on long panels, where a batch
-# holds its joined columns and about four arrays of its padded size at once
-# (the demeaned design, the kernel's working matrix, a block temporary and
-# the rank-1 update): run_study on 500 two-year panels (up to 594 rows)
-# peaks at 3.3 MiB of traced allocations with 32 fits, 4.0 with 40 and 5.7
-# with 64. `uplift fit` estimates one bucket of about 28 such SKUs at a time
-# per worker process, one batch each.
+# overhead is spread over the fits of a batch: run_study and summarize of
+# 2,000 180-day panels take 0.102 s with 40 fits, 0.094 with 64, 0.091 with
+# 100 and 0.092 with 160 (best of 3, 2 shared vCPUs), at traced peaks of
+# 1.27, 1.80, 2.61 and 3.86 MiB. Wider batches cost memory, mostly on long
+# panels, where a batch holds its joined columns and about four arrays of
+# its padded size at once (the demeaned design, the kernel's working
+# matrix, a block temporary and the rank-1 update): run_study on 500
+# two-year panels (up to 594 rows) peaks at 4.0 MiB of traced allocations
+# with 40 fits and at 5.7 with 64 or more, where the row cap holds a batch
+# to 55 of them. `uplift fit` estimates one bucket of 24 to 34 such SKUs at
+# a time per worker process, one batch each.
 # Sorting by length keeps a long panel from padding short ones to its
 # length, and the row cap keeps a batch's working matrix near 1 MB (2**15
 # rows x 4 columns) however long the panels: 3,650-day panels go 11 to a
 # batch.
-BATCH_FITS = 40
+BATCH_FITS = 100
 BATCH_ROWS = 1 << 15
 
 
@@ -156,10 +159,9 @@ class StudyReports:
     failure_reason: list[str | None]
 
     @classmethod
-    def failed(cls, panels: Sequence[SkuPanel],
-               reason: str | None = None) -> StudyReports:
-        """Rows for ``panels``, in their order, with no estimates and the
-        failure ``reason``."""
+    def failed(cls, panels: Sequence[SkuPanel]) -> StudyReports:
+        """Rows for ``panels``, in their order, with no estimates and no
+        failure reason yet."""
         n = len(panels)
         stores = [p.store_id for p in panels]
         return cls(
@@ -172,7 +174,7 @@ class StudyReports:
             n_disc=np.array([p.n_disc for p in panels], dtype=np.int64),
             **{name: np.full(n, math.nan) for name in _ESTIMATES},
             significant=np.zeros(n, dtype=bool),
-            failure_reason=[reason] * n)
+            failure_reason=[None] * n)
 
     @classmethod
     def concatenate(cls, parts: Sequence[StudyReports]) -> StudyReports:
@@ -294,57 +296,46 @@ def _checked_t_test(alpha: float, sidedness: Sidedness | str) -> Sidedness:
             f"{sidedness!r}") from None
 
 
-def _one_sided_positive_p(t: float, two_sided_p: float) -> float:
-    return 0.5 * two_sided_p if t > 0 else 1.0 - 0.5 * two_sided_p
+def _fail(reports: StudyReports, at: np.ndarray, reason: str) -> None:
+    """Make the rows ``at`` of ``reports`` failed rows with ``reason``,
+    whatever was written to them before."""
+    reports.ok[at] = False
+    for name in _ESTIMATES:
+        getattr(reports, name)[at] = math.nan
+    reports.significant[at] = False
+    for i in at.tolist():
+        reports.failure_reason[i] = reason
 
 
-def _set_uplift(reports: StudyReports, rows: Sequence[int], fits: BatchFit,
-                dependent: np.ndarray, mean_residual: np.ndarray,
-                alpha: float, sidedness: Sidedness) -> None:
-    """Fill the ``rows`` of ``reports`` from their stage-2 ``fits``, with
-    each fit's ``dependent`` columns and ``mean_residual``, reading each
-    array of the batch once."""
-    failed = dependent.any(axis=1)
-    for b in np.flatnonzero(failed).tolist():
-        reports.failure_reason[rows[b]] = _rank_deficient(2, UPLIFT_LABELS,
-                                                          dependent[b])
-    fitted = np.flatnonzero(~failed)
-    gamma10 = fits.coefficients[fitted, -1]
-    gamma10_t = fits.t_stats[fitted, -1]
-    gamma10_p = []
-    for t, dof in zip(gamma10_t.tolist(), fits.dof[fitted].tolist()):
-        two_sided_p = p_value(t, dof)
-        gamma10_p.append(_one_sided_positive_p(t, two_sided_p)
-                         if sidedness is Sidedness.ONE_SIDED_POSITIVE
-                         else two_sided_p)
-    at = np.asarray(rows, dtype=np.intp)[fitted]
-    reports.ok[at] = True
-    reports.mean_residual[at] = mean_residual[fitted]
-    reports.gamma10[at] = gamma10
-    reports.gamma10_se[at] = fits.std_errors[fitted, -1]
-    reports.gamma10_t[at] = gamma10_t
-    reports.gamma10_p[at] = gamma10_p
-    reports.significant[at] = (gamma10 > 0.0) & (np.array(gamma10_p) < alpha)
-
-
-def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
-                    sidedness: Sidedness) -> StudyReports:
-    """Both stages for a batch of panels, with one kernel call per stage.
+def _estimate_batch(panels: Sequence[SkuPanel], reports: StudyReports,
+                    at: np.ndarray) -> None:
+    """Both stages for a batch of panels, with one kernel call per stage,
+    written to the rows ``at`` of ``reports``, which hold those panels'
+    ids and day counts, no estimates and no failure reason.
 
     Stage 1, sales on weekday dummies, forecast and stock, is solved with
     no inference for every panel with discount-free days, over those days.
     Stage 2, raw sales on weekday dummies, forecast, stock and the
     discounted-sales count over the discount days, runs for every panel
     whose stage 1 has full rank and whose discount days allow inference;
-    each other panel gets the failed report a lone estimate would give it,
-    and a panel with a non-finite forecast fails before either stage.
-    Both stages absorb the weekday dummies (see the module docstring).
-    Reports come back in the order of ``panels``.
+    each other panel gets the failure reason a lone estimate would give
+    it, and a panel with a non-finite forecast fails before either stage.
+    Both stages absorb the weekday dummies (see the module docstring). The
+    rows of the full-rank stage-2 fits are made ``ok`` with every estimate
+    but the p-value, which ``_set_p_values`` adds; a NaN t statistic among
+    them raises ``OlsError`` before any is.
     """
-    reports = StudyReports.failed(panels)
     reasons = reports.failure_reason
+    sku = reports.sku[at].tolist()
+    n_plain, n_disc = reports.n_plain[at], reports.n_disc[at]
+
+    def explain(failed: np.ndarray, reason) -> None:
+        """Word ``reason(i)`` for each panel ``i`` where ``failed``."""
+        for i in np.flatnonzero(failed).tolist():
+            reasons[at[i]] = reason(i)
+
     tables = [p.table for p in panels]
-    owner = np.repeat(np.arange(len(panels)), [p.n_obs for p in panels])
+    owner = np.repeat(np.arange(len(panels)), [len(t) for t in tables])
     weekday, forecast, stock, ds, sales = (
         np.concatenate([getattr(t, name) for t in tables])
         for name in ("weekday", "forecast", "stock", "discounted_sales",
@@ -352,64 +343,90 @@ def _estimate_batch(panels: Sequence[SkuPanel], alpha: float,
     # The parser rejects a non-finite forecast; a hand-built panel may not.
     finite = np.ones(len(panels), dtype=bool)
     finite[owner[~np.isfinite(forecast)]] = False
-    first = []
-    for i, panel in enumerate(panels):
-        if not finite[i]:
-            reasons[i] = f"sku {panel.sku_id}: non-finite forecast"
-        elif panel.n_plain:
-            first.append(i)
-        else:
-            reasons[i] = f"sku {panel.sku_id}: no discount-free days"
-    if not first:
-        return reports
+    explain(~finite, lambda i: f"sku {sku[i]}: non-finite forecast")
+    explain(finite & (n_plain == 0),
+            lambda i: f"sku {sku[i]}: no discount-free days")
+    first = np.flatnonzero(finite & (n_plain > 0))
+    if not first.size:
+        return
 
-    def absorbed(members: list[int], rows: np.ndarray, *columns: np.ndarray):
+    def absorbed(members: np.ndarray, rows: np.ndarray, *columns):
         """_absorb of the ``rows`` (a mask) of the panels at ``members``."""
         fit = np.full(len(panels), -1)
         fit[members] = np.arange(len(members))
-        at = np.flatnonzero(rows & (fit[owner] >= 0))
-        return _absorb(fit[owner[at]], len(members), weekday[at],
-                       [c[at] for c in columns])
+        taken = np.flatnonzero(rows & (fit[owner] >= 0))
+        return _absorb(fit[owner[taken]], len(members), weekday[taken],
+                       [c[taken] for c in columns])
 
-    n_plain, design, counts, plain_means, flat = absorbed(
+    plain, design, counts, plain_means, flat = absorbed(
         first, ds == 0, forecast, stock, sales)
     stage1 = solve_ols_batch(design[:-1].transpose(1, 2, 0), design[-1],
-                             n_plain, BASELINE_LABELS[7:])
+                             plain, BASELINE_LABELS[7:])
     dependent = _dependent(counts, stage1, flat)
-    second, baseline = [], []
-    for row, (i, failed) in enumerate(zip(first,
-                                          dependent.any(axis=1).tolist())):
-        panel = panels[i]
-        if failed:
-            reasons[i] = _rank_deficient(1, BASELINE_LABELS, dependent[row])
-        elif panel.n_disc == 0:
-            reasons[i] = f"sku {panel.sku_id}: no discount days"
-        elif panel.n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE:
-            reasons[i] = (f"sku {panel.sku_id}: {panel.n_disc} discount "
-                          f"days, need at least "
-                          f"{MIN_DISCOUNT_DAYS_FOR_INFERENCE} for stage-2 "
-                          "inference")
-        else:
-            second.append(i)
-            baseline.append(row)
-    if not second:
-        return reports
+    deficient = dependent.any(axis=1)
+    for row in np.flatnonzero(deficient).tolist():
+        reasons[at[first[row]]] = _rank_deficient(1, BASELINE_LABELS,
+                                                  dependent[row])
+    reached = np.zeros(len(panels), dtype=bool)
+    reached[first[~deficient]] = True
+    explain(reached & (n_disc == 0),
+            lambda i: f"sku {sku[i]}: no discount days")
+    explain(reached & (n_disc > 0)
+            & (n_disc < MIN_DISCOUNT_DAYS_FOR_INFERENCE),
+            lambda i: f"sku {sku[i]}: {n_disc[i]} discount days, need at "
+                      f"least {MIN_DISCOUNT_DAYS_FOR_INFERENCE} for stage-2 "
+                      "inference")
+    second = np.flatnonzero(reached
+                            & (n_disc >= MIN_DISCOUNT_DAYS_FOR_INFERENCE))
+    if not second.size:
+        return
 
-    n_disc, design, counts, disc_means, flat = absorbed(
+    disc, design, counts, disc_means, flat = absorbed(
         second, ds >= 1, forecast, stock, ds, sales)
     stage2 = fit_ols_batch(design[:-1].transpose(1, 2, 0), design[-1],
-                           n_disc, UPLIFT_LABELS[7:], absorbed=7)
+                           disc, UPLIFT_LABELS[7:], absorbed=7)
     # Each discount day's residual is y - a_d - b.x, with a_d = mean(y) -
     # b.mean(x) over the discount-free days of its weekday d; summed per
     # weekday, that is its count times the gap between the weekday's means.
+    baseline = np.searchsorted(first, second)
     b = stage1.coefficients[baseline].T[:, :, None]
     gap = disc_means[[0, 1, 3]] - plain_means[:, baseline]
     sums = counts * (gap[2] - b[0] * gap[0] - b[1] * gap[1])
     mean_residual = np.bincount(np.repeat(np.arange(len(second)), 7),
-                                weights=sums.ravel()) / n_disc
-    _set_uplift(reports, second, stage2, _dependent(counts, stage2, flat),
-                mean_residual, alpha, sidedness)
-    return reports
+                                weights=sums.ravel()) / disc
+    dependent = _dependent(counts, stage2, flat)
+    deficient = dependent.any(axis=1)
+    for row in np.flatnonzero(deficient).tolist():
+        reasons[at[second[row]]] = _rank_deficient(2, UPLIFT_LABELS,
+                                                   dependent[row])
+    fitted = np.flatnonzero(~deficient)
+    gamma10_t = stage2.t_stats[fitted, -1]
+    if np.isnan(gamma10_t).any():
+        raise OlsError("t statistic is NaN")
+    rows = at[second[fitted]]
+    reports.ok[rows] = True
+    reports.mean_residual[rows] = mean_residual[fitted]
+    reports.gamma10[rows] = stage2.coefficients[fitted, -1]
+    reports.gamma10_se[rows] = stage2.std_errors[fitted, -1]
+    reports.gamma10_t[rows] = gamma10_t
+
+
+def _one_sided_positive_p(t: np.ndarray,
+                          two_sided_p: np.ndarray) -> np.ndarray:
+    return np.where(t > 0, 0.5 * two_sided_p, 1.0 - 0.5 * two_sided_p)
+
+
+def _set_p_values(reports: StudyReports, alpha: float,
+                  sidedness: Sidedness) -> None:
+    """Fill ``gamma10_p`` and ``significant`` of every ``ok`` row in one
+    pass of ``ols.t_pvalues``, at stage 2's dof, ``n_disc - 10``."""
+    ok = np.flatnonzero(reports.ok)
+    t = reports.gamma10_t[ok]
+    p = ols.t_pvalues(t, reports.n_disc[ok] - len(UPLIFT_LABELS))
+    if sidedness is Sidedness.ONE_SIDED_POSITIVE:
+        p = _one_sided_positive_p(t, p)
+    reports.gamma10_p[ok] = p
+    reports.significant[ok] = (reports.gamma10[ok] > 0.0) & (p < alpha)
 
 
 def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
@@ -421,26 +438,30 @@ def estimate_sku(panel: SkuPanel, alpha: float = 0.05,
     ``TwoStepError``.
     """
     sidedness = _checked_t_test(alpha, sidedness)
-    return _estimate_batch([panel], alpha, sidedness)[0]
+    reports = StudyReports.failed([panel])
+    _estimate_batch([panel], reports, np.zeros(1, dtype=np.intp))
+    _set_p_values(reports, alpha, sidedness)
+    return reports[0]
 
 
-def _batches(panels: Sequence[SkuPanel]) -> list[list[int]]:
-    """Indices into ``panels`` in batches of similar length.
+def _batches(rows: np.ndarray) -> list[np.ndarray]:
+    """Positions into ``rows``, each SKU's row count in its longer stage,
+    in batches of similar length.
 
-    The indices go in ascending order of the panels' longer stage, equal
-    lengths keeping their order, and a batch closes at BATCH_FITS panels or
-    before it would pass BATCH_ROWS padded rows; a panel longer than that
-    forms a batch of one.
+    The positions go in ascending order of ``rows``, equal counts keeping
+    their order, and a batch closes at BATCH_FITS SKUs or before it would
+    pass BATCH_ROWS padded rows; a SKU longer than that forms a batch of
+    one.
     """
-    rows = [max(p.n_plain, p.n_disc) for p in panels]
-    batches: list[list[int]] = []
-    for i in sorted(range(len(panels)), key=rows.__getitem__):
-        # Ascending order makes panel i the widest of its batch.
-        if (not batches or len(batches[-1]) == BATCH_FITS
-                or (len(batches[-1]) + 1) * rows[i] > BATCH_ROWS):
-            batches.append([])
-        batches[-1].append(i)
-    return batches
+    order = np.argsort(rows, kind="stable")
+    cuts, start = [], 0
+    for k, length in enumerate(rows[order].tolist()):
+        # Ascending order makes SKU k the widest of its batch.
+        if k > start and (k - start == BATCH_FITS
+                          or (k - start + 1) * length > BATCH_ROWS):
+            cuts.append(k)
+            start = k
+    return np.split(order, cuts) if order.size else []
 
 
 def run_study(panels: Iterable[SkuPanel],
@@ -449,28 +470,26 @@ def run_study(panels: Iterable[SkuPanel],
               sidedness: Sidedness = Sidedness.TWO_SIDED) -> StudyReports:
     """Estimate every eligible panel; per-SKU failures never abort the study.
 
-    The eligible panels are cut into batches of similar length (see
-    ``_batches``), estimated one batch at a time. A fit's bytes do not
-    depend on its batch, so the reports, returned as columns in ascending
-    (sku, store) order, do not depend on the order of ``panels``. Neither
-    stage's fit is kept. An unexpected exception while estimating a batch
-    marks each SKU of that batch, and only of that batch, ``internal error:
-    ...``. An ``alpha`` outside (0, 1) or an unknown ``sidedness`` raises
-    ``TwoStepError`` before any fit.
+    The reports, one row per eligible panel in ascending (sku, store)
+    order, are made once, and the panels are estimated in batches of
+    similar length (see ``_batches``), each writing its own rows; the
+    p-values of all the rows that are ``ok`` then come in one pass. A
+    fit's bytes do not depend on its batch, so the reports do not depend
+    on the order of ``panels``. Neither stage's fit is kept. An unexpected
+    exception while estimating a batch marks each SKU of that batch, and
+    only of that batch, ``internal error: ...``. An ``alpha`` outside
+    (0, 1) or an unknown ``sidedness`` raises ``TwoStepError`` before any
+    fit.
     """
     sidedness = _checked_t_test(alpha, sidedness)
     eligible, _ = filter_eligible(panels, rule)
     ordered = sorted(eligible, key=lambda p: p.key)
-
-    def one(batch: list[int]) -> StudyReports:
-        members = [ordered[i] for i in batch]
+    reports = StudyReports.failed(ordered)
+    for batch in _batches(np.maximum(reports.n_plain, reports.n_disc)):
         try:
-            return _estimate_batch(members, alpha, sidedness)
+            _estimate_batch([ordered[i] for i in batch.tolist()], reports,
+                            batch)
         except Exception as exc:  # records, never aborts the study
-            return StudyReports.failed(members, f"internal error: {exc}")
-
-    batches = _batches(ordered)
-    done = [one(batch) for batch in batches]
-    # Row k of the batches' rows is the panel at position order[k].
-    order = np.array([i for batch in batches for i in batch], dtype=np.intp)
-    return StudyReports.concatenate(done).take(np.argsort(order))
+            _fail(reports, batch, f"internal error: {exc}")
+    _set_p_values(reports, alpha, sidedness)
+    return reports

@@ -5,14 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discount_uplift.ols import (DimensionMismatch, FitResult, FitStatus,
                                  InvalidDof, OlsError, PredictOnFailedFit,
                                  _householder_qr, fit_ols, fit_ols_batch,
                                  predict, regularized_incomplete_beta,
-                                 solve_ols_batch, t_critical, t_pvalue)
+                                 solve_ols_batch, t_critical, t_pvalue,
+                                 t_pvalues)
+from discount_uplift.two_step import _one_sided_positive_p
 from oracles import (householder_fit, matrix_with_condition,
                      normal_equations_fit, t_pvalue_quadrature)
 
@@ -209,6 +211,49 @@ def test_numpy_scalars_give_python_float_bits(t, dof):
     got = regularized_incomplete_beta(np.float64(a), np.float64(0.5),
                                       np.float64(x))
     assert type(got) is float and got.hex() == expected.hex()
+
+
+def _mirrored(t: float, dof: int) -> bool:
+    """Whether I_x(dof/2, 1/2) is evaluated as 1 - I_(1-x)(1/2, dof/2)."""
+    a, x = dof / 2.0, dof / (dof + t * t)
+    return x >= (a + 1.0) / (a + 0.5 + 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(-3.0, 3.0), st.floats(-1e4, 1e4),
+              st.sampled_from([0.0, -0.0, math.inf, -math.inf])),
+    st.one_of(st.integers(1, 400), st.integers(1, 10**5))),
+    min_size=1, max_size=30))
+# Both branches of the continued fraction, in one call and alone.
+@example([(0.3, 40), (12.0, 5), (math.inf, 3), (-0.0, 10**5)])
+@example([(0.01, 1)])
+@example([(-1e4, 1)])
+def test_array_pvalues_equal_scalar_bits(cases):
+    t = np.array([c[0] for c in cases])
+    dof = np.array([c[1] for c in cases])
+    got = t_pvalues(t, dof)
+    expected = np.array([t_pvalue(a, d) for a, d in cases])
+    assert got.tobytes() == expected.tobytes()
+    one_sided = np.array([0.5 * p if a > 0 else 1.0 - 0.5 * p
+                          for (a, _), p in zip(cases, expected.tolist())])
+    assert _one_sided_positive_p(t, got).tobytes() == one_sided.tobytes()
+
+
+def test_array_pvalue_examples_take_both_branches():
+    assert not _mirrored(12.0, 5) and _mirrored(0.3, 40)
+    assert not _mirrored(-1e4, 1) and _mirrored(0.01, 1)
+
+
+def test_array_pvalues_follow_p_value_on_dof_and_nan():
+    # dof 0 is a saturated fit's NaN, whatever its t; NaN t raises elsewhere.
+    got = t_pvalues(np.array([2.0, math.nan, 2.0]), np.array([0, 0, 7]))
+    assert np.isnan(got[:2]).all() and got[2] == t_pvalue(2.0, 7)
+    assert t_pvalues(np.array([]), np.array([], dtype=np.int64)).size == 0
+    with pytest.raises(OlsError, match="NaN"):
+        t_pvalues(np.array([1.0, math.nan]), np.array([5, 5]))
+    with pytest.raises(InvalidDof):
+        t_pvalues(np.array([1.0]), np.array([-1]))
 
 
 def test_incomplete_beta_cauchy_closed_form():

@@ -4,7 +4,6 @@ import datetime as dt
 import gc
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -386,6 +385,14 @@ def _mixed_panels():
 LOW_RULE = EligibilityRule(min_entries=10, min_discount_days=1)
 
 
+def _batches_of(panels):
+    """``two_step._batches`` of ``panels``, by each one's longer stage."""
+    import discount_uplift.two_step as two_step
+
+    return two_step._batches(np.array([max(p.n_plain, p.n_disc)
+                                       for p in panels]))
+
+
 def test_batched_study_equals_lone_estimates(monkeypatch):
     import discount_uplift.two_step as two_step
 
@@ -401,7 +408,7 @@ def test_batched_study_equals_lone_estimates(monkeypatch):
 
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     ordered = sorted(panels, key=lambda p: p.key)
-    assert len(list(two_step._batches(ordered))) >= 4
+    assert len(_batches_of(ordered)) >= 4
     for order in (panels, panels[::-1]):
         reports = run_study(order, rule=LOW_RULE)
         assert [r.sku_id for r in reports] == sorted(lone)
@@ -420,7 +427,7 @@ def test_batches_group_panels_by_length(monkeypatch):
     rows = [max(p.n_plain, p.n_disc) for p in panels]
     monkeypatch.setattr(two_step, "BATCH_FITS", 4)
     monkeypatch.setattr(two_step, "BATCH_ROWS", 2000)
-    batches = two_step._batches(panels)
+    batches = _batches_of(panels)
     assert sorted(i for b in batches for i in b) == list(range(12))
     assert [len(b) for b in batches] == [4, 4, 2, 2]
     for b in batches:
@@ -432,18 +439,17 @@ def test_batches_group_panels_by_length(monkeypatch):
 
 
 @pytest.mark.parametrize("n_plain, n_disc, sizes", [
-    (110, 70, [40, 40, 2]),      # 180-day panels: BATCH_FITS binds
-    (594, 136, [40, 40, 10]),    # two-year panels: 40 x 594 rows < 2**15
+    (110, 70, [100, 100, 2]),    # 180-day panels: BATCH_FITS binds
+    (594, 136, [55, 55, 10]),    # two-year panels: 55 x 594 rows < 2**15
     (2900, 750, [11, 11, 1]),    # 3,650-day panels: the row cap binds
+    (594, 136, [34]),            # a bucket of `uplift fit` on W500
 ])
 def test_default_batch_sizes(n_plain, n_disc, sizes):
     import discount_uplift.two_step as two_step
 
-    stubs = [SimpleNamespace(n_plain=n_plain, n_disc=n_disc)
-             for _ in range(sum(sizes))]
-    batches = two_step._batches(stubs)
+    batches = two_step._batches(np.full(sum(sizes), max(n_plain, n_disc)))
     assert [len(b) for b in batches] == sizes
-    assert [i for b in batches for i in b] == list(range(len(stubs)))
+    assert [i for b in batches for i in b] == list(range(sum(sizes)))
 
 
 def test_kernel_fault_marks_only_its_batch(monkeypatch):
@@ -469,7 +475,7 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
     monkeypatch.setattr(ols, "_householder_qr", faulty)
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     ordered = sorted(panels, key=lambda p: p.key)
-    batches = [[ordered[i] for i in b] for b in two_step._batches(ordered)]
+    batches = [[ordered[i] for i in b] for b in _batches_of(ordered)]
     hit = next(b for b in batches if marked in b)
     assert 1 < len(hit) < len(panels)
     hit_ids = {p.sku_id for p in hit}
@@ -482,17 +488,100 @@ def test_kernel_fault_marks_only_its_batch(monkeypatch):
             assert _report_bytes(r) == lone[r.sku_id]
 
 
+def _stage2_fault_study(monkeypatch, fault):
+    """``run_study`` of ``_mixed_panels()``, SKU 4 replaced by a marked
+    panel, in batches of 3, with ``fault(fits, b)`` applied to each stage-2
+    fit ``b`` of the marked panel; returns the reports, the lone estimates
+    and the SKUs of the marked panel's batch."""
+    import discount_uplift.two_step as two_step
+
+    panels = _mixed_panels()
+    # 100 discount-free days, as SKU 7 (rank-deficient stage 1) has: the
+    # length sort puts them and SKU 1 in one batch.
+    panels[3] = build_panel([3 + d % 5 for d in range(150)],
+                            [1 + d // 21 % 3 if d % 3 == 0 else 0
+                             for d in range(150)],
+                            stock=[9999 * (d % 2) for d in range(150)],
+                            sku_id=4)
+    lone = {p.sku_id: estimate_sku(p) for p in panels}
+    fit_ols_batch = two_step.fit_ols_batch
+
+    def stage2(X, y, n_obs, labels, absorbed):
+        # Column 1 is Stock, demeaned within weekdays: near +-5,000 only
+        # on the marked panel.
+        fits = fit_ols_batch(X, y, n_obs, labels, absorbed=absorbed)
+        for b in np.flatnonzero((np.abs(X[:, :, 1]) > 4000.0).any(axis=1)):
+            fault(fits, b)
+        return fits
+
+    monkeypatch.setattr(two_step, "fit_ols_batch", stage2)
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
+    ordered = sorted(panels, key=lambda p: p.key)
+    hit = next({ordered[i].sku_id for i in b} for b in _batches_of(ordered)
+               if any(ordered[i].sku_id == 4 for i in b))
+    assert hit == {1, 4, 7}
+    assert "stage 1 rank deficient" in lone[7].failure_reason
+    return run_study(panels[::-1], rule=LOW_RULE), lone, hit
+
+
+def _assert_only_batch_failed(reports, lone, hit, reason):
+    for i, r in enumerate(reports):
+        if r.sku_id in hit:
+            # The row itself, not only its SkuUpliftReport view.
+            assert not reports.ok[i] and not reports.significant[i]
+            assert all(np.isnan(getattr(reports, name)[i]) for name in (
+                "mean_residual", "gamma10", "gamma10_se", "gamma10_t",
+                "gamma10_p"))
+            assert r.failure_reason == reason
+        else:
+            assert _report_bytes(r) == _report_bytes(lone[r.sku_id])
+    assert sum(r.ok for r in reports) >= 5
+
+
+def test_stage2_fault_leaves_its_batch_exactly_failed_rows(monkeypatch):
+    # SKU 7's stage-1 reason is written before stage 2 raises; the batch's
+    # rows must still end up as rows that failed with the internal error.
+    def fault(fits, b):
+        raise RuntimeError("injected stage-2 fault")
+
+    reports, lone, hit = _stage2_fault_study(monkeypatch, fault)
+    _assert_only_batch_failed(reports, lone, hit,
+                              "internal error: injected stage-2 fault")
+
+
+def test_nan_t_marks_only_its_batch(monkeypatch):
+    # The study's p-values come in one pass after the last batch; a NaN t
+    # must fail its own batch there and then, not the pass or the study.
+    def fault(fits, b):
+        fits.t_stats[b, -1] = np.nan
+
+    reports, lone, hit = _stage2_fault_study(monkeypatch, fault)
+    assert lone[4].ok
+    _assert_only_batch_failed(reports, lone, hit,
+                              "internal error: t statistic is NaN")
+
+
 def test_study_computes_one_p_value_per_reported_sku(monkeypatch):
     import discount_uplift.ols as ols
+    import discount_uplift.two_step as two_step
 
-    # Replaced under the module attribute, where the p-values look it up.
+    # Replaced under the module attribute, where the study looks it up.
     calls = []
-    monkeypatch.setattr(ols, "t_pvalue",
-                        lambda t, dof: calls.append(dof) or t_pvalue(t, dof))
+    t_pvalues = ols.t_pvalues
+    monkeypatch.setattr(ols, "t_pvalues", lambda t, dof: calls.append(
+        (t.copy(), dof.copy())) or t_pvalues(t, dof))
+    monkeypatch.setattr(ols, "t_pvalue", None)  # no scalar call
+    monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     reports = run_study(_mixed_panels(), rule=LOW_RULE)
-    ok = [r for r in reports if r.ok]
-    assert len(ok) >= 5
-    assert sorted(calls) == sorted(r.n_disc - len(UPLIFT_LABELS) for r in ok)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    t, dof = calls[0]
+    ok = reports.ok
+    assert ok.sum() >= 5
+    assert t.tobytes() == reports.gamma10_t[ok].tobytes()
+    assert dof.tolist() == (reports.n_disc[ok] - len(UPLIFT_LABELS)).tolist()
+    assert reports.gamma10_p[ok].tobytes() == np.array(
+        [t_pvalue(t_, d) for t_, d in zip(t.tolist(), dof.tolist())]).tobytes()
 
 
 def test_lazy_p_values_are_t_pvalue_of_each_t():
@@ -545,7 +634,7 @@ def test_study_rows_equal_lone_estimates_in_every_failure_class(monkeypatch):
     monkeypatch.setattr(ols, "_householder_qr", faulty)
     monkeypatch.setattr(two_step, "BATCH_FITS", 3)
     ordered = sorted(panels, key=lambda p: p.key)
-    hit = {ordered[i].sku_id for b in two_step._batches(ordered)
+    hit = {ordered[i].sku_id for b in _batches_of(ordered)
            if any(ordered[i].sku_id == 12 for i in b) for i in b}
     reports = run_study(panels[::-1], rule=LOW_RULE)
     assert isinstance(reports, two_step.StudyReports)
