@@ -514,17 +514,13 @@ def _weekdays(data: np.ndarray, start: np.ndarray, stop: np.ndarray
 
 def _floats(data: np.ndarray, start: np.ndarray, stop: np.ndarray
             ) -> np.ndarray | None:
-    """Cells that ``float`` converts, as ``float`` converts them. Where
-    ``np.longdouble`` has a 64-bit significand (x87), a cell
+    """Cells that ``float`` converts, as ``float`` converts them. A cell
     ``[-]digits[.digits]`` of at most :data:`_WIDTH` bytes after its sign,
-    with at most 27 digits after the point and its digits (the point read
-    as a 0) below 10**19, is ``w / 10**k``, both exact there: it is read as
-    :func:`_integers` reads, divided once and cast to float64, which rounds
-    correctly unless the quotient is a float64 midpoint (Figueroa, ACM
-    SIGNUM 30(3), 1995). Other cells, and all on other platforms, go to
-    :func:`_float_cells`."""
-    if not _EXTENDED:
-        return _float_cells(data, start, stop)
+    with at most 22 digits after the point and its digits (the point read
+    as a 0) at most 2**53, is ``w / 10**k`` with both exact in float64: it
+    is read as :func:`_integers` reads and divided once, which IEEE 754
+    rounds correctly on every platform (Clinger, PLDI 1990). Other cells go
+    to :func:`_float_cells`."""
     # Past its first byte a cell reads as 0s; so does its sign.
     negative = data[start] == 45
     read = data.copy()
@@ -544,15 +540,12 @@ def _floats(data: np.ndarray, start: np.ndarray, stop: np.ndarray
             full += np.multiply(digit, _WIDE_TENS[j], out=digit)
         else:  # full would reach 10**19
             slow |= digit > 0
-    slow |= (top > 9) | (points > 1) | (size <= points) | (k > 27)
+    slow |= (top > 9) | (points > 1) | (size <= points) | (k > 22)
     # Without the point's 0: full // 10**e is the part before the point.
     e = np.where(points > 0, np.minimum(k, 18) + 1, 19)
     w = full - np.uint64(9) * _WIDE_TENS[e - 1] * (full // _WIDE_TENS[e])
-    quotient = w.astype(np.longdouble) / _LONG_TENS[np.minimum(k, 27)]
-    significand = np.ndarray(len(quotient), np.uint64, quotient,
-                             strides=(quotient.itemsize,))
-    slow |= (significand & np.uint64(0x7FF)) == 0x400  # a float64 midpoint
-    value = quotient.astype(np.float64)
+    slow |= w > _EXACT
+    value = w.astype(np.float64) / _FLOAT_TENS[np.minimum(k, 22)]
     np.negative(value, out=value, where=negative)
     if slow.any():
         cells = _float_cells(data, start[slow], stop[slow])
@@ -592,17 +585,16 @@ _DAY_OF_KEY = np.array([_DAY_CELLS[key] for key in sorted(_DAY_CELLS)])
 _LOWER = np.arange(256, dtype=np.uint8)
 _LOWER[ord("A"):ord("Z") + 1] += 32
 _TENS = 10 ** np.arange(18, dtype=np.int64)
-# For _floats: whether np.longdouble has a 64-bit significand; the longest
-# cell it converts in numpy ("0." and 27 digits) after a sign; each byte's
-# digit (0 for the point and the delimiters, 10 for any other byte); the
-# powers of ten below 2**64; and 10**0 to 10**27, exact in longdouble, made
-# by repeated multiplication (a Python int would pass through float64).
-_EXTENDED = np.finfo(np.longdouble).nmant == 63
-_WIDTH = 29
+# For _floats: the longest cell it converts in numpy ("0." and 22 digits)
+# after a sign; each byte's digit (0 for the point and the delimiters, 10
+# for any other byte); the powers of ten below 2**64; 2**53, up to which
+# float64 holds every integer; and 10**0 to 10**22, exact in float64.
+_WIDTH = 24
 _DIGIT = np.array([b - 48 if 48 <= b < 58 else 10 * (b not in b"\n,.")
                    for b in range(256)], np.uint64)
 _WIDE_TENS = 10 ** np.arange(20, dtype=np.uint64)
-_LONG_TENS = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
+_EXACT = np.uint64(2 ** 53)
+_FLOAT_TENS = np.array([float(10 ** k) for k in range(23)])
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,10 +6,11 @@ Randomness comes from numpy's Philox counter-based bit generator (4x64),
 which produces identical streams on every platform for a fixed numpy
 version. Streams are derived deterministically:
 
-* panel generation uses ``key = (seed XOR sku_id) mod 2**64``, one stream
-  per SKU, with per-day quantities drawn in fixed blocks (forecast noise,
-  discount-active flags, raw discount counts, regular demand, rounding
-  uniforms, in that order);
+* panel generation seeds one stream per SKU from
+  ``SeedSequence(seed mod 2**64, spawn_key=(0, sku_id mod 2**64))``, which
+  is injective in ``(seed, sku_id)``, with per-day quantities drawn in fixed
+  blocks (forecast noise, discount-active flags, raw discount counts,
+  regular demand, rounding uniforms, in that order);
 * the cycle simulator uses two streams, ``key = [seed, 1]`` for regular
   demand and ``key = [seed, 2]`` for discount outcomes, so paired runs that
   differ only in the assumed regular share face identical demand.
@@ -17,12 +18,15 @@ version. Streams are derived deterministically:
 Fractional uplift is materialised by unbiased stochastic rounding
 (``floor(x)`` plus a Bernoulli on the fractional part), so expected sales
 are exactly linear in the discounted-sales count and the two-step estimator
-is correctly specified. Replenishment is order-up-to with a one-day delay:
-the day's opening stock is the order-up-to level minus the previous day's
-sales. (An instantaneous daily top-up would pin stock to a constant, which
-the weekday dummies already span.) Days where stock does not bind are
-computed together, as arrays; the sequential recursion runs only from a day
-where stock binds until sales are unconstrained again.
+is correctly specified. Forecasts are rounded half to even to a grid of
+1e-4, the fixed decimal precision of a forecast system's store: ``repr`` of
+one below 10**11 has at most 4 places, and every one reads back as the same
+float. Replenishment is order-up-to with a one-day delay: the day's opening
+stock is the order-up-to level minus the previous day's sales. (An
+instantaneous daily top-up would pin stock to a constant, which the weekday
+dummies already span.) Days where stock does not bind are computed
+together, as arrays; the sequential recursion runs only from a day where
+stock binds until sales are unconstrained again.
 """
 from __future__ import annotations
 
@@ -190,7 +194,8 @@ def _sell(s_level: int, gamma: float, ds_raw: np.ndarray,
 def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
     """Generate one SKU's panel; a pure function of (seed, config, sku_id)."""
     config.validate()
-    rng = _stream([config.seed ^ (sku_id & _MASK64), 0])
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        config.seed & _MASK64, spawn_key=(0, sku_id & _MASK64))))
     n = config.n_days
 
     dates = np.datetime64(config.start_date, "D") + np.arange(n)
@@ -208,7 +213,7 @@ def generate_panel(config: DgpConfig, sku_id: int) -> SkuPanel:
         regular = rng.poisson(lam)
     round_u = rng.random(n)
 
-    forecasts = np.maximum(lam + forecast_noise, 0.0)
+    forecasts = np.rint(np.maximum(lam + forecast_noise, 0.0) * 1e4) / 1e4
     stock, sales, discounted = _sell(config.order_up_to, config.gamma_true,
                                      ds_raw, regular, round_u)
     table = ObservationTable(

@@ -86,8 +86,8 @@ def make_report(sku_id, mean_residual=None, gamma10=None, significant=None,
 
 
 def watch_forks(monkeypatch) -> list[bool]:
-    """Makes ``uplift fit`` cut the golden input into 8 pieces of 16 KiB and
-    spill it to 4 buckets; returns, per ``fit`` or ``simulate``, whether it
+    """Makes ``uplift fit`` cut the golden input into 6 pieces of 16 KiB and
+    spill it to 3 buckets; returns, per ``fit`` or ``simulate``, whether it
     forked workers."""
     monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
     monkeypatch.setattr(domain, "BUCKET_BYTES", 1 << 15)

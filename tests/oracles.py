@@ -383,17 +383,18 @@ def generate_panel_rows(config, sku_id: int) -> list[tuple]:
     """One SKU's synthetic panel, one day at a time: a list of ``(store,
     sku, date, weekday, stock, forecast, sales, discounted_sales)`` tuples.
 
-    The draws are the generator's (same Philox stream and block order); the
-    stock recursion walks every day in Python integers: opening stock is
-    ``order_up_to`` minus the previous day's sales, discounted sales are
-    capped by it, and the uplift ``gamma * ds`` is rounded stochastically.
+    The draws are the generator's (same Philox stream, seeded from ``seed``
+    and ``sku_id``, and block order); each forecast is rounded half to even
+    to 4 places, as an integer over 10000; the stock recursion walks every
+    day in Python integers: opening stock is ``order_up_to`` minus the
+    previous day's sales, discounted sales are capped by it, and the uplift
+    ``gamma * ds`` is rounded stochastically.
     """
     import datetime as dt
 
     mask = (1 << 64) - 1
-    key = np.array([(config.seed ^ (sku_id & mask)) & mask, 0],
-                   dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        config.seed & mask, spawn_key=(0, sku_id & mask))))
     n = config.n_days
     days = [config.start_date + dt.timedelta(days=i) for i in range(n)]
     lam = np.array([config.weekday_effects[d.isoweekday() - 1]
@@ -421,8 +422,8 @@ def generate_panel_rows(config, sku_id: int) -> list[tuple]:
         x = config.gamma_true * ds
         uplift = math.floor(x) + (1 if u < x - math.floor(x) else 0)
         sold = min(opening, max(0, demand + uplift))
-        rows.append((1, sku_id, day, day.isoweekday(), opening, forecast,
-                     sold, min(ds, sold)))
+        rows.append((1, sku_id, day, day.isoweekday(), opening,
+                     round(forecast * 1e4) / 10000, sold, min(ds, sold)))
         prev_sales = sold
     return rows
 

@@ -32,7 +32,7 @@ DATA = Path(__file__).parent / "data"
 
 # Digest of the committed seed-7 dataset; simulate must reproduce it exactly.
 GOLDEN_INPUT_SHA256 = \
-    "04fe7d67de080987993f03ead12f8763b9270515b468b5353ccbb62d44e18446"
+    "da99ec2f8b867e03abb622d43adbe357a20ec1d2569115962dbb8651a67cf6c3"
 
 GOLDEN_SIMULATE_FLAGS = ["--seed", "7", "--skus", "8", "--days", "300",
                          "--gamma", "0.6", "--discount-prob", "0.35"]
@@ -1805,7 +1805,7 @@ def test_simulate_workers_end_with_the_main_process(tmp_path, alarm, how):
 def test_fit_workers_read_a_declined_piece_as_one_process_does(
         tmp_path, monkeypatch, capsys, field, cell):
     # One near-valid cell in the middle of the golden input's 4th piece of
-    # 8 sends that piece to csv.reader, in a worker at --threads 2.
+    # 6 sends that piece to csv.reader, in a worker at --threads 2.
     forked = watch_forks(monkeypatch)
     golden = (DATA / "golden_input.csv").read_bytes()
     middle = list(domain.read_pieces(io.BytesIO(golden)))[4]
@@ -1817,7 +1817,7 @@ def test_fit_workers_read_a_declined_piece_as_one_process_does(
     src.write_bytes(b"".join(lines))
     pieces = list(domain.read_pieces(io.BytesIO(src.read_bytes())))
     columns, _ = domain._read_header(iter(pieces), domain._CANONICAL, [])
-    assert len(pieces) == 1 + 8
+    assert len(pieces) == 1 + 6
     assert [p.line for p in pieces[1:] if columns.from_bytes(p) is None] == \
         [middle.line]
     spills = tmp_path / "spills"
@@ -1854,17 +1854,17 @@ def test_fit_workers_read_a_declined_piece_as_one_process_does(
 # --- the W500 input ----------------------------------------------------------
 
 # The benchmark's fit-csv input, W500: the digest of `uplift simulate --seed
-# 3 --skus 500 --days 730` (365,000 rows, 72 pieces, 18 buckets), and of
+# 3 --skus 500 --days 730` (365,000 rows, 57 pieces, 14 buckets), and of
 # what `uplift fit` writes for it. Like the golden files, the fit digests
 # hold for numpy's present order of adding a short contiguous row (see the
 # ols module docstring; ROADMAP item 14).
 W500_SHA256 = \
-    "b139679842cd6edeb01742e4546120ae0655f6372e641f99093c6a5323a82667"
+    "67c3086229afdeb59bda75f0f44f447b2008bdd20a63e2fce2b9eb7f827bd4b9"
 W500_DIGESTS = {
     "reports.csv":
-        "b52bdf52f85410c32ee6f4f68a7346117a42a7d984f4b9ca44d1fece69547a35",
+        "8ae71a2bcb842610b1ee99919d621ab95bc8038656fb1a96a48b48848da1233f",
     "aggregate.json":
-        "75c46b3c8a2d417bd749bab005a5ac3415035a1aa0d880f1962a97bba71f7d8b"}
+        "c4b01efcc5856b58a46a7c6c488027913e004f141de4a665d80d75d484731c14"}
 
 
 def test_fit_w500_digests(tmp_path, capsys):

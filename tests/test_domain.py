@@ -616,17 +616,28 @@ def _floats_of(cells: list[bytes]) -> np.ndarray | None:
     return domain._floats(data, np.concatenate(([0], stop[:-1] + 1)), stop)
 
 
-@pytest.mark.parametrize("cell", [*_EDGE_FLOATS, "-", ".", "1.2.3", "1_0.5",
-                                  "+1", " 1.5", "1e5", "nan", "inf", "--1",
-                                  "1-", "", "0" * 40 + "1.5", "1" * 40])
-@pytest.mark.parametrize("extended", [True, False])
-def test_floats_give_the_bits_of_float_or_decline(monkeypatch, cell,
-                                                  extended):
-    # The cell between two that convert in numpy, with the longdouble
-    # route on (where the platform has it) and off: either way the column
-    # holds float's bits, or the piece is declined if float refuses.
-    monkeypatch.setattr(domain, "_EXTENDED", extended and domain._EXTENDED)
-    cells = [b"2.5", cell.encode(), b"-12.345678901234567"]
+# Cells at the edges of _floats's float64 route (_EDGE_FLOATS holds -0, .5
+# and 2**53 + 1): 15 and 16 digits, digits of 2**53 and one past it, 22 and
+# 23 places, a signed zero and bare points.
+_ROUTE_EDGES = ["123456789012345", "1234567890123456", "0.123456789012345",
+                "9.999999999999999", str(2 ** 53), "900719925474.0992",
+                "900719925474.0993", "0." + "0" * 21 + "1",
+                "0." + "0" * 22 + "1", ".00000001062116443042877",
+                "0." + "1" * 22, "-0." + "1" * 23,
+                "1" + "0" * 22, "-0.", "5.", "-5.", "0.0000"]
+
+
+@pytest.mark.parametrize("cell", [*_EDGE_FLOATS, *_ROUTE_EDGES, "-", ".",
+                                  "1.2.3", "1_0.5", "+1", " 1.5", "1e5",
+                                  "nan", "inf", "--1", "1-", "",
+                                  "0" * 40 + "1.5", "1" * 40])
+@pytest.mark.parametrize("alone", [True, False])
+def test_floats_give_the_bits_of_float_or_decline(cell, alone):
+    # The cell alone, or between one that takes the float64 route and one
+    # that goes to float: the column holds float's bits, or the piece is
+    # declined if float refuses.
+    cells = ([cell.encode()] if alone
+             else [b"2.5", cell.encode(), b"-12.345678901234567"])
     try:
         expected = np.array([float(c) for c in cells])
     except ValueError:
@@ -636,30 +647,30 @@ def test_floats_give_the_bits_of_float_or_decline(monkeypatch, cell,
                               expected.view(np.int64))
 
 
-@pytest.mark.skipif(not domain._EXTENDED,
-                    reason="np.longdouble has no 64-bit significand")
 def test_floats_send_a_float64_midpoint_quotient_to_float():
-    # 754244686779525 / 10**10 rounds, in 64 bits, to a float64 midpoint,
-    # which the cast then rounds to even: one ulp off the value float
-    # gives. The cell is sent to float instead.
+    # 754244686779525 / 10**10 rounds, with a 64-bit significand, to a
+    # float64 midpoint, which a cast to float64 rounds to even: one ulp off
+    # the value float gives. In float64 both operands are exact, so the one
+    # division gives float's bits.
     cell = b"75424.4686779525"
-    naive = float(np.longdouble(754244686779525) / domain._LONG_TENS[10])
-    assert naive != float(cell)
     assert _floats_of([cell]).view(np.int64)[0] == \
         np.float64(float(cell)).view(np.int64)
 
 
-def test_floats_without_extended_precision_give_the_same_bits(monkeypatch):
-    # Every cell goes to float where np.longdouble is not x87 extended
-    # precision; the columns are the same bits.
+def test_floats_give_the_bits_of_float_on_a_whole_input():
+    # The golden input and every edge cell, through parse_csv: each parsed
+    # forecast is float of its cell (rows of a negative one are rejected).
     data = (DATA / "golden_input.csv").read_bytes()
     data += b"".join(f"9,9,2024-01-{day:02d},1,5,{cell},1,0\n".encode()
                      for day, cell in enumerate(_EDGE_FLOATS, 1))
-    on = parse_csv(data).table.forecast
-    monkeypatch.setattr(domain, "_EXTENDED", False)
-    off = parse_csv(data).table.forecast
-    assert len(on) > 1000
-    assert np.array_equal(on.view(np.int64), off.view(np.int64))
+    result = parse_csv(data)
+    parsed = result.table.forecast
+    rejected = {issue.line for issue in result.errors}
+    expected = np.array([float(line.split(b",")[5]) for number, line
+                         in enumerate(data.splitlines()[1:], 2)
+                         if number not in rejected])
+    assert len(parsed) > 1000
+    assert np.array_equal(parsed.view(np.int64), expected.view(np.int64))
 
 
 def test_partition_spreads_ids_sharing_a_factor_with_the_bucket_count(

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from discount_uplift import domain
+from discount_uplift.cli import main
 from discount_uplift.domain import observation_violations, parse_csv, serialize_csv
 from discount_uplift.ols import fit_ols
 from discount_uplift.synth import (CycleConfig, DgpConfig, InvalidConfig,
@@ -60,12 +62,48 @@ def test_generated_data_satisfies_domain_invariants():
             assert obs.weekday == obs.date.isoweekday()
 
 
-def test_generated_csv_round_trips_through_ingestion():
+def test_distinct_seed_and_sku_pairs_give_distinct_panels():
+    # Under a key of seed XOR sku_id, (0, 3), (1, 2), (2, 1) and (3, 0)
+    # would be one stream.
+    panels = {(seed, sku): generate_panel(DgpConfig(seed=seed, n_days=60),
+                                          sku).table
+              for seed in range(4) for sku in range(4)}
+    columns = {(t.forecast.tobytes(), t.sales.tobytes())
+               for t in panels.values()}
+    assert len(columns) == len(panels)
+
+
+def test_generated_csv_round_trips_through_ingestion(tmp_path, monkeypatch):
     panels = generate_study(DgpConfig(seed=23, n_days=120), 3)
     observations = [o for p in panels for o in p.observations]
     result = parse_csv(serialize_csv(observations))
     assert not result.errors and not result.warnings
     assert list(result.observations) == observations
+
+    # simulate writes each forecast with at most 4 places, and parsing
+    # reads every one by _floats's one division: none reaches float.
+    out = tmp_path / "synth.csv"
+    assert main(["simulate", "--skus", "3", "--days", "120",
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    cells = [line.split(b",")[5] for line in data.splitlines()[1:]]
+    assert len(cells) == 360
+    assert max(len(cell.partition(b".")[2]) for cell in cells) <= 4
+    sent = []
+
+    def spy(data, start, stop):
+        sent.append(len(start))
+        return float_cells(data, start, stop)
+
+    float_cells = domain._float_cells
+    monkeypatch.setattr(domain, "_float_cells", spy)
+    forecast = parse_csv(data).table.forecast
+    assert sent == []
+    assert forecast.tolist() == [float(cell) for cell in cells]
+    # A cell whose digits pass 2**53 does reach float: the spy is on the
+    # byte path.
+    parse_csv(data.replace(cells[0], b"9.758725443559687", 1))
+    assert sent == [1]
 
 
 def test_pipeline_recovers_planted_uplift_roughly():
