@@ -51,13 +51,13 @@ except ImportError:  # no flock: no run locks or sweeps scratch directories
 from . import __version__, domain, synth
 from .aggregate import AggregateError, StudyAggregate, summarize
 from .domain import (DomainError, EligibilityRule, Partition, Piece, RowIssue,
-                     build_panels, csv_blocks, read_pieces)
+                     csv_blocks, read_pieces)
 from .synth import (CycleConfig, DgpConfig, InvalidConfig, cycle_summary,
                     simulate_cycle)
-# Unused here; perfbench/tracer.py wraps cli.generate_study, cli.parse_csv
-# and cli.serialize_csv until its stage recorder replaces them (ROADMAP
-# item 6).
-from .domain import parse_csv, serialize_csv  # noqa: F401
+# Unused here; perfbench/tracer.py wraps cli.build_panels,
+# cli.generate_study, cli.parse_csv and cli.serialize_csv until its stage
+# recorder replaces them (ROADMAP item 6).
+from .domain import build_panels, parse_csv, serialize_csv  # noqa: F401
 from .synth import generate_study  # noqa: F401
 from .two_step import ReportStatus, Sidedness, StudyReports, run_study
 
@@ -282,10 +282,9 @@ def _bucket(fit: _Fit, item: tuple[int, bool]
     """A bucket's issues, then its reports and panel count if estimated."""
     bucket, estimate = item
     errors, warnings = _IssueLog(), _IssueLog()
-    table = fit.partition.table(bucket, errors, warnings)
+    panels = fit.partition.panels(bucket, fit.group_by, errors, warnings)
     if errors or not estimate:
         return errors, warnings, None
-    panels = build_panels(table, group_by=fit.group_by)
     return errors, warnings, (run_study(panels, rule=fit.rule, alpha=fit.alpha,
                                         sidedness=fit.sidedness), len(panels))
 

@@ -348,18 +348,15 @@ class _Columns:
         # The delimiters of a line on the byte path: a comma after each
         # cell, a newline after the last.
         self.delimiters = np.array([44] * (n_fields - 1) + [10], np.uint8)
-        days = _Distinct(_parse_day).__getitem__
-        weekdays = _Distinct(_parse_weekday).__getitem__
-        # Per field: cell position, then the converter run at native speed
-        # and the strict one that words a failing column's bad cells. Ids and
-        # counts take few distinct values and are memoised like dates;
-        # forecasts are all distinct.
-        converters = [(_Distinct(int).__getitem__, _parse_int64)
-                      for _ in _FIELDS]
-        converters[2:4] = (days, days), (weekdays, weekdays)
-        converters[5] = (float, float)
-        self.fields = [(name, position[column], *pair) for name, column, pair
-                       in zip(_FIELDS, CSV_COLUMNS, converters)]
+        # Per field: cell position and converter. Ids, counts, dates and
+        # weekdays take few distinct values and are memoised; forecasts are
+        # all distinct.
+        converters = [_Distinct(_parse_int64).__getitem__ for _ in _FIELDS]
+        converters[2] = _Distinct(_parse_day).__getitem__
+        converters[3] = _Distinct(_parse_weekday).__getitem__
+        converters[5] = float
+        self.fields = list(zip(_FIELDS, (position[column] for column
+                                         in CSV_COLUMNS), converters))
 
     def from_bytes(self, piece: Piece
                    ) -> tuple[ObservationTable, np.ndarray] | None:
@@ -388,7 +385,7 @@ class _Columns:
         if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
             return None
         columns = []
-        for name, at, _, _ in self.fields:
+        for name, at, _ in self.fields:
             before = stop[at - 1::n] if at else \
                 np.concatenate(([-1], ends[:-1]))  # the last line's newline
             column = _FROM_BYTES[name](data, before + 1, stop[at::n])
@@ -420,16 +417,16 @@ class _Columns:
         n = len(lines)
         failed: dict[tuple[int, str], ValueError] = {}
         columns = []
-        for name, at, native, strict in self.fields:
+        for name, at, convert in self.fields:
             cells = list(map(itemgetter(at), rows))
             dtype = np.float64 if name == "forecast" else np.int64
             try:
-                column = np.fromiter(map(native, cells), dtype, count=n)
-            except (ValueError, OverflowError):
+                column = np.fromiter(map(convert, cells), dtype, count=n)
+            except ValueError:
                 column = np.zeros(n, dtype)
                 for i, cell in enumerate(cells):
                     try:
-                        column[i] = strict(cell.strip())
+                        column[i] = convert(cell.strip())
                     except ValueError as exc:
                         failed[i, name] = exc
             columns.append(column)
@@ -665,17 +662,6 @@ def _lines(pieces: Iterable[Piece]) -> Iterator[str]:
 _Block = tuple[ObservationTable, np.ndarray, np.ndarray]
 
 
-def _repeated_keys(store: np.ndarray, sku: np.ndarray,
-                   date: np.ndarray) -> np.ndarray:
-    """Mask of rows repeating an earlier row's (store, sku, date) key."""
-    order = np.lexsort((date, sku, store))  # stable: earlier rows first
-    s, k, d = store[order], sku[order], date[order]
-    repeat = (s[1:] == s[:-1]) & (k[1:] == k[:-1]) & (d[1:] == d[:-1])
-    mask = np.zeros(len(store), dtype=bool)
-    mask[order[1:][repeat]] = True
-    return mask
-
-
 def parse_csv(source: str | bytes | BinaryIO,
               schema: Mapping[str, str] | None = None) -> ParseResult:
     """Parse a CSV of observations, collecting errors instead of failing fast.
@@ -701,8 +687,9 @@ def parse_csv(source: str | bytes | BinaryIO,
     :func:`_body`). Each block's rows that keep the record invariants are
     appended to one array per column, grown geometrically and cut to its
     rows at the end; duplicate keys and weekday mismatches are then found
-    on the whole columns and worded per offending row. A byte-order mark
-    before the header is ignored.
+    on the whole columns, in one panel order (:func:`_unique_rows`), and
+    worded per offending row. A byte-order mark before the header is
+    ignored.
     """
     colmap = dict(_CANONICAL)
     if schema:
@@ -735,10 +722,11 @@ def parse_csv(source: str | bytes | BinaryIO,
     table = ObservationTable(*columns[:-1])
     lines = columns[-1]
     warnings: list[RowIssue] = []
-    keep = _unique_rows(table, lines, errors, warnings)
-    errors.sort(key=attrgetter("line"))  # stable: a line's errors keep order
-    if not keep.all():
-        table = table[keep]
+    kept = _unique_rows(table, lines, "sku", errors, warnings)
+    for issues in errors, warnings:  # stable: a line's errors keep order
+        issues.sort(key=attrgetter("line"))
+    if len(kept) < len(table):
+        table = table[np.sort(kept)]
     return ParseResult(table, tuple(errors), tuple(warnings))
 
 
@@ -836,21 +824,24 @@ def _valid_rows(table: ObservationTable, lines: np.ndarray,
     return ~violated
 
 
-def _unique_rows(table: ObservationTable, lines: np.ndarray,
+def _unique_rows(table: ObservationTable, lines: np.ndarray, group_by: str,
                  errors: list[RowIssue], warnings: list[RowIssue]
                  ) -> np.ndarray:
-    """Mask of the rows that repeat no earlier one's key. Each repeat is
-    added to ``errors``, and each row kept whose weekday column disagrees
-    with its date to ``warnings``."""
-    duplicate = _repeated_keys(table.store_id, table.sku_id, table.date)
-    for i in np.flatnonzero(duplicate).tolist():
-        errors.append(_duplicate_issue(int(lines[i]), table.observation(i)))
-    keep = ~duplicate
-    days = table.date.view(np.int64)
-    mismatch = keep & (table.weekday != (days + 3) % 7 + 1)  # 1970-01-01: Thu
-    for i in np.flatnonzero(mismatch).tolist():
-        warnings.append(_weekday_issue(int(lines[i]), table.observation(i)))
-    return keep
+    """The positions of the rows of ``table``, numbered by ``lines``, that
+    repeat no earlier line's key, in panel order (:func:`_panel_order`).
+    Each repeat goes to ``errors``, and each row kept whose weekday
+    disagrees with its date to ``warnings``."""
+    order = _panel_order(table, lines, group_by)
+    s, k, d, w = (column[order] for column in (
+        table.store_id, table.sku_id, table.date, table.weekday))
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) | (k[1:] != k[:-1]) | (d[1:] != d[:-1])
+    mismatch = keep & (w != (d.view(np.int64) + 3) % 7 + 1)  # 1970-01-01: Thu
+    for issues, rows, issue in ((errors, ~keep, _duplicate_issue),
+                                (warnings, mismatch, _weekday_issue)):
+        for i in order[rows].tolist():
+            issues.append(issue(int(lines[i]), table.observation(i)))
+    return order[keep]
 
 
 class Partition:
@@ -865,7 +856,7 @@ class Partition:
     own (``bucket-{b}.{pid}``). Each block of converted rows is appended as
     it comes, as raw records of the observation fields and the line number
     (72 bytes a row), one write per bucket it has rows for. Any process
-    reads a bucket back whole, its rows in line order.
+    reads a bucket back whole, as panels (:meth:`panels`).
     """
 
     def __init__(self, directory: Path, size: int) -> None:
@@ -920,20 +911,19 @@ class Partition:
                        for name in os.listdir(self.directory)
                        if name.startswith("bucket-")})
 
-    def table(self, bucket: int, errors: list[RowIssue],
-              warnings: list[RowIssue]) -> ObservationTable:
-        """The rows of ``bucket`` that :func:`parse_csv` keeps, in line order;
+    def panels(self, bucket: int, group_by: str, errors: list[RowIssue],
+               warnings: list[RowIssue]) -> tuple[SkuPanel, ...]:
+        """:func:`build_panels` of the rows of ``bucket`` that
+        :func:`parse_csv` keeps, from the one sort of :func:`_unique_rows`;
         repeats go to ``errors`` and weekday mismatches to ``warnings``."""
         parts = [np.fromfile(self.directory / name, dtype=_RECORD)
                  for name in os.listdir(self.directory)
                  if name.startswith(f"bucket-{bucket}.")]
-        if len(parts) == 1:  # one process's rows, in line order
-            records = parts[0]
-        else:
-            records = np.concatenate(parts or [np.empty(0, _RECORD)])
-            records = records[np.argsort(records["line"], kind="stable")]
+        records = parts[0] if len(parts) == 1 else \
+            np.concatenate(parts or [np.empty(0, _RECORD)])
         table = ObservationTable(*(records[name] for name in _FIELDS))
-        return table[_unique_rows(table, records["line"], errors, warnings)]
+        return _sliced(table[_unique_rows(table, records["line"], group_by,
+                                          errors, warnings)], group_by)
 
 
 def _strings(column: np.ndarray, convert: Callable = str) -> list[str]:
@@ -996,9 +986,8 @@ def serialize_csv(observations: Iterable[Observation] | ObservationTable
 class SkuPanel:
     """All observations of one SKU, partitioned by discount activity.
 
-    ``table`` holds the panel's rows in order. ``plain_index`` and
-    ``disc_index`` are int64 row positions into it: a day belongs to
-    ``disc_index`` iff it has at least one discounted sale.
+    ``table`` holds the panel's rows in order. ``n_disc`` counts its days
+    with at least one discounted sale and ``n_plain`` those with none.
     ``observations`` gives the rows as a sequence of :class:`Observation`.
     ``store_id`` is set only when panels were grouped per store-SKU pair.
     Every weekday must lie in 1..7, since the estimator groups each stage's
@@ -1008,8 +997,8 @@ class SkuPanel:
     sku_id: int
     table: ObservationTable
     store_id: int | None = None
-    plain_index: np.ndarray = field(init=False, repr=False, compare=False)
-    disc_index: np.ndarray = field(init=False, repr=False, compare=False)
+    n_plain: int = field(init=False, repr=False, compare=False)
+    n_disc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weekday = self.table.weekday
@@ -1018,8 +1007,8 @@ class SkuPanel:
             raise DomainError(f"sku {self.sku_id}: weekday {outside[0]} "
                               "outside 1..7")
         ds = self.table.discounted_sales
-        object.__setattr__(self, "plain_index", np.flatnonzero(ds == 0))
-        object.__setattr__(self, "disc_index", np.flatnonzero(ds >= 1))
+        object.__setattr__(self, "n_plain", int(np.count_nonzero(ds == 0)))
+        object.__setattr__(self, "n_disc", int(np.count_nonzero(ds >= 1)))
 
     @property
     def observations(self) -> ObservationView:
@@ -1030,16 +1019,37 @@ class SkuPanel:
         return len(self.table)
 
     @property
-    def n_plain(self) -> int:
-        return len(self.plain_index)
-
-    @property
-    def n_disc(self) -> int:
-        return len(self.disc_index)
-
-    @property
     def key(self) -> tuple[int, int]:
         return (self.sku_id, -1 if self.store_id is None else self.store_id)
+
+
+def _panel_order(table: ObservationTable, lines: np.ndarray, group_by: str
+                 ) -> np.ndarray:
+    """The positions of the rows of ``table`` in panel order: by SKU, then
+    by store and date per store-SKU pair, or by date and store when pooling
+    stores, and last by ``lines``. Rows of one (store, sku, date) key are
+    adjacent under either order."""
+    if group_by not in ("sku", "store-sku"):
+        raise DomainError("group_by must be 'sku' or 'store-sku', got "
+                          f"{group_by!r}")
+    keys = ((table.date, table.store_id) if group_by == "store-sku"
+            else (table.store_id, table.date))
+    return np.lexsort((lines, *keys, table.sku_id))
+
+
+def _sliced(table: ObservationTable, group_by: str) -> tuple[SkuPanel, ...]:
+    """The panels of ``table``, whose rows are in panel order: one slice per
+    SKU, or per store-SKU pair."""
+    per_store = group_by == "store-sku"
+    sku, store = table.sku_id, table.store_id
+    change = sku[1:] != sku[:-1]
+    if per_store:
+        change |= store[1:] != store[:-1]
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(table)]
+    return tuple(
+        SkuPanel(sku_id=int(sku[a]), table=table[a:b],
+                 store_id=int(store[a]) if per_store else None)
+        for a, b in zip(bounds[:-1], bounds[1:]) if b > a)
 
 
 def build_panels(table: ObservationTable, group_by: str = "sku"
@@ -1052,25 +1062,10 @@ def build_panels(table: ObservationTable, group_by: str = "sku"
     keys keep their input order. Each panel's table is a slice of one
     sorted copy of the input.
     """
-    if group_by not in ("sku", "store-sku"):
-        raise DomainError(f"group_by must be 'sku' or 'store-sku', got {group_by!r}")
-    if not len(table):
-        return ()
-    per_store = group_by == "store-sku"
-    keys = ((table.date, table.store_id, table.sku_id) if per_store
-            else (table.store_id, table.date, table.sku_id))
-    order = np.lexsort(keys)
-    if not np.array_equal(order, np.arange(len(table))):
-        table = table[order]
-    sku, store = table.sku_id, table.store_id
-    change = sku[1:] != sku[:-1]
-    if per_store:
-        change |= store[1:] != store[:-1]
-    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(table)]
-    return tuple(
-        SkuPanel(sku_id=int(sku[a]), table=table[a:b],
-                 store_id=int(store[a]) if per_store else None)
-        for a, b in zip(bounds[:-1], bounds[1:]))
+    rows = np.arange(len(table))
+    order = _panel_order(table, rows, group_by)
+    return _sliced(table if np.array_equal(order, rows) else table[order],
+                   group_by)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1203,18 +1203,18 @@ def test_fit_removes_its_buckets(tmp_path, monkeypatch, case, code):
     assert _small_buckets(monkeypatch, len(golden), 4) is not None
     seen: list[list[str]] = []
     skus: list[set[int]] = []
-    build = cli.build_panels
+    study = cli.run_study
 
-    def watching(table, **kwargs):
+    def watching(panels, **kwargs):
         seen.append(sorted(p.name for p in work.glob(".uplift-fit-*/*")))
-        skus.append(set(table.sku_id.tolist()))
+        skus.append({p.sku_id for p in panels})
         if case == "fault-in-second-bucket" and len(seen) == 2:
             raise RuntimeError("fault in the second bucket")
         if case == "interrupted":
             raise KeyboardInterrupt
-        return build(table, **kwargs)
+        return study(panels, **kwargs)
 
-    monkeypatch.setattr(cli, "build_panels", watching)
+    monkeypatch.setattr(cli, "run_study", watching)
     argv = ["fit", "--input", str(src), "--out-dir", str(out_dir),
             "--threads", "1"]
     if code is None:
@@ -1254,12 +1254,12 @@ def test_fit_workers_leave_no_process_and_no_bucket(tmp_path, monkeypatch,
     monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
     assert _small_buckets(monkeypatch, len(golden), 4) is not None
     seen, skus = tmp_path / "seen", tmp_path / "skus"
-    build = cli.build_panels
+    study = cli.run_study
 
-    def watching(table, **kwargs):
+    def watching(panels, **kwargs):
         _record(seen, " ".join(sorted(
             p.name for p in work.glob(".uplift-fit-*/*"))) or "-")
-        _record(skus, " ".join(map(str, set(table.sku_id.tolist()))))
+        _record(skus, " ".join(str(p.sku_id) for p in panels))
         calls = len(seen.read_text().splitlines())
         if case == "fault-in-second-bucket" and calls == 2:
             raise RuntimeError("fault in the second bucket")
@@ -1267,9 +1267,9 @@ def test_fit_workers_leave_no_process_and_no_bucket(tmp_path, monkeypatch,
             raise KeyboardInterrupt
         if case == "killed":
             os.kill(os.getpid(), signal.SIGKILL)
-        return build(table, **kwargs)
+        return study(panels, **kwargs)
 
-    monkeypatch.setattr(cli, "build_panels", watching)
+    monkeypatch.setattr(cli, "run_study", watching)
     argv = ["fit", "--input", str(src), "--out-dir", str(out_dir),
             "--threads", "2"]
     # A hang fails the test instead of stalling the suite.
@@ -1304,15 +1304,15 @@ import os, signal, sys, time
 signal.signal(signal.SIGINT, signal.default_int_handler)
 from discount_uplift import cli, domain
 domain.READ_BYTES = 1 << 14
-build = cli.build_panels
+study = cli.run_study
 
-def slow(table, **kwargs):
+def slow(panels, **kwargs):
     with open(sys.argv[1], "a") as handle:
         handle.write(f"{os.getpid()}\\n")
     time.sleep(2)
-    return build(table, **kwargs)
+    return study(panels, **kwargs)
 
-cli.build_panels = slow
+cli.run_study = slow
 sys.exit(cli.main(["fit", "--input", sys.argv[2], "--out-dir", sys.argv[3],
                    "--threads", "2"]))
 """
@@ -1394,16 +1394,16 @@ import os, sys, time
 from pathlib import Path
 from discount_uplift import cli, domain
 domain.READ_BYTES = 1 << 14
-build = cli.build_panels
+study = cli.run_study
 
-def waiting(table, **kwargs):
+def waiting(panels, **kwargs):
     with open(sys.argv[1], "a") as handle:
         handle.write(f"{os.getpid()}\\n")
     while not Path(sys.argv[1] + ".go").exists():
         time.sleep(0.05)
-    return build(table, **kwargs)
+    return study(panels, **kwargs)
 
-cli.build_panels = waiting
+cli.run_study = waiting
 sys.exit(cli.main(["fit", "--input", sys.argv[2], "--out-dir", sys.argv[3],
                    "--threads", "2"]))
 """
@@ -1673,7 +1673,7 @@ def test_a_worker_traceback_reaches_stderr(tmp_path, monkeypatch, capsys,
             raise RuntimeError("worker fault")
         raise RuntimeError("worker fault", lambda: None)
 
-    module, name, task = {"fit": (cli, "build_panels", "_bucket"),
+    module, name, task = {"fit": (cli, "run_study", "_bucket"),
                           "simulate": (synth, "generate_panel", "_rows")
                           }[command]
     monkeypatch.setattr(module, name, failing_in_a_worker)

@@ -135,13 +135,15 @@ def test_build_panels_partition():
     assert len(panels) == 1
     panel = panels[0]
     assert panel.n_plain == 2 and panel.n_disc == 1
-    assert panel.observations[panel.disc_index[0]].discounted_sales == 2
+    disc = np.flatnonzero(panel.table.discounted_sales >= 1)
+    assert panel.observations[disc[0]].discounted_sales == 2
 
 
 def test_build_panels_no_discounts():
     table = parse_csv(HEADER + "\n1,10,2024-09-23,Monday,5,0.5,1,0\n").table
     (panel,) = build_panels(table)
-    assert panel.disc_index.tolist() == []
+    assert np.flatnonzero(panel.table.discounted_sales >= 1).tolist() == []
+    assert panel.n_disc == 0
 
 
 def test_build_panels_one_per_sku():
@@ -235,7 +237,10 @@ def test_csv_round_trip(observations):
 def test_panel_partition_property(observations):
     table = ObservationTable.from_observations(observations)
     for panel in build_panels(table):
-        plain, disc = panel.plain_index.tolist(), panel.disc_index.tolist()
+        ds = panel.table.discounted_sales
+        plain = np.flatnonzero(ds == 0).tolist()
+        disc = np.flatnonzero(ds >= 1).tolist()
+        assert (panel.n_plain, panel.n_disc) == (len(plain), len(disc))
         assert sorted(plain + disc) == list(range(panel.n_obs))
         assert all(panel.observations[i].discounted_sales >= 1 for i in disc)
         assert all(panel.observations[i].discounted_sales == 0 for i in plain)
@@ -367,10 +372,11 @@ def _spill_as_fit_does(partition, pieces, errors) -> None:
        st.sampled_from([1, 50, 1 << 20]), st.sampled_from([1, 40, 1 << 18]))
 def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes,
                                      read_bytes):
-    # Bucket by bucket, the rows and issues of parse_csv, the issues in
-    # another order: sorted by line, they are the same list.
+    # Bucket by bucket, per grouping, the panels that build_panels makes of
+    # parse_csv's rows, and parse_csv's issues in another order: sorted by
+    # line, they are the same list.
     data = text.encode("utf-8")
-    errors, warnings = [], []
+    spilled = []
     digest = hashlib.sha256()
     # Each bucket write goes to the part of one of three processes in turn,
     # as the parts of workers interleave.
@@ -385,26 +391,53 @@ def test_partition_matches_parse_csv(text, chunk_rows, bucket_bytes,
         partition = domain.Partition(Path(spill), len(data))
         with mock.patch.object(domain.os, "getpid", lambda: next(pids)):
             _spill_as_fit_does(partition,
-                               domain.read_pieces(source, digest), errors)
-        tables = [partition.table(bucket, errors, warnings)
-                  for bucket in partition.filled()]
+                               domain.read_pieces(source, digest), spilled)
+        read = {}
+        for group_by in ("sku", "store-sku"):
+            errors, warnings = list(spilled), []
+            read[group_by] = errors, warnings, [
+                partition.panels(bucket, group_by, errors, warnings)
+                for bucket in partition.filled()]
     assert partition.buckets == min(domain.MAX_BUCKETS,
                                     -(-len(data) // bucket_bytes))
     assert digest.digest() == hashlib.sha256(data).digest()
     assert source.tell() == len(data)
-    for found, issues in ((errors, expected.errors),
-                          (warnings, expected.warnings)):
-        found.sort(key=attrgetter("line"))  # stable
-        assert found == list(issues)
-    # A bucket's table keeps the first row of each key, as parse_csv does,
-    # in line order.
     skus = expected.table.sku_id
-    for table in tables:
-        assert table == expected.table[np.isin(skus, table.sku_id)]
-    assert set(skus.tolist()) <= {sku for t in tables
-                                  for sku in t.sku_id.tolist()}
-    assert all(len(set(t.sku_id.tolist()) & set(u.sku_id.tolist())) == 0
-               for i, t in enumerate(tables) for u in tables[i + 1:])
+    for group_by, (errors, warnings, buckets) in read.items():
+        for found, issues in ((errors, expected.errors),
+                              (warnings, expected.warnings)):
+            found.sort(key=attrgetter("line"))  # stable
+            assert found == list(issues)
+        # A bucket's panels keep the first row of each key, as parse_csv
+        # does, and are those of all the rows of its SKUs.
+        owned = [{panel.sku_id for panel in panels} for panels in buckets]
+        for panels, own in zip(buckets, owned):
+            assert panels == build_panels(
+                expected.table[np.isin(skus, list(own))], group_by)
+        assert set(skus.tolist()) <= set().union(*owned)
+        assert sum(map(len, owned)) == len(set().union(*owned))
+
+
+def test_partition_sorts_a_bucket_once(tmp_path, monkeypatch):
+    # A bucket of two interleaved parts is ordered, checked and grouped by
+    # one lexsort, with no sort by line.
+    data = (DATA / "golden_input.csv").read_bytes()
+    monkeypatch.setattr(domain, "READ_BYTES", 1 << 14)
+    partition = domain.Partition(tmp_path, len(data))
+    pids = itertools.cycle([101, 102])
+    with mock.patch.object(domain.os, "getpid", lambda: next(pids)):
+        _spill_as_fit_does(partition, domain.read_pieces(io.BytesIO(data)),
+                           [])
+    assert partition.filled() == [0] and len(list(tmp_path.iterdir())) == 2
+    sorts = []
+    for name in ("lexsort", "argsort", "sort"):
+        def counting(*args, _name=name, _sort=getattr(np, name), **kwargs):
+            sorts.append(_name)
+            return _sort(*args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    panels = partition.panels(0, "sku", [], [])
+    assert sorts == ["lexsort"]
+    assert panels == build_panels(parse_csv(data).table)
 
 
 def _any_case(text: str) -> st.SearchStrategy:
@@ -682,7 +715,8 @@ def test_partition_spreads_ids_sharing_a_factor_with_the_bucket_count(
     monkeypatch.setattr(domain, "BUCKET_BYTES", -(-len(data) // 10))
     partition = domain.Partition(tmp_path, len(data))
     partition.spill(domain.read_pieces(io.BytesIO(data)), [])
-    rows = [len(partition.table(bucket, [], [])) for bucket in range(10)]
+    rows = [sum(p.n_obs for p in partition.panels(bucket, "sku", [], []))
+            for bucket in range(10)]
     assert partition.buckets == 10 and sum(rows) == 100
     assert max(rows) <= 20
 
@@ -818,10 +852,14 @@ def test_build_panels_table_equals_observation_list(observations, group_by):
     assert [(p.sku_id, -1 if p.store_id is None else p.store_id,
              list(p.observations)) for p in panels] == expected
     for panel, (_, _, rows) in zip(panels, expected):
-        assert panel.plain_index.tolist() == \
+        ds = panel.table.discounted_sales
+        assert np.flatnonzero(ds == 0).tolist() == \
             [i for i, o in enumerate(rows) if o.discounted_sales == 0]
-        assert panel.disc_index.tolist() == \
+        assert np.flatnonzero(ds >= 1).tolist() == \
             [i for i, o in enumerate(rows) if o.discounted_sales >= 1]
+        assert (panel.n_plain, panel.n_disc) == (
+            sum(o.discounted_sales == 0 for o in rows),
+            sum(o.discounted_sales >= 1 for o in rows))
 
 
 def _absorbed_by_rows(panel, indices, names):
@@ -848,10 +886,11 @@ def test_design_bytes_equal_per_row_reference():
     # design is zero-padded to the longer one's rows.
     panels = [generate_panel(DgpConfig(seed=5, n_days=days), sku_id=3)
               for days in (120, 90)]
-    for stage in ("plain_index", "disc_index"):
+    for stage in (lambda ds: ds == 0, lambda ds: ds >= 1):
         for names in (("forecast", "stock", "sales"),
                       ("forecast", "stock", "discounted_sales", "sales")):
-            indices = [getattr(p, stage) for p in panels]
+            indices = [np.flatnonzero(stage(p.table.discounted_sales))
+                       for p in panels]
             fit = np.repeat([0, 1], [len(i) for i in indices])
             lengths, design, counts, _, _ = _absorb(
                 fit, 2, np.concatenate([p.table.weekday[i] for p, i

@@ -24,7 +24,8 @@ from oracles import generate_panel_rows
 def test_no_discounts_when_probability_zero():
     panel = generate_panel(DgpConfig(seed=1, n_days=200, gamma_true=0.0,
                                      discount_probability=0.0), sku_id=1)
-    assert panel.disc_index.tolist() == [] and panel.n_plain == 200
+    assert np.flatnonzero(panel.table.discounted_sales >= 1).tolist() == []
+    assert panel.n_disc == 0 and panel.n_plain == 200
 
 
 def test_deterministic_arithmetic_with_noise_off():

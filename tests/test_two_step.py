@@ -190,7 +190,8 @@ def test_fit_uplift_rejects_non_finite_residuals(bad):
     good = generate_panel(DgpConfig(seed=17, n_days=300,
                                     discount_probability=0.3), sku_id=1)
     t = good.table
-    for day in (good.disc_index[4], good.plain_index[4]):
+    for day in (np.flatnonzero(t.discounted_sales >= 1)[4],
+                np.flatnonzero(t.discounted_sales == 0)[4]):
         forecast = t.forecast.copy()
         forecast[day] = bad
         panel = build_panel(t.sales, t.discounted_sales, forecast=forecast,
