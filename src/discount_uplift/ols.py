@@ -3,12 +3,12 @@
 The solver uses Householder QR with column pivoting and its own
 incomplete-beta evaluation for p-values, so results do not depend on any
 linear-algebra or stats library. numpy is used only as the array container:
-every product is elementwise and every sum a numpy reduction in a fixed
-order, never a BLAS call, so the bytes of a result do not depend on which
-BLAS kernel the machine would pick. They do depend on numpy's order for
-summing a short contiguous row (fitted values, squared row norms of R^-1):
-eight interleaved lanes added pairwise, which
-``tests/oracles.py::_short_row_sum`` models.
+every product is elementwise, never a BLAS call, and every sum adds its
+terms in an order the code writes out: a reduce over an outer axis adds the
+rows one after another, the residual sum of squares is a running total, and
+``linear_combination`` folds a short row left to right. So the bytes of a
+result depend on IEEE arithmetic and this code alone, not on which BLAS
+kernel the machine would pick or on how numpy unrolls a reduce.
 
 There is one kernel: ``solve_ols_batch`` solves many designs at once on
 zero-padded (fits, rows, columns) arrays, with no inference;
@@ -180,10 +180,14 @@ def _householder_qr(A: np.ndarray, y: np.ndarray
 
 
 def linear_combination(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """``X b`` with each row's products summed by numpy, not by BLAS, in
-    numpy's lane order for a short contiguous row; on a batch ``X`` (fits,
-    rows, columns) pass ``coefficients`` as (fits, 1, columns)."""
-    return np.add.reduce(X * coefficients, axis=-1)
+    """``X b``, each row's products folded left to right from +0.0 (a row
+    of -0.0 products sums to +0.0, as in a numpy reduce); on a batch ``X``
+    (fits, rows, columns) pass ``coefficients`` as (fits, 1, columns)."""
+    products = X * coefficients
+    total = np.zeros(products.shape[:-1])
+    for j in range(products.shape[-1]):
+        total += products[..., j]
+    return total
 
 
 def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -202,17 +206,16 @@ class BatchSolve:
     per fit, with no inference.
 
     ``coefficients`` is (fits, columns), NaN in the rows of the
-    rank-deficient fits, and ``missing_columns`` names each such fit's
-    dependent columns (empty at full rank). ``r`` and ``pivots`` are each
-    fit's triangular factor, the identity where it is rank deficient, and
-    its column order, from which ``fit_ols_batch`` forms the inference.
+    rank-deficient fits. ``r`` and ``pivots`` are each fit's triangular
+    factor, the identity where it is rank deficient, and its column order,
+    from which ``fit_ols_batch`` forms the inference; a fit's columns past
+    its ``rank`` in ``pivots`` are its dependent ones.
     """
 
     column_labels: tuple[str, ...]
     n_obs: np.ndarray
     rank: np.ndarray
     coefficients: np.ndarray
-    missing_columns: tuple[tuple[str, ...], ...]
     r: np.ndarray
     pivots: np.ndarray
 
@@ -244,10 +247,13 @@ class BatchFit(BatchSolve):
         batch's rows."""
         n_obs, dof = int(self.n_obs[b]), int(self.dof[b])
         if not self.ok[b]:
+            # The unpivoted columns are linear combinations of the pivoted.
+            unpivoted = sorted(self.pivots[b, self.rank[b]:].tolist())
             return FitResult(status=FitStatus.RANK_DEFICIENT,
                              column_labels=self.column_labels, n_obs=n_obs,
                              rank=int(self.rank[b]), dof=dof,
-                             missing_columns=self.missing_columns[b])
+                             missing_columns=tuple(self.column_labels[j]
+                                                   for j in unpivoted))
         return FitResult(status=FitStatus.OK, column_labels=self.column_labels,
                          n_obs=n_obs, rank=int(self.rank[b]), dof=dof,
                          coefficients=self.coefficients[b],
@@ -283,10 +289,6 @@ def solve_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
 
     R, qty, piv, rank = _householder_qr(X, y)
     deficient = rank < p
-    missing: list[tuple[str, ...]] = [()] * count
-    for b in np.flatnonzero(deficient).tolist():
-        # The unpivoted columns are linear combinations of the pivoted ones.
-        missing[b] = tuple(names[j] for j in sorted(piv[b, rank[b]:]))
     # A deficient fit solves the identity instead of its partial R and gets
     # NaN coefficients, so every row derived from them is NaN.
     R[deficient] = np.eye(p)
@@ -295,8 +297,7 @@ def solve_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
     np.put_along_axis(beta, piv, pivoted, axis=1)
     beta[deficient] = math.nan
     return BatchSolve(column_labels=names, n_obs=n_obs, rank=rank,
-                      coefficients=beta, missing_columns=tuple(missing), r=R,
-                      pivots=piv)
+                      coefficients=beta, r=R, pivots=piv)
 
 
 def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
@@ -328,7 +329,7 @@ def fit_ols_batch(X: np.ndarray, y: np.ndarray, n_obs: Sequence[int],
                                                         (count, p, p)))
     variances = np.empty((count, p))
     np.put_along_axis(variances, piv,
-                      sigma2[:, None] * np.add.reduce(r_inv * r_inv, axis=2),
+                      sigma2[:, None] * linear_combination(r_inv, r_inv),
                       axis=1)
     std_errors = np.sqrt(np.maximum(variances, 0.0))
     # beta / se where se > 0 or is NaN; else +0.0 for a zero coefficient and,
@@ -517,7 +518,7 @@ def t_pvalues(t: np.ndarray, dof: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     dof = np.asarray(dof, dtype=np.int64)
     if (dof < 0).any():
-        raise InvalidDof(f"dof must be >= 1, got {dof.min()}")
+        raise InvalidDof(f"dof must be >= 0, got {dof.min()}")
     p = np.full(t.shape, math.nan)
     tested = np.flatnonzero(dof != 0)
     t, dof = t[tested], dof[tested]

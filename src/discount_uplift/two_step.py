@@ -256,7 +256,8 @@ def _absorb(fit: np.ndarray, count: int, weekday: np.ndarray,
     means = means.reshape(len(columns), count, 7)
     # A column's squared norm is its demeaned one plus, per weekday, the
     # row count times the squared mean.
-    raw = squares + (counts.reshape(count, 7) * means[:-1] ** 2).sum(axis=2)
+    raw = squares + ols.linear_combination(means[:-1] ** 2,
+                                           counts.reshape(count, 7))
     return (lengths, padded, counts.reshape(count, 7), means,
             (np.sqrt(squares) <= RANK_RTOL * np.sqrt(raw)).T)
 

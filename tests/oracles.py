@@ -161,30 +161,9 @@ def exact_two_step(days: Iterable[tuple[int, float, int, int, int]]
 
 
 def _rows_sum(values: Iterable[float]) -> float:
-    """Sum over rows as ``ols`` takes it: one value after another."""
+    """Sum as ``ols`` takes it: from +0.0, one value after another."""
     total = 0.0
     for value in values:
-        total += value
-    return total
-
-
-def _short_row_sum(values: list[float]) -> float:
-    """Sum of one short contiguous row (under 128 entries) in numpy's order:
-    straight through below eight entries, otherwise eight interleaved
-    partial sums added pairwise, then the tail."""
-    n = len(values)
-    if n >= 128:
-        raise ValueError("numpy splits rows of 128 or more into blocks")
-    if n < 8:
-        return _rows_sum(values)
-    lanes = values[:8]
-    i = 8
-    while i < n - n % 8:
-        lanes = [lane + value for lane, value in zip(lanes, values[i:i + 8])]
-        i += 8
-    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-    for value in values[i:]:
         total += value
     return total
 
@@ -197,13 +176,12 @@ def householder_fit(X, y, rtol: float = 1e-10
     when the rank is below the column count.
 
     A reference for ``ols``' batched kernel that shares none of its array
-    code. Every sum over rows adds them one at a time in row order, and
-    each rounding step is the kernel's: the pivot is the first column of
-    largest norm, ``v = x - alpha e1`` with ``alpha = -sign(x0) ||x||``,
-    ``v'v = v'x - alpha v0``, the update subtracts ``(2 / v'v * v_i) * w_j``,
-    and ``[Q'y | I]`` is back-substituted column by column. The two sums
-    over a row of at most ten columns (the fitted values and the squared
-    row norms of R^-1) follow numpy's order for a short contiguous row.
+    code. Every sum adds its terms one at a time in order, over rows and
+    along a row (the fitted values and the squared row norms of R^-1)
+    alike, and each rounding step is the kernel's: the pivot is the first
+    column of largest norm, ``v = x - alpha e1`` with ``alpha = -sign(x0)
+    ||x||``, ``v'v = v'x - alpha v0``, the update subtracts ``(2 / v'v *
+    v_i) * w_j``, and ``[Q'y | I]`` is back-substituted column by column.
     """
     M = [[float(v) for v in row] + [float(t)] for row, t in zip(X, y)]
     n, p = len(M), len(M[0]) - 1
@@ -253,8 +231,7 @@ def householder_fit(X, y, rtol: float = 1e-10
     beta = [0.0] * p
     for i in range(p):
         beta[piv[i]] = S[i][0]
-    residuals = [float(t) - _short_row_sum([float(x) * b
-                                            for x, b in zip(row, beta)])
+    residuals = [float(t) - _rows_sum(float(x) * b for x, b in zip(row, beta))
                  for row, t in zip(X, y)]
     dof = n - p
     if dof == 0:
@@ -262,7 +239,7 @@ def householder_fit(X, y, rtol: float = 1e-10
     sigma2 = _rows_sum(r * r for r in residuals) / dof
     std_errors = [0.0] * p
     for i in range(p):
-        variance = sigma2 * _short_row_sum([c * c for c in S[i][1:]])
+        variance = sigma2 * _rows_sum(c * c for c in S[i][1:])
         std_errors[piv[i]] = math.sqrt(max(variance, 0.0))
     return rank, beta, std_errors, residuals
 

@@ -1855,9 +1855,11 @@ def test_fit_workers_read_a_declined_piece_as_one_process_does(
 
 # The benchmark's fit-csv input, W500: the digest of `uplift simulate --seed
 # 3 --skus 500 --days 730` (365,000 rows, 57 pieces, 14 buckets), and of
-# what `uplift fit` writes for it. Like the golden files, the fit digests
-# hold for numpy's present order of adding a short contiguous row (see the
-# ols module docstring; ROADMAP item 14).
+# what `uplift fit` writes for it. The estimator writes out the order of
+# every sum it takes (see the ols module docstring); the one sum left to
+# numpy is `summarize`'s mean of the trimmed mean residuals, which numpy
+# adds pairwise from 8 values on, so the `aggregate.json` digest holds for
+# numpy's present order of that one sum.
 W500_SHA256 = \
     "67c3086229afdeb59bda75f0f44f447b2008bdd20a63e2fce2b9eb7f827bd4b9"
 W500_DIGESTS = {

@@ -252,7 +252,7 @@ def test_array_pvalues_follow_p_value_on_dof_and_nan():
     assert t_pvalues(np.array([]), np.array([], dtype=np.int64)).size == 0
     with pytest.raises(OlsError, match="NaN"):
         t_pvalues(np.array([1.0, math.nan]), np.array([5, 5]))
-    with pytest.raises(InvalidDof):
+    with pytest.raises(InvalidDof, match=r"dof must be >= 0, got -1"):
         t_pvalues(np.array([1.0]), np.array([-1]))
 
 
@@ -394,8 +394,10 @@ def test_batch_inference_branches_equal_lone_fits():
     solved = solve_ols_batch(X, y, lengths, labels)
     assert np.isnan(solved.coefficients[1]).all()
     assert solved.coefficients.tobytes() == batch.coefficients.tobytes()
-    assert solved.missing_columns == batch.missing_columns == \
-        ((), ("a",), (), (), ())
+    assert solved.rank.tolist() == batch.rank.tolist()
+    assert solved.pivots.tobytes() == batch.pivots.tobytes()
+    assert [batch.row(b).missing_columns for b in range(len(designs))] == \
+        [(), ("a",), (), (), ()]
 
 
 def test_kernel_bits_as_fits_leave_down_to_one():
@@ -460,7 +462,7 @@ def test_batch_with_fewer_rows_than_columns():
         lone = fit_ols(Xb, yb, labels)
         assert lone.status is FitStatus.RANK_DEFICIENT
         assert batch.rank[b] == lone.rank <= 4
-        assert batch.missing_columns[b] == lone.missing_columns
+        assert batch.row(b).missing_columns == lone.missing_columns
 
 
 def test_batch_of_every_rank_class_raises_no_warning():
@@ -551,10 +553,10 @@ def _oracle_bytes(rank, beta, std_errors, residuals) -> tuple:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_kernel_equals_householder_oracle(seed):
-    # Every sum over rows adds them in order, so coefficients, standard
-    # errors and residuals equal a Python-float Householder reference bit
-    # for bit, alone, zero-padded in a batch, and at scales 1e-6 to 1e6;
-    # so do the coefficients of the solve alone.
+    # Every sum adds its terms in order, so coefficients, standard errors
+    # and residuals equal a Python-float Householder reference bit for bit,
+    # alone, zero-padded in a batch, and at scales 1e-6 to 1e6; so do the
+    # coefficients of the solve alone, and the residuals from predict.
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 11))
     lengths = [int(rng.integers(p + 1, 70)) for _ in range(4)]
@@ -576,6 +578,8 @@ def test_kernel_equals_householder_oracle(seed):
                                  got.residuals) == _oracle_bytes(*oracle)
         assert _oracle_bytes(solved.rank[b], solved.coefficients[b], [], []) \
             == _oracle_bytes(*oracle[:2], [], [])
+        assert (yb - predict(lone, Xb)).tobytes() \
+            == np.array(oracle[3]).tobytes()
 
 
 @pytest.mark.parametrize("n_obs", [10, 0])
